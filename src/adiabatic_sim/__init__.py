@@ -47,6 +47,7 @@ from .measurement import (
     MeasurementRecord,
     RandomSource,
     bv_readout,
+    bv_sample_factored,
     measure_x,
     measure_z,
     simon_sample,

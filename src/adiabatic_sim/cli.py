@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -34,7 +35,7 @@ from .oracles import BvMask, simon_build
 from .protocols import RunConfig, branch_pair, resolve_config, run_bv, run_simon, sweep
 from .qstate import plus_state
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 SWEEP_COLUMNS = [
     "axis_value",
@@ -71,6 +72,15 @@ def _default_seed() -> int:
         raise UsageError(f"ADIABATIC_SIM_SEED must be an integer, got {raw!r}")
 
 
+def _steps(args: argparse.Namespace) -> int:
+    """--steps, or 100*T; T must be finite for the default."""
+    if args.steps is not None:
+        return args.steps
+    if not math.isfinite(args.total_time):
+        raise UsageError(f"--time must be finite, got {args.total_time}")
+    return max(1, round(100 * args.total_time))
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True, help="input register size")
     parser.add_argument("--a", type=_mask, default=None,
@@ -88,7 +98,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace, problem: str) -> RunConfig:
     seed = args.seed if args.seed is not None else _default_seed()
-    steps = args.steps if args.steps is not None else max(1, round(100 * args.total_time))
+    steps = _steps(args)
     cfg = RunConfig(
         problem=problem,
         n=args.n,
@@ -121,8 +131,11 @@ def _record(cfg: RunConfig, results: dict) -> dict:
 
 def _emit(payload: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(payload)
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}")
     else:
         sys.stdout.write(payload)
 
@@ -166,7 +179,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise UsageError("--values must be a non-empty comma-separated list")
     seed = args.seed if args.seed is not None else _default_seed()
-    steps = args.steps if args.steps is not None else max(1, round(100 * args.total_time))
+    steps = _steps(args)
     base = RunConfig(
         problem=args.problem,
         n=args.n,

@@ -136,7 +136,8 @@ def evolve_two_level(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
     return np.array([u0, u1], dtype=np.complex128)
 
 
-def _check_branch_vector(phi: np.ndarray) -> np.ndarray:
+def check_branch_vector(phi: np.ndarray) -> np.ndarray:
+    """A normalized complex 2-vector, or ShapeError / DomainError."""
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (2,):
         raise ShapeError("branch vectors must have exactly two amplitudes")
@@ -152,8 +153,8 @@ def assemble_bv(
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> StateVector:
     """Product-form final state 2^(-n/2) sum_w |w> (x) phi_f(w)."""
-    phi0 = _check_branch_vector(phi0)
-    phi1 = _check_branch_vector(phi1)
+    phi0 = check_branch_vector(phi0)
+    phi1 = check_branch_vector(phi1)
     n = mask.n
     check_capacity(n + 1, cap)
     w_all = np.arange(1 << n)
@@ -173,8 +174,8 @@ def assemble_simon(
     Materializes all 2^(2n-1) amplitudes; beyond the cap use
     ``simon_branch_amplitude`` instead.
     """
-    phi0 = _check_branch_vector(phi0)
-    phi1 = _check_branch_vector(phi1)
+    phi0 = check_branch_vector(phi0)
+    phi1 = check_branch_vector(phi1)
     n = oracle.n
     m = n - 1
     check_capacity(n + m, cap)

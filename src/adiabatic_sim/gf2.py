@@ -2,7 +2,8 @@
 
 Rows are n-bit integers; bit k is column k.  Each stored row encodes one
 linear constraint row . v = 0 (mod 2) on the unknown mask.  Elimination is
-word-parallel XOR on Python ints.
+word-parallel XOR on Python ints.  ``Gf2Matrix.rank`` is kept incrementally,
+O(n) word operations per added row; ``rank()`` recomputes it from scratch.
 """
 
 from __future__ import annotations
@@ -20,11 +21,16 @@ def dot2(x: int, a: int) -> int:
 
 @dataclass
 class Gf2Matrix:
-    """Accumulator for measurement rows; zero rows are counted but not stored."""
+    """Accumulator for measurement rows; zero rows are counted but not stored.
+
+    Rows go in through the constructor or ``add_row``, which also reduce them
+    into an echelon basis keyed by leading bit, so ``rank`` is a lookup.
+    """
 
     n_cols: int
     rows: list = field(default_factory=list)
     zero_rows: int = 0
+    _basis: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_cols < 1:
@@ -32,6 +38,22 @@ class Gf2Matrix:
         for row in self.rows:
             if not 0 < row < (1 << self.n_cols):
                 raise DomainError(f"row {row} out of range (rows must be nonzero)")
+            self._reduce(row)
+
+    def _reduce(self, x: int) -> None:
+        """Add x to the echelon basis unless the basis already spans it."""
+        while x:
+            lead = x.bit_length() - 1
+            pivot_row = self._basis.get(lead)
+            if pivot_row is None:
+                self._basis[lead] = x
+                return
+            x ^= pivot_row
+
+    @property
+    def rank(self) -> int:
+        """Rank over GF(2) of the rows added so far."""
+        return len(self._basis)
 
     def add_row(self, x: int) -> bool:
         """Record a row; returns False for the (rank-inert) zero row."""
@@ -41,6 +63,7 @@ class Gf2Matrix:
             self.zero_rows += 1
             return False
         self.rows.append(x)
+        self._reduce(x)
         return True
 
 
@@ -102,7 +125,7 @@ def recover_mask(m: Gf2Matrix) -> MaskRecovery:
     Rank n - 1 leaves exactly one nonzero solution (the mask); full rank is
     impossible under the promise and flags corrupted input rows.
     """
-    r = rank(m)
+    r = m.rank
     if r == m.n_cols:
         raise ContradictionError(
             "rows have full rank; no nonzero mask is orthogonal to all of them"

@@ -10,12 +10,21 @@ identical (seed, stream) plus an identical sequence of draw calls reproduces
 identical outcomes.  Samplers draw in a fixed documented order so whole runs
 replay bit-for-bit; parallel shots must use streams derived per shot.
 
-``simon_sample_factored`` samples the exact post-measurement x distribution
-without materializing the 2^(2n-1)-amplitude state: the drawn B outcome y
-weights each input branch w by prod_k phi_{g_k(w)}[y_k], which depends on w
-only through bit-agreement counts between y and g(w).  Draw order per shot:
-one uniform for the branch label, one uniform per output bit (ascending),
-one uniform for the final x pick.
+The factored readouts sample the exact outcome law of the assembled state
+from the two branch vectors alone:
+
+* ``bv_sample_factored``, O(n) per shot.  Draw order: one uniform for the
+  output qubit's x outcome, then, if it is 1, one uniform for the pick
+  between 0 and a -- the draws ``bv_readout`` makes on the assembled state,
+  with the same outcomes.
+* ``simon_sample_factored`` on an unscrambled (linear) oracle, O(n) per shot:
+  the row is x = L^T z with iid Bernoulli bits z_k.  Draw order: one uniform
+  per output bit, ascending.
+* ``simon_sample_factored`` on a scrambled oracle, O(n 2^n) per shot: the
+  drawn B outcome y weights each input branch w by prod_k phi_{g_k(w)}[y_k],
+  which depends on w only through bit-agreement counts between y and g(w).
+  Draw order: one integer draw for the branch label, one uniform per output
+  bit (ascending), one uniform for the final x pick.
 """
 
 from __future__ import annotations
@@ -27,10 +36,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapacityError, DomainError, ResampleError
-from .oracles import SimonOracle, simon_eval, simon_eval_all
-from .qstate import StateVector, fwht_subsystem, _fwht_inplace
+from .evolution import check_branch_vector
+from .oracles import BvMask, SimonOracle, simon_dual_row, simon_eval, simon_eval_all
+from .qstate import HADAMARD, StateVector, fwht_subsystem, _fwht_inplace
 
-# The factored sampler materializes only the 2^n input register.
+# The scrambled-oracle sampler materializes only the 2^n input register.
 FACTORED_SAMPLER_CAP = 24
 
 
@@ -59,7 +69,11 @@ class RandomSource:
         return float(self._gen.random())
 
     def randrange(self, bound: int) -> int:
-        return min(int(self.uniform() * bound), bound - 1)
+        """Uniform integer in [0, bound) from one integer draw; bound <= 2^64."""
+        if not 1 <= bound <= 1 << 64:
+            raise DomainError(f"randrange bound must be in [1, 2^64], got {bound}")
+        self.draws += 1
+        return int(self._gen.integers(bound, dtype=np.uint64))
 
     def sample_index(self, probs: np.ndarray) -> int:
         """Draw an index with the given (unnormalized) probability weights."""
@@ -134,6 +148,27 @@ def bv_readout(final: StateVector, rng: RandomSource) -> BvReadout:
     return BvReadout(restart=False, a_candidate=inputs.outcome)
 
 
+def bv_sample_factored(
+    mask: BvMask, phi0: np.ndarray, phi1: np.ndarray, rng: RandomSource
+) -> BvReadout:
+    """``bv_readout`` of the assembled BV state, from the branch vectors alone.
+
+    With c_f = <b_x|phi_f>, the output qubit's x outcome b has weight
+    (1-q)|c_0|^2 + q|c_1|^2, where q = 1/2 is the fraction of inputs with
+    f(w) = 1 (q = 0 when a = 0).  Given b = 1 the input register is
+    proportional to sum_w c_f(w) |w>, whose Walsh transform is supported on
+    {0, a} with weights |c_0 + c_1|^2 and |c_0 - c_1|^2.  The pick is drawn
+    also when a = 0, as on the assembled state.
+    """
+    c0 = HADAMARD @ check_branch_vector(phi0)
+    c1 = HADAMARD @ check_branch_vector(phi1)
+    q = 0.5 if mask.a else 0.0
+    if rng.sample_index((1.0 - q) * np.abs(c0) ** 2 + q * np.abs(c1) ** 2) == 0:
+        return BvReadout(restart=True, a_candidate=None)
+    pick = rng.sample_index(np.abs([c0[1] + c1[1], c0[1] - c1[1]]) ** 2)
+    return BvReadout(restart=False, a_candidate=mask.a if pick else 0)
+
+
 def simon_sample(final: StateVector, rng: RandomSource) -> int:
     """Simon readout: z-measure the output register, then x-measure the input.
 
@@ -187,17 +222,42 @@ def simon_factored_x_probs(
     return np.abs(alpha.reshape(-1)) ** 2
 
 
+def simon_row_bit_prob(phi0: np.ndarray, phi1: np.ndarray) -> float:
+    """q = ||phi_0 - phi_1||^2 / 4, the Bernoulli parameter of each row bit z_k.
+
+    For a linear g(w) = L w, expanding phi_{g_k}[y_k] over the parity of g_k
+    and summing the joint (y, x) law over the unobserved y leaves
+    P(x = L^T z) = prod_k q^z_k (1-q)^(1-z_k), with 1 - q = ||phi_0 + phi_1||^2 / 4.
+    """
+    phi0 = check_branch_vector(phi0)
+    phi1 = check_branch_vector(phi1)
+    plus = float(np.vdot(phi0 + phi1, phi0 + phi1).real)
+    minus = float(np.vdot(phi0 - phi1, phi0 - phi1).real)
+    total = plus + minus
+    if not total > 0:
+        raise ResampleError("row bit weights sum to zero")
+    return minus / total
+
+
 def simon_sample_factored(
     oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray, rng: RandomSource
 ) -> int:
-    """Sample one Simon readout from branch vectors alone, O(n 2^n) per shot.
+    """Sample one Simon readout from branch vectors alone.
 
     Exactly reproduces the distribution of ``simon_sample`` on the assembled
-    state: a uniform branch pick plus per-qubit output draws realize the
-    correct output marginal, and the conditional x distribution is computed
-    in closed form.
+    state.  An unscrambled oracle takes the closed form x = L^T z, O(n) per
+    shot.  A scrambled one realizes the output marginal with a uniform
+    branch pick plus per-qubit output draws and computes the conditional x
+    distribution in closed form, O(n 2^n) per shot.
     """
     n = oracle.n
+    if oracle.scramble is None:
+        q = simon_row_bit_prob(phi0, phi1)
+        z = 0
+        for k in range(n - 1):
+            if rng.uniform() < q:
+                z |= 1 << k
+        return simon_dual_row(oracle, z)
     w_star = rng.randrange(1 << n)
     g_star = simon_eval(oracle, w_star)
     phi0 = np.asarray(phi0, dtype=np.complex128)

@@ -152,6 +152,24 @@ def simon_eval(oracle: SimonOracle, w: int) -> int:
     return int(g)
 
 
+def simon_dual_row(oracle: SimonOracle, z: int) -> int:
+    """x = L^T z for the unscrambled oracle, whose g(w) = L w is GF(2)-linear.
+
+    x . w = z . g(w) for every input w.  Since g(w) drops the pivot bit j of
+    w xor w_j a, x is z with bit j re-inserted and set to z . drop_j(a),
+    which makes every such x orthogonal to a.
+    """
+    if oracle.scramble is not None:
+        raise DomainError("a scrambled oracle is not linear")
+    if not 0 <= z < (1 << (oracle.n - 1)):
+        raise DomainError(f"output bits {z} out of range for {oracle.n - 1} bits")
+    j = oracle.pivot_bit
+    low_mask = (1 << j) - 1
+    a_dropped = ((oracle.a >> (j + 1)) << j) | (oracle.a & low_mask)
+    x_j = (z & a_dropped).bit_count() & 1
+    return ((z >> j) << (j + 1)) | (x_j << j) | (z & low_mask)
+
+
 def simon_eval_all(oracle: SimonOracle, cap: int = TABLE_CAP_QUBITS) -> np.ndarray:
     """Vector of g(w) for all w < 2**n (refused above ``cap`` total input bits)."""
     if oracle.table is not None:

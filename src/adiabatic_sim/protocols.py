@@ -1,12 +1,14 @@
 """End-to-end BV and Simon experiments, classical baselines, and sweeps.
 
 A run is: prepare |+>|+>, anneal for time T (path "full" integrates the
-dense state; path "factored" integrates the two branch qubits and assembles
-or samples the product state), measure, repeat per the algorithm's rule, and
-reduce the collected outcomes to a mask candidate.
+dense state; path "factored" integrates the two branch qubits and samples
+the product state's readout from them), measure, repeat per the algorithm's
+rule, and reduce the collected outcomes to a mask candidate.  The factored
+readout is O(n) per shot for BV and for unscrambled Simon, and O(n 2^n) for
+scrambled Simon; see ``measurement`` for each sampler's draws.
 
 Randomness discipline (everything derives from RunConfig.seed):
-  stream 0          draws the mask when ``a`` is None,
+  stream 0          draws the mask when ``a`` is None (one integer draw),
   stream 1 + i      drives the i-th quantum shot (readout or row sample),
   sweep trials      reseed per (value index, trial index) via SeedSequence.
 Identical configs therefore reproduce identical reports, wall time aside.
@@ -18,8 +20,9 @@ numerically the identical deterministic vector.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -33,7 +36,7 @@ from .evolution import (
     evolve_full,
     evolve_two_level,
 )
-from .gf2 import Gf2Matrix, rank, recover_mask
+from .gf2 import Gf2Matrix, recover_mask
 from .hamiltonians import (
     DENSE_OPERATOR_CAP,
     TwoLevelBlock,
@@ -44,16 +47,20 @@ from .measurement import (
     FACTORED_SAMPLER_CAP,
     RandomSource,
     bv_readout,
+    bv_sample_factored,
     simon_sample,
     simon_sample_factored,
 )
 from .oracles import BvMask, SimonOracle, bv_eval, simon_build, simon_eval
-from .qstate import DEFAULT_QUBIT_CAP, plus_state
+from .qstate import plus_state
 
 DEFAULT_TIME = 50.0
 DEFAULT_STEPS = 5000
 BV_MAX_REPEATS = 64
 SIMON_EXTRA_REPEATS = 40
+# Factored BV and unscrambled Simon read out in O(n) per shot with no 2^n
+# array; scrambled Simon keeps the FACTORED_SAMPLER_CAP of its dense sampler.
+FACTORED_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -82,9 +89,11 @@ class RunConfig:
                     f"cap is {DENSE_OPERATOR_CAP}"
                 )
         elif self.path == "factored":
-            cap = DEFAULT_QUBIT_CAP - 1 if self.problem == "bv" else FACTORED_SAMPLER_CAP
+            scrambled = self.problem == "simon" and self.scramble_seed is not None
+            cap = FACTORED_SAMPLER_CAP if scrambled else FACTORED_CAP
             if self.n > cap:
-                raise DomainError(f"path=factored caps {self.problem} at n <= {cap}")
+                kind = "scrambled simon" if scrambled else self.problem
+                raise DomainError(f"path=factored caps {kind} at n <= {cap}")
         else:
             raise DomainError(f"unknown path {self.path!r}")
         if self.a is not None:
@@ -92,8 +101,8 @@ class RunConfig:
                 raise DomainError(f"mask {self.a} out of range for {self.n} bits")
             if self.problem == "simon" and self.a == 0:
                 raise DomainError("Simon's promise requires a positive mask")
-        if not self.total_time > 0:
-            raise DomainError("total_time must be positive")
+        if not (self.total_time > 0 and math.isfinite(self.total_time)):
+            raise DomainError("total_time must be positive and finite")
         if self.steps < 1:
             raise DomainError("steps must be at least 1")
         if self.max_repeats is not None and self.max_repeats < 1:
@@ -170,9 +179,9 @@ def run_bv(cfg: RunConfig) -> RunReport:
     t0 = time.perf_counter()
     mask = BvMask(cfg.n, cfg.a)
 
+    final = None
     if cfg.path == "factored":
         phi0, phi1 = branch_pair("bv", cfg.total_time, cfg.steps)
-        final = assemble_bv(mask, phi0, phi1)
         fidelity_value = _bv_factored_fidelity(mask, phi0, phi1)
     else:
         sched = Schedule(cfg.total_time, cfg.steps)
@@ -184,7 +193,11 @@ def run_bv(cfg: RunConfig) -> RunReport:
     restarts = 0
     recovered = None
     for attempt in range(cfg.max_repeats):
-        readout = bv_readout(final, RandomSource(cfg.seed, stream=1 + attempt))
+        rng = RandomSource(cfg.seed, stream=1 + attempt)
+        if cfg.path == "factored":
+            readout = bv_sample_factored(mask, phi0, phi1, rng)
+        else:
+            readout = bv_readout(final, rng)
         if readout.restart:
             restarts += 1
             continue
@@ -228,7 +241,7 @@ def run_simon(cfg: RunConfig) -> RunReport:
 
     system = Gf2Matrix(cfg.n)
     runs = 0
-    while runs < cfg.max_repeats and rank(system) < cfg.n - 1:
+    while runs < cfg.max_repeats and system.rank < cfg.n - 1:
         rng = RandomSource(cfg.seed, stream=1 + runs)
         if cfg.path == "factored":
             row = simon_sample_factored(oracle, phi0, phi1, rng)
@@ -239,7 +252,7 @@ def run_simon(cfg: RunConfig) -> RunReport:
 
     recovered = None
     success = False
-    if rank(system) == cfg.n - 1:
+    if system.rank == cfg.n - 1:
         recovery = recover_mask(system)
         recovered = recovery.a_candidate
         success = recovered == cfg.a
@@ -344,10 +357,3 @@ def sweep(axis: str, values: list, base: RunConfig, trials: int) -> list[SweepRo
         )
     return rows
 
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    return asdict(cfg)
-
-
-def config_from_dict(data: dict) -> RunConfig:
-    return RunConfig(**data)

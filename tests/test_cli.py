@@ -23,7 +23,7 @@ def test_bv_happy_path(capsys):
     )
     assert code == 0
     record = json.loads(out)
-    assert record["schema_version"] == "1"
+    assert record["schema_version"] == "2"
     assert record["results"]["recovered_a"] == 0xB3
     assert record["config"]["a"] == 0xB3
     assert record["provenance"]["seed"] == 1
@@ -211,3 +211,27 @@ def test_missing_subcommand_is_usage_error(capsys):
     code, _, err = run_cli(capsys)
     assert code == 1
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bv", "--n", "4", "--time", "inf"),
+    ("bv", "--n", "4", "--time", "nan"),
+    ("bv", "--n", "4", "--time", "inf", "--steps", "10"),
+    ("sweep", "--axis", "T", "--values", "inf", "--problem", "bv", "--trials", "1"),
+    ("simon", "--n", "25", "--scramble-seed", "1"),
+])
+def test_bad_inputs_are_one_line_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error") and err.count("\n") == 1
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "record.json"
+    code, out, err = run_cli(
+        capsys, "bv", "--n", "4", "--a", "5", "--seed", "1", "--out", str(missing),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error") and err.count("\n") == 1

@@ -128,3 +128,22 @@ def test_rows_from_ideal_sampler_recover_planted_mask():
         result = recover_mask(m)
         assert result.status == "unique"
         assert result.a_candidate == a
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (6, 1), (12, 2), (60, 3)])
+def test_incremental_rank_matches_elimination(n, seed):
+    # random streams with zero rows and repeats; checked after every row
+    rng = np.random.default_rng(seed)
+    m = Gf2Matrix(n)
+    for _ in range(n + 10):
+        kind = rng.integers(4)
+        if kind == 0:
+            row = 0
+        elif kind == 1 and m.rows:
+            row = m.rows[int(rng.integers(len(m.rows)))]
+        else:
+            row = int(rng.integers(1 << n))
+        m.add_row(row)
+        assert m.rank == rank(m)
+    rebuilt = Gf2Matrix(n, list(m.rows))
+    assert rebuilt.rank == rank(rebuilt) == m.rank

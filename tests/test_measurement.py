@@ -5,20 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from adiabatic_sim.errors import ResampleError
+from adiabatic_sim.errors import DomainError, ResampleError
 from adiabatic_sim.evolution import Schedule, assemble_bv, assemble_simon, evolve_two_level
 from adiabatic_sim.gf2 import dot2
 from adiabatic_sim.hamiltonians import TwoLevelBlock
 from adiabatic_sim.measurement import (
     RandomSource,
     bv_readout,
+    bv_sample_factored,
     measure_x,
     measure_z,
     simon_factored_x_probs,
+    simon_row_bit_prob,
     simon_sample,
     simon_sample_factored,
 )
-from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
+from adiabatic_sim.oracles import BvMask, simon_build, simon_dual_row, simon_eval
 from adiabatic_sim.qstate import StateVector, basis_state, fwht_subsystem, plus_state
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -256,3 +258,82 @@ def test_factored_sampler_multinomial_consistency():
     sigma = math.sqrt(p * (1 - p) / shots)
     for x in orthogonal:
         assert abs(counts.get(x, 0) / shots - p) <= 3.5 * sigma
+
+
+def test_randrange_uses_every_bit():
+    # a value built from one double is a multiple of 2^7 at bound 2^60
+    values = [RandomSource(seed).randrange(1 << 60) for seed in range(200)]
+    assert 60 <= sum(v & 1 for v in values) <= 140
+    assert all(0 <= v < 1 << 60 for v in values)
+
+
+def test_randrange_bounds_and_draw_count():
+    rng = RandomSource(4)
+    assert [rng.randrange(1) for _ in range(3)] == [0, 0, 0]
+    assert 0 <= rng.randrange(1 << 64) < 1 << 64
+    assert rng.draws == 4
+    for bound in (0, (1 << 64) + 1):
+        with pytest.raises(DomainError):
+            rng.randrange(bound)
+
+
+def test_bv_factored_readout_equals_dense_readout():
+    # same outcome and same draws as bv_readout on the assembled state
+    branch_sets = [(E0, E1), evolved_branches("bv", 1.0)]
+    masks = np.random.default_rng(8)
+    for n in range(2, 11):
+        for a in (0, int(masks.integers(1, 1 << n))):
+            mask = BvMask(n, a)
+            for phi0, phi1 in branch_sets:
+                state = assemble_bv(mask, phi0, phi1)
+                for seed in range(200):
+                    dense_rng = RandomSource(seed, 1)
+                    factored_rng = RandomSource(seed, 1)
+                    dense = bv_readout(state, dense_rng)
+                    factored = bv_sample_factored(mask, phi0, phi1, factored_rng)
+                    assert factored == dense, (n, a, seed)
+                    assert factored_rng.draws == dense_rng.draws
+
+
+def test_factored_samplers_keep_input_checks():
+    oracle = simon_build(3, 5)
+    nan = np.array([np.nan, np.nan], dtype=complex)
+    with pytest.raises(ResampleError):
+        simon_sample_factored(oracle, nan, nan, RandomSource(0))
+    with pytest.raises(ResampleError):
+        bv_sample_factored(BvMask(3, 5), nan, nan, RandomSource(0))
+    with pytest.raises(DomainError):
+        simon_sample_factored(oracle, 2 * E0, E1, RandomSource(0))
+    with pytest.raises(DomainError):
+        bv_sample_factored(BvMask(3, 5), E0, 2 * E1, RandomSource(0))
+
+
+@pytest.mark.parametrize("n,a", [(3, 5), (4, 0b1000), (5, 0b10110), (6, 0b100000), (7, 0b1011011)])
+def test_linear_simon_row_law_equals_dense_average(n, a):
+    # P(x = L^T z) = prod_k q^z_k (1-q)^(1-z_k) against the output-marginal
+    # average of the dense conditionals; pivots on the top bit for 0b1000, 0b100000
+    oracle = simon_build(n, a)
+    m = n - 1
+    for phi0, phi1 in [(E0, E1), evolved_branches("simon", 1.0), evolved_branches("simon", 5.0)]:
+        state = assemble_simon(oracle, phi0, phi1)
+        marginal = np.sum(np.abs(state.as_matrix()) ** 2, axis=0)
+        dense = sum(
+            marginal[y] * simon_factored_x_probs(oracle, phi0, phi1, y)
+            for y in range(1 << m)
+        )
+        q = simon_row_bit_prob(phi0, phi1)
+        law = np.zeros(1 << n)
+        for z in range(1 << m):
+            ones = z.bit_count()
+            law[simon_dual_row(oracle, z)] += q**ones * (1 - q) ** (m - ones)
+        assert np.max(np.abs(law - dense)) <= 1e-12
+
+
+def test_linear_simon_sampler_draws_one_uniform_per_output_bit():
+    phi0, phi1 = evolved_branches("simon", 1.0)
+    for n, a in [(2, 3), (9, 0b100000000), (60, (1 << 59) | 1)]:
+        oracle = simon_build(n, a)
+        rng = RandomSource(n)
+        x = simon_sample_factored(oracle, phi0, phi1, rng)
+        assert rng.draws == n - 1
+        assert dot2(x, a) == 0

@@ -12,6 +12,7 @@ from adiabatic_sim.oracles import (
     oracle_from_record,
     oracle_record,
     simon_build,
+    simon_dual_row,
     simon_eval,
     simon_eval_all,
     verify_promise,
@@ -151,3 +152,23 @@ def test_oracle_record_is_json_ready():
     oracle = simon_build(3, 5)
     text = json.dumps(oracle_record(oracle))
     assert oracle_from_record(json.loads(text)).a == 5
+
+
+@pytest.mark.parametrize("n,a", [(2, 0b11), (4, 0b1000), (5, 0b10110), (6, 0b110101)])
+def test_simon_dual_row_is_transpose_of_g(n, a):
+    # x . w == z . g(w) for every input w; 0b1000 puts the pivot on the top bit
+    oracle = simon_build(n, a)
+    rows = set()
+    for z in range(1 << (n - 1)):
+        x = simon_dual_row(oracle, z)
+        assert all(
+            bin(x & w).count("1") % 2 == bin(z & simon_eval(oracle, w)).count("1") % 2
+            for w in range(1 << n)
+        )
+        rows.add(x)
+    assert len(rows) == 1 << (n - 1)  # L^T is injective
+
+
+def test_simon_dual_row_refuses_scrambled_oracle():
+    with pytest.raises(DomainError):
+        simon_dual_row(simon_build(4, 0b1010, scramble_seed=3), 1)

@@ -1,5 +1,6 @@
 """End-to-end protocol runs, classical baselines, and sweeps."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -253,3 +254,28 @@ def test_sweep_deterministic():
         a.pop("wall_ms")
         b.pop("wall_ms")
         assert a == b
+
+
+@pytest.mark.parametrize("run,problem", [(run_bv, "bv"), (run_simon, "simon")])
+def test_factored_runs_recover_mask_at_n60(run, problem):
+    for a in (None, (1 << 59) | 0b1011):
+        cfg = resolve_config(RunConfig(problem=problem, n=60, a=a, seed=6))
+        report = run(cfg)
+        assert report.success and report.recovered_a == cfg.a
+
+
+def test_factored_caps():
+    RunConfig(problem="simon", n=60).validate()
+    with pytest.raises(DomainError):
+        RunConfig(problem="bv", n=61).validate()
+    with pytest.raises(DomainError):
+        RunConfig(problem="simon", n=61).validate()
+    # the scrambled sampler still materializes 2^n branch weights
+    with pytest.raises(DomainError):
+        RunConfig(problem="simon", n=25, scramble_seed=1).validate()
+
+
+@pytest.mark.parametrize("total_time", [math.inf, math.nan])
+def test_total_time_must_be_finite(total_time):
+    with pytest.raises(DomainError):
+        RunConfig(problem="bv", n=3, total_time=total_time, steps=10).validate()
