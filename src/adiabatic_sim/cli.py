@@ -35,7 +35,7 @@ from .oracles import BvMask, simon_build
 from .protocols import RunConfig, branch_pair, resolve_config, run_bv, run_simon, sweep
 from .qstate import plus_state
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 SWEEP_COLUMNS = [
     "axis_value",

@@ -19,6 +19,7 @@ directly against their target encodings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,9 +138,8 @@ def two_level(block: TwoLevelBlock, s: float) -> np.ndarray:
 
 
 def gap(block: TwoLevelBlock, s: float) -> float:
-    """Energy difference of the two branch levels; equals sqrt((1-s)^2 + s^2)."""
-    evals = np.linalg.eigvalsh(two_level(block, s))
-    return float(evals[1] - evals[0])
+    """Energy difference of the two branch levels, sqrt((1-s)^2 + s^2) for either block."""
+    return math.hypot(1.0 - s, s)
 
 
 # Eigenvalues closer than this are treated as one degenerate level.

@@ -17,14 +17,11 @@ from the two branch vectors alone:
   output qubit's x outcome, then, if it is 1, one uniform for the pick
   between 0 and a -- the draws ``bv_readout`` makes on the assembled state,
   with the same outcomes.
-* ``simon_sample_factored`` on an unscrambled (linear) oracle, O(n) per shot:
-  the row is x = L^T z with iid Bernoulli bits z_k.  Draw order: one uniform
-  per output bit, ascending.
-* ``simon_sample_factored`` on a scrambled oracle, O(n 2^n) per shot: the
-  drawn B outcome y weights each input branch w by prod_k phi_{g_k(w)}[y_k],
-  which depends on w only through bit-agreement counts between y and g(w).
-  Draw order: one integer draw for the branch label, one uniform per output
-  bit (ascending), one uniform for the final x pick.
+* ``simon_sample_factored``, the row law seen with the output register
+  measured in the x basis: O(n) per shot for an unscrambled (linear) oracle,
+  one real Walsh transform on 2^(n-1) labels for a scrambled one.  Draw
+  order: one uniform per output bit, ascending; on a scrambled oracle, then
+  one uniform for the row.
 """
 
 from __future__ import annotations
@@ -35,13 +32,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ResampleError
+from .errors import DomainError, ResampleError
 from .evolution import check_branch_vector
-from .oracles import BvMask, SimonOracle, simon_dual_row, simon_eval, simon_eval_all
+from .oracles import BvMask, SimonOracle, simon_dual_row, simon_eval_all, simon_orthogonal_row
 from .qstate import HADAMARD, StateVector, fwht_subsystem, _fwht_inplace
-
-# The scrambled-oracle sampler materializes only the 2^n input register.
-FACTORED_SAMPLER_CAP = 24
 
 
 class RandomSource:
@@ -187,13 +181,8 @@ def _branch_weights(
     weight(w) = prod_k phi_{g_k(w)}[y_k]; grouping the factors by the four
     (g_k, y_k) bit combinations reduces each branch to popcounts.
     """
-    if oracle.n > FACTORED_SAMPLER_CAP:
-        raise CapacityError(
-            f"factored sampler materializes 2^{oracle.n} branch weights; "
-            f"cap is n <= {FACTORED_SAMPLER_CAP}"
-        )
     m = oracle.n - 1
-    g = np.asarray(simon_eval_all(oracle, cap=FACTORED_SAMPLER_CAP))
+    g = np.asarray(simon_eval_all(oracle))
     pop_g = np.bitwise_count(g)
     c11 = np.bitwise_count(g & y)
     c10 = int(y).bit_count() - c11           # g_k=0, y_k=1
@@ -212,7 +201,10 @@ def _branch_weights(
 def simon_factored_x_probs(
     oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray, y: int
 ) -> np.ndarray:
-    """Exact x-outcome distribution of the input register given output y."""
+    """Exact x-outcome distribution of the input register given output y.
+
+    The y-conditional reference that tests average to check the sampler.
+    """
     alpha = _branch_weights(oracle, phi0, phi1, y)
     norm = np.linalg.norm(alpha)
     if not norm > 0:
@@ -245,28 +237,25 @@ def simon_sample_factored(
     """Sample one Simon readout from branch vectors alone.
 
     Exactly reproduces the distribution of ``simon_sample`` on the assembled
-    state.  An unscrambled oracle takes the closed form x = L^T z, O(n) per
-    shot.  A scrambled one realizes the output marginal with a uniform
-    branch pick plus per-qubit output draws and computes the conditional x
-    distribution in closed form, O(n 2^n) per shot.
+    state.  The input register's x law does not depend on the basis the
+    output register is measured in.  In the x basis the output bits z_k are
+    iid Bernoulli(q) and, given z, the input register is proportional to
+    sum_w (-1)^(z . g(w)) |w>.  A linear oracle's row is then x = L^T z.  For
+    a scrambled one the Walsh transform of that register vanishes off
+    x . a = 0, and on x . a = 0 it is, up to a factor, the transform of
+    s(u) = (-1)^(z . scramble[u]) over the 2^(n-1) canonical labels u, taken
+    at x without its pivot bit.  That mixture needs a real overlap
+    <phi_0|phi_1>, as phi_1 = sigma_x phi_0 gives.
     """
-    n = oracle.n
+    q = simon_row_bit_prob(phi0, phi1)
+    z = 0
+    for k in range(oracle.n - 1):
+        if rng.uniform() < q:
+            z |= 1 << k
     if oracle.scramble is None:
-        q = simon_row_bit_prob(phi0, phi1)
-        z = 0
-        for k in range(n - 1):
-            if rng.uniform() < q:
-                z |= 1 << k
         return simon_dual_row(oracle, z)
-    w_star = rng.randrange(1 << n)
-    g_star = simon_eval(oracle, w_star)
-    phi0 = np.asarray(phi0, dtype=np.complex128)
-    phi1 = np.asarray(phi1, dtype=np.complex128)
-    y = 0
-    for k in range(n - 1):
-        phi = phi1 if (g_star >> k) & 1 else phi0
-        p1 = abs(phi[1]) ** 2 / (abs(phi[0]) ** 2 + abs(phi[1]) ** 2)
-        if rng.uniform() < p1:
-            y |= 1 << k
-    probs = simon_factored_x_probs(oracle, phi0, phi1, y)
-    return rng.sample_index(probs)
+    if abs(np.vdot(phi0, phi1).imag) > 1e-9:
+        raise DomainError("scrambled Simon sampling needs a real branch overlap <phi_0|phi_1>")
+    spectrum = 1.0 - 2.0 * (np.bitwise_count(oracle.scramble & z) & 1)
+    _fwht_inplace(spectrum)
+    return simon_orthogonal_row(oracle, rng.sample_index(spectrum**2))

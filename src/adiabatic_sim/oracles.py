@@ -83,8 +83,7 @@ def _canonical_g(n: int, a: int, pivot: int, w):
 
     Works elementwise on ints or integer arrays.
     """
-    pivot_set = (w >> pivot) & 1
-    rep = np.where(pivot_set == 1, w ^ a, w) if isinstance(w, np.ndarray) else (w ^ a if pivot_set else w)
+    rep = w ^ (a * ((w >> pivot) & 1))
     low = rep & ((1 << pivot) - 1)
     high = (rep >> (pivot + 1)) << pivot
     return high | low
@@ -156,18 +155,25 @@ def simon_dual_row(oracle: SimonOracle, z: int) -> int:
     """x = L^T z for the unscrambled oracle, whose g(w) = L w is GF(2)-linear.
 
     x . w = z . g(w) for every input w.  Since g(w) drops the pivot bit j of
-    w xor w_j a, x is z with bit j re-inserted and set to z . drop_j(a),
-    which makes every such x orthogonal to a.
+    w xor w_j a, x is ``simon_orthogonal_row(oracle, z)``.
     """
     if oracle.scramble is not None:
         raise DomainError("a scrambled oracle is not linear")
     if not 0 <= z < (1 << (oracle.n - 1)):
         raise DomainError(f"output bits {z} out of range for {oracle.n - 1} bits")
+    return simon_orthogonal_row(oracle, z)
+
+
+def simon_orthogonal_row(oracle: SimonOracle, t: int) -> int:
+    """The x with x . a = 0 that is t with the pivot bit j re-inserted.
+
+    Bit j of x is t . drop_j(a), the one choice that makes x orthogonal to a.
+    """
     j = oracle.pivot_bit
     low_mask = (1 << j) - 1
     a_dropped = ((oracle.a >> (j + 1)) << j) | (oracle.a & low_mask)
-    x_j = (z & a_dropped).bit_count() & 1
-    return ((z >> j) << (j + 1)) | (x_j << j) | (z & low_mask)
+    x_j = (t & a_dropped).bit_count() & 1
+    return ((t >> j) << (j + 1)) | (x_j << j) | (t & low_mask)
 
 
 def simon_eval_all(oracle: SimonOracle, cap: int = TABLE_CAP_QUBITS) -> np.ndarray:

@@ -4,8 +4,9 @@ A run is: prepare |+>|+>, anneal for time T (path "full" integrates the
 dense state; path "factored" integrates the two branch qubits and samples
 the product state's readout from them), measure, repeat per the algorithm's
 rule, and reduce the collected outcomes to a mask candidate.  The factored
-readout is O(n) per shot for BV and for unscrambled Simon, and O(n 2^n) for
-scrambled Simon; see ``measurement`` for each sampler's draws.
+readout is O(n) per shot for BV and for unscrambled Simon, and one real Walsh
+transform on 2^(n-1) labels per shot for scrambled Simon; see
+``measurement`` for each sampler's draws.
 
 Randomness discipline (everything derives from RunConfig.seed):
   stream 0          draws the mask when ``a`` is None (one integer draw),
@@ -44,14 +45,13 @@ from .hamiltonians import (
     simon_interpolated,
 )
 from .measurement import (
-    FACTORED_SAMPLER_CAP,
     RandomSource,
     bv_readout,
     bv_sample_factored,
     simon_sample,
     simon_sample_factored,
 )
-from .oracles import BvMask, SimonOracle, bv_eval, simon_build, simon_eval
+from .oracles import TABLE_CAP_QUBITS, BvMask, SimonOracle, bv_eval, simon_build, simon_eval
 from .qstate import plus_state
 
 DEFAULT_TIME = 50.0
@@ -59,7 +59,7 @@ DEFAULT_STEPS = 5000
 BV_MAX_REPEATS = 64
 SIMON_EXTRA_REPEATS = 40
 # Factored BV and unscrambled Simon read out in O(n) per shot with no 2^n
-# array; scrambled Simon keeps the FACTORED_SAMPLER_CAP of its dense sampler.
+# array; scrambled Simon is capped where simon_build caps its label scramble.
 FACTORED_CAP = 60
 
 
@@ -90,7 +90,7 @@ class RunConfig:
                 )
         elif self.path == "factored":
             scrambled = self.problem == "simon" and self.scramble_seed is not None
-            cap = FACTORED_SAMPLER_CAP if scrambled else FACTORED_CAP
+            cap = TABLE_CAP_QUBITS if scrambled else FACTORED_CAP
             if self.n > cap:
                 kind = "scrambled simon" if scrambled else self.problem
                 raise DomainError(f"path=factored caps {kind} at n <= {cap}")

@@ -23,7 +23,7 @@ def test_bv_happy_path(capsys):
     )
     assert code == 0
     record = json.loads(out)
-    assert record["schema_version"] == "2"
+    assert record["schema_version"] == "3"
     assert record["results"]["recovered_a"] == 0xB3
     assert record["config"]["a"] == 0xB3
     assert record["provenance"]["seed"] == 1
@@ -219,6 +219,7 @@ def test_missing_subcommand_is_usage_error(capsys):
     ("bv", "--n", "4", "--time", "inf", "--steps", "10"),
     ("sweep", "--axis", "T", "--values", "inf", "--problem", "bv", "--trials", "1"),
     ("simon", "--n", "25", "--scramble-seed", "1"),
+    ("simon", "--n", "21", "--scramble-seed", "1"),
 ])
 def test_bad_inputs_are_one_line_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

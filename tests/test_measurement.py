@@ -20,7 +20,13 @@ from adiabatic_sim.measurement import (
     simon_sample,
     simon_sample_factored,
 )
-from adiabatic_sim.oracles import BvMask, simon_build, simon_dual_row, simon_eval
+from adiabatic_sim.oracles import (
+    BvMask,
+    simon_build,
+    simon_dual_row,
+    simon_eval,
+    simon_orthogonal_row,
+)
 from adiabatic_sim.qstate import StateVector, basis_state, fwht_subsystem, plus_state
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -296,14 +302,14 @@ def test_bv_factored_readout_equals_dense_readout():
 
 
 def test_factored_samplers_keep_input_checks():
-    oracle = simon_build(3, 5)
     nan = np.array([np.nan, np.nan], dtype=complex)
-    with pytest.raises(ResampleError):
-        simon_sample_factored(oracle, nan, nan, RandomSource(0))
+    for oracle in (simon_build(3, 5), simon_build(3, 5, scramble_seed=4)):
+        with pytest.raises(ResampleError):
+            simon_sample_factored(oracle, nan, nan, RandomSource(0))
+        with pytest.raises(DomainError):
+            simon_sample_factored(oracle, 2 * E0, E1, RandomSource(0))
     with pytest.raises(ResampleError):
         bv_sample_factored(BvMask(3, 5), nan, nan, RandomSource(0))
-    with pytest.raises(DomainError):
-        simon_sample_factored(oracle, 2 * E0, E1, RandomSource(0))
     with pytest.raises(DomainError):
         bv_sample_factored(BvMask(3, 5), E0, 2 * E1, RandomSource(0))
 
@@ -337,3 +343,64 @@ def test_linear_simon_sampler_draws_one_uniform_per_output_bit():
         x = simon_sample_factored(oracle, phi0, phi1, rng)
         assert rng.draws == n - 1
         assert dot2(x, a) == 0
+
+
+class ScriptedRowBits(RandomSource):
+    """Forces the row bits z (uniform 0 sets a bit, 1 clears it) and keeps the row weights."""
+
+    def __init__(self, z: int):
+        super().__init__(0)
+        self.z = z
+        self.weights = None
+
+    def uniform(self) -> float:
+        bit = (self.z >> self.draws) & 1
+        self.draws += 1
+        return 0.0 if bit else 1.0
+
+    def sample_index(self, probs: np.ndarray) -> int:
+        self.weights = probs / probs.sum()
+        return 0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_scrambled_simon_row_law_equals_dense_average(n):
+    # sum_z P(z) P(x | z) against the output-marginal average of the dense
+    # y-conditionals; the second mask puts the pivot on the top bit
+    m = n - 1
+    for a in ((1 << n) - 1, 1 << m):
+        oracle = simon_build(n, a, scramble_seed=n + a)
+        for phi0, phi1 in [(E0, E1), evolved_branches("simon", 1.0), evolved_branches("simon", 5.0)]:
+            state = assemble_simon(oracle, phi0, phi1)
+            marginal = np.sum(np.abs(state.as_matrix()) ** 2, axis=0)
+            dense = sum(
+                marginal[y] * simon_factored_x_probs(oracle, phi0, phi1, y)
+                for y in range(1 << m)
+            )
+            q = simon_row_bit_prob(phi0, phi1)
+            law = np.zeros(1 << n)
+            for z in range(1 << m):
+                rng = ScriptedRowBits(z)
+                simon_sample_factored(oracle, phi0, phi1, rng)
+                ones = z.bit_count()
+                for t, p in enumerate(rng.weights):
+                    law[simon_orthogonal_row(oracle, t)] += q**ones * (1 - q) ** (m - ones) * p
+            assert np.max(np.abs(law - dense)) <= 1e-12
+
+
+def test_scrambled_simon_sampler_draws_and_orthogonality_at_n20():
+    phi0, phi1 = evolved_branches("simon", 1.0)
+    a = 0b1011_0000_1110_0101_0011
+    oracle = simon_build(20, a, scramble_seed=5)
+    for shot in range(8):
+        rng = RandomSource(11, shot)
+        x = simon_sample_factored(oracle, phi0, phi1, rng)
+        assert rng.draws == 20
+        assert dot2(x, a) == 0
+
+
+def test_scrambled_simon_sampler_refuses_complex_branch_overlap():
+    oracle = simon_build(4, 0b0110, scramble_seed=2)
+    phi1 = np.array([1j * S2, S2])
+    with pytest.raises(DomainError):
+        simon_sample_factored(oracle, E0, phi1, RandomSource(0))

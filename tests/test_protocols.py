@@ -270,9 +270,12 @@ def test_factored_caps():
         RunConfig(problem="bv", n=61).validate()
     with pytest.raises(DomainError):
         RunConfig(problem="simon", n=61).validate()
-    # the scrambled sampler still materializes 2^n branch weights
+    # scrambling materializes 2^(n-1) labels, so simon_build caps it at n <= 20
+    RunConfig(problem="simon", n=20, scramble_seed=1).validate()
     with pytest.raises(DomainError):
         RunConfig(problem="simon", n=25, scramble_seed=1).validate()
+    with pytest.raises(DomainError):
+        run_simon(RunConfig(problem="simon", n=21, scramble_seed=1))
 
 
 @pytest.mark.parametrize("total_time", [math.inf, math.nan])
