@@ -24,6 +24,7 @@ from . import __version__
 from .errors import SimulatorError
 from .evolution import Schedule, assemble_simon, evolve_full
 from .hamiltonians import (
+    DENSE_OPERATOR_CAP,
     TwoLevelBlock,
     bv_interpolated,
     gap,
@@ -217,10 +218,10 @@ def cmd_gap(args: argparse.Namespace) -> int:
             rng = RandomSource(seed, stream=0)
             if args.problem == "bv":
                 a = args.a if args.a is not None else rng.randrange(1 << args.n)
-                h = bv_interpolated(BvMask(args.n, a))
+                h = bv_interpolated(BvMask(args.n, a), cap=DENSE_OPERATOR_CAP)
             else:
                 a = args.a if args.a is not None else 1 + rng.randrange((1 << args.n) - 1)
-                h = simon_interpolated(simon_build(args.n, a))
+                h = simon_interpolated(simon_build(args.n, a), cap=DENSE_OPERATOR_CAP)
             table = gap_table(h, args.grid)
     except SimulatorError as exc:
         raise UsageError(str(exc))

@@ -10,6 +10,11 @@ register pair where A holds the oracle input w and B the output register.
          (ground energy 0, 2^n-fold degenerate);
          H_d = 1/2 sum_k (1 - sigma_x^k) over the n-1 B qubits.
 
+``InterpolatedHamiltonian`` keeps only the problem diagonal and the register
+sizes; ``evolution.evolve_full`` applies H(s) to a state without a matrix.
+The dense builders and ``interpolate`` serve the gap scan and the tests, under
+DENSE_OPERATOR_CAP.
+
 Because H(s) is block diagonal in w and the B qubits are uncoupled, every
 branch reduces to independent two-level systems; ``two_level``/``gap`` expose
 that reduced picture.  The two energy conventions above are kept exactly as
@@ -24,27 +29,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .oracles import BvMask, SimonOracle, simon_eval_all
-from .qstate import IDENTITY_2, SIGMA_X, SIGMA_Z
+from .qstate import DEFAULT_QUBIT_CAP, IDENTITY_2, SIGMA_X, SIGMA_Z, check_capacity
 
-# Dense operators are diagnostics; 2^12 x 2^12 is the largest we build.
+# Dense operators are for the gap scan (and tests) only; 2^12 x 2^12 is the
+# largest we build.  Time evolution never builds one.
 DENSE_OPERATOR_CAP = 12
-
-
-def _check_operator_capacity(total_qubits: int) -> None:
-    if total_qubits > DENSE_OPERATOR_CAP:
-        raise CapacityError(
-            f"dense operator on {total_qubits} qubits exceeds cap {DENSE_OPERATOR_CAP}"
-        )
 
 
 @dataclass(frozen=True)
 class InterpolatedHamiltonian:
-    """H(s) = s*problem + (1-s)*driver on registers of size dims = (n_a, n_b)."""
+    """H(s) = s*H_p + (1-s)*H_d on registers of size dims = (n_a, n_b).
 
-    problem: np.ndarray
-    driver: np.ndarray
+    H_p is stored as its real diagonal ``problem_diag``; the driver
+    H_d = 1/2 sum_k (1 - sigma_x^k) over the n_b output qubits is fixed by dims.
+    """
+
+    problem_diag: np.ndarray
     dims: tuple[int, int]
 
 
@@ -67,65 +69,68 @@ class TwoLevelBlock:
             raise DomainError(f"unknown block kind {self.kind!r}")
 
 
-def bv_problem(mask: BvMask) -> np.ndarray:
-    """Diagonal BV problem Hamiltonian on n+1 qubits."""
+def bv_interpolated(mask: BvMask, cap: int = DEFAULT_QUBIT_CAP) -> InterpolatedHamiltonian:
+    """BV H(s): problem diagonal -1 at |w>|f(w)>, 0 elsewhere, on n+1 qubits."""
     n = mask.n
-    _check_operator_capacity(n + 1)
-    diag = np.zeros(1 << (n + 1), dtype=np.complex128)
+    check_capacity(n + 1, cap)
+    diag = np.zeros(1 << (n + 1))
     w_all = np.arange(1 << n)
     f = np.bitwise_count(w_all & mask.a) & 1
     diag[2 * w_all + f] = -1.0
-    return np.diag(diag)
+    return InterpolatedHamiltonian(diag, (n, 1))
+
+
+def simon_interpolated(
+    oracle: SimonOracle, cap: int = DEFAULT_QUBIT_CAP
+) -> InterpolatedHamiltonian:
+    """Simon H(s): problem diagonal hamming(y, g(w)) at |w>|y>, on 2n-1 qubits."""
+    n = oracle.n
+    m = n - 1
+    check_capacity(n + m, cap)
+    g = np.asarray(simon_eval_all(oracle))
+    y_all = np.arange(1 << m)
+    dist = np.bitwise_count(np.bitwise_xor(g[:, None], y_all[None, :]))
+    return InterpolatedHamiltonian(dist.reshape(-1).astype(np.float64), (n, m))
+
+
+def _dense_driver(dims: tuple[int, int]) -> np.ndarray:
+    """Dense H_d = 1/2 sum_k (1 - sigma_x^k) on the n_b output qubits, identity on A."""
+    n_a, n_b = dims
+    check_capacity(n_a + n_b, DENSE_OPERATOR_CAP)
+    y = np.arange(1 << n_b)
+    b_part = np.zeros((1 << n_b, 1 << n_b))
+    b_part[y, y] = 0.5 * n_b
+    for k in range(n_b):
+        b_part[y, y ^ (1 << k)] = -0.5
+    return np.kron(np.eye(1 << n_a), b_part)
+
+
+def bv_problem(mask: BvMask) -> np.ndarray:
+    """Dense diagonal BV problem Hamiltonian on n+1 qubits."""
+    return np.diag(bv_interpolated(mask, cap=DENSE_OPERATOR_CAP).problem_diag)
 
 
 def bv_driver(n: int) -> np.ndarray:
-    """Transverse-field driver 1/2 (1 - sigma_x) on the B qubit, identity on A."""
-    _check_operator_capacity(n + 1)
-    b_part = 0.5 * (IDENTITY_2 - SIGMA_X)
-    return np.kron(np.eye(1 << n, dtype=np.complex128), b_part)
+    """Dense transverse-field driver 1/2 (1 - sigma_x) on the B qubit, identity on A."""
+    return _dense_driver((n, 1))
 
 
 def simon_problem(oracle: SimonOracle) -> np.ndarray:
-    """Diagonal Simon problem Hamiltonian: Hamming distance to g(w) on the B register."""
-    n = oracle.n
-    m = n - 1
-    _check_operator_capacity(n + m)
-    g = np.asarray(simon_eval_all(oracle))
-    y_all = np.arange(1 << m)
-    # entry at |w>|y> is hamming(y, g(w))
-    dist = np.bitwise_count(np.bitwise_xor(g[:, None], y_all[None, :]))
-    return np.diag(dist.reshape(-1).astype(np.complex128))
+    """Dense diagonal Simon problem Hamiltonian: Hamming distance to g(w) on the B register."""
+    return np.diag(simon_interpolated(oracle, cap=DENSE_OPERATOR_CAP).problem_diag)
 
 
 def simon_driver(n: int) -> np.ndarray:
-    """Transverse field 1/2 sum_k (1 - sigma_x^k) on the n-1 B qubits, identity on A."""
-    m = n - 1
-    _check_operator_capacity(n + m)
-    b_dim = 1 << m
-    b_part = np.zeros((b_dim, b_dim), dtype=np.complex128)
-    for k in range(m):
-        term = np.eye(1, dtype=np.complex128)
-        for q in range(m - 1, -1, -1):
-            term = np.kron(term, SIGMA_X if q == k else IDENTITY_2)
-        b_part += 0.5 * (np.eye(b_dim, dtype=np.complex128) - term)
-    return np.kron(np.eye(1 << n, dtype=np.complex128), b_part)
-
-
-def bv_interpolated(mask: BvMask) -> InterpolatedHamiltonian:
-    return InterpolatedHamiltonian(bv_problem(mask), bv_driver(mask.n), (mask.n, 1))
-
-
-def simon_interpolated(oracle: SimonOracle) -> InterpolatedHamiltonian:
-    return InterpolatedHamiltonian(
-        simon_problem(oracle), simon_driver(oracle.n), (oracle.n, oracle.n - 1)
-    )
+    """Dense transverse field 1/2 sum_k (1 - sigma_x^k) on the n-1 B qubits, identity on A."""
+    return _dense_driver((n, n - 1))
 
 
 def interpolate(h: InterpolatedHamiltonian, s: float) -> np.ndarray:
-    """Convex combination s*H_p + (1-s)*H_d."""
+    """Dense convex combination s*H_p + (1-s)*H_d."""
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"annealing parameter s={s} outside [0, 1]")
-    return s * h.problem + (1.0 - s) * h.driver
+    driver = _dense_driver(h.dims)  # checks the cap before anything dense is built
+    return s * np.diag(h.problem_diag) + (1.0 - s) * driver
 
 
 def two_level(block: TwoLevelBlock, s: float) -> np.ndarray:
@@ -159,7 +164,6 @@ def gap_table(h: InterpolatedHamiltonian, grid: int) -> list[tuple[float, float]
     """(s, gap) pairs on a uniform grid over [0, 1]."""
     if grid < 3:
         raise DomainError("gap scan needs a grid of at least 3 points")
-    _check_operator_capacity(sum(h.dims))
     points = np.linspace(0.0, 1.0, grid)
     return [(float(s), _level_gap(interpolate(h, float(s)))) for s in points]
 

@@ -1,12 +1,12 @@
 """End-to-end BV and Simon experiments, classical baselines, and sweeps.
 
 A run is: prepare |+>|+>, anneal for time T (path "full" integrates the
-dense state; path "factored" integrates the two branch qubits and samples
-the product state's readout from them), measure, repeat per the algorithm's
-rule, and reduce the collected outcomes to a mask candidate.  The factored
-readout is O(n) per shot for BV and for unscrambled Simon, and one real Walsh
-transform on 2^(n-1) labels per shot for scrambled Simon; see
-``measurement`` for each sampler's draws.
+dense state, applying H(s) without a matrix; path "factored" integrates the
+two branch qubits and samples the product state's readout from them),
+measure, repeat per the algorithm's rule, and reduce the collected outcomes
+to a mask candidate.  The factored readout is O(n) per shot for BV and for
+unscrambled Simon, and one real Walsh transform on 2^(n-1) labels per shot
+for scrambled Simon; see ``measurement`` for each sampler's draws.
 
 Randomness discipline (everything derives from RunConfig.seed):
   stream 0          draws the mask when ``a`` is None (one integer draw),
@@ -38,12 +38,7 @@ from .evolution import (
     evolve_two_level,
 )
 from .gf2 import Gf2Matrix, recover_mask
-from .hamiltonians import (
-    DENSE_OPERATOR_CAP,
-    TwoLevelBlock,
-    bv_interpolated,
-    simon_interpolated,
-)
+from .hamiltonians import TwoLevelBlock, bv_interpolated, simon_interpolated
 from .measurement import (
     RandomSource,
     bv_readout,
@@ -61,6 +56,11 @@ SIMON_EXTRA_REPEATS = 40
 # Factored BV and unscrambled Simon read out in O(n) per shot with no 2^n
 # array; scrambled Simon is capped where simon_build caps its label scramble.
 FACTORED_CAP = 60
+# The full path steps a dense state of 2^total amplitudes, total = input plus
+# output qubits, applying H(s) without a matrix.
+FULL_CAP_QUBITS = 20
+# Each step is one Python-level iteration; larger step counts are refused.
+MAX_STEPS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,10 @@ class RunConfig:
             raise DomainError(f"{self.problem} needs n >= {min_n}")
         total = self.n + 1 if self.problem == "bv" else 2 * self.n - 1
         if self.path == "full":
-            if total > DENSE_OPERATOR_CAP:
+            if total > FULL_CAP_QUBITS:
                 raise DomainError(
-                    f"path=full builds dense operators on {total} qubits; "
-                    f"cap is {DENSE_OPERATOR_CAP}"
+                    f"path=full steps a dense state on {total} qubits; "
+                    f"cap is {FULL_CAP_QUBITS}"
                 )
         elif self.path == "factored":
             scrambled = self.problem == "simon" and self.scramble_seed is not None
@@ -103,8 +103,8 @@ class RunConfig:
                 raise DomainError("Simon's promise requires a positive mask")
         if not (self.total_time > 0 and math.isfinite(self.total_time)):
             raise DomainError("total_time must be positive and finite")
-        if self.steps < 1:
-            raise DomainError("steps must be at least 1")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise DomainError(f"steps must be between 1 and {MAX_STEPS}")
         if self.max_repeats is not None and self.max_repeats < 1:
             raise DomainError("max_repeats must be at least 1")
 
@@ -222,7 +222,7 @@ def run_simon(cfg: RunConfig) -> RunReport:
     if cfg.problem != "simon":
         raise DomainError("run_simon needs a simon config")
     t0 = time.perf_counter()
-    oracle = simon_build(cfg.n, cfg.a, cfg.scramble_seed)
+    oracle = simon_build(cfg.n, cfg.a, cfg.scramble_seed, materialize_table=False)
 
     final = None
     if cfg.path == "factored":

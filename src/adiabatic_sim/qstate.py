@@ -37,7 +37,7 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) * SQRT_HALF
 def check_capacity(total_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
     if total_qubits > cap:
         raise CapacityError(
-            f"{total_qubits} qubits exceeds the dense-state cap of {cap}"
+            f"{total_qubits} qubits exceeds the dense-array cap of {cap}"
         )
 
 

@@ -220,6 +220,11 @@ def test_missing_subcommand_is_usage_error(capsys):
     ("sweep", "--axis", "T", "--values", "inf", "--problem", "bv", "--trials", "1"),
     ("simon", "--n", "25", "--scramble-seed", "1"),
     ("simon", "--n", "21", "--scramble-seed", "1"),
+    ("bv", "--n", "20", "--path", "full"),
+    ("simon", "--n", "11", "--path", "full"),
+    ("bv", "--n", "4", "--time", "1e6"),
+    ("sweep", "--axis", "steps", "--values", "2000000", "--problem", "bv", "--trials", "1"),
+    ("gap", "--problem", "bv", "--n", "25"),
 ])
 def test_bad_inputs_are_one_line_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

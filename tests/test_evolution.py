@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from adiabatic_sim.errors import CapacityError, DomainError, ShapeError
+from adiabatic_sim import evolution
+from adiabatic_sim.errors import CapacityError, DomainError, IntegrationError, ShapeError
 from adiabatic_sim.evolution import (
     Schedule,
     assemble_bv,
@@ -17,12 +18,12 @@ from adiabatic_sim.evolution import (
 from adiabatic_sim.hamiltonians import (
     InterpolatedHamiltonian,
     TwoLevelBlock,
-    bv_driver,
     bv_interpolated,
+    interpolate,
     simon_interpolated,
 )
 from adiabatic_sim.oracles import BvMask, bv_eval, simon_build, simon_eval
-from adiabatic_sim.qstate import SIGMA_X, StateVector, inner, plus_state
+from adiabatic_sim.qstate import SIGMA_X, StateVector, inner, plus_state, random_state
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -55,10 +56,10 @@ def test_schedule_validation():
 
 
 def test_frozen_driver_leaves_ground_state_fixed():
-    # H(s) = H_d for all s; |+>|+> is its zero eigenvector, so no phase at all
+    # zero problem diagonal: H(s) = (1-s) H_d; |+>|+> is its zero eigenvector,
+    # so no phase at all
     n = 2
-    driver = bv_driver(n)
-    frozen = InterpolatedHamiltonian(driver, driver, (n, 1))
+    frozen = InterpolatedHamiltonian(np.zeros(1 << (n + 1)), (n, 1))
     psi0 = plus_state(n, 1)
     result = evolve_full(frozen, psi0, Schedule(3.0, 300))
     assert np.max(np.abs(result.final_state.amps - psi0.amps)) <= 1e-12
@@ -219,3 +220,78 @@ def test_evolution_is_bit_identical_within_a_build():
     a = evolve_full(h, plus_state(2, 1), sched).final_state.amps
     b = evolve_full(h, plus_state(2, 1), sched).final_state.amps
     assert np.array_equal(a, b)
+
+
+def dense_reference(h, psi0: StateVector, sched: Schedule) -> np.ndarray:
+    """The midpoint-frozen step exp(-i dt H(s_mid)) from a dense eigh, stepped."""
+    psi = psi0.amps.copy()
+    for s in sched.midpoints():
+        evals, vecs = np.linalg.eigh(interpolate(h, float(s)))
+        psi = vecs @ (np.exp(-1j * sched.dt * evals) * (vecs.conj().T @ psi))
+    return psi
+
+
+@pytest.mark.parametrize("sched", [Schedule(50.0, 1), Schedule(5.0, 100)], ids=["T50x1", "T5x100"])
+@pytest.mark.parametrize("problem", ["bv", "simon"])
+def test_full_evolution_from_random_state_matches_dense_reference(problem, sched):
+    # a random start state excites every level of every block, not only |+>|+>
+    if problem == "bv":
+        h, dims = bv_interpolated(BvMask(3, 5)), (3, 1)
+    else:
+        h, dims = simon_interpolated(simon_build(3, 5, scramble_seed=2)), (3, 2)
+    psi0 = random_state(*dims, seed=11)
+    result = evolve_full(h, psi0, sched)
+    reference = dense_reference(h, psi0, sched)
+    assert np.max(np.abs(result.final_state.amps - reference)) <= 1e-10
+    assert result.norm_drift <= 1e-12
+
+
+def test_krylov_limit_splits_the_step_and_matches_dense_reference(monkeypatch):
+    # a random problem diagonal has no small invariant subspace, and dt = 40
+    # needs far more than KRYLOV_MAX vectors, so the step must be split
+    rng = np.random.default_rng(5)
+    h = InterpolatedHamiltonian(rng.uniform(-2.0, 2.0, 1 << 6), (4, 2))
+    psi0 = random_state(4, 2, seed=3)
+    sched = Schedule(80.0, 2)
+    outcomes = []
+    lanczos = evolution._lanczos_expm
+
+    def spy(*args):
+        out = lanczos(*args)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(evolution, "_lanczos_expm", spy)
+    result = evolve_full(h, psi0, sched)
+    assert not all(outcomes) and outcomes.count(False) >= 2
+    reference = dense_reference(h, psi0, sched)
+    assert np.max(np.abs(result.final_state.amps - reference)) <= 1e-10
+    assert result.norm_drift <= 1e-12
+
+
+def test_unconverged_lanczos_step_raises_after_bounded_splits():
+    # a NaN problem entry never converges; the split recursion stops with an
+    # IntegrationError instead of recursing without bound
+    diag = np.zeros(1 << 3)
+    diag[5] = np.nan
+    h = InterpolatedHamiltonian(diag, (2, 1))
+    with pytest.raises(IntegrationError):
+        evolve_full(h, plus_state(2, 1), Schedule(1.0, 1))
+
+
+def test_full_path_agrees_with_factored_above_the_dense_cap():
+    # BV n = 16 is 17 qubits: a dense H(s) there would be 2^17 x 2^17, so this
+    # also shows that evolve_full builds none
+    sched = Schedule(1.0, 100)
+    mask = BvMask(16, 0b1011_0011_1000_1101)
+    full = evolve_full(bv_interpolated(mask), plus_state(16, 1), sched)
+    phi0 = evolve_two_level(TwoLevelBlock(0, "bv"), sched)
+    phi1 = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
+    assert np.max(np.abs(full.final_state.amps - assemble_bv(mask, phi0, phi1).amps)) <= 1e-8
+
+    oracle = simon_build(8, 0b1011_0110)
+    full = evolve_full(simon_interpolated(oracle), plus_state(8, 7), sched)
+    phi0 = evolve_two_level(TwoLevelBlock(0, "simon"), sched)
+    phi1 = evolve_two_level(TwoLevelBlock(1, "simon"), sched)
+    factored = assemble_simon(oracle, phi0, phi1)
+    assert np.max(np.abs(full.final_state.amps - factored.amps)) <= 1e-8

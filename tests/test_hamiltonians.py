@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from adiabatic_sim.errors import DomainError
+from adiabatic_sim.errors import CapacityError, DomainError
 from adiabatic_sim.hamiltonians import (
     TwoLevelBlock,
     bv_driver,
@@ -140,11 +140,13 @@ def test_simon_driver_hermitian():
 
 
 def test_interpolate_endpoints_and_midpoint():
-    h = bv_interpolated(BvMask(2, 2))
-    np.testing.assert_allclose(interpolate(h, 0.0), h.driver, atol=1e-15)
-    np.testing.assert_allclose(interpolate(h, 1.0), h.problem, atol=1e-15)
+    mask = BvMask(2, 2)
+    h = bv_interpolated(mask)
+    problem, driver = bv_problem(mask), bv_driver(2)
+    np.testing.assert_allclose(interpolate(h, 0.0), driver, atol=1e-15)
+    np.testing.assert_allclose(interpolate(h, 1.0), problem, atol=1e-15)
     np.testing.assert_allclose(
-        interpolate(h, 0.5), 0.5 * (h.problem + h.driver), atol=1e-15
+        interpolate(h, 0.5), 0.5 * (problem + driver), atol=1e-15
     )
     with pytest.raises(DomainError):
         interpolate(h, 1.5)
@@ -247,3 +249,12 @@ def test_min_gap_scan_simon():
 def test_min_gap_scan_grid_too_small():
     with pytest.raises(DomainError):
         min_gap_scan(bv_interpolated(BvMask(2, 2)), grid=2)
+
+
+def test_dense_operators_refused_above_cap_before_allocation():
+    # the matrix-free Hamiltonian exists at 20 qubits; its dense form does not
+    h = bv_interpolated(BvMask(19, 3))
+    with pytest.raises(CapacityError):
+        interpolate(h, 0.5)
+    with pytest.raises(CapacityError):
+        min_gap_scan(h, grid=5)

@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from adiabatic_sim import protocols
 from adiabatic_sim.errors import DomainError
 from adiabatic_sim.measurement import RandomSource
 from adiabatic_sim.oracles import BvMask, simon_build
@@ -282,3 +283,51 @@ def test_factored_caps():
 def test_total_time_must_be_finite(total_time):
     with pytest.raises(DomainError):
         RunConfig(problem="bv", n=3, total_time=total_time, steps=10).validate()
+
+
+def test_full_path_cap_is_twenty_qubits():
+    # the matrix-free full path is capped on state size, 2^20 amplitudes
+    RunConfig(problem="bv", n=19, path="full").validate()
+    RunConfig(problem="simon", n=10, path="full").validate()
+    with pytest.raises(DomainError):
+        RunConfig(problem="bv", n=20, path="full").validate()
+    with pytest.raises(DomainError):
+        RunConfig(problem="simon", n=11, path="full").validate()
+
+
+def test_steps_ceiling():
+    RunConfig(problem="bv", n=4, steps=1 << 20).validate()
+    with pytest.raises(DomainError):
+        RunConfig(problem="bv", n=4, steps=(1 << 20) + 1).validate()
+
+
+@pytest.mark.parametrize("scramble_seed", [None, 3])
+def test_run_simon_builds_no_oracle_table(monkeypatch, scramble_seed):
+    # neither factored sampler reads the 2^n lookup table, so none is built
+    built = []
+
+    def spy(*args, **kwargs):
+        oracle = simon_build(*args, **kwargs)
+        built.append(oracle)
+        return oracle
+
+    monkeypatch.setattr(protocols, "simon_build", spy)
+    report = run_simon(RunConfig(problem="simon", n=12, seed=1, scramble_seed=scramble_seed))
+    assert report.success
+    assert len(built) == 1 and built[0].table is None
+
+
+@pytest.mark.parametrize("n,scramble_seed,a,runs,fidelity", [
+    (12, None, 218, 11, 0.995765666337853),
+    (12, 7, 218, 11, 0.995765666337853),
+    (13, None, 1865, 15, 0.9953816171272863),
+    (13, 7, 1865, 12, 0.9953816171272863),
+    (14, None, 7783, 17, 0.9949977160377098),
+    (14, 7, 7783, 14, 0.9949977160377098),
+])
+def test_seeded_simon_reports_unchanged(n, scramble_seed, a, runs, fidelity):
+    # values recorded when run_simon still built the oracle's lookup table
+    report = run_simon(RunConfig(problem="simon", n=n, seed=100 + n, scramble_seed=scramble_seed))
+    assert report.success and report.recovered_a == a
+    assert report.quantum_runs == report.rows_collected == runs
+    assert report.per_run_fidelity == fidelity
