@@ -36,7 +36,7 @@ from .oracles import BvMask, simon_build
 from .protocols import RunConfig, branch_pair, resolve_config, run_bv, run_simon, sweep
 from .qstate import plus_state
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 SWEEP_COLUMNS = [
     "axis_value",

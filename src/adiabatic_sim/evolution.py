@@ -9,7 +9,8 @@ Two integration paths solve i d|psi>/dt = H(t/T) |psi>:
   Numer. Anal. 34, 1911 (1997)).  Global error O(dt^2) from the freezing.
 
 * ``evolve_two_level`` integrates one decoupled branch qubit with the same
-  midpoint rule but a closed-form 2x2 exponential.  Because the full
+  midpoint rule but a closed-form 2x2 exponential, computed for all steps as
+  arrays and combined by a parallel-prefix product.  Because the full
   Hamiltonian is block diagonal in the input register and the output qubits
   are uncoupled, a full run is exactly the assembly of these branch
   evolutions; ``assemble_bv``/``assemble_simon`` build that product state.
@@ -18,12 +19,12 @@ Phases are propagated exactly and never gauged away.  The two branch
 evolutions are related by phi_1 = sigma_x phi_0 at every time (conjugating
 the branch Hamiltonian by sigma_x flips its f_bit while fixing the |+>
 initial state), which is what makes the assembled superposition carry no
-spurious relative phases.
+spurious relative phases.  ``evolve_two_level`` keeps the identity to the
+bit, so one evolution serves both branches.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -44,6 +45,10 @@ NORM_DRIFT_LIMIT = 1e-6
 KRYLOV_TOL = 1e-13
 KRYLOV_MAX = 16
 MAX_STEP_SPLITS = 30
+# evolve_two_level builds and combines the step matrices of this many steps at
+# a time, so its arrays stay near 0.3 MB at any step count; larger chunks save
+# little time at the default 5000 steps and hold up to 1.5 MB.
+TWO_LEVEL_CHUNK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,8 @@ class Schedule:
     steps: int
 
     def __post_init__(self) -> None:
-        if not self.total_time > 0:
-            raise DomainError("total_time must be positive")
+        if not (self.total_time > 0 and math.isfinite(self.total_time)):
+            raise DomainError("total_time must be positive and finite")
         if self.steps < 1:
             raise DomainError("steps must be at least 1")
 
@@ -166,8 +171,9 @@ def evolve_full(
         diag_s = s * h.problem_diag + 0.5 * n_b * (1.0 - s)
         apply_h = partial(_apply_h, diag_s, 0.5 * (1.0 - s), n_b)
         psi = _krylov_step(apply_h, psi, dt, basis)
-        drift = max(drift, abs(float(np.vdot(psi, psi).real) - 1.0))
-    if drift > NORM_DRIFT_LIMIT:
+        # np.maximum keeps a NaN, where max(0.0, nan) would drop it
+        drift = float(np.maximum(drift, abs(np.vdot(psi, psi).real - 1.0)))
+    if not drift <= NORM_DRIFT_LIMIT:
         raise IntegrationError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
 
     final = StateVector(psi0.num_qubits_a, psi0.num_qubits_b, psi)
@@ -175,41 +181,72 @@ def evolve_full(
     return EvolutionResult(final_state=final, norm_drift=drift, fidelity_to_target=fid)
 
 
+def _prefix_scan(m: np.ndarray, out: np.ndarray) -> None:
+    """Fill out[:, j + 1] = m_j ... m_1 m_0 out[:, 0] for every step j.
+
+    ``m[i, k, j]`` is entry (i, k) of step j's 2x2 matrix.  Adjacent steps are
+    multiplied in pairs, the half-length scan fills the even columns (the
+    state after each odd step), and each odd column is one step on from the
+    column before it (Blelloch, "Prefix sums and their applications", 1990):
+    O(steps) work in O(log steps) array passes.  Every product is written
+    out entry by entry as a sum of two terms, so conjugating all matrices and
+    out[:, 0] by sigma_x only swaps the terms of each sum and swaps the rows
+    of ``out`` bit for bit.
+    """
+    n = m.shape[-1]
+    if n > 1:
+        later, earlier = m[..., 1::2], m[..., 0 : n - 1 : 2]
+        pairs = later[:, 0, None] * earlier[0] + later[:, 1, None] * earlier[1]
+        _prefix_scan(pairs, out[:, 0::2])
+    step, prev = m[..., 0::2], out[:, 0:n:2]
+    out[:, 1::2] = step[:, 0] * prev[0] + step[:, 1] * prev[1]
+
+
+def _step_matrices(block: TwoLevelBlock, sched: Schedule, start: int, stop: int) -> np.ndarray:
+    """The closed-form step matrices of steps start..stop-1, shape (2, 2, stop - start)."""
+    sign = -1.0 if block.f_bit else 1.0
+    dt = sched.dt
+    s = (np.arange(start, stop) + 0.5) / sched.steps
+    vx = -0.5 * (1.0 - s)
+    vz = -0.5 * s * sign
+    c = 0.5 * (1.0 - 2.0 * s) if block.kind == "bv" else 0.5
+    r = np.hypot(vx, vz)
+    theta = r * dt
+    cos_t = np.cos(theta)
+    sn = np.sin(theta) / r
+    phase = np.exp(-1j * c * dt)
+    a_diag = -1j * sn * vz
+    m = np.empty((2, 2, stop - start), dtype=np.complex128)
+    np.multiply(phase, cos_t + a_diag, out=m[0, 0])
+    np.multiply(phase, -1j * sn * vx, out=m[0, 1])
+    m[1, 0] = m[0, 1]
+    np.multiply(phase, cos_t - a_diag, out=m[1, 1])
+    return m
+
+
 def evolve_two_level(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
     """Evolve one branch qubit from |+> and return its final 2-vector.
 
     The step unitary exp(-i dt (c*1 + vx*sigma_x + vz*sigma_z)) is applied in
     closed form:  e^(-i c dt) [cos(r dt) - i sin(r dt) vhat.sigma] with
-    r = |v|.  Scalar arithmetic keeps the per-step cost trivial, so a 2^18
-    step reference run is cheap.
+    r = |v|.  The step matrices of TWO_LEVEL_CHUNK steps at a time are built
+    as arrays and combined by a parallel-prefix product (``_prefix_scan``),
+    which yields the state after every step for the norm-drift check; the
+    last state carries into the next chunk, so memory stays bounded at any
+    step count.
     """
-    sign = -1.0 if block.f_bit else 1.0
-    is_bv = block.kind == "bv"
-    steps = sched.steps
-    dt = sched.dt
-
-    u0 = complex(math.sqrt(0.5))
-    u1 = complex(math.sqrt(0.5))
-    drift = 0.0
-    for j in range(steps):
-        s = (j + 0.5) / steps
-        vx = -0.5 * (1.0 - s)
-        vz = -0.5 * s * sign
-        c = 0.5 * (1.0 - 2.0 * s) if is_bv else 0.5
-        r = math.hypot(vx, vz)
-        theta = r * dt
-        cos_t = math.cos(theta)
-        sn = math.sin(theta) / r
-        phase = cmath.exp(-1j * c * dt)
-        a_diag = -1j * sn * vz
-        a_off = -1j * sn * vx
-        new0 = phase * ((cos_t + a_diag) * u0 + a_off * u1)
-        new1 = phase * (a_off * u0 + (cos_t - a_diag) * u1)
-        u0, u1 = new0, new1
-        drift = max(drift, abs(abs(u0) ** 2 + abs(u1) ** 2 - 1.0))
-    if drift > NORM_DRIFT_LIMIT:
-        raise IntegrationError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
-    return np.array([u0, u1], dtype=np.complex128)
+    u = np.full(2, math.sqrt(0.5), dtype=np.complex128)
+    for start in range(0, sched.steps, TWO_LEVEL_CHUNK):
+        stop = min(start + TWO_LEVEL_CHUNK, sched.steps)
+        states = np.empty((2, stop - start + 1), dtype=np.complex128)
+        states[:, 0] = u
+        _prefix_scan(_step_matrices(block, sched, start, stop), states)
+        norms = (states.real**2 + states.imag**2).sum(axis=0)
+        drift = float(np.max(np.abs(norms - 1.0)))
+        if not drift <= NORM_DRIFT_LIMIT:
+            raise IntegrationError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
+        u = states[:, -1]
+    return u.copy()
 
 
 def check_branch_vector(phi: np.ndarray) -> np.ndarray:

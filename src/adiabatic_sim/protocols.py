@@ -16,7 +16,8 @@ Identical configs therefore reproduce identical reports, wall time aside.
 
 Branch evolutions depend only on (kind, T, steps), so they are memoized;
 re-running an evolution for a restart is physically a fresh anneal but
-numerically the identical deterministic vector.
+numerically the identical deterministic vector.  A cache miss costs one
+vectorized two-level evolution: phi_1 is sigma_x phi_0.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ FACTORED_CAP = 60
 # The full path steps a dense state of 2^total amplitudes, total = input plus
 # output qubits, applying H(s) without a matrix.
 FULL_CAP_QUBITS = 20
-# Each step is one Python-level iteration; larger step counts are refused.
+# The full path runs one Python-level Lanczos step per schedule step; larger
+# step counts are refused.
 MAX_STEPS = 1 << 20
 
 
@@ -138,10 +140,9 @@ class RunReport:
 
 @lru_cache(maxsize=256)
 def _branch_pair_cached(kind: str, total_time: float, steps: int):
-    sched = Schedule(total_time, steps)
-    phi0 = evolve_two_level(TwoLevelBlock(0, kind), sched)
-    phi1 = evolve_two_level(TwoLevelBlock(1, kind), sched)
-    return tuple(phi0.tolist()), tuple(phi1.tolist())
+    # phi_1 = sigma_x phi_0; the integrator makes this exact to the bit
+    phi0 = evolve_two_level(TwoLevelBlock(0, kind), Schedule(total_time, steps))
+    return tuple(phi0.tolist()), tuple(phi0[::-1].tolist())
 
 
 def branch_pair(kind: str, total_time: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -323,21 +324,28 @@ def _trial_seed(master: int, value_index: int, trial: int) -> int:
 
 
 def sweep(axis: str, values: list, base: RunConfig, trials: int) -> list[SweepRow]:
-    """Run ``trials`` seeded repetitions of ``base`` at each axis value."""
+    """Run ``trials`` seeded repetitions of ``base`` at each axis value.
+
+    Every per-value config is validated before the first run.
+    """
     if axis not in ("n", "T", "steps"):
         raise DomainError(f"unknown sweep axis {axis!r}")
     if not values:
         raise DomainError("sweep needs at least one value")
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    rows = []
-    for value_index, value in enumerate(values):
+    configs = []
+    for value in values:
         if axis == "n":
             cfg_value = replace(base, n=int(value))
         elif axis == "T":
             cfg_value = replace(base, total_time=float(value))
         else:
             cfg_value = replace(base, steps=int(value))
+        cfg_value.validate()
+        configs.append(cfg_value)
+    rows = []
+    for value_index, (value, cfg_value) in enumerate(zip(values, configs)):
         t0 = time.perf_counter()
         reports = []
         for trial in range(trials):

@@ -23,7 +23,7 @@ def test_bv_happy_path(capsys):
     )
     assert code == 0
     record = json.loads(out)
-    assert record["schema_version"] == "3"
+    assert record["schema_version"] == "4"
     assert record["results"]["recovered_a"] == 0xB3
     assert record["config"]["a"] == 0xB3
     assert record["provenance"]["seed"] == 1

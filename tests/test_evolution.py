@@ -1,6 +1,8 @@
 """Propagator tests: adiabatic limits, decoupling, convergence order, assembly."""
 
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,8 +50,9 @@ def simon_target(oracle) -> StateVector:
 
 
 def test_schedule_validation():
-    with pytest.raises(DomainError):
-        Schedule(0.0, 10)
+    for total_time in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            Schedule(total_time, 10)
     with pytest.raises(DomainError):
         Schedule(1.0, 0)
     assert Schedule(2.0, 4).dt == pytest.approx(0.5)
@@ -97,6 +100,77 @@ def test_branch_conjugation_identity(kind, T):
     phi0 = evolve_two_level(TwoLevelBlock(0, kind), sched)
     phi1 = evolve_two_level(TwoLevelBlock(1, kind), sched)
     assert np.max(np.abs(phi1 - SIGMA_X @ phi0)) <= 1e-12
+
+
+def seed_two_level_loop(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
+    """The original step-by-step scalar integrator, kept as the reference."""
+    sign = -1.0 if block.f_bit else 1.0
+    u0 = u1 = complex(math.sqrt(0.5))
+    dt = sched.dt
+    for j in range(sched.steps):
+        s = (j + 0.5) / sched.steps
+        vx = -0.5 * (1.0 - s)
+        vz = -0.5 * s * sign
+        c = 0.5 * (1.0 - 2.0 * s) if block.kind == "bv" else 0.5
+        r = math.hypot(vx, vz)
+        cos_t = math.cos(r * dt)
+        sn = math.sin(r * dt) / r
+        phase = cmath.exp(-1j * c * dt)
+        a_diag = -1j * sn * vz
+        a_off = -1j * sn * vx
+        u0, u1 = (
+            phase * ((cos_t + a_diag) * u0 + a_off * u1),
+            phase * (a_off * u0 + (cos_t - a_diag) * u1),
+        )
+    return np.array([u0, u1])
+
+
+@pytest.mark.parametrize("kind", ["bv", "simon"])
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 100, 5000, (1 << 14) + 3])
+def test_prefix_integrator_matches_scalar_loop(kind, steps):
+    # the last step count crosses a chunk boundary; the loop's own rounding
+    # error reaches 6e-13 at 16387 steps (the prefix product's stays below 1e-14)
+    for total_time in (0.01, 1.0, 50.0, 1e4):
+        sched = Schedule(total_time, steps)
+        for f_bit in (0, 1):
+            block = TwoLevelBlock(f_bit, kind)
+            phi = evolve_two_level(block, sched)
+            assert np.max(np.abs(phi - seed_two_level_loop(block, sched))) <= 1e-12
+
+
+def test_chunks_carry_the_state(monkeypatch):
+    sched = Schedule(5.0, 100)
+    whole = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
+    spans = []
+    step_matrices = evolution._step_matrices
+
+    def spy(block, sched, start, stop):
+        spans.append((start, stop))
+        return step_matrices(block, sched, start, stop)
+
+    monkeypatch.setattr(evolution, "TWO_LEVEL_CHUNK", 7)
+    monkeypatch.setattr(evolution, "_step_matrices", spy)
+    chunked = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
+    assert spans == [(start, min(start + 7, 100)) for start in range(0, 100, 7)]
+    assert np.max(np.abs(chunked - whole)) <= 1e-14
+
+
+def test_two_level_memory_is_bounded_by_the_chunk():
+    # 2^20 step matrices alone would take 64 MiB
+    tracemalloc.start()
+    try:
+        phi = evolve_two_level(TwoLevelBlock(0, "simon"), Schedule(50.0, 1 << 20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(float(np.vdot(phi, phi).real) - 1.0) <= 1e-9
+    assert peak <= 2 << 20
+
+
+def test_two_level_drift_check_fails_on_nan(monkeypatch):
+    monkeypatch.setattr(evolution, "_prefix_scan", lambda m, out: out.fill(np.nan))
+    with pytest.raises(IntegrationError):
+        evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(1.0, 10))
 
 
 def test_step_doubling_quarters_the_error():
@@ -196,6 +270,22 @@ def test_evolve_full_validation():
     bad = StateVector(2, 1, np.full(8, 0.1, dtype=complex))
     with pytest.raises(DomainError):
         evolve_full(h, bad, Schedule(1.0, 10))
+
+
+def test_full_drift_check_fails_on_nan(monkeypatch):
+    # a NaN state after the last step must not slip past the drift check
+    sched = Schedule(1.0, 4)
+    krylov_step = evolution._krylov_step
+    calls = []
+
+    def last_step_nan(apply_h, psi, tau, basis):
+        calls.append(tau)
+        out = krylov_step(apply_h, psi, tau, basis)
+        return out * np.nan if len(calls) == sched.steps else out
+
+    monkeypatch.setattr(evolution, "_krylov_step", last_step_nan)
+    with pytest.raises(IntegrationError):
+        evolve_full(bv_interpolated(BvMask(2, 1)), plus_state(2, 1), sched)
 
 
 def test_assemble_capacity_checked_before_allocation():

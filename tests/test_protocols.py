@@ -8,6 +8,8 @@ import pytest
 
 from adiabatic_sim import protocols
 from adiabatic_sim.errors import DomainError
+from adiabatic_sim.evolution import Schedule, evolve_two_level
+from adiabatic_sim.hamiltonians import TwoLevelBlock
 from adiabatic_sim.measurement import RandomSource
 from adiabatic_sim.oracles import BvMask, simon_build
 from adiabatic_sim.protocols import (
@@ -245,6 +247,14 @@ def test_sweep_validation():
         sweep("T", [1.0], base, trials=0)
 
 
+def test_sweep_validates_every_value_before_running(monkeypatch):
+    calls = []
+    monkeypatch.setattr(protocols, "run", lambda cfg: calls.append(cfg))
+    with pytest.raises(DomainError):
+        sweep("steps", [200000, 2000000], RunConfig(problem="bv", n=4), trials=1)
+    assert calls == []
+
+
 def test_sweep_deterministic():
     base = RunConfig(problem="simon", n=4, seed=17)
     first = sweep("T", [5.0, 50.0], base, trials=10)
@@ -255,6 +265,30 @@ def test_sweep_deterministic():
         a.pop("wall_ms")
         b.pop("wall_ms")
         assert a == b
+
+
+@pytest.mark.parametrize("kind", ["bv", "simon"])
+def test_branch_pair_phi1_is_the_evolved_second_branch(kind):
+    # branch_pair takes phi_1 as sigma_x phi_0; it equals the f_bit = 1
+    # evolution to the bit
+    for total_time, steps in ((0.3, 7), (5.0, 500), (37.5, 4000), (50.0, 20001)):
+        _, phi1 = branch_pair(kind, total_time, steps)
+        evolved = evolve_two_level(TwoLevelBlock(1, kind), Schedule(total_time, steps))
+        assert np.array_equal(phi1, evolved)
+
+
+def test_branch_pair_miss_evolves_once(monkeypatch):
+    calls = []
+
+    def counting(block, sched):
+        calls.append(block)
+        return evolve_two_level(block, sched)
+
+    monkeypatch.setattr(protocols, "evolve_two_level", counting)
+    protocols._branch_pair_cached.cache_clear()
+    branch_pair("simon", 12.5, 1250)
+    branch_pair("simon", 12.5, 1250)
+    assert calls == [TwoLevelBlock(0, "simon")]
 
 
 @pytest.mark.parametrize("run,problem", [(run_bv, "bv"), (run_simon, "simon")])
@@ -318,15 +352,16 @@ def test_run_simon_builds_no_oracle_table(monkeypatch, scramble_seed):
 
 
 @pytest.mark.parametrize("n,scramble_seed,a,runs,fidelity", [
-    (12, None, 218, 11, 0.995765666337853),
-    (12, 7, 218, 11, 0.995765666337853),
-    (13, None, 1865, 15, 0.9953816171272863),
-    (13, 7, 1865, 12, 0.9953816171272863),
-    (14, None, 7783, 17, 0.9949977160377098),
-    (14, 7, 7783, 14, 0.9949977160377098),
+    (12, None, 218, 11, 0.9957656663377655),
+    (12, 7, 218, 11, 0.9957656663377655),
+    (13, None, 1865, 15, 0.9953816171271908),
+    (13, 7, 1865, 12, 0.9953816171271908),
+    (14, None, 7783, 17, 0.9949977160376061),
+    (14, 7, 7783, 14, 0.9949977160376061),
 ])
 def test_seeded_simon_reports_unchanged(n, scramble_seed, a, runs, fidelity):
-    # values recorded when run_simon still built the oracle's lookup table
+    # a and runs recorded when run_simon still built the oracle's lookup
+    # table; fidelity re-recorded under schema 4 (prefix-product integrator)
     report = run_simon(RunConfig(problem="simon", n=n, seed=100 + n, scramble_seed=scramble_seed))
     assert report.success and report.recovered_a == a
     assert report.quantum_runs == report.rows_collected == runs
