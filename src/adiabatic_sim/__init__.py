@@ -71,4 +71,4 @@ from .protocols import (
     run_simon,
     sweep,
 )
-from .qstate import StateVector, apply, basis_state, fwht_subsystem, inner, plus_state, tensor
+from .qstate import StateVector, fwht_subsystem, inner, plus_state

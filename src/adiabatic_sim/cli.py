@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import cache
 
 import numpy as np
 
@@ -31,12 +32,11 @@ from .hamiltonians import (
     gap_table,
     simon_interpolated,
 )
-from .measurement import RandomSource
 from .oracles import BvMask, simon_build
 from .protocols import RunConfig, branch_pair, resolve_config, run_bv, run_simon, sweep
 from .qstate import plus_state
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 SWEEP_COLUMNS = [
     "axis_value",
@@ -65,7 +65,10 @@ def _mask(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
-def _default_seed() -> int:
+def _seed(args: argparse.Namespace) -> int:
+    """--seed, or else $ADIABATIC_SIM_SEED, or else 0."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("ADIABATIC_SIM_SEED", "0")
     try:
         return int(raw, 0)
@@ -97,20 +100,22 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write payload to a file")
 
 
-def _config_from_args(args: argparse.Namespace, problem: str) -> RunConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
-    steps = _steps(args)
-    cfg = RunConfig(
+def _config(args: argparse.Namespace, problem: str) -> RunConfig:
+    """The config the run flags describe, unresolved: a sweep draws a mask per trial."""
+    return RunConfig(
         problem=problem,
         n=args.n,
         a=args.a,
         total_time=args.total_time,
-        steps=steps,
+        steps=_steps(args),
         path=args.path,
-        seed=seed,
-        max_repeats=args.max_repeats,
+        seed=_seed(args),
+        max_repeats=getattr(args, "max_repeats", None),
         scramble_seed=getattr(args, "scramble_seed", None),
     )
+
+
+def _resolve(cfg: RunConfig) -> RunConfig:
     try:
         return resolve_config(cfg)
     except SimulatorError as exc:
@@ -142,7 +147,7 @@ def _emit(payload: str, out_path) -> None:
 
 
 def cmd_bv(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, "bv")
+    cfg = _resolve(_config(args, "bv"))
     report = run_bv(cfg)
     _emit(json.dumps(_record(cfg, asdict(report)), indent=2) + "\n", args.out)
     return 0 if report.success else 2
@@ -151,7 +156,7 @@ def cmd_bv(args: argparse.Namespace) -> int:
 def cmd_simon(args: argparse.Namespace) -> int:
     if args.compare_factored and args.path != "full":
         raise UsageError("--compare-factored needs --path full")
-    cfg = _config_from_args(args, "simon")
+    cfg = _resolve(_config(args, "simon"))
     report = run_simon(cfg)
     results = asdict(report)
     if args.compare_factored:
@@ -179,18 +184,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"bad --values entry: {exc}")
     if not values:
         raise UsageError("--values must be a non-empty comma-separated list")
-    seed = args.seed if args.seed is not None else _default_seed()
-    steps = _steps(args)
-    base = RunConfig(
-        problem=args.problem,
-        n=args.n,
-        a=args.a,
-        total_time=args.total_time,
-        steps=steps,
-        path=args.path,
-        seed=seed,
-        scramble_seed=getattr(args, "scramble_seed", None),
-    )
+    base = _config(args, args.problem)
     try:
         rows = sweep(args.axis, values, base, args.trials)
     except SimulatorError as exc:
@@ -205,7 +199,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     if args.grid < 3:
         raise UsageError("--grid must be at least 3")
     try:
@@ -215,12 +209,10 @@ def cmd_gap(args: argparse.Namespace) -> int:
         else:
             if args.n is None:
                 raise UsageError("--n is required unless --two-level is given")
-            rng = RandomSource(seed, stream=0)
+            a = resolve_config(RunConfig(args.problem, args.n, args.a, seed=seed)).a
             if args.problem == "bv":
-                a = args.a if args.a is not None else rng.randrange(1 << args.n)
                 h = bv_interpolated(BvMask(args.n, a), cap=DENSE_OPERATOR_CAP)
             else:
-                a = args.a if args.a is not None else 1 + rng.randrange((1 << args.n) - 1)
                 h = simon_interpolated(simon_build(args.n, a), cap=DENSE_OPERATOR_CAP)
             table = gap_table(h, args.grid)
     except SimulatorError as exc:
@@ -236,7 +228,9 @@ def cmd_gap(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every ``main`` call."""
     parser = _Parser(prog="adiabatic-sim",
                      description="Adiabatic BV / Simon simulator")
     sub = parser.add_subparsers(dest="command", required=True)

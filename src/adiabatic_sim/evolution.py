@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, ShapeError
 from .hamiltonians import InterpolatedHamiltonian, TwoLevelBlock
-from .oracles import BvMask, SimonOracle, simon_eval, simon_eval_all
+from .oracles import BvMask, SimonOracle, simon_eval_all
 from .qstate import DEFAULT_QUBIT_CAP, StateVector, check_capacity, fidelity
 
 # A run whose norm drifts past this is reported as an integration failure.
@@ -284,8 +284,7 @@ def assemble_simon(
 ) -> StateVector:
     """Product-form final state 2^(-n/2) sum_w |w> (x) (phi_g_0(w) ... phi_g_m(w)).
 
-    Materializes all 2^(2n-1) amplitudes; beyond the cap use
-    ``simon_branch_amplitude`` instead.
+    Materializes all 2^(2n-1) amplitudes.
     """
     phi0 = check_branch_vector(phi0)
     phi1 = check_branch_vector(phi1)
@@ -299,15 +298,3 @@ def assemble_simon(
     branch_states = reduce(np.kron, [pair] * m)
     amps = branch_states[g, :] / math.sqrt(1 << n)
     return StateVector(n, m, amps.reshape(-1))
-
-
-def simon_branch_amplitude(
-    oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray, w: int, y: int
-) -> complex:
-    """Single amplitude <w, y|psi> of the factored Simon state, O(n) time."""
-    g = simon_eval(oracle, w)
-    amp = complex(1.0 / math.sqrt(1 << oracle.n))
-    for k in range(oracle.n - 1):
-        phi = phi1 if (g >> k) & 1 else phi0
-        amp *= phi[(y >> k) & 1]
-    return amp

@@ -11,17 +11,18 @@ identical outcomes.  Samplers draw in a fixed documented order so whole runs
 replay bit-for-bit; parallel shots must use streams derived per shot.
 
 The factored readouts sample the exact outcome law of the assembled state
-from the two branch vectors alone:
+from the two branch vectors alone.  Every output qubit ends in phi_{f_k(w)}
+with phi_1 = sigma_x phi_0, so measuring the output register in the x basis
+gives iid row bits z_k ~ Bernoulli(q), q = ||phi_0 - phi_1||^2 / 4, and
+leaves the input register proportional to sum_w (-1)^(z . f(w)) |w>.  Both
+samplers draw z first, one uniform per output bit, ascending (z_k = 1 iff
+the uniform is below q):
 
-* ``bv_sample_factored``, O(n) per shot.  Draw order: one uniform for the
-  output qubit's x outcome, then, if it is 1, one uniform for the pick
-  between 0 and a -- the draws ``bv_readout`` makes on the assembled state,
-  with the same outcomes.
-* ``simon_sample_factored``, the row law seen with the output register
-  measured in the x basis: O(n) per shot for an unscrambled (linear) oracle,
-  one real Walsh transform on 2^(n-1) labels for a scrambled one.  Draw
-  order: one uniform per output bit, ascending; on a scrambled oracle, then
-  one uniform for the row.
+* ``bv_sample_factored``, one draw per shot.  z = 0 restarts; z = 1 leaves
+  the input register on the Walsh point a, which is returned.
+* ``simon_sample_factored``, the row x = L^T z for an unscrambled (linear)
+  oracle, O(n) per shot; for a scrambled one, one real Walsh transform on
+  2^(n-1) labels and then one uniform for the row.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ import numpy as np
 from .errors import DomainError, ResampleError
 from .evolution import check_branch_vector
 from .oracles import BvMask, SimonOracle, simon_dual_row, simon_eval_all, simon_orthogonal_row
-from .qstate import HADAMARD, StateVector, fwht_subsystem, _fwht_inplace
+from .qstate import StateVector, fwht_subsystem, _fwht_inplace
 
 
 class RandomSource:
     """Seeded counter-based random stream (numpy Philox under the hood).
 
-    ``derive(index)`` creates an independent stream for parallel shots; the
-    draw counter is informational, for run-record provenance.
+    Distinct streams of one seed are independent; the draw counter is
+    informational, for run-record provenance.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -54,9 +55,6 @@ class RandomSource:
         )
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self.draws = 0
-
-    def derive(self, index: int) -> "RandomSource":
-        return RandomSource(self.seed, self.stream + 1 + index)
 
     def uniform(self) -> float:
         self.draws += 1
@@ -145,22 +143,15 @@ def bv_readout(final: StateVector, rng: RandomSource) -> BvReadout:
 def bv_sample_factored(
     mask: BvMask, phi0: np.ndarray, phi1: np.ndarray, rng: RandomSource
 ) -> BvReadout:
-    """``bv_readout`` of the assembled BV state, from the branch vectors alone.
+    """``bv_readout``'s outcome law on the assembled BV state, from the branch vectors.
 
-    With c_f = <b_x|phi_f>, the output qubit's x outcome b has weight
-    (1-q)|c_0|^2 + q|c_1|^2, where q = 1/2 is the fraction of inputs with
-    f(w) = 1 (q = 0 when a = 0).  Given b = 1 the input register is
-    proportional to sum_w c_f(w) |w>, whose Walsh transform is supported on
-    {0, a} with weights |c_0 + c_1|^2 and |c_0 - c_1|^2.  The pick is drawn
-    also when a = 0, as on the assembled state.
+    The output qubit's x outcome is the one row bit z.  Given z = 1 the input
+    register is proportional to sum_w (-1)^(w . a) |w>, whose Walsh transform
+    is the single point a, at any T.
     """
-    c0 = HADAMARD @ check_branch_vector(phi0)
-    c1 = HADAMARD @ check_branch_vector(phi1)
-    q = 0.5 if mask.a else 0.0
-    if rng.sample_index((1.0 - q) * np.abs(c0) ** 2 + q * np.abs(c1) ** 2) == 0:
-        return BvReadout(restart=True, a_candidate=None)
-    pick = rng.sample_index(np.abs([c0[1] + c1[1], c0[1] - c1[1]]) ** 2)
-    return BvReadout(restart=False, a_candidate=mask.a if pick else 0)
+    if _row_bits(phi0, phi1, 1, rng):
+        return BvReadout(restart=False, a_candidate=mask.a)
+    return BvReadout(restart=True, a_candidate=None)
 
 
 def simon_sample(final: StateVector, rng: RandomSource) -> int:
@@ -231,6 +222,19 @@ def simon_row_bit_prob(phi0: np.ndarray, phi1: np.ndarray) -> float:
     return minus / total
 
 
+def _row_bits(phi0: np.ndarray, phi1: np.ndarray, bits: int, rng: RandomSource) -> int:
+    """The output register's x outcome z: bits iid Bernoulli(q), one uniform each.
+
+    Bit k is drawn k-th and is 1 iff its uniform is below q.
+    """
+    q = simon_row_bit_prob(phi0, phi1)
+    z = 0
+    for k in range(bits):
+        if rng.uniform() < q:
+            z |= 1 << k
+    return z
+
+
 def simon_sample_factored(
     oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray, rng: RandomSource
 ) -> int:
@@ -247,11 +251,7 @@ def simon_sample_factored(
     at x without its pivot bit.  That mixture needs a real overlap
     <phi_0|phi_1>, as phi_1 = sigma_x phi_0 gives.
     """
-    q = simon_row_bit_prob(phi0, phi1)
-    z = 0
-    for k in range(oracle.n - 1):
-        if rng.uniform() < q:
-            z |= 1 << k
+    z = _row_bits(phi0, phi1, oracle.n - 1, rng)
     if oracle.scramble is None:
         return simon_dual_row(oracle, z)
     if abs(np.vdot(phi0, phi1).imag) > 1e-9:

@@ -8,7 +8,8 @@ Construction of g: let j be the lowest set bit of a.  Every coset contains
 exactly one representative whose bit j is clear; deleting bit j from that
 representative is a bijection onto {0,1}^(n-1).  An optional seeded
 permutation of the output labels ("scramble") hides this canonical structure
-from anything that might accidentally exploit it.
+from anything that might accidentally exploit it.  No oracle keeps a 2^n
+table: g(w) is evaluated by that O(1) rule and, when scrambled, one lookup.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, PromiseError
 
-# Exhaustive table materialization / promise checks are capped here.
+# The label scramble, exhaustive evaluation and promise checks are capped here.
 TABLE_CAP_QUBITS = 20
-# Tables are built eagerly below this size (cheap, speeds up hot loops).
-AUTO_TABLE_QUBITS = 14
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,8 @@ def hamming(y: int, z: int) -> int:
 class SimonOracle:
     """Black box g with g(w) == g(y) iff w == y or w xor y == a.
 
-    ``scramble`` is an optional permutation of the 2**(n-1) output labels;
-    ``table`` an optional materialized map w -> g(w).  Both are None for
-    large n, in which case evaluation runs through the O(1) canonical rule.
+    ``scramble`` is an optional permutation of the 2**(n-1) output labels
+    applied after the O(1) canonical rule; no table of g is kept.
     """
 
     n: int
@@ -66,7 +64,6 @@ class SimonOracle:
     pivot_bit: int
     scramble_seed: Optional[int] = None
     scramble: Optional[np.ndarray] = None
-    table: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -89,17 +86,11 @@ def _canonical_g(n: int, a: int, pivot: int, w):
     return high | low
 
 
-def simon_build(
-    n: int,
-    a: int,
-    scramble_seed: Optional[int] = None,
-    materialize_table: Optional[bool] = None,
-) -> SimonOracle:
+def simon_build(n: int, a: int, scramble_seed: Optional[int] = None) -> SimonOracle:
     """Construct a Simon oracle for mask a, optionally scrambling output labels.
 
-    ``materialize_table=None`` builds the lookup table automatically for
-    small n.  Scrambling requires materializing a permutation of 2**(n-1)
-    labels and is therefore capped at n <= TABLE_CAP_QUBITS.
+    Scrambling requires materializing a permutation of 2**(n-1) labels and is
+    therefore capped at n <= TABLE_CAP_QUBITS.
     """
     if n < 2:
         raise DomainError("Simon oracle needs at least two bits")
@@ -117,25 +108,12 @@ def simon_build(
         scramble = rng.permutation(1 << (n - 1)).astype(np.int64)
         scramble.flags.writeable = False
 
-    if materialize_table is None:
-        materialize_table = n <= AUTO_TABLE_QUBITS
-    table = None
-    if materialize_table:
-        if n > TABLE_CAP_QUBITS:
-            raise CapacityError(f"table materialization capped at n <= {TABLE_CAP_QUBITS}")
-        w_all = np.arange(1 << n, dtype=np.int64)
-        table = _canonical_g(n, a, pivot, w_all)
-        if scramble is not None:
-            table = scramble[table]
-        table.flags.writeable = False
-
     return SimonOracle(
         n=n,
         a=a,
         pivot_bit=pivot,
         scramble_seed=scramble_seed,
         scramble=scramble,
-        table=table,
     )
 
 
@@ -143,8 +121,6 @@ def simon_eval(oracle: SimonOracle, w: int) -> int:
     """g(w) as an (n-1)-bit integer."""
     if not 0 <= w < (1 << oracle.n):
         raise DomainError(f"input {w} out of range for {oracle.n} bits")
-    if oracle.table is not None:
-        return int(oracle.table[w])
     g = _canonical_g(oracle.n, oracle.a, oracle.pivot_bit, w)
     if oracle.scramble is not None:
         g = int(oracle.scramble[g])
@@ -178,8 +154,6 @@ def simon_orthogonal_row(oracle: SimonOracle, t: int) -> int:
 
 def simon_eval_all(oracle: SimonOracle, cap: int = TABLE_CAP_QUBITS) -> np.ndarray:
     """Vector of g(w) for all w < 2**n (refused above ``cap`` total input bits)."""
-    if oracle.table is not None:
-        return oracle.table
     if oracle.n > cap:
         raise CapacityError(f"exhaustive evaluation capped at n <= {cap}")
     w_all = np.arange(1 << oracle.n, dtype=np.int64)
@@ -216,29 +190,3 @@ def verify_promise(oracle: SimonOracle) -> PromiseReport:
         if g[w] != g[w ^ oracle.a]:
             return PromiseReport(False, (w, w ^ oracle.a))
     return PromiseReport(True, None)
-
-
-def oracle_record(obj) -> dict:
-    """JSON-ready description of a BvMask or SimonOracle."""
-    if isinstance(obj, BvMask):
-        return {"problem": "bv", "n": obj.n, "a": obj.a}
-    if isinstance(obj, SimonOracle):
-        return {
-            "problem": "simon",
-            "n": obj.n,
-            "a": obj.a,
-            "pivot_bit": obj.pivot_bit,
-            "scramble_seed": obj.scramble_seed,
-        }
-    raise DomainError(f"cannot serialize {type(obj).__name__}")
-
-
-def oracle_from_record(record: dict):
-    """Inverse of oracle_record."""
-    problem = record.get("problem")
-    if problem == "bv":
-        return BvMask(n=record["n"], a=record["a"])
-    if problem == "simon":
-        oracle = simon_build(record["n"], record["a"], record.get("scramble_seed"))
-        return oracle
-    raise DomainError(f"unknown problem kind {problem!r}")

@@ -4,9 +4,11 @@ A run is: prepare |+>|+>, anneal for time T (path "full" integrates the
 dense state, applying H(s) without a matrix; path "factored" integrates the
 two branch qubits and samples the product state's readout from them),
 measure, repeat per the algorithm's rule, and reduce the collected outcomes
-to a mask candidate.  The factored readout is O(n) per shot for BV and for
-unscrambled Simon, and one real Walsh transform on 2^(n-1) labels per shot
-for scrambled Simon; see ``measurement`` for each sampler's draws.
+to a mask candidate.  Every factored readout first draws the output
+register's x outcome, one uniform per output qubit: a BV shot is that one
+draw, an unscrambled Simon row is O(n), and a scrambled Simon row adds one
+real Walsh transform on 2^(n-1) labels; see ``measurement``.  The factored
+fidelity is |phi_0[0]^m|^2 for m output qubits.
 
 Randomness discipline (everything derives from RunConfig.seed):
   stream 0          draws the mask when ``a`` is None (one integer draw),
@@ -151,25 +153,14 @@ def branch_pair(kind: str, total_time: float, steps: int) -> tuple[np.ndarray, n
     return np.array(phi0, dtype=np.complex128), np.array(phi1, dtype=np.complex128)
 
 
-def _bv_factored_fidelity(mask: BvMask, phi0: np.ndarray, phi1: np.ndarray) -> float:
-    """|<target|psi>|^2 of the assembled BV state, from branch overlaps alone."""
-    n1 = 0 if mask.a == 0 else 1 << (mask.n - 1)
-    n0 = (1 << mask.n) - n1
-    overlap = (n0 * phi0[0] + n1 * phi1[1]) / (1 << mask.n)
-    return abs(overlap) ** 2
+def _factored_fidelity(phi0: np.ndarray, m: int) -> float:
+    """|<target|psi>|^2 of the factored state with m output qubits.
 
-
-def _simon_factored_fidelity(
-    oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray
-) -> float:
-    """|<target|psi>|^2 of the factored Simon state.
-
-    Each output value g appears on exactly two branches and Sum_g
-    u0^(m-|g|) u1^|g| telescopes to (u0 + u1)^m.
+    Each output qubit overlaps its ideal vector e_f(w) by phi_f(w)[f(w)], which
+    is phi_0[0] on either branch, as phi_1[1] = phi_0[0]; so the overlap is
+    phi_0[0]^m for every oracle.
     """
-    m = oracle.n - 1
-    overlap = ((phi0[0] + phi1[1]) / 2.0) ** m
-    return abs(overlap) ** 2
+    return abs(phi0[0] ** m) ** 2
 
 
 def run_bv(cfg: RunConfig) -> RunReport:
@@ -183,7 +174,7 @@ def run_bv(cfg: RunConfig) -> RunReport:
     final = None
     if cfg.path == "factored":
         phi0, phi1 = branch_pair("bv", cfg.total_time, cfg.steps)
-        fidelity_value = _bv_factored_fidelity(mask, phi0, phi1)
+        fidelity_value = _factored_fidelity(phi0, 1)
     else:
         sched = Schedule(cfg.total_time, cfg.steps)
         target = assemble_bv(mask, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -223,12 +214,12 @@ def run_simon(cfg: RunConfig) -> RunReport:
     if cfg.problem != "simon":
         raise DomainError("run_simon needs a simon config")
     t0 = time.perf_counter()
-    oracle = simon_build(cfg.n, cfg.a, cfg.scramble_seed, materialize_table=False)
+    oracle = simon_build(cfg.n, cfg.a, cfg.scramble_seed)
 
     final = None
     if cfg.path == "factored":
         phi0, phi1 = branch_pair("simon", cfg.total_time, cfg.steps)
-        fidelity_value = _simon_factored_fidelity(oracle, phi0, phi1)
+        fidelity_value = _factored_fidelity(phi0, cfg.n - 1)
     else:
         sched = Schedule(cfg.total_time, cfg.steps)
         ideal0 = np.array([1.0, 0.0])

@@ -41,11 +41,6 @@ def check_capacity(total_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
         )
 
 
-def bit(value: int, k: int) -> int:
-    """Bit k of an integer basis label."""
-    return (value >> k) & 1
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Dense amplitude vector over an (A, B) register pair.
@@ -88,19 +83,6 @@ class StateVector:
         return self.amps.reshape(1 << self.num_qubits_a, 1 << self.num_qubits_b)
 
 
-def basis_state(
-    num_qubits_a: int, num_qubits_b: int, index: int, cap: int = DEFAULT_QUBIT_CAP
-) -> StateVector:
-    """Computational-basis state |index> on the combined register."""
-    total = num_qubits_a + num_qubits_b
-    check_capacity(total, cap)
-    if not 0 <= index < (1 << total):
-        raise DomainError(f"basis index {index} out of range for {total} qubits")
-    amps = np.zeros(1 << total, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(num_qubits_a, num_qubits_b, amps)
-
-
 def plus_state(
     num_qubits_a: int, num_qubits_b: int, cap: int = DEFAULT_QUBIT_CAP
 ) -> StateVector:
@@ -110,29 +92,6 @@ def plus_state(
     dim = 1 << total
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     return StateVector(num_qubits_a, num_qubits_b, amps)
-
-
-def random_state(
-    num_qubits_a: int, num_qubits_b: int, seed: int, cap: int = DEFAULT_QUBIT_CAP
-) -> StateVector:
-    """Haar-ish normalized random state (Gaussian amplitudes), for tests."""
-    total = num_qubits_a + num_qubits_b
-    check_capacity(total, cap)
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=1 << total) + 1j * rng.normal(size=1 << total)
-    amps /= np.linalg.norm(amps)
-    return StateVector(num_qubits_a, num_qubits_b, amps)
-
-
-def tensor(u: StateVector, v: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
-    """Tensor product u (x) v.
-
-    The first factor becomes register A of the result and the second register
-    B, so the combined index is u_index * v.dim + v_index.
-    """
-    total = u.num_qubits + v.num_qubits
-    check_capacity(total, cap)
-    return StateVector(u.num_qubits, v.num_qubits, np.kron(u.amps, v.amps))
 
 
 def inner(u: StateVector, v: StateVector) -> complex:
@@ -184,11 +143,3 @@ def fwht_subsystem(psi: StateVector, subsystem: str) -> StateVector:
     else:
         _fwht_inplace(mat)
     return StateVector(psi.num_qubits_a, psi.num_qubits_b, mat.reshape(-1))
-
-
-def apply(op: np.ndarray, psi: StateVector) -> StateVector:
-    """Matrix-vector product op @ psi; no normalization is applied."""
-    op = np.asarray(op)
-    if op.shape != (psi.dim, psi.dim):
-        raise ShapeError(f"operator shape {op.shape} does not match dim {psi.dim}")
-    return StateVector(psi.num_qubits_a, psi.num_qubits_b, op @ psi.amps)

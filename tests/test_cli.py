@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from adiabatic_sim.cli import main
+from adiabatic_sim.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -23,7 +23,7 @@ def test_bv_happy_path(capsys):
     )
     assert code == 0
     record = json.loads(out)
-    assert record["schema_version"] == "4"
+    assert record["schema_version"] == "5"
     assert record["results"]["recovered_a"] == 0xB3
     assert record["config"]["a"] == 0xB3
     assert record["provenance"]["seed"] == 1
@@ -241,3 +241,18 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("usage error") and err.count("\n") == 1
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("problem", ["bv", "simon"])
+def test_gap_draws_the_run_mask(capsys, problem):
+    # without --a, gap scans the mask a run with the same seed would draw
+    from adiabatic_sim.protocols import RunConfig, resolve_config
+
+    a = resolve_config(RunConfig(problem, 3, seed=21)).a
+    drawn = run_cli(capsys, "gap", "--problem", problem, "--n", "3", "--seed", "21", "--grid", "11")
+    given = run_cli(capsys, "gap", "--problem", problem, "--n", "3", "--a", str(a), "--grid", "11")
+    assert drawn[0] == 0 and drawn == given

@@ -15,7 +15,6 @@ from adiabatic_sim.evolution import (
     assemble_simon,
     evolve_full,
     evolve_two_level,
-    simon_branch_amplitude,
 )
 from adiabatic_sim.hamiltonians import (
     InterpolatedHamiltonian,
@@ -25,7 +24,8 @@ from adiabatic_sim.hamiltonians import (
     simon_interpolated,
 )
 from adiabatic_sim.oracles import BvMask, bv_eval, simon_build, simon_eval
-from adiabatic_sim.qstate import SIGMA_X, StateVector, inner, plus_state, random_state
+from adiabatic_sim.qstate import SIGMA_X, StateVector, inner, plus_state
+from helpers import random_state
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -249,19 +249,6 @@ def test_full_state_fidelity_is_register_size_independent():
     assert max(fidelities) - min(fidelities) <= 1e-8
 
 
-def test_simon_branch_amplitude_matches_assembled_state():
-    oracle = simon_build(3, 3, scramble_seed=1)
-    sched = Schedule(5.0, 500)
-    phi0 = evolve_two_level(TwoLevelBlock(0, "simon"), sched)
-    phi1 = evolve_two_level(TwoLevelBlock(1, "simon"), sched)
-    mat = assemble_simon(oracle, phi0, phi1).as_matrix()
-    for w in range(8):
-        for y in range(4):
-            assert simon_branch_amplitude(oracle, phi0, phi1, w, y) == pytest.approx(
-                complex(mat[w, y]), abs=1e-14
-            )
-
-
 def test_evolve_full_validation():
     mask = BvMask(2, 1)
     h = bv_interpolated(mask)
@@ -292,7 +279,7 @@ def test_assemble_capacity_checked_before_allocation():
     with pytest.raises(CapacityError):
         assemble_bv(BvMask(26, 1), E0, E1)
     with pytest.raises(CapacityError):
-        assemble_simon(simon_build(14, 1, materialize_table=False), E0, E1)
+        assemble_simon(simon_build(14, 1), E0, E1)
 
 
 def test_assemble_rejects_unnormalized_branches():

@@ -120,9 +120,8 @@ def test_rows_from_ideal_sampler_recover_planted_mask():
         n, a = 5, 0b10110
         oracle = simon_build(n, a)
         m = Gf2Matrix(n)
-        rng = RandomSource(seed)
         for shot in range(200):
-            m.add_row(simon_sample_factored(oracle, e0, e1, rng.derive(shot)))
+            m.add_row(simon_sample_factored(oracle, e0, e1, RandomSource(seed, 1 + shot)))
             if rank(m) == n - 1:
                 break
         result = recover_mask(m)

@@ -335,22 +335,6 @@ def test_steps_ceiling():
         RunConfig(problem="bv", n=4, steps=(1 << 20) + 1).validate()
 
 
-@pytest.mark.parametrize("scramble_seed", [None, 3])
-def test_run_simon_builds_no_oracle_table(monkeypatch, scramble_seed):
-    # neither factored sampler reads the 2^n lookup table, so none is built
-    built = []
-
-    def spy(*args, **kwargs):
-        oracle = simon_build(*args, **kwargs)
-        built.append(oracle)
-        return oracle
-
-    monkeypatch.setattr(protocols, "simon_build", spy)
-    report = run_simon(RunConfig(problem="simon", n=12, seed=1, scramble_seed=scramble_seed))
-    assert report.success
-    assert len(built) == 1 and built[0].table is None
-
-
 @pytest.mark.parametrize("n,scramble_seed,a,runs,fidelity", [
     (12, None, 218, 11, 0.9957656663377655),
     (12, 7, 218, 11, 0.9957656663377655),
@@ -365,4 +349,21 @@ def test_seeded_simon_reports_unchanged(n, scramble_seed, a, runs, fidelity):
     report = run_simon(RunConfig(problem="simon", n=n, seed=100 + n, scramble_seed=scramble_seed))
     assert report.success and report.recovered_a == a
     assert report.quantum_runs == report.rows_collected == runs
+    assert report.per_run_fidelity == fidelity
+
+
+@pytest.mark.parametrize("fields,a,restarts,fidelity", [
+    (dict(n=8, seed=108), 47, 0, 0.999614317681829),
+    (dict(n=16, seed=116), 37700, 2, 0.999614317681829),
+    (dict(n=60, seed=160), 14234013176458300, 1, 0.999614317681829),
+    (dict(n=4, a=0, seed=3), 0, 4, 0.999614317681829),
+    (dict(n=12, seed=7, total_time=5.0, steps=500), 670, 1, 0.8389771197853385),
+    (dict(n=5, seed=105, total_time=5.0, steps=500, path="full"), 5, 0, 0.8389771197853415),
+], ids=["n8", "n16", "n60", "a0", "T5", "full"])
+def test_seeded_bv_reports(fields, a, restarts, fidelity):
+    # fidelity recorded under schema 4 (two fidelity formulas) and unchanged;
+    # restarts recorded under schema 5, where a shot is one row-bit draw
+    report = run_bv(RunConfig(problem="bv", **fields))
+    assert report.success and report.recovered_a == a
+    assert report.restarts == restarts and report.quantum_runs == restarts + 1
     assert report.per_run_fidelity == fidelity

@@ -1,4 +1,4 @@
-"""State-vector kernel tests: tensor assembly, inner products, FWHT, operators."""
+"""State-vector kernel tests: index convention, inner products, FWHT."""
 
 import numpy as np
 import pytest
@@ -6,53 +6,19 @@ import pytest
 from adiabatic_sim.errors import CapacityError, DomainError, ShapeError
 from adiabatic_sim.qstate import (
     HADAMARD,
-    SIGMA_X,
-    SIGMA_Z,
     StateVector,
-    apply,
-    basis_state,
-    bit,
     fidelity,
     fwht_subsystem,
     inner,
     plus_state,
-    random_state,
-    tensor,
 )
+from helpers import random_state
 
 S2 = 1.0 / np.sqrt(2.0)
 
 
 def qubit(b: int) -> StateVector:
-    return basis_state(1, 0, b)
-
-
-def test_tensor_basis_bookkeeping():
-    psi = tensor(qubit(0), qubit(1))
-    expected = np.array([0, 1, 0, 0], dtype=complex)
-    np.testing.assert_allclose(psi.amps, expected, atol=1e-15)
-    assert psi.num_qubits == 2
-
-
-def test_tensor_plus_plus_uniform():
-    plus = plus_state(1, 0)
-    psi = tensor(plus, plus)
-    np.testing.assert_allclose(psi.amps, 0.5, atol=1e-15)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_tensor_preserves_norm(seed):
-    u = random_state(2, 1, seed)
-    v = random_state(1, 1, seed + 100)
-    psi = tensor(u, v)
-    assert abs(np.sum(np.abs(psi.amps) ** 2) - 1.0) < 1e-12
-
-
-def test_tensor_capacity_cap():
-    u = random_state(7, 0, 0)
-    v = random_state(7, 0, 1)
-    with pytest.raises(CapacityError):
-        tensor(u, v, cap=13)
+    return StateVector(1, 0, np.eye(2)[b])
 
 
 def test_inner_orthonormality():
@@ -120,41 +86,24 @@ def test_fwht_preserves_norm():
     assert abs(out.norm_sq() - 1.0) <= 1e-12
 
 
-def test_apply_identity_and_paulis():
-    psi = random_state(1, 0, 11)
-    same = apply(np.eye(2), psi)
-    np.testing.assert_allclose(same.amps, psi.amps, atol=1e-15)
-
-    one = qubit(1)
-    flipped = apply(SIGMA_Z, one)
-    np.testing.assert_allclose(flipped.amps, -one.amps, atol=1e-15)
-
-    plus = StateVector(1, 0, np.array([S2, S2]))
-    assert np.max(np.abs(apply(SIGMA_X, plus).amps - plus.amps)) < 1e-15
-
-
-def test_apply_shape_mismatch():
-    with pytest.raises(ShapeError):
-        apply(np.eye(4), qubit(0))
-
-
 def test_basis_convention_round_trip():
-    # encoding an integer then reading bit k reproduces the bit, and the
-    # tensor chain of single qubits lands on the same index
-    for n in (1, 2, 3, 6):
-        for w in range(1 << n):
-            assert all(bit(w, k) == (w >> k) & 1 for k in range(n))
+    # bit k of a label is qubit k, and a Kronecker chain of single qubits,
+    # highest bit first, lands on that label's index
     for w in range(8):
-        chain = qubit(bit(w, 2))
-        chain = tensor(chain, qubit(bit(w, 1)))
-        chain = tensor(chain, qubit(bit(w, 0)))
-        direct = basis_state(3, 0, w)
-        np.testing.assert_allclose(chain.amps, direct.amps, atol=1e-15)
-    for w in range(1 << 12):
-        assert all(bit(w, k) == (w >> k) & 1 for k in range(12))
-    for w in (0, 1, 4095, 2742):
-        psi = basis_state(12, 0, w)
-        assert psi.amps[w] == 1.0
+        chain = np.ones(1)
+        for k in (2, 1, 0):
+            chain = np.kron(chain, qubit((w >> k) & 1).amps)
+        assert np.flatnonzero(chain).tolist() == [w]
+    # register A indexes rows: index = w * 2**n_b + y
+    psi = StateVector(2, 1, np.kron(np.eye(4)[0b10], np.eye(2)[1]))
+    assert np.flatnonzero(psi.amps).tolist() == [0b10 * 2 + 1]
+    assert psi.as_matrix()[0b10, 1] == 1.0
+
+
+def test_plus_state_is_uniform_and_capped():
+    np.testing.assert_allclose(plus_state(2, 1).amps, 8 ** -0.5, atol=1e-15)
+    with pytest.raises(CapacityError):
+        plus_state(7, 7, cap=13)
 
 
 def test_state_vector_validation():
@@ -162,8 +111,6 @@ def test_state_vector_validation():
         StateVector(1, 1, np.zeros(3, dtype=complex))
     with pytest.raises(DomainError):
         StateVector(1, 0, np.array([np.nan, 0.0]))
-    with pytest.raises(DomainError):
-        basis_state(1, 0, 5)
 
 
 def test_fidelity_of_identical_states():
