@@ -24,16 +24,17 @@ import numpy as np
 from . import __version__
 from .errors import SimulatorError
 from .evolution import Schedule, assemble_simon, evolve_full
-from .hamiltonians import (
-    DENSE_OPERATOR_CAP,
-    TwoLevelBlock,
-    bv_interpolated,
-    gap,
-    gap_table,
-    simon_interpolated,
-)
+from .hamiltonians import TwoLevelBlock, bv_interpolated, gap, gap_table, simon_interpolated
 from .oracles import BvMask, simon_build
-from .protocols import RunConfig, branch_pair, resolve_config, run_bv, run_simon, sweep
+from .protocols import (
+    MAX_STEPS,
+    RunConfig,
+    branch_pair,
+    resolve_config,
+    run_bv,
+    run_simon,
+    sweep,
+)
 from .qstate import plus_state
 
 SCHEMA_VERSION = "5"
@@ -200,8 +201,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_gap(args: argparse.Namespace) -> int:
     seed = _seed(args)
-    if args.grid < 3:
-        raise UsageError("--grid must be at least 3")
+    if not 3 <= args.grid <= MAX_STEPS:
+        raise UsageError(f"--grid must be between 3 and {MAX_STEPS}")
     try:
         if args.two_level:
             points = np.linspace(0.0, 1.0, args.grid)
@@ -211,9 +212,9 @@ def cmd_gap(args: argparse.Namespace) -> int:
                 raise UsageError("--n is required unless --two-level is given")
             a = resolve_config(RunConfig(args.problem, args.n, args.a, seed=seed)).a
             if args.problem == "bv":
-                h = bv_interpolated(BvMask(args.n, a), cap=DENSE_OPERATOR_CAP)
+                h = bv_interpolated(BvMask(args.n, a))
             else:
-                h = simon_interpolated(simon_build(args.n, a), cap=DENSE_OPERATOR_CAP)
+                h = simon_interpolated(simon_build(args.n, a))
             table = gap_table(h, args.grid)
     except SimulatorError as exc:
         raise UsageError(str(exc))

@@ -9,12 +9,12 @@ class ShapeError(SimulatorError):
     """Dimension mismatch between states or operators."""
 
 
-class CapacityError(SimulatorError):
-    """Requested object exceeds the configured qubit/memory cap."""
-
-
 class DomainError(SimulatorError):
     """Argument outside its valid range."""
+
+
+class CapacityError(DomainError):
+    """A 2^n array or dense operator above its qubit cap, refused before allocation."""
 
 
 class PromiseError(SimulatorError):

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, IntegrationError, ShapeError
 from .hamiltonians import InterpolatedHamiltonian, TwoLevelBlock
 from .oracles import BvMask, SimonOracle, simon_eval_all
-from .qstate import DEFAULT_QUBIT_CAP, StateVector, check_capacity, fidelity
+from .qstate import StateVector, check_capacity, fidelity
 
 # A run whose norm drifts past this is reported as an integration failure.
 NORM_DRIFT_LIMIT = 1e-6
@@ -259,42 +259,31 @@ def check_branch_vector(phi: np.ndarray) -> np.ndarray:
     return phi
 
 
-def assemble_bv(
-    mask: BvMask,
-    phi0: np.ndarray,
-    phi1: np.ndarray,
-    cap: int = DEFAULT_QUBIT_CAP,
+def _assemble(
+    n: int, m: int, outputs: np.ndarray, phi0: np.ndarray, phi1: np.ndarray
 ) -> StateVector:
-    """Product-form final state 2^(-n/2) sum_w |w> (x) phi_f(w)."""
+    """2^(-n/2) sum_w |w> (x) phi_f_1(w) ... phi_f_m(w), given the m-bit outputs f(w)."""
     phi0 = check_branch_vector(phi0)
     phi1 = check_branch_vector(phi1)
-    n = mask.n
-    check_capacity(n + 1, cap)
-    w_all = np.arange(1 << n)
-    f = (np.bitwise_count(w_all & mask.a) & 1).astype(bool)
-    amps = np.where(f[:, None], phi1[None, :], phi0[None, :]) / math.sqrt(1 << n)
-    return StateVector(n, 1, amps.reshape(-1))
+    # branch_states[f, y] = prod_k phi_{f_k}[y_k]: a Kronecker power of the
+    # 2x2 table P[b, i] = phi_b[i].
+    pair = np.vstack([phi0, phi1])
+    branch_states = reduce(np.kron, [pair] * m)
+    amps = branch_states[outputs, :] / math.sqrt(1 << n)
+    return StateVector(n, m, amps.reshape(-1))
 
 
-def assemble_simon(
-    oracle: SimonOracle,
-    phi0: np.ndarray,
-    phi1: np.ndarray,
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> StateVector:
+def assemble_bv(mask: BvMask, phi0: np.ndarray, phi1: np.ndarray) -> StateVector:
+    """Product-form final state 2^(-n/2) sum_w |w> (x) phi_f(w)."""
+    check_capacity(mask.n + 1)
+    parity = np.bitwise_count(np.arange(1 << mask.n) & mask.a) & 1
+    return _assemble(mask.n, 1, parity, phi0, phi1)
+
+
+def assemble_simon(oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray) -> StateVector:
     """Product-form final state 2^(-n/2) sum_w |w> (x) (phi_g_0(w) ... phi_g_m(w)).
 
     Materializes all 2^(2n-1) amplitudes.
     """
-    phi0 = check_branch_vector(phi0)
-    phi1 = check_branch_vector(phi1)
-    n = oracle.n
-    m = n - 1
-    check_capacity(n + m, cap)
-    g = np.asarray(simon_eval_all(oracle))
-    # branch_states[g, y] = prod_k phi_{g_k}[y_k]: a Kronecker power of the
-    # 2x2 table P[b, i] = phi_b[i].
-    pair = np.vstack([phi0, phi1])
-    branch_states = reduce(np.kron, [pair] * m)
-    amps = branch_states[g, :] / math.sqrt(1 << n)
-    return StateVector(n, m, amps.reshape(-1))
+    check_capacity(2 * oracle.n - 1)
+    return _assemble(oracle.n, oracle.n - 1, simon_eval_all(oracle), phi0, phi1)

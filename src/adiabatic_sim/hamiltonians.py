@@ -12,8 +12,10 @@ register pair where A holds the oracle input w and B the output register.
 
 ``InterpolatedHamiltonian`` keeps only the problem diagonal and the register
 sizes; ``evolution.evolve_full`` applies H(s) to a state without a matrix.
-The dense builders and ``interpolate`` serve the gap scan and the tests, under
-DENSE_OPERATOR_CAP.
+Building one is refused above ``qstate.DENSE_QUBIT_CAP`` total qubits, the
+package's one memory rule.  The dense builders and ``interpolate`` serve the
+gap scan and the tests; ``_dense_driver`` refuses them above
+DENSE_OPERATOR_CAP, a run-time bound.
 
 Because H(s) is block diagonal in w and the B qubits are uncoupled, every
 branch reduces to independent two-level systems; ``two_level``/``gap`` expose
@@ -29,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .oracles import BvMask, SimonOracle, simon_eval_all
-from .qstate import DEFAULT_QUBIT_CAP, IDENTITY_2, SIGMA_X, SIGMA_Z, check_capacity
+from .qstate import IDENTITY_2, SIGMA_X, SIGMA_Z, check_capacity
 
-# Dense operators are for the gap scan (and tests) only; 2^12 x 2^12 is the
-# largest we build.  Time evolution never builds one.
+# Run time: the gap scan diagonalizes one 2^k x 2^k matrix per grid point, so
+# k is capped here.  Time evolution never builds a dense operator.
 DENSE_OPERATOR_CAP = 12
 
 
@@ -69,10 +71,10 @@ class TwoLevelBlock:
             raise DomainError(f"unknown block kind {self.kind!r}")
 
 
-def bv_interpolated(mask: BvMask, cap: int = DEFAULT_QUBIT_CAP) -> InterpolatedHamiltonian:
+def bv_interpolated(mask: BvMask) -> InterpolatedHamiltonian:
     """BV H(s): problem diagonal -1 at |w>|f(w)>, 0 elsewhere, on n+1 qubits."""
     n = mask.n
-    check_capacity(n + 1, cap)
+    check_capacity(n + 1)
     diag = np.zeros(1 << (n + 1))
     w_all = np.arange(1 << n)
     f = np.bitwise_count(w_all & mask.a) & 1
@@ -80,13 +82,11 @@ def bv_interpolated(mask: BvMask, cap: int = DEFAULT_QUBIT_CAP) -> InterpolatedH
     return InterpolatedHamiltonian(diag, (n, 1))
 
 
-def simon_interpolated(
-    oracle: SimonOracle, cap: int = DEFAULT_QUBIT_CAP
-) -> InterpolatedHamiltonian:
+def simon_interpolated(oracle: SimonOracle) -> InterpolatedHamiltonian:
     """Simon H(s): problem diagonal hamming(y, g(w)) at |w>|y>, on 2n-1 qubits."""
     n = oracle.n
     m = n - 1
-    check_capacity(n + m, cap)
+    check_capacity(n + m)
     g = np.asarray(simon_eval_all(oracle))
     y_all = np.arange(1 << m)
     dist = np.bitwise_count(np.bitwise_xor(g[:, None], y_all[None, :]))
@@ -96,7 +96,10 @@ def simon_interpolated(
 def _dense_driver(dims: tuple[int, int]) -> np.ndarray:
     """Dense H_d = 1/2 sum_k (1 - sigma_x^k) on the n_b output qubits, identity on A."""
     n_a, n_b = dims
-    check_capacity(n_a + n_b, DENSE_OPERATOR_CAP)
+    if n_a + n_b > DENSE_OPERATOR_CAP:
+        raise CapacityError(
+            f"a dense operator on {n_a + n_b} qubits exceeds the cap of {DENSE_OPERATOR_CAP}"
+        )
     y = np.arange(1 << n_b)
     b_part = np.zeros((1 << n_b, 1 << n_b))
     b_part[y, y] = 0.5 * n_b
@@ -107,7 +110,7 @@ def _dense_driver(dims: tuple[int, int]) -> np.ndarray:
 
 def bv_problem(mask: BvMask) -> np.ndarray:
     """Dense diagonal BV problem Hamiltonian on n+1 qubits."""
-    return np.diag(bv_interpolated(mask, cap=DENSE_OPERATOR_CAP).problem_diag)
+    return interpolate(bv_interpolated(mask), 1.0)
 
 
 def bv_driver(n: int) -> np.ndarray:
@@ -117,7 +120,7 @@ def bv_driver(n: int) -> np.ndarray:
 
 def simon_problem(oracle: SimonOracle) -> np.ndarray:
     """Dense diagonal Simon problem Hamiltonian: Hamming distance to g(w) on the B register."""
-    return np.diag(simon_interpolated(oracle, cap=DENSE_OPERATOR_CAP).problem_diag)
+    return interpolate(simon_interpolated(oracle), 1.0)
 
 
 def simon_driver(n: int) -> np.ndarray:

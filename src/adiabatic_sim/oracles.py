@@ -19,10 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, PromiseError
-
-# The label scramble, exhaustive evaluation and promise checks are capped here.
-TABLE_CAP_QUBITS = 20
+from .errors import DomainError, PromiseError
+from .qstate import check_capacity
 
 
 @dataclass(frozen=True)
@@ -89,8 +87,8 @@ def _canonical_g(n: int, a: int, pivot: int, w):
 def simon_build(n: int, a: int, scramble_seed: Optional[int] = None) -> SimonOracle:
     """Construct a Simon oracle for mask a, optionally scrambling output labels.
 
-    Scrambling requires materializing a permutation of 2**(n-1) labels and is
-    therefore capped at n <= TABLE_CAP_QUBITS.
+    Scrambling materializes a permutation of 2**(n-1) labels, so it is
+    refused (CapacityError) above ``qstate.DENSE_QUBIT_CAP`` input qubits.
     """
     if n < 2:
         raise DomainError("Simon oracle needs at least two bits")
@@ -100,10 +98,7 @@ def simon_build(n: int, a: int, scramble_seed: Optional[int] = None) -> SimonOra
 
     scramble = None
     if scramble_seed is not None:
-        if n > TABLE_CAP_QUBITS:
-            raise CapacityError(
-                f"scrambling materializes 2^{n - 1} labels; cap is n <= {TABLE_CAP_QUBITS}"
-            )
+        check_capacity(n)
         rng = np.random.default_rng(scramble_seed)
         scramble = rng.permutation(1 << (n - 1)).astype(np.int64)
         scramble.flags.writeable = False
@@ -152,10 +147,9 @@ def simon_orthogonal_row(oracle: SimonOracle, t: int) -> int:
     return ((t >> j) << (j + 1)) | (x_j << j) | (t & low_mask)
 
 
-def simon_eval_all(oracle: SimonOracle, cap: int = TABLE_CAP_QUBITS) -> np.ndarray:
-    """Vector of g(w) for all w < 2**n (refused above ``cap`` total input bits)."""
-    if oracle.n > cap:
-        raise CapacityError(f"exhaustive evaluation capped at n <= {cap}")
+def simon_eval_all(oracle: SimonOracle) -> np.ndarray:
+    """Vector of g(w) for all w < 2**n (refused above the dense-array cap)."""
+    check_capacity(oracle.n)
     w_all = np.arange(1 << oracle.n, dtype=np.int64)
     g = _canonical_g(oracle.n, oracle.a, oracle.pivot_bit, w_all)
     if oracle.scramble is not None:
@@ -174,8 +168,6 @@ def verify_promise(oracle: SimonOracle) -> PromiseReport:
 
     Returns a violating input pair as witness when the promise fails.
     """
-    if oracle.n > TABLE_CAP_QUBITS:
-        raise CapacityError(f"exhaustive promise check capped at n <= {TABLE_CAP_QUBITS}")
     g = simon_eval_all(oracle)
     seen: dict[int, int] = {}
     for w in range(1 << oracle.n):

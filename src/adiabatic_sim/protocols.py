@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -49,21 +49,20 @@ from .measurement import (
     simon_sample,
     simon_sample_factored,
 )
-from .oracles import TABLE_CAP_QUBITS, BvMask, SimonOracle, bv_eval, simon_build, simon_eval
-from .qstate import plus_state
+from .oracles import BvMask, SimonOracle, bv_eval, simon_build, simon_eval
+from .qstate import check_capacity, plus_state
 
 DEFAULT_TIME = 50.0
 DEFAULT_STEPS = 5000
 BV_MAX_REPEATS = 64
 SIMON_EXTRA_REPEATS = 40
-# Factored BV and unscrambled Simon read out in O(n) per shot with no 2^n
-# array; scrambled Simon is capped where simon_build caps its label scramble.
+# Integer width: factored BV and unscrambled Simon hold no 2^n array, but
+# masks are drawn as integers of at most 64 bits.  The full path (2^(input +
+# output qubits) amplitudes) and scrambled Simon (2^(n-1) labels) are bound
+# by qstate.check_capacity instead.
 FACTORED_CAP = 60
-# The full path steps a dense state of 2^total amplitudes, total = input plus
-# output qubits, applying H(s) without a matrix.
-FULL_CAP_QUBITS = 20
-# The full path runs one Python-level Lanczos step per schedule step; larger
-# step counts are refused.
+# Run time: the full path runs one Python-level Lanczos step per schedule
+# step, and the gap scan one diagonalization per grid point.
 MAX_STEPS = 1 << 20
 
 
@@ -85,19 +84,13 @@ class RunConfig:
         min_n = 1 if self.problem == "bv" else 2
         if self.n < min_n:
             raise DomainError(f"{self.problem} needs n >= {min_n}")
-        total = self.n + 1 if self.problem == "bv" else 2 * self.n - 1
         if self.path == "full":
-            if total > FULL_CAP_QUBITS:
-                raise DomainError(
-                    f"path=full steps a dense state on {total} qubits; "
-                    f"cap is {FULL_CAP_QUBITS}"
-                )
+            check_capacity(self.n + 1 if self.problem == "bv" else 2 * self.n - 1)
         elif self.path == "factored":
-            scrambled = self.problem == "simon" and self.scramble_seed is not None
-            cap = TABLE_CAP_QUBITS if scrambled else FACTORED_CAP
-            if self.n > cap:
-                kind = "scrambled simon" if scrambled else self.problem
-                raise DomainError(f"path=factored caps {kind} at n <= {cap}")
+            if self.problem == "simon" and self.scramble_seed is not None:
+                check_capacity(self.n)
+            elif self.n > FACTORED_CAP:
+                raise DomainError(f"path=factored caps {self.problem} at n <= {FACTORED_CAP}")
         else:
             raise DomainError(f"unknown path {self.path!r}")
         if self.a is not None:
@@ -163,33 +156,39 @@ def _factored_fidelity(phi0: np.ndarray, m: int) -> float:
     return abs(phi0[0] ** m) ** 2
 
 
+def _anneal(cfg: RunConfig, oracle: BvMask | SimonOracle) -> tuple:
+    """One anneal serves every shot of a run: (shot, fidelity); shot(rng) reads out once.
+
+    The factored path reads out from the memoized branch pair; the full path
+    steps the dense state from |+>|+> and reads out its final state.
+    """
+    if cfg.problem == "bv":
+        m, assemble, interpolated = 1, assemble_bv, bv_interpolated
+        factored_shot, full_shot = bv_sample_factored, bv_readout
+    else:
+        m, assemble, interpolated = cfg.n - 1, assemble_simon, simon_interpolated
+        factored_shot, full_shot = simon_sample_factored, simon_sample
+    if cfg.path == "factored":
+        phi0, phi1 = branch_pair(cfg.problem, cfg.total_time, cfg.steps)
+        return partial(factored_shot, oracle, phi0, phi1), _factored_fidelity(phi0, m)
+    sched = Schedule(cfg.total_time, cfg.steps)
+    target = assemble(oracle, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    result = evolve_full(interpolated(oracle), plus_state(cfg.n, m), sched, target)
+    return partial(full_shot, result.final_state), result.fidelity_to_target
+
+
 def run_bv(cfg: RunConfig) -> RunReport:
     """Repeat prepare/evolve/readout until the informative branch is seen."""
     cfg = resolve_config(cfg)
     if cfg.problem != "bv":
         raise DomainError("run_bv needs a bv config")
     t0 = time.perf_counter()
-    mask = BvMask(cfg.n, cfg.a)
-
-    final = None
-    if cfg.path == "factored":
-        phi0, phi1 = branch_pair("bv", cfg.total_time, cfg.steps)
-        fidelity_value = _factored_fidelity(phi0, 1)
-    else:
-        sched = Schedule(cfg.total_time, cfg.steps)
-        target = assemble_bv(mask, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        result = evolve_full(bv_interpolated(mask), plus_state(cfg.n, 1), sched, target)
-        final = result.final_state
-        fidelity_value = result.fidelity_to_target
+    shot, fidelity_value = _anneal(cfg, BvMask(cfg.n, cfg.a))
 
     restarts = 0
     recovered = None
     for attempt in range(cfg.max_repeats):
-        rng = RandomSource(cfg.seed, stream=1 + attempt)
-        if cfg.path == "factored":
-            readout = bv_sample_factored(mask, phi0, phi1, rng)
-        else:
-            readout = bv_readout(final, rng)
+        readout = shot(RandomSource(cfg.seed, stream=1 + attempt))
         if readout.restart:
             restarts += 1
             continue
@@ -214,32 +213,12 @@ def run_simon(cfg: RunConfig) -> RunReport:
     if cfg.problem != "simon":
         raise DomainError("run_simon needs a simon config")
     t0 = time.perf_counter()
-    oracle = simon_build(cfg.n, cfg.a, cfg.scramble_seed)
-
-    final = None
-    if cfg.path == "factored":
-        phi0, phi1 = branch_pair("simon", cfg.total_time, cfg.steps)
-        fidelity_value = _factored_fidelity(phi0, cfg.n - 1)
-    else:
-        sched = Schedule(cfg.total_time, cfg.steps)
-        ideal0 = np.array([1.0, 0.0])
-        ideal1 = np.array([0.0, 1.0])
-        target = assemble_simon(oracle, ideal0, ideal1)
-        result = evolve_full(
-            simon_interpolated(oracle), plus_state(cfg.n, cfg.n - 1), sched, target
-        )
-        final = result.final_state
-        fidelity_value = result.fidelity_to_target
+    shot, fidelity_value = _anneal(cfg, simon_build(cfg.n, cfg.a, cfg.scramble_seed))
 
     system = Gf2Matrix(cfg.n)
     runs = 0
     while runs < cfg.max_repeats and system.rank < cfg.n - 1:
-        rng = RandomSource(cfg.seed, stream=1 + runs)
-        if cfg.path == "factored":
-            row = simon_sample_factored(oracle, phi0, phi1, rng)
-        else:
-            row = simon_sample(final, rng)
-        system.add_row(row)
+        system.add_row(shot(RandomSource(cfg.seed, stream=1 + runs)))
         runs += 1
 
     recovered = None

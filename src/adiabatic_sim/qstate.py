@@ -12,6 +12,13 @@ spin-up (+z) state, so sigma_z |0> = +|0>.
 
 Everything here is a pure function on immutable inputs; no operation writes
 to its arguments.
+
+``check_capacity`` is the one memory rule of the package.  The factored path
+holds no 2^n array; only three objects do: the full path's state (and its
+Krylov vectors), the gap scan's Hamiltonian and a scrambled Simon oracle's
+label table.  Each is refused above DENSE_QUBIT_CAP qubits before anything
+is allocated.  (The gap scan's dense matrices have a tighter run-time bound,
+``hamiltonians.DENSE_OPERATOR_CAP``.)
 """
 
 from __future__ import annotations
@@ -23,8 +30,10 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeError
 
-# Dense states above this many total qubits are refused to bound memory.
-DEFAULT_QUBIT_CAP = 26
+# Memory: no array of 2^n entries is built above this many qubits.  At the
+# cap the full path holds KRYLOV_MAX + 1 Krylov vectors of 2^20 amplitudes,
+# 272 MiB.
+DENSE_QUBIT_CAP = 20
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -34,10 +43,11 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) * SQRT_HALF
 
 
-def check_capacity(total_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
-    if total_qubits > cap:
+def check_capacity(qubits: int) -> None:
+    """Refuse a dense array over ``qubits`` qubits above DENSE_QUBIT_CAP."""
+    if qubits > DENSE_QUBIT_CAP:
         raise CapacityError(
-            f"{total_qubits} qubits exceeds the dense-array cap of {cap}"
+            f"a dense array on {qubits} qubits exceeds the cap of {DENSE_QUBIT_CAP}"
         )
 
 
@@ -83,12 +93,10 @@ class StateVector:
         return self.amps.reshape(1 << self.num_qubits_a, 1 << self.num_qubits_b)
 
 
-def plus_state(
-    num_qubits_a: int, num_qubits_b: int, cap: int = DEFAULT_QUBIT_CAP
-) -> StateVector:
+def plus_state(num_qubits_a: int, num_qubits_b: int) -> StateVector:
     """|+>^(n_a) (x) |+>^(n_b): the uniform superposition with all-positive amplitudes."""
     total = num_qubits_a + num_qubits_b
-    check_capacity(total, cap)
+    check_capacity(total)
     dim = 1 << total
     amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     return StateVector(num_qubits_a, num_qubits_b, amps)

@@ -225,6 +225,8 @@ def test_missing_subcommand_is_usage_error(capsys):
     ("bv", "--n", "4", "--time", "1e6"),
     ("sweep", "--axis", "steps", "--values", "2000000", "--problem", "bv", "--trials", "1"),
     ("gap", "--problem", "bv", "--n", "25"),
+    ("gap", "--problem", "simon", "--n", "7"),
+    ("gap", "--two-level", "--grid", "1048577"),
 ])
 def test_bad_inputs_are_one_line_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

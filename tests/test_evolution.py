@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from adiabatic_sim import evolution
-from adiabatic_sim.errors import CapacityError, DomainError, IntegrationError, ShapeError
+from adiabatic_sim.errors import DomainError, IntegrationError, ShapeError
 from adiabatic_sim.evolution import (
     Schedule,
     assemble_bv,
@@ -273,13 +273,6 @@ def test_full_drift_check_fails_on_nan(monkeypatch):
     monkeypatch.setattr(evolution, "_krylov_step", last_step_nan)
     with pytest.raises(IntegrationError):
         evolve_full(bv_interpolated(BvMask(2, 1)), plus_state(2, 1), sched)
-
-
-def test_assemble_capacity_checked_before_allocation():
-    with pytest.raises(CapacityError):
-        assemble_bv(BvMask(26, 1), E0, E1)
-    with pytest.raises(CapacityError):
-        assemble_simon(simon_build(14, 1), E0, E1)
 
 
 def test_assemble_rejects_unnormalized_branches():

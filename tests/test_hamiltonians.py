@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from adiabatic_sim.errors import CapacityError, DomainError
+from adiabatic_sim.errors import DomainError
 from adiabatic_sim.hamiltonians import (
     TwoLevelBlock,
     bv_driver,
@@ -244,12 +244,3 @@ def test_min_gap_scan_simon():
 def test_min_gap_scan_grid_too_small():
     with pytest.raises(DomainError):
         min_gap_scan(bv_interpolated(BvMask(2, 2)), grid=2)
-
-
-def test_dense_operators_refused_above_cap_before_allocation():
-    # the matrix-free Hamiltonian exists at 20 qubits; its dense form does not
-    h = bv_interpolated(BvMask(19, 3))
-    with pytest.raises(CapacityError):
-        interpolate(h, 0.5)
-    with pytest.raises(CapacityError):
-        min_gap_scan(h, grid=5)

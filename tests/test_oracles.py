@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adiabatic_sim.errors import CapacityError, DomainError, PromiseError
+from adiabatic_sim.errors import DomainError, PromiseError
 from adiabatic_sim.oracles import (
     BvMask,
     SimonOracle,
@@ -114,17 +114,6 @@ def test_simon_image_is_all_outputs(n, a, seed):
     oracle = simon_build(n, a, scramble_seed=seed)
     outputs = np.unique(np.asarray(simon_eval_all(oracle)))
     assert outputs.size == 1 << (n - 1)
-
-
-def test_verify_promise_capacity():
-    oracle = simon_build(21, 1)
-    with pytest.raises(CapacityError):
-        verify_promise(oracle)
-
-
-def test_scramble_capacity():
-    with pytest.raises(CapacityError):
-        simon_build(21, 1, scramble_seed=0)
 
 
 def test_hamming_cases():

@@ -5,6 +5,7 @@ import pytest
 
 from adiabatic_sim.errors import CapacityError, DomainError, ShapeError
 from adiabatic_sim.qstate import (
+    DENSE_QUBIT_CAP,
     HADAMARD,
     StateVector,
     fidelity,
@@ -103,7 +104,7 @@ def test_basis_convention_round_trip():
 def test_plus_state_is_uniform_and_capped():
     np.testing.assert_allclose(plus_state(2, 1).amps, 8 ** -0.5, atol=1e-15)
     with pytest.raises(CapacityError):
-        plus_state(7, 7, cap=13)
+        plus_state(DENSE_QUBIT_CAP, 1)
 
 
 def test_state_vector_validation():
