@@ -21,8 +21,9 @@ the uniform is below q):
 * ``bv_sample_factored``, one draw per shot.  z = 0 restarts; z = 1 leaves
   the input register on the Walsh point a, which is returned.
 * ``simon_sample_factored``, the row x = L^T z for an unscrambled (linear)
-  oracle, O(n) per shot; for a scrambled one, one real Walsh transform on
-  2^(n-1) labels and then one uniform for the row.
+  oracle, O(n) per shot; for a scrambled one, one uniform for the row and a
+  bit-by-bit descent through the Walsh spectrum of 2^(n-1) labels, O(2^(n-1))
+  per row.
 """
 
 from __future__ import annotations
@@ -39,9 +40,16 @@ from .oracles import BvMask, SimonOracle, simon_dual_row, simon_eval_all, simon_
 from .qstate import StateVector, fwht_subsystem, _fwht_inplace
 
 
+# Seeds each new Philox before its key and counter are set through its state:
+# Philox(key=...) reads OS entropy for an unused seed sequence, once per shot.
+_FIXED_SEED_SEQUENCE = np.random.SeedSequence(0)
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+
+
 class RandomSource:
     """Seeded counter-based random stream (numpy Philox under the hood).
 
+    The Philox key is (seed, stream) mod 2^64 and the counter starts at zero.
     Distinct streams of one seed are independent; the draw counter is
     informational, for run-record provenance.
     """
@@ -53,7 +61,16 @@ class RandomSource:
             [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
             dtype=np.uint64,
         )
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        bit_generator = np.random.Philox(_FIXED_SEED_SEQUENCE)
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_COUNTER, "key": key},
+            "buffer": _ZERO_COUNTER,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._gen = np.random.Generator(bit_generator)
         self.draws = 0
 
     def uniform(self) -> float:
@@ -235,6 +252,38 @@ def _row_bits(phi0: np.ndarray, phi1: np.ndarray, bits: int, rng: RandomSource) 
     return z
 
 
+def _walsh_descent(v: np.ndarray, u: float) -> int:
+    """The label t whose Walsh mass S(t)^2 holds u of the total, t in natural order.
+
+    S is the unnormalized Walsh transform of the integer-valued ``v`` (length
+    N = 2^k), overwritten here.  t is chosen from its top bit down: splitting
+    v into halves lo and hi, the labels with that bit 0 are the spectrum of
+    lo + hi, of mass (N/2) ||lo + hi||^2 by Parseval, and those with it 1 the
+    spectrum of lo - hi.  Each level halves v, so the whole draw is O(N).
+    With v = +-1 every mass is an integer of at most N^2 <= 2^38 and u N^2 is
+    exact, so the float64 comparisons are exact: this is the inverse CDF
+    ``searchsorted`` would read off the whole spectrum.
+    """
+    target = u * float(v.size) ** 2
+    t = 0
+    while v.size > 1:
+        half = v.size // 2
+        lo, hi = v[:half], v[half:]
+        lo += hi
+        # einsum sums in numpy; a BLAS dot may wake its threads on long vectors
+        left = half * float(np.einsum("i,i->", lo, lo))
+        t <<= 1
+        if target >= left:
+            target -= left
+            lo -= hi
+            lo -= hi
+            t |= 1
+        v = lo
+    if v[0] == 0:
+        raise ResampleError("sampled a zero-probability branch")
+    return t
+
+
 def simon_sample_factored(
     oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray, rng: RandomSource
 ) -> int:
@@ -249,13 +298,14 @@ def simon_sample_factored(
     x . a = 0, and on x . a = 0 it is, up to a factor, the transform of
     s(u) = (-1)^(z . scramble[u]) over the 2^(n-1) canonical labels u, taken
     at x without its pivot bit.  That mixture needs a real overlap
-    <phi_0|phi_1>, as phi_1 = sigma_x phi_0 gives.
+    <phi_0|phi_1>, as phi_1 = sigma_x phi_0 gives.  One more uniform picks
+    the label by a bit-by-bit descent through that spectrum, O(2^(n-1)),
+    without transforming it whole.
     """
     z = _row_bits(phi0, phi1, oracle.n - 1, rng)
     if oracle.scramble is None:
         return simon_dual_row(oracle, z)
     if abs(np.vdot(phi0, phi1).imag) > 1e-9:
         raise DomainError("scrambled Simon sampling needs a real branch overlap <phi_0|phi_1>")
-    spectrum = 1.0 - 2.0 * (np.bitwise_count(oracle.scramble & z) & 1)
-    _fwht_inplace(spectrum)
-    return simon_orthogonal_row(oracle, rng.sample_index(spectrum**2))
+    signs = 1.0 - 2.0 * (np.bitwise_count(oracle.scramble & z) & 1)
+    return simon_orthogonal_row(oracle, _walsh_descent(signs, rng.uniform()))

@@ -98,6 +98,8 @@ def simon_build(n: int, a: int, scramble_seed: Optional[int] = None) -> SimonOra
 
     scramble = None
     if scramble_seed is not None:
+        if scramble_seed < 0:
+            raise DomainError(f"scramble_seed must be non-negative, got {scramble_seed}")
         check_capacity(n)
         rng = np.random.default_rng(scramble_seed)
         scramble = rng.permutation(1 << (n - 1)).astype(np.int64)

@@ -6,9 +6,10 @@ two branch qubits and samples the product state's readout from them),
 measure, repeat per the algorithm's rule, and reduce the collected outcomes
 to a mask candidate.  Every factored readout first draws the output
 register's x outcome, one uniform per output qubit: a BV shot is that one
-draw, an unscrambled Simon row is O(n), and a scrambled Simon row adds one
-real Walsh transform on 2^(n-1) labels; see ``measurement``.  The factored
-fidelity is |phi_0[0]^m|^2 for m output qubits.
+draw, an unscrambled Simon row is O(n), and a scrambled Simon row adds a
+bit-by-bit descent through the Walsh spectrum of 2^(n-1) labels, O(2^(n-1))
+per row; see ``measurement``.  The factored fidelity is |phi_0[0]^m|^2 for
+m output qubits.
 
 Randomness discipline (everything derives from RunConfig.seed):
   stream 0          draws the mask when ``a`` is None (one integer draw),
@@ -28,7 +29,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .measurement import (
     simon_sample_factored,
 )
 from .oracles import BvMask, SimonOracle, bv_eval, simon_build, simon_eval
-from .qstate import check_capacity, plus_state
+from .qstate import StateVector, check_capacity, plus_state
 
 DEFAULT_TIME = 50.0
 DEFAULT_STEPS = 5000
@@ -104,6 +105,8 @@ class RunConfig:
             raise DomainError(f"steps must be between 1 and {MAX_STEPS}")
         if self.max_repeats is not None and self.max_repeats < 1:
             raise DomainError("max_repeats must be at least 1")
+        if self.scramble_seed is not None and self.scramble_seed < 0:
+            raise DomainError(f"scramble_seed must be non-negative, got {self.scramble_seed}")
 
 
 def resolve_config(cfg: RunConfig) -> RunConfig:
@@ -156,11 +159,16 @@ def _factored_fidelity(phi0: np.ndarray, m: int) -> float:
     return abs(phi0[0] ** m) ** 2
 
 
-def _anneal(cfg: RunConfig, oracle: BvMask | SimonOracle) -> tuple:
+def _anneal(
+    cfg: RunConfig,
+    oracle: BvMask | SimonOracle,
+    on_final_state: Optional[Callable[[StateVector], None]] = None,
+) -> tuple:
     """One anneal serves every shot of a run: (shot, fidelity); shot(rng) reads out once.
 
     The factored path reads out from the memoized branch pair; the full path
-    steps the dense state from |+>|+> and reads out its final state.
+    steps the dense state from |+>|+>, hands it to ``on_final_state`` if
+    given, and reads out its final state.
     """
     if cfg.problem == "bv":
         m, assemble, interpolated = 1, assemble_bv, bv_interpolated
@@ -174,6 +182,8 @@ def _anneal(cfg: RunConfig, oracle: BvMask | SimonOracle) -> tuple:
     sched = Schedule(cfg.total_time, cfg.steps)
     target = assemble(oracle, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     result = evolve_full(interpolated(oracle), plus_state(cfg.n, m), sched, target)
+    if on_final_state is not None:
+        on_final_state(result.final_state)
     return partial(full_shot, result.final_state), result.fidelity_to_target
 
 
@@ -207,13 +217,21 @@ def run_bv(cfg: RunConfig) -> RunReport:
     )
 
 
-def run_simon(cfg: RunConfig) -> RunReport:
-    """Collect orthogonal rows until they pin the mask down, then solve."""
+def run_simon(
+    cfg: RunConfig, on_final_state: Optional[Callable[[StateVector], None]] = None
+) -> RunReport:
+    """Collect orthogonal rows until they pin the mask down, then solve.
+
+    On the full path, ``on_final_state`` (if given) receives the annealed
+    state before the first shot.
+    """
     cfg = resolve_config(cfg)
     if cfg.problem != "simon":
         raise DomainError("run_simon needs a simon config")
     t0 = time.perf_counter()
-    shot, fidelity_value = _anneal(cfg, simon_build(cfg.n, cfg.a, cfg.scramble_seed))
+    shot, fidelity_value = _anneal(
+        cfg, simon_build(cfg.n, cfg.a, cfg.scramble_seed), on_final_state
+    )
 
     system = Gf2Matrix(cfg.n)
     runs = 0

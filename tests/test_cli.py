@@ -97,6 +97,27 @@ def test_simon_compare_factored(capsys):
     assert record["results"]["max_factored_deviation"] <= 1e-8
 
 
+def test_simon_compare_factored_evolves_once(capsys, monkeypatch):
+    from adiabatic_sim import cli, evolution, protocols
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evolve_full(*args, **kwargs)
+
+    evolve_full = evolution.evolve_full
+    for module in (evolution, protocols, cli):
+        monkeypatch.setattr(module, "evolve_full", counted, raising=False)
+    code, out, _ = run_cli(
+        capsys, "simon", "--n", "4", "--a", "9", "--path", "full", "--time", "5",
+        "--steps", "200", "--compare-factored", "--seed", "2",
+    )
+    assert code == 0 and len(calls) == 1
+    # a separate evolve_full on the same config gives this value
+    assert json.loads(out)["results"]["max_factored_deviation"] == 4.160745015512004e-15
+
+
 def test_simon_compare_factored_requires_full_path(capsys):
     code, _, err = run_cli(capsys, "simon", "--n", "3", "--compare-factored")
     assert code == 1
@@ -220,6 +241,9 @@ def test_missing_subcommand_is_usage_error(capsys):
     ("sweep", "--axis", "T", "--values", "inf", "--problem", "bv", "--trials", "1"),
     ("simon", "--n", "25", "--scramble-seed", "1"),
     ("simon", "--n", "21", "--scramble-seed", "1"),
+    ("simon", "--n", "4", "--scramble-seed", "-1"),
+    ("sweep", "--axis", "T", "--values", "1,2", "--problem", "simon", "--scramble-seed", "-3",
+     "--trials", "1"),
     ("bv", "--n", "20", "--path", "full"),
     ("simon", "--n", "11", "--path", "full"),
     ("bv", "--n", "4", "--time", "1e6"),

@@ -1,6 +1,7 @@
 """Measurement, collapse, readout, and the factored Simon sampler."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ def test_random_source_reproducible():
     c = RandomSource(123, 1)
     d = RandomSource(123, 2)
     assert c.uniform() != d.uniform()
+
+
+@pytest.mark.parametrize("seed,stream,first_uniform,first_integer,second_integer", [
+    (0, 0, 0.011546754286331562, 213000021201967259, 611),
+    (7, 1, 0.8824668302545412, 16278639771243212573, 401),
+    (2**63 + 5, 12, 0.7877979360856285, 14532306908768185259, 42),
+    (-3, 2**64 + 1, 0.17082794953706038, 3151219465746724501, 710),
+])
+def test_random_source_draws_are_pinned(seed, stream, first_uniform, first_integer, second_integer):
+    # the Philox key is (seed, stream) mod 2^64 with a zero counter
+    assert RandomSource(seed, stream).uniform() == first_uniform
+    rng = RandomSource(seed, stream)
+    assert [rng.randrange(1 << 64), rng.randrange(1000)] == [first_integer, second_integer]
 
 
 def test_sample_index_zero_weights():
@@ -350,21 +364,27 @@ def test_linear_simon_sampler_draws_one_uniform_per_output_bit():
 
 
 class ScriptedRowBits(RandomSource):
-    """Forces the row bits z (uniform 0 sets a bit, 1 clears it) and keeps the row weights."""
+    """Forces the row bits z (uniform 0 sets a bit, 1 clears it), then draws ``row_uniform``."""
 
-    def __init__(self, z: int):
+    def __init__(self, z: int, m: int, row_uniform: float = 0.0):
         super().__init__(0)
-        self.z = z
-        self.weights = None
+        self.z, self.m, self.row_uniform = z, m, row_uniform
 
     def uniform(self) -> float:
-        bit = (self.z >> self.draws) & 1
+        k = self.draws
         self.draws += 1
-        return 0.0 if bit else 1.0
+        if k < self.m:
+            return 0.0 if (self.z >> k) & 1 else 1.0
+        return self.row_uniform
 
-    def sample_index(self, probs: np.ndarray) -> int:
-        self.weights = probs / probs.sum()
-        return 0
+
+def walsh_masses(scramble: np.ndarray, z: int) -> np.ndarray:
+    """S(t)^2 for s(u) = (-1)^(z . scramble[u]), by the Sylvester Hadamard matrix."""
+    hadamard = np.ones((1, 1))
+    while hadamard.shape[0] < scramble.size:
+        hadamard = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]), hadamard)
+    signs = np.array([1.0 - 2.0 * ((int(label) & z).bit_count() & 1) for label in scramble])
+    return (hadamard @ signs) ** 2
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -384,12 +404,46 @@ def test_scrambled_simon_row_law_equals_dense_average(n):
             q = simon_row_bit_prob(phi0, phi1)
             law = np.zeros(1 << n)
             for z in range(1 << m):
-                rng = ScriptedRowBits(z)
-                simon_sample_factored(oracle, phi0, phi1, rng)
+                weights = walsh_masses(oracle.scramble, z)
                 ones = z.bit_count()
-                for t, p in enumerate(rng.weights):
+                for t, p in enumerate(weights / weights.sum()):
                     law[simon_orthogonal_row(oracle, t)] += q**ones * (1 - q) ** (m - ones) * p
             assert np.max(np.abs(law - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_scrambled_simon_row_is_the_inverse_cdf_of_the_walsh_masses(n):
+    # the row uniform at the left edge of t's CDF interval, and just below its
+    # right edge, both give t; every mass is an integer, the total N^2 = 4^m
+    m = n - 1
+    oracle = simon_build(n, (1 << n) - 1, scramble_seed=n)
+    picks = np.random.default_rng(n)
+    for z in (0, (1 << m) - 1, *picks.integers(0, 1 << m, 2)):
+        masses = walsh_masses(oracle.scramble, int(z))
+        total = float(4**m)
+        assert masses.sum() == total
+        cdf = np.concatenate(([0.0], np.cumsum(masses)))
+        for t in np.flatnonzero(masses):
+            for u in (cdf[t] / total, np.nextafter(cdf[t + 1] / total, 0.0)):
+                rng = ScriptedRowBits(int(z), m, float(u))
+                assert simon_sample_factored(oracle, E0, E1, rng) == simon_orthogonal_row(oracle, t)
+                assert rng.draws == n
+        for u in picks.random(20):
+            x = simon_sample_factored(oracle, E0, E1, ScriptedRowBits(int(z), m, float(u)))
+            assert x in {simon_orthogonal_row(oracle, t) for t in np.flatnonzero(masses)}
+
+
+def test_scrambled_simon_shot_memory_at_n20():
+    # the sign vector and its temporaries, halved in place by the descent
+    phi0, phi1 = evolved_branches("simon", 1.0)
+    oracle = simon_build(20, 0b1011_0000_1110_0101_0011, scramble_seed=5)
+    tracemalloc.start()
+    try:
+        simon_sample_factored(oracle, phi0, phi1, RandomSource(3, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * oracle.scramble.nbytes
 
 
 def test_scrambled_simon_sampler_draws_and_orthogonality_at_n20():

@@ -137,6 +137,11 @@ def test_simon_dual_row_is_transpose_of_g(n, a):
     assert len(rows) == 1 << (n - 1)  # L^T is injective
 
 
+def test_negative_scramble_seed_is_a_domain_error():
+    with pytest.raises(DomainError):
+        simon_build(4, 3, scramble_seed=-1)
+
+
 def test_simon_dual_row_refuses_scrambled_oracle():
     with pytest.raises(DomainError):
         simon_dual_row(simon_build(4, 0b1010, scramble_seed=3), 1)
