@@ -31,15 +31,11 @@ from .gf2 import Gf2Matrix, dot2, nullspace, rank, recover_mask
 from .hamiltonians import (
     InterpolatedHamiltonian,
     TwoLevelBlock,
-    bv_driver,
     bv_interpolated,
-    bv_problem,
     gap,
     interpolate,
     min_gap_scan,
-    simon_driver,
     simon_interpolated,
-    simon_problem,
     two_level,
 )
 from .measurement import (

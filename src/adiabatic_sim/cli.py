@@ -204,7 +204,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
         else:
             if args.n is None:
                 raise UsageError("--n is required unless --two-level is given")
-            a = resolve_config(RunConfig(args.problem, args.n, args.a, seed=seed)).a
+            a = resolve_config(RunConfig(args.problem, args.n, args.a, path="full", seed=seed)).a
             if args.problem == "bv":
                 h = bv_interpolated(BvMask(args.n, a))
             else:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, ShapeError
 from .hamiltonians import InterpolatedHamiltonian, TwoLevelBlock
-from .oracles import BvMask, SimonOracle, simon_eval_all
+from .oracles import BvMask, SimonOracle, bv_eval_all, simon_eval_all
 from .qstate import StateVector, check_capacity, fidelity
 
 # A run whose norm drifts past this is reported as an integration failure.
@@ -276,8 +276,7 @@ def _assemble(
 def assemble_bv(mask: BvMask, phi0: np.ndarray, phi1: np.ndarray) -> StateVector:
     """Product-form final state 2^(-n/2) sum_w |w> (x) phi_f(w)."""
     check_capacity(mask.n + 1)
-    parity = np.bitwise_count(np.arange(1 << mask.n) & mask.a) & 1
-    return _assemble(mask.n, 1, parity, phi0, phi1)
+    return _assemble(mask.n, 1, bv_eval_all(mask), phi0, phi1)
 
 
 def assemble_simon(oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray) -> StateVector:

@@ -13,9 +13,8 @@ register pair where A holds the oracle input w and B the output register.
 ``InterpolatedHamiltonian`` keeps only the problem diagonal and the register
 sizes; ``evolution.evolve_full`` applies H(s) to a state without a matrix.
 Building one is refused above ``qstate.DENSE_QUBIT_CAP`` total qubits, the
-package's one memory rule.  The dense builders and ``interpolate`` serve the
-gap scan and the tests; ``_dense_driver`` refuses them above
-DENSE_OPERATOR_CAP, a run-time bound.
+package's one memory rule.  ``interpolate`` builds the dense H(s) for the
+gap scan and the tests, refused above DENSE_OPERATOR_CAP, a run-time bound.
 
 Because H(s) is block diagonal in w and the B qubits are uncoupled, every
 branch reduces to independent two-level systems; ``two_level``/``gap`` expose
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .oracles import BvMask, SimonOracle, simon_eval_all
+from .oracles import BvMask, SimonOracle, bv_eval_all, simon_eval_all
 from .qstate import IDENTITY_2, SIGMA_X, SIGMA_Z, check_capacity
 
 # Run time: the gap scan diagonalizes one 2^k x 2^k matrix per grid point, so
@@ -71,26 +70,23 @@ class TwoLevelBlock:
             raise DomainError(f"unknown block kind {self.kind!r}")
 
 
+def _hamming_diag(outputs: np.ndarray, m: int) -> np.ndarray:
+    """hamming(y, f(w)) at index w * 2^m + y, given the m-bit outputs f(w)."""
+    dist = np.bitwise_count(np.bitwise_xor(outputs[:, None], np.arange(1 << m)))
+    return dist.reshape(-1).astype(np.float64)
+
+
 def bv_interpolated(mask: BvMask) -> InterpolatedHamiltonian:
     """BV H(s): problem diagonal -1 at |w>|f(w)>, 0 elsewhere, on n+1 qubits."""
-    n = mask.n
-    check_capacity(n + 1)
-    diag = np.zeros(1 << (n + 1))
-    w_all = np.arange(1 << n)
-    f = np.bitwise_count(w_all & mask.a) & 1
-    diag[2 * w_all + f] = -1.0
-    return InterpolatedHamiltonian(diag, (n, 1))
+    check_capacity(mask.n + 1)
+    return InterpolatedHamiltonian(_hamming_diag(bv_eval_all(mask), 1) - 1.0, (mask.n, 1))
 
 
 def simon_interpolated(oracle: SimonOracle) -> InterpolatedHamiltonian:
     """Simon H(s): problem diagonal hamming(y, g(w)) at |w>|y>, on 2n-1 qubits."""
-    n = oracle.n
-    m = n - 1
-    check_capacity(n + m)
-    g = np.asarray(simon_eval_all(oracle))
-    y_all = np.arange(1 << m)
-    dist = np.bitwise_count(np.bitwise_xor(g[:, None], y_all[None, :]))
-    return InterpolatedHamiltonian(dist.reshape(-1).astype(np.float64), (n, m))
+    m = oracle.n - 1
+    check_capacity(oracle.n + m)
+    return InterpolatedHamiltonian(_hamming_diag(simon_eval_all(oracle), m), (oracle.n, m))
 
 
 def _dense_driver(dims: tuple[int, int]) -> np.ndarray:
@@ -106,26 +102,6 @@ def _dense_driver(dims: tuple[int, int]) -> np.ndarray:
     for k in range(n_b):
         b_part[y, y ^ (1 << k)] = -0.5
     return np.kron(np.eye(1 << n_a), b_part)
-
-
-def bv_problem(mask: BvMask) -> np.ndarray:
-    """Dense diagonal BV problem Hamiltonian on n+1 qubits."""
-    return interpolate(bv_interpolated(mask), 1.0)
-
-
-def bv_driver(n: int) -> np.ndarray:
-    """Dense transverse-field driver 1/2 (1 - sigma_x) on the B qubit, identity on A."""
-    return _dense_driver((n, 1))
-
-
-def simon_problem(oracle: SimonOracle) -> np.ndarray:
-    """Dense diagonal Simon problem Hamiltonian: Hamming distance to g(w) on the B register."""
-    return interpolate(simon_interpolated(oracle), 1.0)
-
-
-def simon_driver(n: int) -> np.ndarray:
-    """Dense transverse field 1/2 sum_k (1 - sigma_x^k) on the n-1 B qubits, identity on A."""
-    return _dense_driver((n, n - 1))
 
 
 def interpolate(h: InterpolatedHamiltonian, s: float) -> np.ndarray:

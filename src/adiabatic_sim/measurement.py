@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, ResampleError
 from .evolution import check_branch_vector
-from .oracles import BvMask, SimonOracle, simon_dual_row, simon_eval_all, simon_orthogonal_row
+from .oracles import BvMask, SimonOracle, simon_eval_all, simon_orthogonal_row
 from .qstate import StateVector, fwht_subsystem, _fwht_inplace
 
 
@@ -304,7 +304,7 @@ def simon_sample_factored(
     """
     z = _row_bits(phi0, phi1, oracle.n - 1, rng)
     if oracle.scramble is None:
-        return simon_dual_row(oracle, z)
+        return simon_orthogonal_row(oracle, z)
     if abs(np.vdot(phi0, phi1).imag) > 1e-9:
         raise DomainError("scrambled Simon sampling needs a real branch overlap <phi_0|phi_1>")
     signs = 1.0 - 2.0 * (np.bitwise_count(oracle.scramble & z) & 1)

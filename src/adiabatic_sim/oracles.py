@@ -44,6 +44,12 @@ def bv_eval(mask: BvMask, w: int) -> int:
     return (w & mask.a).bit_count() & 1
 
 
+def bv_eval_all(mask: BvMask) -> np.ndarray:
+    """Vector of f(w) for all w < 2**n (refused above the dense-array cap)."""
+    check_capacity(mask.n)
+    return np.bitwise_count(np.arange(1 << mask.n) & mask.a) & 1
+
+
 def hamming(y: int, z: int) -> int:
     """Number of differing bits between y and z."""
     return (y ^ z).bit_count()
@@ -124,23 +130,12 @@ def simon_eval(oracle: SimonOracle, w: int) -> int:
     return int(g)
 
 
-def simon_dual_row(oracle: SimonOracle, z: int) -> int:
-    """x = L^T z for the unscrambled oracle, whose g(w) = L w is GF(2)-linear.
-
-    x . w = z . g(w) for every input w.  Since g(w) drops the pivot bit j of
-    w xor w_j a, x is ``simon_orthogonal_row(oracle, z)``.
-    """
-    if oracle.scramble is not None:
-        raise DomainError("a scrambled oracle is not linear")
-    if not 0 <= z < (1 << (oracle.n - 1)):
-        raise DomainError(f"output bits {z} out of range for {oracle.n - 1} bits")
-    return simon_orthogonal_row(oracle, z)
-
-
 def simon_orthogonal_row(oracle: SimonOracle, t: int) -> int:
     """The x with x . a = 0 that is t with the pivot bit j re-inserted.
 
     Bit j of x is t . drop_j(a), the one choice that makes x orthogonal to a.
+    For the unscrambled oracle, g(w) = L w drops bit j of w xor w_j a, and this
+    x is the transpose x = L^T t: x . w = t . g(w) for every input w.
     """
     j = oracle.pivot_bit
     low_mask = (1 << j) - 1

@@ -4,12 +4,12 @@ A run is: prepare |+>|+>, anneal for time T (path "full" integrates the
 dense state, applying H(s) without a matrix; path "factored" integrates the
 two branch qubits and samples the product state's readout from them),
 measure, repeat per the algorithm's rule, and reduce the collected outcomes
-to a mask candidate.  Every factored readout first draws the output
-register's x outcome, one uniform per output qubit: a BV shot is that one
-draw, an unscrambled Simon row is O(n), and a scrambled Simon row adds a
-bit-by-bit descent through the Walsh spectrum of 2^(n-1) labels, O(2^(n-1))
-per row; see ``measurement``.  The factored fidelity is |phi_0[0]^m|^2 for
-m output qubits.
+to a mask candidate; both problems share that one shot loop, ``_shoot``.
+Every factored readout first draws the output register's x outcome, one
+uniform per output qubit: a BV shot is that one draw, an unscrambled Simon
+row is O(n), and a scrambled Simon row adds a bit-by-bit descent through the
+Walsh spectrum of 2^(n-1) labels, O(2^(n-1)) per row; see ``measurement``.
+The factored fidelity is |phi_0[0]^m|^2 for m output qubits.
 
 Randomness discipline (everything derives from RunConfig.seed):
   stream 0          draws the mask when ``a`` is None (one integer draw),
@@ -187,32 +187,38 @@ def _anneal(
     return partial(full_shot, result.final_state), result.fidelity_to_target
 
 
+def _shoot(
+    cfg: RunConfig,
+    oracle: BvMask | SimonOracle,
+    absorb: Callable[[object], Optional[int]],
+    on_final_state: Optional[Callable[[StateVector], None]] = None,
+) -> tuple[Optional[int], int, float]:
+    """One anneal, then shot i from stream 1 + i until ``absorb`` names a mask.
+
+    Returns (mask or None, shots taken, fidelity); at most cfg.max_repeats shots.
+    """
+    shot, fidelity = _anneal(cfg, oracle, on_final_state)
+    for shots in range(1, cfg.max_repeats + 1):
+        found = absorb(shot(RandomSource(cfg.seed, stream=shots)))
+        if found is not None:
+            return found, shots, float(fidelity)
+    return None, cfg.max_repeats, float(fidelity)
+
+
 def run_bv(cfg: RunConfig) -> RunReport:
     """Repeat prepare/evolve/readout until the informative branch is seen."""
     cfg = resolve_config(cfg)
     if cfg.problem != "bv":
         raise DomainError("run_bv needs a bv config")
     t0 = time.perf_counter()
-    shot, fidelity_value = _anneal(cfg, BvMask(cfg.n, cfg.a))
-
-    restarts = 0
-    recovered = None
-    for attempt in range(cfg.max_repeats):
-        readout = shot(RandomSource(cfg.seed, stream=1 + attempt))
-        if readout.restart:
-            restarts += 1
-            continue
-        recovered = readout.a_candidate
-        break
-    quantum_runs = restarts + (1 if recovered is not None else 0)
-    success = recovered == cfg.a
+    found, shots, fidelity = _shoot(cfg, BvMask(cfg.n, cfg.a), lambda r: r.a_candidate)
     return RunReport(
-        success=success,
-        recovered_a=recovered,
-        quantum_runs=quantum_runs,
-        restarts=restarts,
+        success=found == cfg.a,
+        recovered_a=found,
+        quantum_runs=shots,
+        restarts=shots - (found is not None),
         rows_collected=0,
-        per_run_fidelity=float(fidelity_value),
+        per_run_fidelity=fidelity,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -229,29 +235,21 @@ def run_simon(
     if cfg.problem != "simon":
         raise DomainError("run_simon needs a simon config")
     t0 = time.perf_counter()
-    shot, fidelity_value = _anneal(
-        cfg, simon_build(cfg.n, cfg.a, cfg.scramble_seed), on_final_state
-    )
-
     system = Gf2Matrix(cfg.n)
-    runs = 0
-    while runs < cfg.max_repeats and system.rank < cfg.n - 1:
-        system.add_row(shot(RandomSource(cfg.seed, stream=1 + runs)))
-        runs += 1
 
-    recovered = None
-    success = False
-    if system.rank == cfg.n - 1:
-        recovery = recover_mask(system)
-        recovered = recovery.a_candidate
-        success = recovered == cfg.a
+    def absorb(row: int) -> Optional[int]:
+        system.add_row(row)
+        return recover_mask(system).a_candidate if system.rank == cfg.n - 1 else None
+
+    oracle = simon_build(cfg.n, cfg.a, cfg.scramble_seed)
+    found, shots, fidelity = _shoot(cfg, oracle, absorb, on_final_state)
     return RunReport(
-        success=success,
-        recovered_a=recovered,
-        quantum_runs=runs,
+        success=found == cfg.a,
+        recovered_a=found,
+        quantum_runs=shots,
         restarts=0,
-        rows_collected=runs,
-        per_run_fidelity=float(fidelity_value),
+        rows_collected=shots,
+        per_run_fidelity=fidelity,
         wall_time=time.perf_counter() - t0,
     )
 

@@ -13,16 +13,18 @@ from adiabatic_sim.errors import CapacityError, DomainError
 from adiabatic_sim.evolution import assemble_bv, assemble_simon
 from adiabatic_sim.hamiltonians import (
     DENSE_OPERATOR_CAP,
-    bv_driver,
     bv_interpolated,
-    bv_problem,
     interpolate,
     min_gap_scan,
-    simon_driver,
     simon_interpolated,
-    simon_problem,
 )
-from adiabatic_sim.oracles import BvMask, simon_build, simon_eval_all, verify_promise
+from adiabatic_sim.oracles import (
+    BvMask,
+    bv_eval_all,
+    simon_build,
+    simon_eval_all,
+    verify_promise,
+)
 from adiabatic_sim.qstate import DENSE_QUBIT_CAP, check_capacity, plus_state
 
 E0 = np.array([1.0, 0.0])
@@ -39,15 +41,12 @@ BUILDERS = {
     "assemble_bv": lambda: assemble_bv(BvMask(OVER - 1, 1), E0, E1),
     "assemble_simon": lambda: assemble_simon(simon_build((OVER + 1) // 2, 1), E0, E1),
     "simon_eval_all": lambda: simon_eval_all(simon_build(OVER, 1)),
+    "bv_eval_all": lambda: bv_eval_all(BvMask(OVER, 1)),
     "verify_promise": lambda: verify_promise(simon_build(OVER, 1)),
     "scramble": lambda: simon_build(OVER, 1, scramble_seed=0),
     # the matrix-free Hamiltonian exists above DENSE_OPERATOR_CAP; its dense form does not
     "interpolate": lambda: interpolate(bv_interpolated(BvMask(OVER_OP - 1, 3)), 0.5),
     "min_gap_scan": lambda: min_gap_scan(bv_interpolated(BvMask(OVER_OP - 1, 3)), grid=5),
-    "bv_problem": lambda: bv_problem(BvMask(OVER_OP - 1, 1)),
-    "bv_driver": lambda: bv_driver(OVER_OP - 1),
-    "simon_problem": lambda: simon_problem(simon_build((OVER_OP + 1) // 2, 1)),
-    "simon_driver": lambda: simon_driver((OVER_OP + 1) // 2),
 }
 
 

@@ -251,12 +251,15 @@ def test_missing_subcommand_is_usage_error(capsys):
     ("gap", "--problem", "bv", "--n", "25"),
     ("gap", "--problem", "simon", "--n", "7"),
     ("gap", "--two-level", "--grid", "1048577"),
+    ("gap", "--n", "61"),
 ])
 def test_bad_inputs_are_one_line_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("usage error") and err.count("\n") == 1
+    if argv[0] == "gap" and "--n" in argv:
+        assert "dense" in err  # the gap scan is refused by a dense cap, not the factored one
 
 
 def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):

@@ -8,15 +8,11 @@ import pytest
 from adiabatic_sim.errors import DomainError
 from adiabatic_sim.hamiltonians import (
     TwoLevelBlock,
-    bv_driver,
     bv_interpolated,
-    bv_problem,
     gap,
     interpolate,
     min_gap_scan,
-    simon_driver,
     simon_interpolated,
-    simon_problem,
     two_level,
 )
 from adiabatic_sim.oracles import BvMask, bv_eval, simon_build, simon_eval
@@ -35,14 +31,14 @@ def kron_chain(mats):
 
 def test_bv_problem_n1_by_hand():
     # f(0)=0, f(1)=1 for a=1: ground entries sit at |0,0> and |1,1>
-    h = bv_problem(BvMask(1, 1))
+    h = interpolate(bv_interpolated(BvMask(1, 1)), 1.0)
     np.testing.assert_allclose(np.diag(h), [-1, 0, 0, -1], atol=1e-15)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
 
 @pytest.mark.parametrize("n,a", [(1, 1), (2, 2), (3, 5), (4, 11)])
 def test_bv_problem_trace_and_spectrum(n, a):
-    h = bv_problem(BvMask(n, a))
+    h = interpolate(bv_interpolated(BvMask(n, a)), 1.0)
     assert np.trace(h).real == pytest.approx(-(1 << n))
     evals = np.linalg.eigvalsh(h)
     assert set(np.round(evals, 12)) == {-1.0, 0.0}
@@ -52,21 +48,21 @@ def test_bv_problem_trace_and_spectrum(n, a):
 
 def test_bv_driver_annihilates_plus():
     n = 3
-    h = bv_driver(n)
+    h = interpolate(bv_interpolated(BvMask(n, 0)), 0.0)
     psi = np.kron(random_state(n, 0, 1).amps, plus_state(1, 0).amps)
     assert np.max(np.abs(h @ psi)) <= 1e-12
 
 
 def test_bv_driver_minus_eigenstate():
     n = 2
-    h = bv_driver(n)
+    h = interpolate(bv_interpolated(BvMask(n, 0)), 0.0)
     psi = np.kron(random_state(n, 0, 2).amps, [S2, -S2])
     np.testing.assert_allclose(h @ psi, psi, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bv_driver_spectrum(n):
-    h = bv_driver(n)
+    h = interpolate(bv_interpolated(BvMask(n, 0)), 0.0)
     np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
     evals = np.linalg.eigvalsh(h)
     assert int(np.sum(np.isclose(evals, 0.0))) == 1 << n
@@ -75,7 +71,7 @@ def test_bv_driver_spectrum(n):
 
 def test_simon_problem_entry_from_oracle_table():
     oracle = simon_build(2, 3)
-    h = simon_problem(oracle)
+    h = interpolate(simon_interpolated(oracle), 1.0)
     # |w=01> (x) |y=0> sits at index 1*2 + 0 = 2 with value h(0, g(01)) = 1
     assert h[2, 2].real == pytest.approx(1.0)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
@@ -83,7 +79,7 @@ def test_simon_problem_entry_from_oracle_table():
 
 @pytest.mark.parametrize("n,a,seed", [(2, 3, None), (3, 5, 2), (3, 1, None), (4, 6, 7)])
 def test_simon_problem_ground_degeneracy(n, a, seed):
-    h = simon_problem(simon_build(n, a, scramble_seed=seed))
+    h = interpolate(simon_interpolated(simon_build(n, a, scramble_seed=seed)), 1.0)
     diag = np.diag(h).real
     assert diag.min() == pytest.approx(0.0)
     assert int(np.sum(np.isclose(diag, 0.0))) == 1 << n
@@ -111,33 +107,36 @@ def test_simon_problem_hamming_equals_pauli_form(a, seed):
         proj = np.zeros((1 << n, 1 << n))
         proj[w, w] = 1.0
         expected += np.kron(proj, h_w)
-    np.testing.assert_allclose(simon_problem(oracle), expected, atol=1e-12)
+    np.testing.assert_allclose(interpolate(simon_interpolated(oracle), 1.0), expected, atol=1e-12)
 
 
 def test_simon_driver_annihilates_all_plus():
     n = 3
-    psi = plus_state(n, n - 1)
-    assert np.max(np.abs(simon_driver(n) @ psi.amps)) <= 1e-12
+    h = interpolate(simon_interpolated(simon_build(n, 1)), 0.0)
+    assert np.max(np.abs(h @ plus_state(n, n - 1).amps)) <= 1e-12
 
 
 def test_simon_driver_b_factor_spectrum():
     # two-qubit transverse field: per-branch eigenvalues {0, 1, 1, 2}
     n = 3
-    evals = np.round(np.linalg.eigvalsh(simon_driver(n)), 10)
+    h = interpolate(simon_interpolated(simon_build(n, 1)), 0.0)
+    evals = np.round(np.linalg.eigvalsh(h), 10)
     values, counts = np.unique(evals, return_counts=True)
     np.testing.assert_allclose(values, [0.0, 1.0, 2.0], atol=1e-12)
     np.testing.assert_allclose(counts, [8, 16, 8])
 
 
 def test_simon_driver_hermitian():
-    h = simon_driver(3)
+    h = interpolate(simon_interpolated(simon_build(3, 1)), 0.0)
     np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
 
 
 def test_interpolate_endpoints_and_midpoint():
     mask = BvMask(2, 2)
     h = bv_interpolated(mask)
-    problem, driver = bv_problem(mask), bv_driver(2)
+    # independent constructions of H_p and H_d = 1/2 (1 - sigma_x) on the B qubit
+    problem = -np.diag([float(y == bv_eval(mask, w)) for w in range(4) for y in (0, 1)])
+    driver = np.kron(np.eye(4), 0.5 * (IDENTITY_2 - SIGMA_X))
     np.testing.assert_allclose(interpolate(h, 0.0), driver, atol=1e-15)
     np.testing.assert_allclose(interpolate(h, 1.0), problem, atol=1e-15)
     np.testing.assert_allclose(

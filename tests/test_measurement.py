@@ -24,7 +24,6 @@ from adiabatic_sim.measurement import (
 from adiabatic_sim.oracles import (
     BvMask,
     simon_build,
-    simon_dual_row,
     simon_eval,
     simon_orthogonal_row,
 )
@@ -349,7 +348,7 @@ def test_linear_simon_row_law_equals_dense_average(n, a):
         law = np.zeros(1 << n)
         for z in range(1 << m):
             ones = z.bit_count()
-            law[simon_dual_row(oracle, z)] += q**ones * (1 - q) ** (m - ones)
+            law[simon_orthogonal_row(oracle, z)] += q**ones * (1 - q) ** (m - ones)
         assert np.max(np.abs(law - dense)) <= 1e-12
 
 

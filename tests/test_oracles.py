@@ -8,11 +8,12 @@ from adiabatic_sim.oracles import (
     BvMask,
     SimonOracle,
     bv_eval,
+    bv_eval_all,
     hamming,
     simon_build,
-    simon_dual_row,
     simon_eval,
     simon_eval_all,
+    simon_orthogonal_row,
     verify_promise,
 )
 
@@ -21,6 +22,13 @@ def test_bv_eval_direct_cases():
     assert bv_eval(BvMask(3, 0b110), 0b011) == 1
     assert all(bv_eval(BvMask(3, 0), w) == 0 for w in range(8))
     assert bv_eval(BvMask(3, 0b101), 0b101) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bv_eval_all_matches_bv_eval(n):
+    for a in {0, 1, (1 << n) - 1, 0b10110101 & ((1 << n) - 1)}:
+        mask = BvMask(n, a)
+        assert bv_eval_all(mask).tolist() == [bv_eval(mask, w) for w in range(1 << n)]
 
 
 def test_bv_eval_out_of_range():
@@ -128,7 +136,7 @@ def test_simon_dual_row_is_transpose_of_g(n, a):
     oracle = simon_build(n, a)
     rows = set()
     for z in range(1 << (n - 1)):
-        x = simon_dual_row(oracle, z)
+        x = simon_orthogonal_row(oracle, z)
         assert all(
             bin(x & w).count("1") % 2 == bin(z & simon_eval(oracle, w)).count("1") % 2
             for w in range(1 << n)
@@ -140,8 +148,3 @@ def test_simon_dual_row_is_transpose_of_g(n, a):
 def test_negative_scramble_seed_is_a_domain_error():
     with pytest.raises(DomainError):
         simon_build(4, 3, scramble_seed=-1)
-
-
-def test_simon_dual_row_refuses_scrambled_oracle():
-    with pytest.raises(DomainError):
-        simon_dual_row(simon_build(4, 0b1010, scramble_seed=3), 1)

@@ -367,3 +367,23 @@ def test_seeded_bv_reports(fields, a, restarts, fidelity):
     assert report.success and report.recovered_a == a
     assert report.restarts == restarts and report.quantum_runs == restarts + 1
     assert report.per_run_fidelity == fidelity
+
+
+@pytest.mark.parametrize("run,fields,runs,restarts,rows,fidelity", [
+    (run_bv, dict(problem="bv", n=10, total_time=0.5, steps=50, seed=4),
+     64, 64, 0, 0.5051892560903585),
+    (run_bv, dict(problem="bv", n=4, a=9, path="full", total_time=5.0, steps=200, seed=1,
+                  max_repeats=1), 1, 1, 0, 0.838982211240202),
+    (run_simon, dict(problem="simon", n=8, seed=3, max_repeats=3), 3, 0, 3, 0.9973033455332856),
+    (run_simon, dict(problem="simon", n=8, seed=3, max_repeats=3, scramble_seed=5),
+     3, 0, 3, 0.9973033455332856),
+    (run_simon, dict(problem="simon", n=4, seed=2, max_repeats=2, path="full", total_time=5.0,
+                     steps=200), 2, 0, 2, 0.5905521541517191),
+], ids=["bv-short-anneal", "bv-full-one-shot", "simon", "simon-scrambled", "simon-full"])
+def test_seeded_budget_exhausted_reports(run, fields, runs, restarts, rows, fidelity):
+    # recorded under schema 5: every shot of the budget is spent and no mask is named
+    report = run(RunConfig(**fields))
+    assert not report.success and report.recovered_a is None
+    assert report.quantum_runs == runs
+    assert report.restarts == restarts and report.rows_collected == rows
+    assert report.per_run_fidelity == fidelity
