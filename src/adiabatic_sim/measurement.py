@@ -14,16 +14,21 @@ The factored readouts sample the exact outcome law of the assembled state
 from the two branch vectors alone.  Every output qubit ends in phi_{f_k(w)}
 with phi_1 = sigma_x phi_0, so measuring the output register in the x basis
 gives iid row bits z_k ~ Bernoulli(q), q = ||phi_0 - phi_1||^2 / 4, and
-leaves the input register proportional to sum_w (-1)^(z . f(w)) |w>.  Both
-samplers draw z first, one uniform per output bit, ascending (z_k = 1 iff
-the uniform is below q):
+leaves the input register proportional to sum_w (-1)^(z . f(w)) |w>.  q
+depends on the anneal alone, so ``factored_row_bit_prob`` computes it once
+and ``_sample_factored(oracle, q, rng)`` reads out each shot.  Every shot
+draws z first, one uniform per output bit, ascending (z_k = 1 iff the
+uniform is below q); those uniforms are taken as one block per shot, the
+same values in the same order as one scalar draw per bit:
 
-* ``bv_sample_factored``, one draw per shot.  z = 0 restarts; z = 1 leaves
-  the input register on the Walsh point a, which is returned.
-* ``simon_sample_factored``, the row x = L^T z for an unscrambled (linear)
-  oracle, O(n) per shot; for a scrambled one, one uniform for the row and a
-  bit-by-bit descent through the Walsh spectrum of 2^(n-1) labels, O(2^(n-1))
-  per row.
+* BV, one draw per shot.  z = 0 restarts; z = 1 leaves the input register
+  on the Walsh point a, which is returned.
+* Simon, the row x = L^T z for an unscrambled (linear) oracle, O(n) per
+  shot; for a scrambled one, one more uniform for the row and a bit-by-bit
+  descent through the Walsh spectrum of 2^(n-1) labels, O(2^(n-1)) per row.
+
+``bv_sample_factored`` and ``simon_sample_factored`` take the branch vectors
+instead of q, for callers that read out one shot.
 """
 
 from __future__ import annotations
@@ -76,6 +81,11 @@ class RandomSource:
     def uniform(self) -> float:
         self.draws += 1
         return float(self._gen.random())
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """``count`` uniforms in one call: the values ``count`` ``uniform()`` calls return."""
+        self.draws += count
+        return self._gen.random(count)
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound) from one integer draw; bound <= 2^64."""
@@ -166,9 +176,7 @@ def bv_sample_factored(
     register is proportional to sum_w (-1)^(w . a) |w>, whose Walsh transform
     is the single point a, at any T.
     """
-    if _row_bits(phi0, phi1, 1, rng):
-        return BvReadout(restart=False, a_candidate=mask.a)
-    return BvReadout(restart=True, a_candidate=None)
+    return _sample_factored(mask, factored_row_bit_prob(mask, phi0, phi1), rng)
 
 
 def simon_sample(final: StateVector, rng: RandomSource) -> int:
@@ -239,17 +247,27 @@ def simon_row_bit_prob(phi0: np.ndarray, phi1: np.ndarray) -> float:
     return minus / total
 
 
-def _row_bits(phi0: np.ndarray, phi1: np.ndarray, bits: int, rng: RandomSource) -> int:
-    """The output register's x outcome z: bits iid Bernoulli(q), one uniform each.
+def factored_row_bit_prob(
+    oracle: BvMask | SimonOracle, phi0: np.ndarray, phi1: np.ndarray
+) -> float:
+    """q for every factored shot of ``oracle`` on the branch pair (phi_0, phi_1).
 
-    Bit k is drawn k-th and is 1 iff its uniform is below q.
+    A scrambled Simon row also needs a real overlap <phi_0|phi_1> (see
+    ``simon_sample_factored``), which phi_1 = sigma_x phi_0 gives.
     """
     q = simon_row_bit_prob(phi0, phi1)
-    z = 0
-    for k in range(bits):
-        if rng.uniform() < q:
-            z |= 1 << k
-    return z
+    if getattr(oracle, "scramble", None) is not None and abs(np.vdot(phi0, phi1).imag) > 1e-9:
+        raise DomainError("scrambled Simon sampling needs a real branch overlap <phi_0|phi_1>")
+    return q
+
+
+def _row_bits(q: float, bits: int, rng: RandomSource) -> int:
+    """The output register's x outcome z: bits iid Bernoulli(q), one uniform each.
+
+    Bit k is 1 iff the k-th uniform of one block of ``bits`` is below q.
+    """
+    ones = rng.uniforms(bits) < q
+    return int.from_bytes(np.packbits(ones, bitorder="little").tobytes(), "little")
 
 
 def _walsh_descent(v: np.ndarray, u: float) -> int:
@@ -302,10 +320,22 @@ def simon_sample_factored(
     the label by a bit-by-bit descent through that spectrum, O(2^(n-1)),
     without transforming it whole.
     """
-    z = _row_bits(phi0, phi1, oracle.n - 1, rng)
+    return _sample_factored(oracle, factored_row_bit_prob(oracle, phi0, phi1), rng)
+
+
+def _sample_factored(oracle: BvMask | SimonOracle, q: float, rng: RandomSource) -> BvReadout | int:
+    """One factored shot at row-bit probability q: a ``BvReadout`` for BV, a row for Simon."""
+    if isinstance(oracle, BvMask):
+        if _row_bits(q, 1, rng):
+            return BvReadout(restart=False, a_candidate=oracle.a)
+        return BvReadout(restart=True, a_candidate=None)
+    z = _row_bits(q, oracle.n - 1, rng)
     if oracle.scramble is None:
         return simon_orthogonal_row(oracle, z)
-    if abs(np.vdot(phi0, phi1).imag) > 1e-9:
-        raise DomainError("scrambled Simon sampling needs a real branch overlap <phi_0|phi_1>")
-    signs = 1.0 - 2.0 * (np.bitwise_count(oracle.scramble & z) & 1)
+    # s(u) = 1 - 2 (popcount(z & scramble[u]) mod 2), with one float array
+    parity = np.bitwise_count(oracle.scramble & z)
+    parity &= 1
+    signs = parity.astype(np.float64)
+    signs *= -2.0
+    signs += 1.0
     return simon_orthogonal_row(oracle, _walsh_descent(signs, rng.uniform()))

@@ -5,11 +5,12 @@ dense state, applying H(s) without a matrix; path "factored" integrates the
 two branch qubits and samples the product state's readout from them),
 measure, repeat per the algorithm's rule, and reduce the collected outcomes
 to a mask candidate; both problems share that one shot loop, ``_shoot``.
-Every factored readout first draws the output register's x outcome, one
-uniform per output qubit: a BV shot is that one draw, an unscrambled Simon
-row is O(n), and a scrambled Simon row adds a bit-by-bit descent through the
-Walsh spectrum of 2^(n-1) labels, O(2^(n-1)) per row; see ``measurement``.
-The factored fidelity is |phi_0[0]^m|^2 for m output qubits.
+A factored anneal computes the row-bit probability q once; every shot then
+draws the output register's x outcome, one uniform per output qubit, as one
+block: a BV shot is that one draw, an unscrambled Simon row is O(n), and a
+scrambled Simon row adds a bit-by-bit descent through the Walsh spectrum of
+2^(n-1) labels, O(2^(n-1)) per row; see ``measurement``.  The factored
+fidelity is |phi_0[0]^m|^2 for m output qubits.
 
 Randomness discipline (everything derives from RunConfig.seed):
   stream 0          draws the mask when ``a`` is None (one integer draw),
@@ -45,10 +46,10 @@ from .gf2 import Gf2Matrix, recover_mask
 from .hamiltonians import TwoLevelBlock, bv_interpolated, simon_interpolated
 from .measurement import (
     RandomSource,
+    _sample_factored,
     bv_readout,
-    bv_sample_factored,
+    factored_row_bit_prob,
     simon_sample,
-    simon_sample_factored,
 )
 from .oracles import BvMask, SimonOracle, bv_eval, simon_build, simon_eval
 from .qstate import StateVector, check_capacity, plus_state
@@ -166,19 +167,19 @@ def _anneal(
 ) -> tuple:
     """One anneal serves every shot of a run: (shot, fidelity); shot(rng) reads out once.
 
-    The factored path reads out from the memoized branch pair; the full path
-    steps the dense state from |+>|+>, hands it to ``on_final_state`` if
-    given, and reads out its final state.
+    The factored path computes q once from the memoized branch pair and reads
+    out every shot from it; the full path steps the dense state from |+>|+>,
+    hands it to ``on_final_state`` if given, and reads out its final state.
     """
     if cfg.problem == "bv":
-        m, assemble, interpolated = 1, assemble_bv, bv_interpolated
-        factored_shot, full_shot = bv_sample_factored, bv_readout
+        m, assemble, interpolated, full_shot = 1, assemble_bv, bv_interpolated, bv_readout
     else:
         m, assemble, interpolated = cfg.n - 1, assemble_simon, simon_interpolated
-        factored_shot, full_shot = simon_sample_factored, simon_sample
+        full_shot = simon_sample
     if cfg.path == "factored":
         phi0, phi1 = branch_pair(cfg.problem, cfg.total_time, cfg.steps)
-        return partial(factored_shot, oracle, phi0, phi1), _factored_fidelity(phi0, m)
+        q = factored_row_bit_prob(oracle, phi0, phi1)
+        return partial(_sample_factored, oracle, q), _factored_fidelity(phi0, m)
     sched = Schedule(cfg.total_time, cfg.steps)
     target = assemble(oracle, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     result = evolve_full(interpolated(oracle), plus_state(cfg.n, m), sched, target)

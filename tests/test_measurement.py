@@ -12,6 +12,7 @@ from adiabatic_sim.gf2 import dot2
 from adiabatic_sim.hamiltonians import TwoLevelBlock
 from adiabatic_sim.measurement import (
     RandomSource,
+    _row_bits,
     bv_readout,
     bv_sample_factored,
     measure_x,
@@ -73,6 +74,27 @@ def test_random_source_draws_are_pinned(seed, stream, first_uniform, first_integ
     assert RandomSource(seed, stream).uniform() == first_uniform
     rng = RandomSource(seed, stream)
     assert [rng.randrange(1 << 64), rng.randrange(1000)] == [first_integer, second_integer]
+
+
+def scalar_row_bits(q: float, bits: int, rng: RandomSource) -> int:
+    """Reference: the row bits z drawn one scalar uniform per bit, ascending."""
+    z = 0
+    for k in range(bits):
+        if rng.uniform() < q:
+            z |= 1 << k
+    return z
+
+
+def test_row_bits_block_draw_equals_scalar_loop():
+    # one block of uniforms gives the z, the draw count and the next draw of
+    # one scalar uniform per bit, for every width a Simon row can have
+    cases = [(bits, q) for bits in range(1, 60) for q in (0.0, 1e-3, 0.5, 0.75, 1.0)] * 4
+    keys = np.random.default_rng(17).integers(0, 2**63, size=(len(cases), 2)).tolist()
+    for (bits, q), (seed, stream) in zip(cases, keys):
+        block, scalar = RandomSource(seed, stream), RandomSource(seed, stream)
+        assert _row_bits(q, bits, block) == scalar_row_bits(q, bits, scalar)
+        assert block.draws == scalar.draws == bits
+        assert block.uniform() == scalar.uniform()
 
 
 def test_sample_index_zero_weights():
@@ -363,7 +385,10 @@ def test_linear_simon_sampler_draws_one_uniform_per_output_bit():
 
 
 class ScriptedRowBits(RandomSource):
-    """Forces the row bits z (uniform 0 sets a bit, 1 clears it), then draws ``row_uniform``."""
+    """Forces the row bits z (uniform 0 sets a bit, 1 clears it), then draws ``row_uniform``.
+
+    A block of uniforms is scripted as that many single draws.
+    """
 
     def __init__(self, z: int, m: int, row_uniform: float = 0.0):
         super().__init__(0)
@@ -375,6 +400,9 @@ class ScriptedRowBits(RandomSource):
         if k < self.m:
             return 0.0 if (self.z >> k) & 1 else 1.0
         return self.row_uniform
+
+    def uniforms(self, count: int) -> np.ndarray:
+        return np.array([self.uniform() for _ in range(count)])
 
 
 def walsh_masses(scramble: np.ndarray, z: int) -> np.ndarray:

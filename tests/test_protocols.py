@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from adiabatic_sim import protocols
+from adiabatic_sim import measurement, protocols
 from adiabatic_sim.errors import DomainError
 from adiabatic_sim.evolution import Schedule, evolve_two_level
 from adiabatic_sim.hamiltonians import TwoLevelBlock
@@ -291,6 +291,27 @@ def test_branch_pair_miss_evolves_once(monkeypatch):
     assert calls == [TwoLevelBlock(0, "simon")]
 
 
+def test_factored_runs_compute_q_once_per_anneal(monkeypatch):
+    # every q is computed by measurement.simon_row_bit_prob; a shot only draws
+    calls = []
+    row_bit_prob = measurement.simon_row_bit_prob
+
+    def counting(phi0, phi1):
+        calls.append(1)
+        return row_bit_prob(phi0, phi1)
+
+    monkeypatch.setattr(measurement, "simon_row_bit_prob", counting)
+    for run, fields in [
+        (run_bv, dict(problem="bv", n=10, total_time=1.0, steps=100, seed=0)),
+        (run_simon, dict(problem="simon", n=12, seed=1)),
+        (run_simon, dict(problem="simon", n=12, seed=1, scramble_seed=2)),
+    ]:
+        calls.clear()
+        report = run(RunConfig(**fields))
+        assert report.success and report.quantum_runs >= 10
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("run,problem", [(run_bv, "bv"), (run_simon, "simon")])
 def test_factored_runs_recover_mask_at_n60(run, problem):
     for a in (None, (1 << 59) | 0b1011):
@@ -347,6 +368,25 @@ def test_seeded_simon_reports_unchanged(n, scramble_seed, a, runs, fidelity):
     # a and runs recorded when run_simon still built the oracle's lookup
     # table; fidelity re-recorded under schema 4 (prefix-product integrator)
     report = run_simon(RunConfig(problem="simon", n=n, seed=100 + n, scramble_seed=scramble_seed))
+    assert report.success and report.recovered_a == a
+    assert report.quantum_runs == report.rows_collected == runs
+    assert report.per_run_fidelity == fidelity
+
+
+@pytest.mark.parametrize("fields,a,runs,fidelity", [
+    (dict(n=24, total_time=0.5, steps=50, seed=324), 1381533, 121, 1.5116262790449276e-07),
+    (dict(n=60, total_time=0.5, steps=50, seed=360), 178413162238573480, 328,
+     3.1900114514445306e-18),
+    (dict(n=24, total_time=1.0, steps=100, seed=324), 1381533, 43, 2.999735743613252e-07),
+    (dict(n=60, total_time=1.0, steps=100, seed=360), 178413162238573480, 62,
+     1.850545912195251e-17),
+    (dict(n=12, total_time=0.5, steps=50, seed=312, scramble_seed=3), 3238, 86,
+     0.0005470098714606691),
+], ids=["T0.5-n24", "T0.5-n60", "T1-n24", "T1-n60", "T0.5-n12-scrambled"])
+def test_seeded_low_q_simon_reports(fields, a, runs, fidelity):
+    # recorded under schema 5 with one scalar uniform per row bit; at low q a
+    # run draws hundreds of row-bit blocks, so these pin the draw order
+    report = run_simon(RunConfig(problem="simon", max_repeats=20 * fields["n"], **fields))
     assert report.success and report.recovered_a == a
     assert report.quantum_runs == report.rows_collected == runs
     assert report.per_run_fidelity == fidelity
