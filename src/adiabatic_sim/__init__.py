@@ -27,7 +27,7 @@ from .evolution import (
     evolve_full,
     evolve_two_level,
 )
-from .gf2 import Gf2Matrix, dot2, nullspace, rank, recover_mask
+from .gf2 import Gf2Matrix, dot2, recover_mask
 from .hamiltonians import (
     InterpolatedHamiltonian,
     TwoLevelBlock,

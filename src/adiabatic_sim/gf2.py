@@ -1,9 +1,10 @@
-"""GF(2) linear algebra on integer bitsets: rank, nullspace, mask recovery.
+"""GF(2) linear algebra on integer bitsets: incremental rank and mask recovery.
 
 Rows are n-bit integers; bit k is column k.  Each stored row encodes one
 linear constraint row . v = 0 (mod 2) on the unknown mask.  Elimination is
 word-parallel XOR on Python ints.  ``Gf2Matrix.rank`` is kept incrementally,
-O(n) word operations per added row; ``rank()`` recomputes it from scratch.
+O(n) word operations per added row, and at rank n - 1 the mask is read off
+the echelon basis by back-substitution, O(n) word operations more.
 """
 
 from __future__ import annotations
@@ -67,52 +68,6 @@ class Gf2Matrix:
         return True
 
 
-def _reduced_echelon(rows: list, n_cols: int) -> tuple[list, list]:
-    """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
-    work = list(rows)
-    pivots = []
-    row_idx = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(row_idx, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for r in range(len(work)):
-            if r != row_idx and (work[r] >> col) & 1:
-                work[r] ^= work[row_idx]
-        pivots.append(col)
-        row_idx += 1
-        if row_idx == len(work):
-            break
-    return work[:row_idx], pivots
-
-
-def rank(m: Gf2Matrix) -> int:
-    """Rank over GF(2); the input is not modified."""
-    _, pivots = _reduced_echelon(m.rows, m.n_cols)
-    return len(pivots)
-
-
-def nullspace(m: Gf2Matrix) -> list:
-    """Basis of {v : row . v = 0 mod 2 for every row}; dimension n - rank."""
-    echelon, pivots = _reduced_echelon(m.rows, m.n_cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free_col in range(m.n_cols):
-        if free_col in pivot_set:
-            continue
-        v = 1 << free_col
-        for row, pivot_col in zip(echelon, pivots):
-            if (row >> free_col) & 1:
-                v |= 1 << pivot_col
-        basis.append(v)
-    return basis
-
-
 @dataclass(frozen=True)
 class MaskRecovery:
     status: str  # "unique" | "underdetermined"
@@ -123,14 +78,21 @@ def recover_mask(m: Gf2Matrix) -> MaskRecovery:
     """Solve for the hidden mask once the rows pin it down.
 
     Rank n - 1 leaves exactly one nonzero solution (the mask); full rank is
-    impossible under the promise and flags corrupted input rows.
+    impossible under the promise and flags corrupted input rows.  The mask is
+    back-substituted from the echelon basis: the one non-lead column is set,
+    and as the basis row with lead k has no bit above k, visiting columns in
+    ascending order fixes bit k from the bits below it, O(n) word operations.
     """
     r = m.rank
     if r == m.n_cols:
         raise ContradictionError(
             "rows have full rank; no nonzero mask is orthogonal to all of them"
         )
-    if r == m.n_cols - 1:
-        (candidate,) = nullspace(m)
-        return MaskRecovery(status="unique", a_candidate=candidate)
-    return MaskRecovery(status="underdetermined", a_candidate=None)
+    if r < m.n_cols - 1:
+        return MaskRecovery(status="underdetermined", a_candidate=None)
+    mask = 0
+    for col in range(m.n_cols):
+        row = m._basis.get(col)
+        if row is None or (row & mask).bit_count() & 1:
+            mask |= 1 << col
+    return MaskRecovery(status="unique", a_candidate=mask)

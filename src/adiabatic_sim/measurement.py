@@ -8,7 +8,9 @@ z, rotate back.  x outcomes are labeled with bit 0 <-> |+> and bit 1 <-> |->.
 Randomness flows through ``RandomSource``, a counter-based (Philox) generator:
 identical (seed, stream) plus an identical sequence of draw calls reproduces
 identical outcomes.  Samplers draw in a fixed documented order so whole runs
-replay bit-for-bit; parallel shots must use streams derived per shot.
+replay bit-for-bit; parallel shots must use streams derived per shot.  A run
+keeps one source and re-keys it to each shot's stream with ``restart``,
+which draws exactly what a new source on that stream would.
 
 The factored readouts sample the exact outcome law of the assembled state
 from the two branch vectors alone.  Every output qubit ends in phi_{f_k(w)}
@@ -45,8 +47,8 @@ from .oracles import BvMask, SimonOracle, simon_eval_all, simon_orthogonal_row
 from .qstate import StateVector, fwht_subsystem, _fwht_inplace
 
 
-# Seeds each new Philox before its key and counter are set through its state:
-# Philox(key=...) reads OS entropy for an unused seed sequence, once per shot.
+# Seeds the Philox before its key and counter are set through its state:
+# Philox(key=...) reads OS entropy for an unused seed sequence.
 _FIXED_SEED_SEQUENCE = np.random.SeedSequence(0)
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 
@@ -55,28 +57,34 @@ class RandomSource:
     """Seeded counter-based random stream (numpy Philox under the hood).
 
     The Philox key is (seed, stream) mod 2^64 and the counter starts at zero.
-    Distinct streams of one seed are independent; the draw counter is
-    informational, for run-record provenance.
+    Distinct streams of one seed are independent.  ``restart(stream)`` re-keys
+    the one generator: Philox output is a pure function of key and counter, so
+    the draws that follow are those of a new ``RandomSource(seed, stream)``.
+    ``draws`` counts every draw since construction, restarts included, for
+    run-record provenance.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
-        self.stream = int(stream)
-        key = np.array(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
-        bit_generator = np.random.Philox(_FIXED_SEED_SEQUENCE)
-        bit_generator.state = {
+        self._key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+        self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": _ZERO_COUNTER, "key": key},
+            "state": {"counter": _ZERO_COUNTER, "key": self._key},
             "buffer": _ZERO_COUNTER,
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._gen = np.random.Generator(bit_generator)
+        self._bit_generator = np.random.Philox(_FIXED_SEED_SEQUENCE)
+        self._gen = np.random.Generator(self._bit_generator)
         self.draws = 0
+        self.restart(stream)
+
+    def restart(self, stream: int) -> None:
+        """Re-key to (seed, stream), zero the counter and drop buffered words."""
+        self.stream = int(stream)
+        self._key[1] = self.stream & 0xFFFFFFFFFFFFFFFF
+        self._bit_generator.state = self._state
 
     def uniform(self) -> float:
         self.draws += 1

@@ -14,7 +14,9 @@ fidelity is |phi_0[0]^m|^2 for m output qubits.
 
 Randomness discipline (everything derives from RunConfig.seed):
   stream 0          draws the mask when ``a`` is None (one integer draw),
-  stream 1 + i      drives the i-th quantum shot (readout or row sample),
+  stream 1 + i      drives the i-th quantum shot (readout or row sample);
+                    one RandomSource per run is re-keyed to it, which draws
+                    exactly what a new source on that stream would,
   sweep trials      reseed per (value index, trial index) via SeedSequence.
 Identical configs therefore reproduce identical reports, wall time aside.
 
@@ -68,7 +70,7 @@ FACTORED_CAP = 60
 MAX_STEPS = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
     problem: str
     n: int
@@ -196,11 +198,14 @@ def _shoot(
 ) -> tuple[Optional[int], int, float]:
     """One anneal, then shot i from stream 1 + i until ``absorb`` names a mask.
 
+    One ``RandomSource`` serves the run, re-keyed to the next stream per shot.
     Returns (mask or None, shots taken, fidelity); at most cfg.max_repeats shots.
     """
     shot, fidelity = _anneal(cfg, oracle, on_final_state)
+    rng = RandomSource(cfg.seed)
     for shots in range(1, cfg.max_repeats + 1):
-        found = absorb(shot(RandomSource(cfg.seed, stream=shots)))
+        rng.restart(shots)
+        found = absorb(shot(rng))
         if found is not None:
             return found, shots, float(fidelity)
     return None, cfg.max_repeats, float(fidelity)

@@ -1,14 +1,12 @@
-"""GF(2) elimination, nullspace, and mask recovery."""
+"""GF(2) elimination, incremental rank, and mask recovery by back-substitution."""
 
 import numpy as np
 import pytest
 
 from adiabatic_sim.errors import ContradictionError, DomainError
-from adiabatic_sim.gf2 import Gf2Matrix, dot2, nullspace, rank, recover_mask
+from adiabatic_sim.gf2 import Gf2Matrix, dot2, recover_mask
 
-
-def brute_force_nullspace(rows, n):
-    return [v for v in range(1, 1 << n) if all(dot2(r, v) == 0 for r in rows)]
+from helpers import gf2_nullspace, gf2_rank
 
 
 def test_dot2_cases():
@@ -18,41 +16,39 @@ def test_dot2_cases():
 
 
 def test_rank_independent_rows():
-    assert rank(Gf2Matrix(3, [0b110, 0b011])) == 2
+    m = Gf2Matrix(3, [0b110, 0b011])
+    assert m.rank == gf2_rank(m.rows, 3) == 2
 
 
 def test_rank_dependent_row():
     # third row is the xor of the first two
     m = Gf2Matrix(3, [0b110, 0b011, 0b101])
-    assert rank(m) == 2
+    assert m.rank == gf2_rank(m.rows, 3) == 2
     assert m.rows == [0b110, 0b011, 0b101]  # input unmodified
 
 
 def test_rank_empty():
-    assert rank(Gf2Matrix(4)) == 0
+    m = Gf2Matrix(4)
+    assert m.rank == gf2_rank(m.rows, 4) == 0
 
 
 def test_nullspace_two_rows():
     # brute force over all 8 candidates leaves only 111
-    basis = nullspace(Gf2Matrix(3, [0b110, 0b011]))
-    assert basis == [0b111]
+    m = Gf2Matrix(3, [0b110, 0b011])
+    assert gf2_nullspace(m.rows, 3) == [0b111]
+    assert recover_mask(m).a_candidate == 0b111
 
 
 def test_nullspace_no_rows():
-    basis = nullspace(Gf2Matrix(3))
-    assert len(basis) == 3
-    spanned = set()
-    for mask in range(8):
-        v = 0
-        for i, b in enumerate(basis):
-            if (mask >> i) & 1:
-                v ^= b
-        spanned.add(v)
-    assert spanned == set(range(8))
+    m = Gf2Matrix(3)
+    assert m.n_cols - m.rank == 3
+    assert set(gf2_nullspace(m.rows, 3)) | {0} == set(range(8))
 
 
 def test_nullspace_single_row_n2():
-    assert nullspace(Gf2Matrix(2, [0b11])) == [0b11]
+    m = Gf2Matrix(2, [0b11])
+    assert gf2_nullspace(m.rows, 2) == [0b11]
+    assert recover_mask(m).a_candidate == 0b11
 
 
 @pytest.mark.parametrize("n,seed", [(4, 0), (5, 1), (6, 2), (10, 3)])
@@ -60,26 +56,22 @@ def test_nullspace_properties_random_rows(n, seed):
     rng = np.random.default_rng(seed)
     rows = [int(r) for r in rng.integers(1, 1 << n, size=n - 1)]
     m = Gf2Matrix(n, rows)
-    basis = nullspace(m)
-    assert len(basis) == n - rank(m)
-    for v in basis:
+    solutions = gf2_nullspace(rows, n)
+    assert m.rank == gf2_rank(rows, n)
+    assert len(solutions) + 1 == 1 << (n - m.rank)
+    for v in solutions:
         assert all(dot2(r, v) == 0 for r in rows)
-    if n <= 6:
-        brute = brute_force_nullspace(rows, n)
-        spanned = set()
-        for mask in range(1 << len(basis)):
-            v = 0
-            for i, b in enumerate(basis):
-                if (mask >> i) & 1:
-                    v ^= b
-            spanned.add(v)
-        assert spanned - {0} == set(brute)
+    result = recover_mask(m)
+    if m.rank == n - 1:
+        assert [result.a_candidate] == solutions
+    else:
+        assert result.status == "underdetermined"
 
 
 def test_recover_mask_unique():
     # both rows are orthogonal to 101 only (checked by brute force)
     m = Gf2Matrix(3, [0b010, 0b111])
-    assert brute_force_nullspace(m.rows, 3) == [0b101]
+    assert gf2_nullspace(m.rows, 3) == [0b101]
     result = recover_mask(m)
     assert result.status == "unique"
     assert result.a_candidate == 0b101
@@ -101,7 +93,7 @@ def test_zero_rows_counted_but_rank_inert():
     assert m.add_row(0) is False
     assert m.add_row(0b110) is True
     assert m.zero_rows == 1
-    assert rank(m) == 1
+    assert m.rank == gf2_rank(m.rows, 3) == 1
 
 
 def test_add_row_range_check():
@@ -122,7 +114,7 @@ def test_rows_from_ideal_sampler_recover_planted_mask():
         m = Gf2Matrix(n)
         for shot in range(200):
             m.add_row(simon_sample_factored(oracle, e0, e1, RandomSource(seed, 1 + shot)))
-            if rank(m) == n - 1:
+            if m.rank == n - 1:
                 break
         result = recover_mask(m)
         assert result.status == "unique"
@@ -143,6 +135,28 @@ def test_incremental_rank_matches_elimination(n, seed):
         else:
             row = int(rng.integers(1 << n))
         m.add_row(row)
-        assert m.rank == rank(m)
+        assert m.rank == gf2_rank(m.rows, n)
     rebuilt = Gf2Matrix(n, list(m.rows))
-    assert rebuilt.rank == rank(rebuilt) == m.rank
+    assert rebuilt.rank == gf2_rank(rebuilt.rows, n) == m.rank
+
+
+def test_back_substitution_matches_brute_force_on_random_systems():
+    # rows orthogonal to a planted mask until rank n - 1; the reference is the
+    # brute-force nullspace up to n = 10, and above it the elimination rank
+    # with orthogonality, which together leave only one nonzero solution
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        n = int(rng.integers(2, 61))
+        a = int(rng.integers(1, 1 << n, dtype=np.uint64))
+        low = a & -a
+        m = Gf2Matrix(n)
+        while m.rank < n - 1:
+            row = int(rng.integers(0, 1 << n, dtype=np.uint64))
+            m.add_row(row ^ low if dot2(row, a) else row)
+        mask = recover_mask(m).a_candidate
+        if n <= 10:
+            assert [mask] == gf2_nullspace(m.rows, n)
+        else:
+            assert gf2_rank(m.rows, n) == n - 1
+            assert all(dot2(r, mask) == 0 for r in m.rows)
+        assert mask == a

@@ -76,6 +76,38 @@ def test_random_source_draws_are_pinned(seed, stream, first_uniform, first_integ
     assert [rng.randrange(1 << 64), rng.randrange(1000)] == [first_integer, second_integer]
 
 
+def test_restart_draws_what_a_new_source_draws():
+    # each restart follows uniform, block and integer draws; an odd number of
+    # randrange calls below 2^32 leaves half a Philox word buffered
+    rng = np.random.default_rng(23)
+    seeds = rng.integers(0, 2**64, size=250, dtype=np.uint64).tolist()
+    seeds[:4] = [0, -1, -(2**63), 2**63]
+    pairs = 0
+    for seed in seeds:
+        source = RandomSource(seed, int(rng.integers(2**64, dtype=np.uint64)))
+        draws = 0
+        for stream in rng.integers(0, 2**64, size=4, dtype=np.uint64).tolist() + [2**64 + 3]:
+            for _ in range(int(rng.integers(0, 4))):
+                source.uniform()
+            source.uniforms(int(rng.integers(1, 70)))
+            for _ in range(int(rng.integers(0, 4))):
+                source.randrange(int(rng.integers(1, 2**32)))
+            draws = source.draws
+            source.restart(stream)
+            fresh = RandomSource(seed, stream)
+            count = int(rng.integers(1, 70))
+            assert source.uniforms(count).tolist() == fresh.uniforms(count).tolist()
+            assert source.uniform() == fresh.uniform()
+            bound = int(rng.integers(1, 2**32))
+            assert source.randrange(bound) == fresh.randrange(bound)
+            assert source.randrange(1 << 64) == fresh.randrange(1 << 64)
+            assert source.uniform() == fresh.uniform()
+            assert source.stream == fresh.stream == stream
+            assert source.draws == draws + count + 4  # counted since construction
+            pairs += 1
+    assert pairs >= 1000
+
+
 def scalar_row_bits(q: float, bits: int, rng: RandomSource) -> int:
     """Reference: the row bits z drawn one scalar uniform per bit, ascending."""
     z = 0

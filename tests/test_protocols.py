@@ -312,6 +312,28 @@ def test_factored_runs_compute_q_once_per_anneal(monkeypatch):
         assert len(calls) == 1
 
 
+def test_one_run_builds_one_shot_random_source(monkeypatch):
+    # the shots re-key one source; a drawn mask takes one more, on stream 0
+    built = []
+
+    def counting(seed, stream=0):
+        built.append(stream)
+        return RandomSource(seed, stream)
+
+    monkeypatch.setattr(protocols, "RandomSource", counting)
+    for run, fields in [
+        (run_bv, dict(problem="bv", n=10, a=0b1011001101, total_time=1.0, steps=100, seed=0)),
+        (run_simon, dict(problem="simon", n=12, a=0b101101, seed=1)),
+        (run_simon, dict(problem="simon", n=12, a=0b101101, seed=1, scramble_seed=2)),
+        (run_simon, dict(problem="simon", n=3, a=0b101, path="full", total_time=5.0, steps=200)),
+    ]:
+        for a in (fields["a"], None):
+            built.clear()
+            report = run(RunConfig(**{**fields, "a": a}))
+            assert report.quantum_runs >= 2
+            assert len(built) == 1 + (a is None)
+
+
 @pytest.mark.parametrize("run,problem", [(run_bv, "bv"), (run_simon, "simon")])
 def test_factored_runs_recover_mask_at_n60(run, problem):
     for a in (None, (1 << 59) | 0b1011):
