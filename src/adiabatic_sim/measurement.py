@@ -17,20 +17,21 @@ from the two branch vectors alone.  Every output qubit ends in phi_{f_k(w)}
 with phi_1 = sigma_x phi_0, so measuring the output register in the x basis
 gives iid row bits z_k ~ Bernoulli(q), q = ||phi_0 - phi_1||^2 / 4, and
 leaves the input register proportional to sum_w (-1)^(z . f(w)) |w>.  q
-depends on the anneal alone, so ``factored_row_bit_prob`` computes it once
-and ``_sample_factored(oracle, q, rng)`` reads out each shot.  Every shot
-draws z first, one uniform per output bit, ascending (z_k = 1 iff the
-uniform is below q); those uniforms are taken as one block per shot, the
-same values in the same order as one scalar draw per bit:
+depends on the anneal alone, and ``_read_factored(oracle, q, rng, streams)``
+reads a block of shots, each on its own stream.  A shot draws z first, one
+uniform per output bit, ascending (z_k = 1 iff the uniform is below q):
+one row of a (shots, width) block of the values scalar draws would give,
+whose z are read off in one integer matrix product:
 
 * BV, one draw per shot.  z = 0 restarts; z = 1 leaves the input register
   on the Walsh point a, which is returned.
 * Simon, the row x = L^T z for an unscrambled (linear) oracle, O(n) per
   shot; for a scrambled one, one more uniform for the row and a bit-by-bit
-  descent through the Walsh spectrum of 2^(n-1) labels, O(2^(n-1)) per row.
+  descent through the Walsh spectrum of 2^(n-1) labels, O(2^(n-1)) per row,
+  skipped at z = 0, whose spectrum is the single label 0.
 
 ``bv_sample_factored`` and ``simon_sample_factored`` take the branch vectors
-instead of q, for callers that read out one shot.
+instead of q and read a one-shot block from the rng they are given.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .qstate import StateVector, fwht_subsystem, _fwht_inplace
 # Philox(key=...) reads OS entropy for an unused seed sequence.
 _FIXED_SEED_SEQUENCE = np.random.SeedSequence(0)
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_POWERS_OF_TWO = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 class RandomSource:
@@ -94,6 +96,11 @@ class RandomSource:
         """``count`` uniforms in one call: the values ``count`` ``uniform()`` calls return."""
         self.draws += count
         return self._gen.random(count)
+
+    def fill(self, out: np.ndarray) -> None:
+        """Overwrite ``out`` with the values ``out.size`` ``uniform()`` calls return."""
+        self.draws += out.size
+        self._gen.random(out=out)
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound) from one integer draw; bound <= 2^64."""
@@ -184,7 +191,7 @@ def bv_sample_factored(
     register is proportional to sum_w (-1)^(w . a) |w>, whose Walsh transform
     is the single point a, at any T.
     """
-    return _sample_factored(mask, factored_row_bit_prob(mask, phi0, phi1), rng)
+    return _readout(mask, simon_row_bit_prob(phi0, phi1), rng.uniforms(1)[None])[0]
 
 
 def simon_sample(final: StateVector, rng: RandomSource) -> int:
@@ -255,59 +262,15 @@ def simon_row_bit_prob(phi0: np.ndarray, phi1: np.ndarray) -> float:
     return minus / total
 
 
-def factored_row_bit_prob(
-    oracle: BvMask | SimonOracle, phi0: np.ndarray, phi1: np.ndarray
-) -> float:
-    """q for every factored shot of ``oracle`` on the branch pair (phi_0, phi_1).
-
-    A scrambled Simon row also needs a real overlap <phi_0|phi_1> (see
-    ``simon_sample_factored``), which phi_1 = sigma_x phi_0 gives.
-    """
-    q = simon_row_bit_prob(phi0, phi1)
-    if getattr(oracle, "scramble", None) is not None and abs(np.vdot(phi0, phi1).imag) > 1e-9:
+def _check_real_overlap(oracle: BvMask | SimonOracle, im_overlap: float) -> None:
+    """A scrambled row needs a real <phi_0|phi_1> (see ``simon_sample_factored``)."""
+    if getattr(oracle, "scramble", None) is not None and im_overlap > 1e-9:
         raise DomainError("scrambled Simon sampling needs a real branch overlap <phi_0|phi_1>")
-    return q
 
 
-def _row_bits(q: float, bits: int, rng: RandomSource) -> int:
-    """The output register's x outcome z: bits iid Bernoulli(q), one uniform each.
-
-    Bit k is 1 iff the k-th uniform of one block of ``bits`` is below q.
-    """
-    ones = rng.uniforms(bits) < q
-    return int.from_bytes(np.packbits(ones, bitorder="little").tobytes(), "little")
-
-
-def _walsh_descent(v: np.ndarray, u: float) -> int:
-    """The label t whose Walsh mass S(t)^2 holds u of the total, t in natural order.
-
-    S is the unnormalized Walsh transform of the integer-valued ``v`` (length
-    N = 2^k), overwritten here.  t is chosen from its top bit down: splitting
-    v into halves lo and hi, the labels with that bit 0 are the spectrum of
-    lo + hi, of mass (N/2) ||lo + hi||^2 by Parseval, and those with it 1 the
-    spectrum of lo - hi.  Each level halves v, so the whole draw is O(N).
-    With v = +-1 every mass is an integer of at most N^2 <= 2^38 and u N^2 is
-    exact, so the float64 comparisons are exact: this is the inverse CDF
-    ``searchsorted`` would read off the whole spectrum.
-    """
-    target = u * float(v.size) ** 2
-    t = 0
-    while v.size > 1:
-        half = v.size // 2
-        lo, hi = v[:half], v[half:]
-        lo += hi
-        # einsum sums in numpy; a BLAS dot may wake its threads on long vectors
-        left = half * float(np.einsum("i,i->", lo, lo))
-        t <<= 1
-        if target >= left:
-            target -= left
-            lo -= hi
-            lo -= hi
-            t |= 1
-        v = lo
-    if v[0] == 0:
-        raise ResampleError("sampled a zero-probability branch")
-    return t
+def _row_bits(q: float, u: np.ndarray) -> list:
+    """Each shot's output register x outcome z, bit k 1 iff u[shot, k] < q (exact uint64 sums)."""
+    return ((u < q) @ _POWERS_OF_TWO[: u.shape[1]]).tolist()
 
 
 def simon_sample_factored(
@@ -328,22 +291,72 @@ def simon_sample_factored(
     the label by a bit-by-bit descent through that spectrum, O(2^(n-1)),
     without transforming it whole.
     """
-    return _sample_factored(oracle, factored_row_bit_prob(oracle, phi0, phi1), rng)
+    q = simon_row_bit_prob(phi0, phi1)
+    _check_real_overlap(oracle, abs(np.vdot(phi0, phi1).imag))
+    return _readout(oracle, q, rng.uniforms(oracle.n - (oracle.scramble is None))[None])[0]
 
 
-def _sample_factored(oracle: BvMask | SimonOracle, q: float, rng: RandomSource) -> BvReadout | int:
-    """One factored shot at row-bit probability q: a ``BvReadout`` for BV, a row for Simon."""
+def _read_factored(
+    oracle: BvMask | SimonOracle, q: float, rng: RandomSource, streams: range
+) -> list:
+    """The shots on ``streams`` at row-bit probability q, each after ``rng.restart(stream)``."""
+    width = 1 if isinstance(oracle, BvMask) else oracle.n - (oracle.scramble is None)
+    u = np.empty((len(streams), width))
+    for row, stream in zip(u, streams):
+        rng.restart(stream)
+        rng.fill(row)
+    return _readout(oracle, q, u)
+
+
+def _readout(oracle: BvMask | SimonOracle, q: float, u: np.ndarray) -> list:
+    """The shots whose uniforms are the rows of u: ``BvReadout``s for BV, rows for Simon."""
     if isinstance(oracle, BvMask):
-        if _row_bits(q, 1, rng):
-            return BvReadout(restart=False, a_candidate=oracle.a)
-        return BvReadout(restart=True, a_candidate=None)
-    z = _row_bits(q, oracle.n - 1, rng)
+        return [BvReadout(not z, oracle.a if z else None) for z in _row_bits(q, u)]
+    m = oracle.n - 1
+    zs = _row_bits(q, u[:, :m])
     if oracle.scramble is None:
-        return simon_orthogonal_row(oracle, z)
-    # s(u) = 1 - 2 (popcount(z & scramble[u]) mod 2), with one float array
+        return [simon_orthogonal_row(oracle, z) for z in zs]
+    return [_scrambled_row(oracle, z, w) for z, w in zip(zs, u[:, m].tolist())]
+
+
+def _scrambled_row(oracle: SimonOracle, z: int, u: float) -> int:
+    """The row of a scrambled shot with output outcome z and descent uniform u.
+
+    Its label t is the one whose Walsh mass S(t)^2 holds u of the total, t in
+    natural order, where S is the unnormalized Walsh transform of the signs
+    v(l) = (-1)^(z . scramble[l]) over the N = 2^(n-1) labels l.  At z = 0,
+    v = 1 and the spectrum is the single label 0.  Otherwise t is chosen from
+    its top bit down: splitting v into halves lo and hi, the labels with that
+    bit 0 are the spectrum of lo + hi, of mass (N/2) ||lo + hi||^2 by
+    Parseval, and those with it 1 the spectrum of lo - hi.  Each level halves
+    v, so the whole draw is O(N).  With v = +-1 every mass is an integer of at
+    most N^2 <= 2^38 and u N^2 is exact, so the float64 comparisons are exact:
+    this is the inverse CDF ``searchsorted`` would read off the whole
+    spectrum.  The sign arrays are freed when the row returns.
+    """
+    if not z:
+        return simon_orthogonal_row(oracle, 0)
+    # v = 1 - 2 (popcount(z & scramble) mod 2), with one float array
     parity = np.bitwise_count(oracle.scramble & z)
     parity &= 1
-    signs = parity.astype(np.float64)
-    signs *= -2.0
-    signs += 1.0
-    return simon_orthogonal_row(oracle, _walsh_descent(signs, rng.uniform()))
+    v = parity.astype(np.float64)
+    v *= -2.0
+    v += 1.0
+    target = u * float(v.size) ** 2
+    t = 0
+    while v.size > 1:
+        half = v.size // 2
+        lo, hi = v[:half], v[half:]
+        lo += hi
+        # einsum sums in numpy; a BLAS dot may wake its threads on long vectors
+        left = half * float(np.einsum("i,i->", lo, lo))
+        t <<= 1
+        if target >= left:
+            target -= left
+            lo -= hi
+            lo -= hi
+            t |= 1
+        v = lo
+    if v[0] == 0:
+        raise ResampleError("sampled a zero-probability branch")
+    return simon_orthogonal_row(oracle, t)

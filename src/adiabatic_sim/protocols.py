@@ -5,12 +5,12 @@ dense state, applying H(s) without a matrix; path "factored" integrates the
 two branch qubits and samples the product state's readout from them),
 measure, repeat per the algorithm's rule, and reduce the collected outcomes
 to a mask candidate; both problems share that one shot loop, ``_shoot``.
-A factored anneal computes the row-bit probability q once; every shot then
-draws the output register's x outcome, one uniform per output qubit, as one
-block: a BV shot is that one draw, an unscrambled Simon row is O(n), and a
-scrambled Simon row adds a bit-by-bit descent through the Walsh spectrum of
-2^(n-1) labels, O(2^(n-1)) per row; see ``measurement``.  The factored
-fidelity is |phi_0[0]^m|^2 for m output qubits.
+It reads shots in blocks of those that cannot end the run: n - 1 - rank
+for Simon (a row raises the rank by at most one) and 1 for BV.  A factored
+block reads its output-register x outcomes together, at the row-bit
+probability q computed once per schedule: a BV shot is one draw, a linear
+Simon row O(n), and a scrambled Simon row adds a Walsh descent, O(2^(n-1));
+see ``measurement``.  The factored fidelity is |phi_0[0]^m|^2.
 
 Randomness discipline (everything derives from RunConfig.seed):
   stream 0          draws the mask when ``a`` is None (one integer draw),
@@ -20,10 +20,11 @@ Randomness discipline (everything derives from RunConfig.seed):
   sweep trials      reseed per (value index, trial index) via SeedSequence.
 Identical configs therefore reproduce identical reports, wall time aside.
 
-Branch evolutions depend only on (kind, T, steps), so they are memoized;
-re-running an evolution for a restart is physically a fresh anneal but
-numerically the identical deterministic vector.  A cache miss costs one
-vectorized two-level evolution: phi_1 is sigma_x phi_0.
+Branch evolutions depend only on (kind, T, steps), so they are memoized
+with the values a factored run reads off them; re-running an evolution for
+a restart is physically a fresh anneal but numerically the identical
+deterministic vector.  A cache miss costs one vectorized two-level
+evolution: phi_1 is sigma_x phi_0.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ from .gf2 import Gf2Matrix, recover_mask
 from .hamiltonians import TwoLevelBlock, bv_interpolated, simon_interpolated
 from .measurement import (
     RandomSource,
-    _sample_factored,
+    _check_real_overlap,
+    _read_factored,
     bv_readout,
-    factored_row_bit_prob,
+    simon_row_bit_prob,
     simon_sample,
 )
 from .oracles import BvMask, SimonOracle, bv_eval, simon_build, simon_eval
@@ -141,25 +143,18 @@ class RunReport:
 
 @lru_cache(maxsize=256)
 def _branch_pair_cached(kind: str, total_time: float, steps: int):
+    """phi_0 and phi_1 as tuples, then what factored runs read: q, |Im <phi_0|phi_1>|, phi_0[0]."""
     # phi_1 = sigma_x phi_0; the integrator makes this exact to the bit
     phi0 = evolve_two_level(TwoLevelBlock(0, kind), Schedule(total_time, steps))
-    return tuple(phi0.tolist()), tuple(phi0[::-1].tolist())
+    phi1 = phi0[::-1]
+    q, im_overlap = simon_row_bit_prob(phi0, phi1), abs(np.vdot(phi0, phi1).imag)
+    return tuple(phi0.tolist()), tuple(phi1.tolist()), q, im_overlap, phi0[0]
 
 
 def branch_pair(kind: str, total_time: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Memoized (phi_0, phi_1) branch vectors for the given schedule."""
-    phi0, phi1 = _branch_pair_cached(kind, total_time, steps)
+    phi0, phi1 = _branch_pair_cached(kind, total_time, steps)[:2]
     return np.array(phi0, dtype=np.complex128), np.array(phi1, dtype=np.complex128)
-
-
-def _factored_fidelity(phi0: np.ndarray, m: int) -> float:
-    """|<target|psi>|^2 of the factored state with m output qubits.
-
-    Each output qubit overlaps its ideal vector e_f(w) by phi_f(w)[f(w)], which
-    is phi_0[0] on either branch, as phi_1[1] = phi_0[0]; so the overlap is
-    phi_0[0]^m for every oracle.
-    """
-    return abs(phi0[0] ** m) ** 2
 
 
 def _anneal(
@@ -167,11 +162,11 @@ def _anneal(
     oracle: BvMask | SimonOracle,
     on_final_state: Optional[Callable[[StateVector], None]] = None,
 ) -> tuple:
-    """One anneal serves every shot of a run: (shot, fidelity); shot(rng) reads out once.
+    """One anneal serves every shot of a run: (read, fidelity); read(rng, streams) reads a block.
 
-    The factored path computes q once from the memoized branch pair and reads
-    out every shot from it; the full path steps the dense state from |+>|+>,
-    hands it to ``on_final_state`` if given, and reads out its final state.
+    The factored path reads a block at once, at the memoized q; the full path
+    steps the dense state from |+>|+>, hands it to ``on_final_state`` if
+    given, and reads out its final state shot by shot.
     """
     if cfg.problem == "bv":
         m, assemble, interpolated, full_shot = 1, assemble_bv, bv_interpolated, bv_readout
@@ -179,35 +174,45 @@ def _anneal(
         m, assemble, interpolated = cfg.n - 1, assemble_simon, simon_interpolated
         full_shot = simon_sample
     if cfg.path == "factored":
-        phi0, phi1 = branch_pair(cfg.problem, cfg.total_time, cfg.steps)
-        q = factored_row_bit_prob(oracle, phi0, phi1)
-        return partial(_sample_factored, oracle, q), _factored_fidelity(phi0, m)
+        q, im_overlap, phi00 = _branch_pair_cached(cfg.problem, cfg.total_time, cfg.steps)[2:]
+        _check_real_overlap(oracle, im_overlap)
+        # the factored fidelity |<target|psi>|^2: each output qubit overlaps its
+        # ideal vector e_f(w) by phi_f(w)[f(w)], which is phi_0[0] on either
+        # branch, as phi_1[1] = phi_0[0]; so the overlap is phi_0[0]^m
+        return partial(_read_factored, oracle, q), abs(phi00 ** m) ** 2
     sched = Schedule(cfg.total_time, cfg.steps)
     target = assemble(oracle, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     result = evolve_full(interpolated(oracle), plus_state(cfg.n, m), sched, target)
     if on_final_state is not None:
         on_final_state(result.final_state)
-    return partial(full_shot, result.final_state), result.fidelity_to_target
+    state = result.final_state  # map(rng.restart, streams) re-keys rng before each shot
+    read = lambda rng, streams: [full_shot(state, rng) for _ in map(rng.restart, streams)]  # noqa: E731
+    return read, result.fidelity_to_target
 
 
 def _shoot(
     cfg: RunConfig,
     oracle: BvMask | SimonOracle,
     absorb: Callable[[object], Optional[int]],
+    pending: Callable[[], int],
     on_final_state: Optional[Callable[[StateVector], None]] = None,
 ) -> tuple[Optional[int], int, float]:
     """One anneal, then shot i from stream 1 + i until ``absorb`` names a mask.
 
-    One ``RandomSource`` serves the run, re-keyed to the next stream per shot.
-    Returns (mask or None, shots taken, fidelity); at most cfg.max_repeats shots.
+    A block holds the ``pending()`` shots that cannot end the run, within the
+    budget, so none is drawn past the stop.  One ``RandomSource`` serves the
+    run, re-keyed to each shot's stream.  Returns (mask or None, shots taken,
+    fidelity); at most cfg.max_repeats shots.
     """
-    shot, fidelity = _anneal(cfg, oracle, on_final_state)
+    read, fidelity = _anneal(cfg, oracle, on_final_state)
     rng = RandomSource(cfg.seed)
-    for shots in range(1, cfg.max_repeats + 1):
-        rng.restart(shots)
-        found = absorb(shot(rng))
-        if found is not None:
-            return found, shots, float(fidelity)
+    shots = 0
+    while shots < cfg.max_repeats:
+        block = range(shots + 1, min(shots + pending(), cfg.max_repeats) + 1)
+        for shots, outcome in zip(block, read(rng, block)):
+            found = absorb(outcome)
+            if found is not None:
+                return found, shots, float(fidelity)
     return None, cfg.max_repeats, float(fidelity)
 
 
@@ -217,7 +222,7 @@ def run_bv(cfg: RunConfig) -> RunReport:
     if cfg.problem != "bv":
         raise DomainError("run_bv needs a bv config")
     t0 = time.perf_counter()
-    found, shots, fidelity = _shoot(cfg, BvMask(cfg.n, cfg.a), lambda r: r.a_candidate)
+    found, shots, fidelity = _shoot(cfg, BvMask(cfg.n, cfg.a), lambda r: r.a_candidate, lambda: 1)
     return RunReport(
         success=found == cfg.a,
         recovered_a=found,
@@ -248,7 +253,9 @@ def run_simon(
         return recover_mask(system).a_candidate if system.rank == cfg.n - 1 else None
 
     oracle = simon_build(cfg.n, cfg.a, cfg.scramble_seed)
-    found, shots, fidelity = _shoot(cfg, oracle, absorb, on_final_state)
+    found, shots, fidelity = _shoot(
+        cfg, oracle, absorb, lambda: cfg.n - 1 - system.rank, on_final_state
+    )
     return RunReport(
         success=found == cfg.a,
         recovered_a=found,

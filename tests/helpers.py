@@ -33,3 +33,43 @@ def gf2_rank(rows, n: int) -> int:
 def gf2_nullspace(rows, n: int) -> list:
     """Every nonzero v with row . v = 0 (mod 2) for all rows, by trying all 2^n - 1."""
     return [v for v in range(1, 1 << n) if all((row & v).bit_count() % 2 == 0 for row in rows)]
+
+
+def reference_run(cfg) -> dict:
+    """A factored run's report, without wall_time, read one shot at a time.
+
+    Shot i is the public one-shot sampler on ``RandomSource(seed, 1 + i)``,
+    absorbed until a mask is found or the repeat budget runs out.
+    """
+    from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
+    from adiabatic_sim.measurement import RandomSource, bv_sample_factored, simon_sample_factored
+    from adiabatic_sim.oracles import BvMask, simon_build
+    from adiabatic_sim.protocols import branch_pair, resolve_config
+
+    cfg = resolve_config(cfg)
+    phi0, phi1 = branch_pair(cfg.problem, cfg.total_time, cfg.steps)
+    if cfg.problem == "bv":
+        mask, m = BvMask(cfg.n, cfg.a), 1
+    else:
+        oracle, m = simon_build(cfg.n, cfg.a, cfg.scramble_seed), cfg.n - 1
+        system = Gf2Matrix(cfg.n)
+    found, shots = None, cfg.max_repeats
+    for i in range(cfg.max_repeats):
+        rng = RandomSource(cfg.seed, 1 + i)
+        if cfg.problem == "bv":
+            found = bv_sample_factored(mask, phi0, phi1, rng).a_candidate
+        else:
+            system.add_row(simon_sample_factored(oracle, phi0, phi1, rng))
+            if system.rank == cfg.n - 1:
+                found = recover_mask(system).a_candidate
+        if found is not None:
+            shots = i + 1
+            break
+    return dict(
+        success=found == cfg.a,
+        recovered_a=found,
+        quantum_runs=shots,
+        restarts=shots - (found is not None) if cfg.problem == "bv" else 0,
+        rows_collected=0 if cfg.problem == "bv" else shots,
+        per_run_fidelity=float(abs(phi0[0] ** m) ** 2),
+    )

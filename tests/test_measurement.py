@@ -11,8 +11,9 @@ from adiabatic_sim.evolution import Schedule, assemble_bv, assemble_simon, evolv
 from adiabatic_sim.gf2 import dot2
 from adiabatic_sim.hamiltonians import TwoLevelBlock
 from adiabatic_sim.measurement import (
+    BvReadout,
     RandomSource,
-    _row_bits,
+    _read_factored,
     bv_readout,
     bv_sample_factored,
     measure_x,
@@ -118,15 +119,28 @@ def scalar_row_bits(q: float, bits: int, rng: RandomSource) -> int:
 
 
 def test_row_bits_block_draw_equals_scalar_loop():
-    # one block of uniforms gives the z, the draw count and the next draw of
-    # one scalar uniform per bit, for every width a Simon row can have
+    # a block readout gives each shot the z of one scalar uniform per bit on
+    # its own stream, the draw count of those scalar draws and, after the
+    # block, the next draw of its last stream, for every width a linear Simon
+    # row can have; a row is L^T z with L of full rank, so equal rows are equal z
     cases = [(bits, q) for bits in range(1, 60) for q in (0.0, 1e-3, 0.5, 0.75, 1.0)] * 4
     keys = np.random.default_rng(17).integers(0, 2**63, size=(len(cases), 2)).tolist()
     for (bits, q), (seed, stream) in zip(cases, keys):
-        block, scalar = RandomSource(seed, stream), RandomSource(seed, stream)
-        assert _row_bits(q, bits, block) == scalar_row_bits(q, bits, scalar)
-        assert block.draws == scalar.draws == bits
-        assert block.uniform() == scalar.uniform()
+        oracle = simon_build(bits + 1, (1 << bits) | (seed & ((1 << bits) - 1)))
+        streams = range(stream, stream + 3)
+        block, scalars = RandomSource(seed), [RandomSource(seed, s) for s in streams]
+        rows = _read_factored(oracle, q, block, streams)
+        assert rows == [simon_orthogonal_row(oracle, scalar_row_bits(q, bits, s)) for s in scalars]
+        assert block.draws == sum(s.draws for s in scalars) == bits * len(streams)
+        assert block.uniform() == scalars[-1].uniform()
+    # a BV shot is the one bit z: a restart iff the uniform is not below q
+    for q in (0.0, 0.3, 1.0):
+        block = RandomSource(5)
+        readouts = _read_factored(BvMask(4, 9), q, block, range(1, 40))
+        assert block.draws == 39
+        for stream, readout in zip(range(1, 40), readouts):
+            z = scalar_row_bits(q, 1, RandomSource(5, stream))
+            assert readout == BvReadout(restart=not z, a_candidate=9 if z else None)
 
 
 def test_sample_index_zero_weights():

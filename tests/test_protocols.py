@@ -1,6 +1,7 @@
 """End-to-end protocol runs, classical baselines, and sweeps."""
 
 import math
+import random
 from dataclasses import asdict
 
 import numpy as np
@@ -18,10 +19,12 @@ from adiabatic_sim.protocols import (
     classical_bv,
     classical_simon,
     resolve_config,
+    run,
     run_bv,
     run_simon,
     sweep,
 )
+from helpers import reference_run
 
 
 def test_run_bv_end_to_end():
@@ -292,7 +295,8 @@ def test_branch_pair_miss_evolves_once(monkeypatch):
 
 
 def test_factored_runs_compute_q_once_per_anneal(monkeypatch):
-    # every q is computed by measurement.simon_row_bit_prob; a shot only draws
+    # q is memoized with the branch pair: the first run of a schedule computes
+    # it once, a second run of that schedule not at all, and a shot only draws
     calls = []
     row_bit_prob = measurement.simon_row_bit_prob
 
@@ -301,15 +305,71 @@ def test_factored_runs_compute_q_once_per_anneal(monkeypatch):
         return row_bit_prob(phi0, phi1)
 
     monkeypatch.setattr(measurement, "simon_row_bit_prob", counting)
+    monkeypatch.setattr(protocols, "simon_row_bit_prob", counting)
+    protocols._branch_pair_cached.cache_clear()
     for run, fields in [
         (run_bv, dict(problem="bv", n=10, total_time=1.0, steps=100, seed=0)),
         (run_simon, dict(problem="simon", n=12, seed=1)),
-        (run_simon, dict(problem="simon", n=12, seed=1, scramble_seed=2)),
+        (run_simon, dict(problem="simon", n=12, total_time=37.5, steps=4000, scramble_seed=2)),
     ]:
-        calls.clear()
-        report = run(RunConfig(**fields))
-        assert report.success and report.quantum_runs >= 10
-        assert len(calls) == 1
+        for computed in (1, 0):
+            calls.clear()
+            report = run(RunConfig(**fields))
+            assert report.success and report.quantum_runs >= 10
+            assert len(calls) == computed
+
+
+def test_run_draws_only_the_shots_it_takes(monkeypatch):
+    # shots x (1 | n - 1 | n) draws for BV, linear and scrambled Simon: no
+    # block reads a shot past the one that ends the run or past the budget
+    sources = []
+
+    class Recorded(RandomSource):
+        def __init__(self, seed, stream=0):
+            super().__init__(seed, stream)
+            sources.append(self)
+
+    monkeypatch.setattr(protocols, "RandomSource", Recorded)
+    for fields, width in [
+        (dict(problem="bv", n=10, a=0b1011001101, total_time=1.0, steps=100), 1),
+        (dict(problem="simon", n=12, a=0b101101), 11),
+        (dict(problem="simon", n=20, a=(1 << 19) | 5, total_time=1.0, steps=100), 19),
+        (dict(problem="simon", n=9, a=0b110010, scramble_seed=3), 9),
+    ]:
+        for seed in range(12):
+            for max_repeats in (None, 1, fields["n"] - 2, fields["n"] + 3):
+                sources.clear()
+                report = run(RunConfig(**fields, seed=seed, max_repeats=max_repeats))
+                assert len(sources) == 1
+                assert sources[0].draws == report.quantum_runs * width
+
+
+def test_factored_runs_equal_the_scalar_reference_loop():
+    # every factored report, without wall_time, equals shot-by-shot sampling
+    # with the public one-shot samplers; the budgets include ones that cut a
+    # block short
+    picks = random.Random(12)
+    schedules = ((0.5, 50), (1.0, 100), (5.77, 577), (50.0, 5000))
+    configs = []
+    for problem, scrambled in (("bv", False), ("simon", False), ("simon", True)):
+        for total_time, steps in schedules:
+            for budget in ("one", "two", "n-2", "default"):
+                for _ in range(7):
+                    n = picks.randint(2, 12 if scrambled else 60)
+                    budgets = {"one": 1, "two": 2, "n-2": max(1, n - 2), "default": None}
+                    seed = picks.choice([
+                        picks.getrandbits(64) | 1 << 63, -picks.getrandbits(62), picks.getrandbits(63)
+                    ])
+                    configs.append(RunConfig(
+                        problem, n, total_time=total_time, steps=steps, seed=seed,
+                        max_repeats=budgets[budget],
+                        scramble_seed=picks.getrandbits(31) if scrambled else None,
+                    ))
+    assert len(configs) >= 300
+    for cfg in configs:
+        report = asdict(run(cfg))
+        del report["wall_time"]
+        assert report == reference_run(cfg), cfg
 
 
 def test_one_run_builds_one_shot_random_source(monkeypatch):
