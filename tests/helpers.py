@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
+from adiabatic_sim.measurement import RandomSource, bv_sample_factored, simon_sample_factored
+from adiabatic_sim.oracles import BvMask, simon_build
+from adiabatic_sim.protocols import branch_pair, resolve_config
 from adiabatic_sim.qstate import StateVector
 
 
@@ -41,11 +45,6 @@ def reference_run(cfg) -> dict:
     Shot i is the public one-shot sampler on ``RandomSource(seed, 1 + i)``,
     absorbed until a mask is found or the repeat budget runs out.
     """
-    from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
-    from adiabatic_sim.measurement import RandomSource, bv_sample_factored, simon_sample_factored
-    from adiabatic_sim.oracles import BvMask, simon_build
-    from adiabatic_sim.protocols import branch_pair, resolve_config
-
     cfg = resolve_config(cfg)
     phi0, phi1 = branch_pair(cfg.problem, cfg.total_time, cfg.steps)
     if cfg.problem == "bv":
