@@ -53,7 +53,6 @@ from .oracles import (
     BvMask,
     SimonOracle,
     bv_eval,
-    hamming,
     simon_build,
     simon_eval,
     verify_promise,

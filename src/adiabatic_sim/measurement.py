@@ -262,12 +262,6 @@ def simon_row_bit_prob(phi0: np.ndarray, phi1: np.ndarray) -> float:
     return minus / total
 
 
-def _check_real_overlap(oracle: BvMask | SimonOracle, im_overlap: float) -> None:
-    """A scrambled row needs a real <phi_0|phi_1> (see ``simon_sample_factored``)."""
-    if getattr(oracle, "scramble", None) is not None and im_overlap > 1e-9:
-        raise DomainError("scrambled Simon sampling needs a real branch overlap <phi_0|phi_1>")
-
-
 def _row_bits(q: float, u: np.ndarray) -> list:
     """Each shot's output register x outcome z, bit k 1 iff u[shot, k] < q (exact uint64 sums)."""
     return ((u < q) @ _POWERS_OF_TWO[: u.shape[1]]).tolist()
@@ -292,7 +286,8 @@ def simon_sample_factored(
     without transforming it whole.
     """
     q = simon_row_bit_prob(phi0, phi1)
-    _check_real_overlap(oracle, abs(np.vdot(phi0, phi1).imag))
+    if oracle.scramble is not None and abs(np.vdot(phi0, phi1).imag) > 1e-9:
+        raise DomainError("scrambled Simon sampling needs a real branch overlap <phi_0|phi_1>")
     return _readout(oracle, q, rng.uniforms(oracle.n - (oracle.scramble is None))[None])[0]
 
 

@@ -50,11 +50,6 @@ def bv_eval_all(mask: BvMask) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << mask.n) & mask.a) & 1
 
 
-def hamming(y: int, z: int) -> int:
-    """Number of differing bits between y and z."""
-    return (y ^ z).bit_count()
-
-
 @dataclass(frozen=True)
 class SimonOracle:
     """Black box g with g(w) == g(y) iff w == y or w xor y == a.

@@ -49,7 +49,6 @@ from .gf2 import Gf2Matrix, recover_mask
 from .hamiltonians import TwoLevelBlock, bv_interpolated, simon_interpolated
 from .measurement import (
     RandomSource,
-    _check_real_overlap,
     _read_factored,
     bv_readout,
     simon_row_bit_prob,
@@ -143,12 +142,12 @@ class RunReport:
 
 @lru_cache(maxsize=256)
 def _branch_pair_cached(kind: str, total_time: float, steps: int):
-    """phi_0 and phi_1 as tuples, then what factored runs read: q, |Im <phi_0|phi_1>|, phi_0[0]."""
-    # phi_1 = sigma_x phi_0; the integrator makes this exact to the bit
+    """phi_0 and phi_1 as tuples, then what factored runs read: q and phi_0[0]."""
+    # phi_1 = sigma_x phi_0, exact to the bit; so <phi_0|phi_1> = 2 Re(conj(a) b)
+    # is real and a scrambled row needs no overlap check
     phi0 = evolve_two_level(TwoLevelBlock(0, kind), Schedule(total_time, steps))
     phi1 = phi0[::-1]
-    q, im_overlap = simon_row_bit_prob(phi0, phi1), abs(np.vdot(phi0, phi1).imag)
-    return tuple(phi0.tolist()), tuple(phi1.tolist()), q, im_overlap, phi0[0]
+    return tuple(phi0.tolist()), tuple(phi1.tolist()), simon_row_bit_prob(phi0, phi1), phi0[0]
 
 
 def branch_pair(kind: str, total_time: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +173,7 @@ def _anneal(
         m, assemble, interpolated = cfg.n - 1, assemble_simon, simon_interpolated
         full_shot = simon_sample
     if cfg.path == "factored":
-        q, im_overlap, phi00 = _branch_pair_cached(cfg.problem, cfg.total_time, cfg.steps)[2:]
-        _check_real_overlap(oracle, im_overlap)
+        q, phi00 = _branch_pair_cached(cfg.problem, cfg.total_time, cfg.steps)[2:]
         # the factored fidelity |<target|psi>|^2: each output qubit overlaps its
         # ideal vector e_f(w) by phi_f(w)[f(w)], which is phi_0[0] on either
         # branch, as phi_1[1] = phi_0[0]; so the overlap is phi_0[0]^m
@@ -250,7 +248,7 @@ def run_simon(
 
     def absorb(row: int) -> Optional[int]:
         system.add_row(row)
-        return recover_mask(system).a_candidate if system.rank == cfg.n - 1 else None
+        return recover_mask(system)
 
     oracle = simon_build(cfg.n, cfg.a, cfg.scramble_seed)
     found, shots, fidelity = _shoot(

@@ -59,8 +59,7 @@ def reference_run(cfg) -> dict:
             found = bv_sample_factored(mask, phi0, phi1, rng).a_candidate
         else:
             system.add_row(simon_sample_factored(oracle, phi0, phi1, rng))
-            if system.rank == cfg.n - 1:
-                found = recover_mask(system).a_candidate
+            found = recover_mask(system)
         if found is not None:
             shots = i + 1
             break

@@ -9,7 +9,6 @@ from adiabatic_sim.oracles import (
     SimonOracle,
     bv_eval,
     bv_eval_all,
-    hamming,
     simon_build,
     simon_eval,
     simon_eval_all,
@@ -122,12 +121,6 @@ def test_simon_image_is_all_outputs(n, a, seed):
     oracle = simon_build(n, a, scramble_seed=seed)
     outputs = np.unique(np.asarray(simon_eval_all(oracle)))
     assert outputs.size == 1 << (n - 1)
-
-
-def test_hamming_cases():
-    assert hamming(0b101, 0b100) == 1
-    assert hamming(0b1101, 0b1101) == 0
-    assert hamming(0, (1 << 7) - 1) == 7
 
 
 @pytest.mark.parametrize("n,a", [(2, 0b11), (4, 0b1000), (5, 0b10110), (6, 0b110101)])

@@ -294,6 +294,16 @@ def test_branch_pair_miss_evolves_once(monkeypatch):
     assert calls == [TwoLevelBlock(0, "simon")]
 
 
+def test_cached_branch_overlap_is_real():
+    # phi_1 = sigma_x phi_0 makes <phi_0|phi_1> real, so factored runs skip the
+    # scrambled sampler's overlap check; 100 schedules, T from 0.01 to 1e4
+    for kind in ("bv", "simon"):
+        for total_time in np.geomspace(0.01, 1e4, 10):
+            for steps in (1, 7, 100, 5000, 40000):
+                phi0, phi1 = protocols._branch_pair_cached.__wrapped__(kind, total_time, steps)[:2]
+                assert abs(np.vdot(phi0, phi1).imag) <= 1e-12
+
+
 def test_factored_runs_compute_q_once_per_anneal(monkeypatch):
     # q is memoized with the branch pair: the first run of a schedule computes
     # it once, a second run of that schedule not at all, and a shot only draws
