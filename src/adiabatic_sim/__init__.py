@@ -3,7 +3,7 @@
 The package provides dense state vectors and Hamiltonians (qstate,
 hamiltonians), oracles with a verifiable 2-to-1 promise (oracles),
 Schrodinger propagation in full and branch-factored form (evolution),
-projective measurement and readout (measurement), GF(2) mask recovery (gf2),
+seeded sampling of both readouts (measurement), GF(2) mask recovery (gf2),
 end-to-end experiment protocols (protocols), and a CLI (cli).
 """
 
@@ -40,12 +40,9 @@ from .hamiltonians import (
 )
 from .measurement import (
     BvReadout,
-    MeasurementRecord,
     RandomSource,
     bv_readout,
     bv_sample_factored,
-    measure_x,
-    measure_z,
     simon_sample,
     simon_sample_factored,
 )

@@ -1,9 +1,12 @@
-"""Projective measurement, collapse, and the readout procedures of both algorithms.
+"""Seeded sampling of both algorithms' readouts, dense and factored.
 
-z-basis measurement samples a register's marginal distribution and collapses
-to the renormalized conditional state.  x-basis measurement is the Hadamard
-sandwich: rotate the register with the Walsh-Hadamard transform, measure in
-z, rotate back.  x outcomes are labeled with bit 0 <-> |+> and bit 1 <-> |->.
+Both readouts measure the output register, then the input register in the
+x basis.  The dense readouts sample that two-stage law straight from the
+final state's (input, output) amplitude matrix: the output outcome from its
+column marginal (after a Walsh transform of the output qubit for BV, which
+measures it in x), then the input register's x outcome from the Walsh
+transform of the one column that outcome selects.  No post-measurement
+state is built.  x outcomes are labeled with bit 0 <-> |+> and bit 1 <-> |->.
 
 Randomness flows through ``RandomSource``, a counter-based (Philox) generator:
 identical (seed, stream) plus an identical sequence of draw calls reproduces
@@ -45,7 +48,7 @@ import numpy as np
 from .errors import DomainError, ResampleError
 from .evolution import check_branch_vector
 from .oracles import BvMask, SimonOracle, simon_eval_all, simon_orthogonal_row
-from .qstate import StateVector, fwht_subsystem, _fwht_inplace
+from .qstate import StateVector, _fwht_inplace
 
 
 # Seeds the Philox before its key and counter are set through its state:
@@ -123,46 +126,6 @@ class RandomSource:
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    basis: str
-    subsystem: str
-    outcome: int
-    post_state: StateVector
-
-
-def measure_z(psi: StateVector, subsystem: str, rng: RandomSource) -> MeasurementRecord:
-    """Projective z-basis measurement of one whole register."""
-    if subsystem not in ("A", "B"):
-        raise DomainError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    mat = psi.as_matrix()
-    axis = 1 if subsystem == "A" else 0
-    probs = np.abs(mat) ** 2
-    marginal = probs.sum(axis=axis)
-    outcome = rng.sample_index(marginal)
-    post = np.zeros_like(mat)
-    if subsystem == "A":
-        post[outcome, :] = mat[outcome, :] / math.sqrt(marginal[outcome])
-    else:
-        post[:, outcome] = mat[:, outcome] / math.sqrt(marginal[outcome])
-    return MeasurementRecord(
-        basis="z",
-        subsystem=subsystem,
-        outcome=outcome,
-        post_state=StateVector(psi.num_qubits_a, psi.num_qubits_b, post.reshape(-1)),
-    )
-
-
-def measure_x(psi: StateVector, subsystem: str, rng: RandomSource) -> MeasurementRecord:
-    """Projective x-basis measurement: Hadamard, z-measure, Hadamard back."""
-    rotated = fwht_subsystem(psi, subsystem)
-    record = measure_z(rotated, subsystem, rng)
-    post = fwht_subsystem(record.post_state, subsystem)
-    return MeasurementRecord(
-        basis="x", subsystem=subsystem, outcome=record.outcome, post_state=post
-    )
-
-
-@dataclass(frozen=True)
 class BvReadout:
     restart: bool
     a_candidate: Optional[int] = None
@@ -175,11 +138,14 @@ def bv_readout(final: StateVector, rng: RandomSource) -> BvReadout:
     caller must restart.  Outcome |-> leaves the input register in a product
     of x eigenstates whose orientations spell out the mask bits.
     """
-    output = measure_x(final, "B", rng)
-    if output.outcome == 0:
+    rotated = final.as_matrix().copy()
+    _fwht_inplace(rotated)  # columns indexed by the output register's x outcome
+    marginal = (np.abs(rotated) ** 2).sum(axis=0)
+    output = rng.sample_index(marginal)
+    if output == 0:
         return BvReadout(restart=True, a_candidate=None)
-    inputs = measure_x(output.post_state, "A", rng)
-    return BvReadout(restart=False, a_candidate=inputs.outcome)
+    a_candidate = _x_outcome(rotated[:, output], marginal[output], rng)
+    return BvReadout(restart=False, a_candidate=a_candidate)
 
 
 def bv_sample_factored(
@@ -199,9 +165,20 @@ def simon_sample(final: StateVector, rng: RandomSource) -> int:
 
     The returned x outcome is orthogonal (mod 2) to the hidden mask.
     """
-    output = measure_z(final, "B", rng)
-    inputs = measure_x(output.post_state, "A", rng)
-    return inputs.outcome
+    mat = final.as_matrix()
+    marginal = (np.abs(mat) ** 2).sum(axis=0)
+    output = rng.sample_index(marginal)
+    return _x_outcome(mat[:, output], marginal[output], rng)
+
+
+def _x_outcome(column: np.ndarray, weight: float, rng: RandomSource) -> int:
+    """The input register's x outcome given the output outcome that selects ``column``.
+
+    ``weight`` is the column's squared norm, the output outcome's probability.
+    """
+    conditional = column / math.sqrt(weight)
+    _fwht_inplace(conditional)
+    return rng.sample_index(np.abs(conditional) ** 2)
 
 
 def _branch_weights(

@@ -1,4 +1,4 @@
-"""Measurement, collapse, readout, and the factored Simon sampler."""
+"""RandomSource, the dense readouts, and the factored samplers."""
 
 import math
 import tracemalloc
@@ -16,8 +16,6 @@ from adiabatic_sim.measurement import (
     _read_factored,
     bv_readout,
     bv_sample_factored,
-    measure_x,
-    measure_z,
     simon_factored_x_probs,
     simon_row_bit_prob,
     simon_sample,
@@ -26,10 +24,10 @@ from adiabatic_sim.measurement import (
 from adiabatic_sim.oracles import (
     BvMask,
     simon_build,
-    simon_eval,
     simon_orthogonal_row,
 )
 from adiabatic_sim.qstate import StateVector, fwht_subsystem, plus_state
+from helpers import random_state
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -149,72 +147,94 @@ def test_sample_index_zero_weights():
         rng.sample_index(np.array([0.0, 0.0]))
 
 
-def test_measure_z_basis_state_is_deterministic():
-    # |01> (x) |1>: B outcome 1 with certainty, state untouched
-    psi = StateVector(2, 1, np.eye(8)[0b011])
-    for seed in range(5):
-        record = measure_z(psi, "B", RandomSource(seed))
-        assert record.outcome == 1
-        np.testing.assert_allclose(record.post_state.amps, psi.amps, atol=1e-15)
+def reference_measure_z(psi: StateVector, subsystem: str, rng: RandomSource):
+    """The z-basis measurement with collapse the dense readouts replaced, kept as the reference.
+
+    Returns the outcome and the renormalized conditional state.
+    """
+    mat = psi.as_matrix()
+    axis = 1 if subsystem == "A" else 0
+    probs = np.abs(mat) ** 2
+    marginal = probs.sum(axis=axis)
+    outcome = rng.sample_index(marginal)
+    post = np.zeros_like(mat)
+    if subsystem == "A":
+        post[outcome, :] = mat[outcome, :] / math.sqrt(marginal[outcome])
+    else:
+        post[:, outcome] = mat[:, outcome] / math.sqrt(marginal[outcome])
+    return outcome, StateVector(psi.num_qubits_a, psi.num_qubits_b, post.reshape(-1))
 
 
-def test_measure_z_simon_ideal_marginal():
-    oracle = simon_build(2, 3)
-    state = assemble_simon(oracle, E0, E1)
-    marginal = np.sum(np.abs(state.as_matrix()) ** 2, axis=0)
-    np.testing.assert_allclose(marginal, [0.5, 0.5], atol=1e-12)
-    counts = [0, 0]
-    for seed in range(400):
-        counts[measure_z(state, "B", RandomSource(seed)).outcome] += 1
-    assert 140 <= counts[0] <= 260
+def reference_measure_x(psi: StateVector, subsystem: str, rng: RandomSource):
+    """The x-basis measurement with collapse: Hadamard, z-measure, Hadamard back."""
+    outcome, post = reference_measure_z(fwht_subsystem(psi, subsystem), subsystem, rng)
+    return outcome, fwht_subsystem(post, subsystem)
 
 
-def test_measure_z_collapse_matches_coset_formula():
-    # post state is (|w*> + |w* xor a>)/sqrt(2) (x) |y*> with g(w*) = y*
-    oracle = simon_build(3, 5)
-    state = assemble_simon(oracle, E0, E1)
-    record = measure_z(state, "B", RandomSource(11))
-    y_star = record.outcome
-    members = [w for w in range(8) if simon_eval(oracle, w) == y_star]
-    assert len(members) == 2 and members[0] ^ members[1] == 5
-    expected = np.zeros((8, 4), dtype=complex)
-    expected[members[0], y_star] = S2
-    expected[members[1], y_star] = S2
-    np.testing.assert_allclose(record.post_state.as_matrix(), expected, atol=1e-12)
+def reference_bv_readout(final: StateVector, rng: RandomSource) -> BvReadout:
+    output, post = reference_measure_x(final, "B", rng)
+    if output == 0:
+        return BvReadout(restart=True, a_candidate=None)
+    return BvReadout(restart=False, a_candidate=reference_measure_x(post, "A", rng)[0])
 
 
-def test_measure_x_plus_state_deterministic():
-    plus = plus_state(1, 0)
-    for seed in range(5):
-        record = measure_x(plus, "A", RandomSource(seed))
-        assert record.outcome == 0
-        np.testing.assert_allclose(record.post_state.amps, plus.amps, atol=1e-12)
+def reference_simon_sample(final: StateVector, rng: RandomSource) -> int:
+    _, post = reference_measure_z(final, "B", rng)
+    return reference_measure_x(post, "A", rng)[0]
 
 
-def test_measure_x_zero_state_is_unbiased():
-    zero = StateVector(1, 0, E0)
-    counts = [0, 0]
-    for seed in range(400):
-        counts[measure_x(zero, "A", RandomSource(seed)).outcome] += 1
-    assert 140 <= counts[0] <= 260
+@pytest.mark.parametrize(
+    "problem,n", [("bv", n) for n in range(1, 9)] + [("simon", n) for n in range(2, 6)]
+)
+def test_dense_readouts_match_the_collapse_chain(problem, n):
+    # the same outcome after the same draws on every shot; BV's input weights
+    # may differ from the chain's in the last bit, which sums |v / sqrt(2)|^2
+    # over both output columns, so outcomes are compared, not weights
+    a = 0b1011_0101 & ((1 << n) - 1)
+    anneals = [evolved_branches(problem, T) for T in (0.5, 5.0, 50.0)]
+    if problem == "bv":
+        readout, reference = bv_readout, reference_bv_readout
+        states = [random_state(n, 1, n)]
+        states += [assemble_bv(BvMask(n, a), *branches) for branches in anneals]
+    else:
+        readout, reference = simon_sample, reference_simon_sample
+        states = [random_state(n, n - 1, n)]
+        for scramble in (None, n):
+            oracle = simon_build(n, a, scramble_seed=scramble)
+            states += [assemble_simon(oracle, *branches) for branches in anneals]
+    for state in states:
+        for seed in range(200):
+            rng, reference_rng = RandomSource(seed, 1), RandomSource(seed, 1)
+            assert readout(state, rng) == reference(state, reference_rng)
+            assert rng.draws == reference_rng.draws
 
 
-def test_measure_x_posterior_is_x_basis_state():
-    zero = StateVector(1, 0, E0)
-    record = measure_x(zero, "A", RandomSource(3))
-    sign = 1.0 if record.outcome == 0 else -1.0
-    np.testing.assert_allclose(record.post_state.amps, [S2, sign * S2], atol=1e-12)
+def traced_peak(call):
+    """``call()``'s result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
-def test_collapse_idempotence():
-    state = assemble_simon(simon_build(3, 5), E0, E1)
-    record = measure_z(state, "B", RandomSource(5))
-    marginal = np.sum(np.abs(record.post_state.as_matrix()) ** 2, axis=0)
-    assert marginal[record.outcome] >= 1.0 - 1e-12
-    record_x = measure_x(record.post_state, "A", RandomSource(6))
-    rotated = fwht_subsystem(record_x.post_state, "A")
-    marginal_x = np.sum(np.abs(rotated.as_matrix()) ** 2, axis=1)
-    assert marginal_x[record_x.outcome] >= 1.0 - 1e-12
+def test_dense_readout_shot_memory():
+    # no post-measurement state is built: BV copies the state once for the
+    # output qubit's Walsh transform, Simon transforms the one selected column
+    mask = BvMask(16, 0b1011_0000_1110_0101)
+    state = assemble_bv(mask, E0, E1)
+    for seed in range(64):
+        readout, peak = traced_peak(lambda: bv_readout(state, RandomSource(seed, 1)))
+        if not readout.restart:
+            break
+    assert readout.a_candidate == mask.a
+    assert peak < 3.0 * state.amps.nbytes
+    state = assemble_simon(simon_build(8, 0b1011_0101), E0, E1)
+    x, peak = traced_peak(lambda: simon_sample(state, RandomSource(3, 1)))
+    assert dot2(x, 0b1011_0101) == 0
+    assert peak < 1.5 * state.amps.nbytes
 
 
 def test_bv_ideal_output_qubit_is_unbiased():
