@@ -31,7 +31,9 @@ whose z are read off in one integer matrix product:
 * Simon, the row x = L^T z for an unscrambled (linear) oracle, O(n) per
   shot; for a scrambled one, one more uniform for the row and a bit-by-bit
   descent through the Walsh spectrum of 2^(n-1) labels, O(2^(n-1)) per row,
-  skipped at z = 0, whose spectrum is the single label 0.
+  skipped at z = 0, whose spectrum is the single label 0.  The descent
+  counts uint8 label parities for its top bit and then takes one dot
+  product per bit; every mass it compares is an exact integer.
 
 ``bv_sample_factored`` and ``simon_sample_factored`` take the branch vectors
 instead of q and read a one-shot block from the rng they are given.
@@ -301,33 +303,52 @@ def _scrambled_row(oracle: SimonOracle, z: int, u: float) -> int:
     its top bit down: splitting v into halves lo and hi, the labels with that
     bit 0 are the spectrum of lo + hi, of mass (N/2) ||lo + hi||^2 by
     Parseval, and those with it 1 the spectrum of lo - hi.  Each level halves
-    v, so the whole draw is O(N).  With v = +-1 every mass is an integer of at
-    most N^2 <= 2^38 and u N^2 is exact, so the float64 comparisons are exact:
-    this is the inverse CDF ``searchsorted`` would read off the whole
-    spectrum.  The sign arrays are freed when the row returns.
+    v, so the whole draw is O(N).
+
+    The masses are computed exactly, in narrow integers where they fit.  The
+    top bit needs only the uint8 parities p of z . scramble[l]: with
+    v = 1 - 2p, lo . hi = N/2 - 2 #(p_lo != p_hi).  The chosen half,
+    (lo + hi)/2 = 1 - p_lo - p_hi or (lo - hi)/2 = p_hi - p_lo, is formed in
+    int8, and the masses below it scale by 1/4.  Each further bit costs one
+    dot product lo . hi and one in-place fold, as ||lo +- hi||^2 =
+    sq +- 2 lo . hi with sq = ||v||^2 carried along.  Every mass is an
+    integer of at most N^2 <= 2^38 and u N^2 / 4 is exact, so the float64
+    comparisons are exact: this is the inverse CDF ``searchsorted`` would
+    read off the whole spectrum.  The arrays are freed when the row returns.
     """
     if not z:
         return simon_orthogonal_row(oracle, 0)
-    # v = 1 - 2 (popcount(z & scramble) mod 2), with one float array
     parity = np.bitwise_count(oracle.scramble & z)
     parity &= 1
-    v = parity.astype(np.float64)
-    v *= -2.0
-    v += 1.0
-    target = u * float(v.size) ** 2
-    t = 0
+    half = parity.size // 2
+    p_lo, p_hi = parity[:half].view(np.int8), parity[half:].view(np.int8)
+    differ = int(np.count_nonzero(p_lo != p_hi))
+    target = u * float(parity.size) ** 2
+    left = half * (parity.size + 2 * (half - 2 * differ))
+    if target >= left:
+        target -= left
+        t, sq, fold = 1, differ, p_hi - p_lo
+    else:
+        t, sq, fold = 0, half - differ, 1 - p_lo
+        fold -= p_hi
+    target *= 0.25
+    v = fold.astype(np.float64)
     while v.size > 1:
         half = v.size // 2
         lo, hi = v[:half], v[half:]
-        lo += hi
-        # einsum sums in numpy; a BLAS dot may wake its threads on long vectors
-        left = half * float(np.einsum("i,i->", lo, lo))
+        # OpenBLAS runs ddot on the calling thread up to 10,000 elements
+        # (n <= 16) and may wake its helper threads on longer vectors
+        cross = float(np.dot(lo, hi))
+        left = half * (sq + 2 * cross)
         t <<= 1
         if target >= left:
             target -= left
             lo -= hi
-            lo -= hi
+            sq -= 2 * cross
             t |= 1
+        else:
+            lo += hi
+            sq += 2 * cross
         v = lo
     if v[0] == 0:
         raise ResampleError("sampled a zero-probability branch")

@@ -103,7 +103,7 @@ def simon_build(n: int, a: int, scramble_seed: Optional[int] = None) -> SimonOra
             raise DomainError(f"scramble_seed must be non-negative, got {scramble_seed}")
         check_capacity(n)
         rng = np.random.default_rng(scramble_seed)
-        scramble = rng.permutation(1 << (n - 1)).astype(np.int64)
+        scramble = rng.permutation(1 << (n - 1)).astype(np.uint32)
         scramble.flags.writeable = False
 
     return SimonOracle(

@@ -2,10 +2,12 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from adiabatic_sim import measurement, protocols
 from adiabatic_sim.errors import DomainError, ResampleError
 from adiabatic_sim.evolution import Schedule, assemble_bv, assemble_simon, evolve_two_level
 from adiabatic_sim.gf2 import dot2
@@ -14,6 +16,7 @@ from adiabatic_sim.measurement import (
     BvReadout,
     RandomSource,
     _read_factored,
+    _scrambled_row,
     bv_readout,
     bv_sample_factored,
     simon_factored_x_probs,
@@ -26,6 +29,7 @@ from adiabatic_sim.oracles import (
     simon_build,
     simon_orthogonal_row,
 )
+from adiabatic_sim.protocols import RunConfig, run_simon
 from adiabatic_sim.qstate import StateVector, fwht_subsystem, plus_state
 from helpers import random_state
 
@@ -537,6 +541,88 @@ def test_scrambled_simon_shot_memory_at_n20():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * oracle.scramble.nbytes
+
+
+def test_scrambled_row_peak_stays_below_one_float64_sign_vector_at_n20():
+    # the uint8 parities, the int8 fold and the half-length float64 vector
+    # after the top bit; z sets every output bit
+    oracle = simon_build(20, 0b1011_0000_1110_0101_0011, scramble_seed=5)
+    tracemalloc.start()
+    try:
+        _scrambled_row(oracle, (1 << 19) - 1, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (1 << 19)
+
+
+def float64_descent_row(oracle, z: int, u: float) -> int:
+    """The scrambled row by the descent over all 2^(n-1) float64 signs, one einsum a level."""
+    if not z:
+        return simon_orthogonal_row(oracle, 0)
+    parity = np.bitwise_count(oracle.scramble & z)
+    parity &= 1
+    v = parity.astype(np.float64)
+    v *= -2.0
+    v += 1.0
+    target = u * float(v.size) ** 2
+    t = 0
+    while v.size > 1:
+        half = v.size // 2
+        lo, hi = v[:half], v[half:]
+        lo += hi
+        left = half * float(np.einsum("i,i->", lo, lo))
+        t <<= 1
+        if target >= left:
+            target -= left
+            lo -= hi
+            lo -= hi
+            t |= 1
+        v = lo
+    assert v[0] != 0
+    return simon_orthogonal_row(oracle, t)
+
+
+def test_scrambled_row_equals_the_float64_descent():
+    # n >= 17 takes dot products of more than 10,000 elements; for n <= 10
+    # the row uniform also sits on both edges of each label's CDF interval,
+    # as in the inverse-CDF test above
+    picks = np.random.default_rng(15)
+    cases = 0
+    for n in range(2, 19):
+        m = n - 1
+        oracle = simon_build(n, int(picks.integers(1, 1 << n)), int(picks.integers(1 << 31)))
+        zs = [0, (1 << m) - 1, *picks.integers(0, 1 << m, 40 if n <= 14 else 3).tolist()]
+        for k, z in enumerate(zs):
+            us = picks.random(10).tolist()
+            if n <= 10 and k < 4:
+                masses = walsh_masses(oracle.scramble, z)
+                cdf = np.concatenate(([0.0], np.cumsum(masses))) / float(4**m)
+                for t in np.flatnonzero(masses):
+                    us += [cdf[t], np.nextafter(cdf[t + 1], 0.0)]
+            for u in us:
+                assert _scrambled_row(oracle, z, float(u)) == float64_descent_row(oracle, z, float(u))
+            cases += len(us)
+    assert cases >= 10_000
+
+
+def test_seeded_scrambled_run_at_n20_equals_the_float64_descent(monkeypatch):
+    sources = []
+
+    class RecordedSource(RandomSource):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sources.append(self)
+
+    monkeypatch.setattr(protocols, "RandomSource", RecordedSource)
+    cfg = RunConfig(problem="simon", n=20, a=0b1011_0000_1110_0101_0011, seed=20, scramble_seed=5)
+    runs = []
+    for kernel in (_scrambled_row, float64_descent_row):
+        monkeypatch.setattr(measurement, "_scrambled_row", kernel)
+        report = run_simon(cfg)
+        runs.append((replace(report, wall_time=0.0), sources[-1].draws))
+    assert runs[0] == runs[1]
+    assert runs[0][0].success and runs[0][1] == 20 * runs[0][0].quantum_runs
 
 
 def test_scrambled_simon_sampler_draws_and_orthogonality_at_n20():

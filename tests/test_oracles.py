@@ -1,5 +1,7 @@
 """Oracle construction and promise verification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,25 @@ def test_simon_dual_row_is_transpose_of_g(n, a):
         )
         rows.add(x)
     assert len(rows) == 1 << (n - 1)  # L^T is injective
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 20])
+def test_scramble_is_the_seeded_permutation_as_uint32(n):
+    for seed in (0, 1, 5, 2**31 - 1):
+        scramble = simon_build(n, 1, scramble_seed=seed).scramble
+        assert scramble.dtype == np.uint32
+        assert np.array_equal(scramble, np.random.default_rng(seed).permutation(2 ** (n - 1)))
+
+
+@pytest.mark.parametrize("n,a,seed", [(2, 0b11, 3), (5, 0b10110, 8), (9, 0b100000001, 4)])
+def test_scrambled_oracle_evaluates_as_with_an_int64_table(n, a, seed):
+    oracle = simon_build(n, a, scramble_seed=seed)
+    wide = replace(oracle, scramble=oracle.scramble.astype(np.int64))
+    table = simon_eval_all(oracle).tolist()
+    assert table == simon_eval_all(wide).tolist()
+    assert table == [simon_eval(oracle, w) for w in range(1 << n)]
+    assert table == [simon_eval(wide, w) for w in range(1 << n)]
+    assert verify_promise(oracle) == verify_promise(wide) == verify_promise(simon_build(n, a))
 
 
 def test_negative_scramble_seed_is_a_domain_error():
