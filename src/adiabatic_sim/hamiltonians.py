@@ -17,10 +17,10 @@ package's one memory rule.  ``interpolate`` builds the dense H(s) for the
 gap scan and the tests, refused above DENSE_OPERATOR_CAP, a run-time bound.
 
 Because H(s) is block diagonal in w and the B qubits are uncoupled, every
-branch reduces to independent two-level systems; ``two_level``/``gap`` expose
-that reduced picture.  The two energy conventions above are kept exactly as
-stated (not shifted to a common zero) so final states can be compared
-directly against their target encodings.
+branch reduces to independent two-level systems; ``TwoLevelBlock`` names
+one and ``gap`` gives its level splitting.  The two energy conventions above
+are kept exactly as stated (not shifted to a common zero) so final states
+can be compared directly against their target encodings.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .oracles import BvMask, SimonOracle, bv_eval_all, simon_eval_all
-from .qstate import IDENTITY_2, SIGMA_X, SIGMA_Z, check_capacity
+from .qstate import check_capacity
 
 # Run time: the gap scan diagonalizes one 2^k x 2^k matrix per grid point, so
 # k is capped here.  Time evolution never builds a dense operator.
@@ -110,15 +110,6 @@ def interpolate(h: InterpolatedHamiltonian, s: float) -> np.ndarray:
         raise DomainError(f"annealing parameter s={s} outside [0, 1]")
     driver = _dense_driver(h.dims)  # checks the cap before anything dense is built
     return s * np.diag(h.problem_diag) + (1.0 - s) * driver
-
-
-def two_level(block: TwoLevelBlock, s: float) -> np.ndarray:
-    """The 2x2 branch Hamiltonian at parameter s."""
-    sign = -1.0 if block.f_bit else 1.0
-    driver = 0.5 * (1.0 - s) * (IDENTITY_2 - SIGMA_X)
-    if block.kind == "bv":
-        return driver - 0.5 * s * (IDENTITY_2 + sign * SIGMA_Z)
-    return driver + 0.5 * s * (IDENTITY_2 - sign * SIGMA_Z)
 
 
 def gap(block: TwoLevelBlock, s: float) -> float:

@@ -35,8 +35,8 @@ whose z are read off in one integer matrix product:
   counts uint8 label parities for its top bit and then takes one dot
   product per bit; every mass it compares is an exact integer.
 
-``bv_sample_factored`` and ``simon_sample_factored`` take the branch vectors
-instead of q and read a one-shot block from the rng they are given.
+``simon_sample_factored`` takes the branch vectors instead of q and reads a
+one-shot block from the rng it is given.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ class RandomSource:
         self.draws += 1
         return float(self._gen.random())
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """``count`` uniforms in one call: the values ``count`` ``uniform()`` calls return."""
-        self.draws += count
-        return self._gen.random(count)
-
     def fill(self, out: np.ndarray) -> None:
         """Overwrite ``out`` with the values ``out.size`` ``uniform()`` calls return."""
         self.draws += out.size
@@ -148,18 +143,6 @@ def bv_readout(final: StateVector, rng: RandomSource) -> BvReadout:
         return BvReadout(restart=True, a_candidate=None)
     a_candidate = _x_outcome(rotated[:, output], marginal[output], rng)
     return BvReadout(restart=False, a_candidate=a_candidate)
-
-
-def bv_sample_factored(
-    mask: BvMask, phi0: np.ndarray, phi1: np.ndarray, rng: RandomSource
-) -> BvReadout:
-    """``bv_readout``'s outcome law on the assembled BV state, from the branch vectors.
-
-    The output qubit's x outcome is the one row bit z.  Given z = 1 the input
-    register is proportional to sum_w (-1)^(w . a) |w>, whose Walsh transform
-    is the single point a, at any T.
-    """
-    return _readout(mask, simon_row_bit_prob(phi0, phi1), rng.uniforms(1)[None])[0]
 
 
 def simon_sample(final: StateVector, rng: RandomSource) -> int:
@@ -267,7 +250,9 @@ def simon_sample_factored(
     q = simon_row_bit_prob(phi0, phi1)
     if oracle.scramble is not None and abs(np.vdot(phi0, phi1).imag) > 1e-9:
         raise DomainError("scrambled Simon sampling needs a real branch overlap <phi_0|phi_1>")
-    return _readout(oracle, q, rng.uniforms(oracle.n - (oracle.scramble is None))[None])[0]
+    u = np.empty((1, oracle.n - (oracle.scramble is None)))
+    rng.fill(u)
+    return _readout(oracle, q, u)[0]
 
 
 def _read_factored(

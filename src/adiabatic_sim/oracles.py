@@ -37,13 +37,6 @@ class BvMask:
             raise DomainError(f"mask {self.a} out of range for {self.n} bits")
 
 
-def bv_eval(mask: BvMask, w: int) -> int:
-    """f(w): parity of the bitwise AND of w with the hidden mask."""
-    if not 0 <= w < (1 << mask.n):
-        raise DomainError(f"input {w} out of range for {mask.n} bits")
-    return (w & mask.a).bit_count() & 1
-
-
 def bv_eval_all(mask: BvMask) -> np.ndarray:
     """Vector of f(w) for all w < 2**n (refused above the dense-array cap)."""
     check_capacity(mask.n)
@@ -61,7 +54,6 @@ class SimonOracle:
     n: int
     a: int
     pivot_bit: int
-    scramble_seed: Optional[int] = None
     scramble: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -106,13 +98,7 @@ def simon_build(n: int, a: int, scramble_seed: Optional[int] = None) -> SimonOra
         scramble = rng.permutation(1 << (n - 1)).astype(np.uint32)
         scramble.flags.writeable = False
 
-    return SimonOracle(
-        n=n,
-        a=a,
-        pivot_bit=pivot,
-        scramble_seed=scramble_seed,
-        scramble=scramble,
-    )
+    return SimonOracle(n=n, a=a, pivot_bit=pivot, scramble=scramble)
 
 
 def simon_eval(oracle: SimonOracle, w: int) -> int:
@@ -148,29 +134,3 @@ def simon_eval_all(oracle: SimonOracle) -> np.ndarray:
         g = oracle.scramble[g]
     return g
 
-
-@dataclass(frozen=True)
-class PromiseReport:
-    holds: bool
-    witness: Optional[tuple] = None
-
-
-def verify_promise(oracle: SimonOracle) -> PromiseReport:
-    """Exhaustively check both directions of the 2-to-1 promise.
-
-    Returns a violating input pair as witness when the promise fails.
-    """
-    g = simon_eval_all(oracle)
-    seen: dict[int, int] = {}
-    for w in range(1 << oracle.n):
-        gw = int(g[w])
-        if gw in seen:
-            y = seen[gw]
-            if w ^ y != oracle.a:
-                return PromiseReport(False, (y, w))
-        else:
-            seen[gw] = w
-    for w in range(1 << oracle.n):
-        if g[w] != g[w ^ oracle.a]:
-            return PromiseReport(False, (w, w ^ oracle.a))
-    return PromiseReport(True, None)

@@ -1,4 +1,4 @@
-"""End-to-end BV and Simon experiments, classical baselines, and sweeps.
+"""End-to-end BV and Simon experiments, Simon's classical baseline, and sweeps.
 
 A run is: prepare |+>|+>, anneal for time T (path "full" integrates the
 dense state, applying H(s) without a matrix; path "factored" integrates the
@@ -54,7 +54,7 @@ from .measurement import (
     simon_row_bit_prob,
     simon_sample,
 )
-from .oracles import BvMask, SimonOracle, bv_eval, simon_build, simon_eval
+from .oracles import BvMask, SimonOracle, simon_build, simon_eval
 from .qstate import StateVector, check_capacity, plus_state
 
 DEFAULT_TIME = 50.0
@@ -274,14 +274,6 @@ def run(cfg: RunConfig) -> RunReport:
 class ClassicalResult:
     queries: int
     a: int
-
-
-def classical_bv(mask: BvMask) -> ClassicalResult:
-    """Probe the powers of two; bit k of the mask is f(2^k).  Exactly n queries."""
-    a = 0
-    for k in range(mask.n):
-        a |= bv_eval(mask, 1 << k) << k
-    return ClassicalResult(queries=mask.n, a=a)
 
 
 def classical_simon(oracle: SimonOracle, rng: RandomSource) -> ClassicalResult:

@@ -35,12 +35,7 @@ from .errors import CapacityError, DomainError, ShapeError
 # 272 MiB.
 DENSE_QUBIT_CAP = 20
 
-SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-IDENTITY_2 = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) * SQRT_HALF
 
 
 def check_capacity(qubits: int) -> None:

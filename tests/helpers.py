@@ -1,12 +1,36 @@
-"""Builders shared by the tests."""
+"""Builders and reference definitions shared by the tests."""
+
+import math
 
 import numpy as np
 
+from adiabatic_sim.errors import DomainError
 from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
-from adiabatic_sim.measurement import RandomSource, bv_sample_factored, simon_sample_factored
+from adiabatic_sim.hamiltonians import TwoLevelBlock
+from adiabatic_sim.measurement import RandomSource, simon_row_bit_prob, simon_sample_factored
 from adiabatic_sim.oracles import BvMask, simon_build
 from adiabatic_sim.protocols import branch_pair, resolve_config
-from adiabatic_sim.qstate import StateVector
+from adiabatic_sim.qstate import SIGMA_X, StateVector
+
+IDENTITY_2 = np.eye(2, dtype=np.complex128)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
+
+
+def bv_eval(mask: BvMask, w: int) -> int:
+    """f(w): parity of the bitwise AND of w with the hidden mask."""
+    if not 0 <= w < (1 << mask.n):
+        raise DomainError(f"input {w} out of range for {mask.n} bits")
+    return (w & mask.a).bit_count() & 1
+
+
+def two_level(block: TwoLevelBlock, s: float) -> np.ndarray:
+    """The 2x2 branch Hamiltonian at parameter s, as ``TwoLevelBlock`` states it."""
+    sign = -1.0 if block.f_bit else 1.0
+    driver = 0.5 * (1.0 - s) * (IDENTITY_2 - SIGMA_X)
+    if block.kind == "bv":
+        return driver - 0.5 * s * (IDENTITY_2 + sign * SIGMA_Z)
+    return driver + 0.5 * s * (IDENTITY_2 - sign * SIGMA_Z)
 
 
 def random_state(num_qubits_a: int, num_qubits_b: int, seed: int) -> StateVector:
@@ -42,13 +66,15 @@ def gf2_nullspace(rows, n: int) -> list:
 def reference_run(cfg) -> dict:
     """A factored run's report, without wall_time, read one shot at a time.
 
-    Shot i is the public one-shot sampler on ``RandomSource(seed, 1 + i)``,
-    absorbed until a mask is found or the repeat budget runs out.
+    Shot i draws on ``RandomSource(seed, 1 + i)``, absorbed until a mask is
+    found or the repeat budget runs out.  A BV shot is informative iff its one
+    uniform is below q, the documented draw; a Simon shot is the public
+    one-shot sampler.
     """
     cfg = resolve_config(cfg)
     phi0, phi1 = branch_pair(cfg.problem, cfg.total_time, cfg.steps)
     if cfg.problem == "bv":
-        mask, m = BvMask(cfg.n, cfg.a), 1
+        q, m = simon_row_bit_prob(phi0, phi1), 1
     else:
         oracle, m = simon_build(cfg.n, cfg.a, cfg.scramble_seed), cfg.n - 1
         system = Gf2Matrix(cfg.n)
@@ -56,7 +82,7 @@ def reference_run(cfg) -> dict:
     for i in range(cfg.max_repeats):
         rng = RandomSource(cfg.seed, 1 + i)
         if cfg.problem == "bv":
-            found = bv_sample_factored(mask, phi0, phi1, rng).a_candidate
+            found = cfg.a if rng.uniform() < q else None
         else:
             system.add_row(simon_sample_factored(oracle, phi0, phi1, rng))
             found = recover_mask(system)

@@ -18,13 +18,7 @@ from adiabatic_sim.hamiltonians import (
     min_gap_scan,
     simon_interpolated,
 )
-from adiabatic_sim.oracles import (
-    BvMask,
-    bv_eval_all,
-    simon_build,
-    simon_eval_all,
-    verify_promise,
-)
+from adiabatic_sim.oracles import BvMask, bv_eval_all, simon_build, simon_eval_all
 from adiabatic_sim.qstate import DENSE_QUBIT_CAP, check_capacity, plus_state
 
 E0 = np.array([1.0, 0.0])
@@ -42,7 +36,6 @@ BUILDERS = {
     "assemble_simon": lambda: assemble_simon(simon_build((OVER + 1) // 2, 1), E0, E1),
     "simon_eval_all": lambda: simon_eval_all(simon_build(OVER, 1)),
     "bv_eval_all": lambda: bv_eval_all(BvMask(OVER, 1)),
-    "verify_promise": lambda: verify_promise(simon_build(OVER, 1)),
     "scramble": lambda: simon_build(OVER, 1, scramble_seed=0),
     # the matrix-free Hamiltonian exists above DENSE_OPERATOR_CAP; its dense form does not
     "interpolate": lambda: interpolate(bv_interpolated(BvMask(OVER_OP - 1, 3)), 0.5),

@@ -23,9 +23,9 @@ from adiabatic_sim.hamiltonians import (
     interpolate,
     simon_interpolated,
 )
-from adiabatic_sim.oracles import BvMask, bv_eval, simon_build, simon_eval
+from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
 from adiabatic_sim.qstate import SIGMA_X, StateVector, inner, plus_state
-from helpers import random_state
+from helpers import bv_eval, random_state
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)

@@ -13,11 +13,10 @@ from adiabatic_sim.hamiltonians import (
     interpolate,
     min_gap_scan,
     simon_interpolated,
-    two_level,
 )
-from adiabatic_sim.oracles import BvMask, bv_eval, simon_build, simon_eval
-from adiabatic_sim.qstate import IDENTITY_2, SIGMA_X, SIGMA_Z, plus_state
-from helpers import random_state
+from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
+from adiabatic_sim.qstate import SIGMA_X, plus_state
+from helpers import IDENTITY_2, SIGMA_Z, bv_eval, random_state, two_level
 
 S2 = 1.0 / math.sqrt(2.0)
 

@@ -16,7 +16,6 @@ from adiabatic_sim.oracles import BvMask, simon_build
 from adiabatic_sim.protocols import (
     RunConfig,
     branch_pair,
-    classical_bv,
     classical_simon,
     resolve_config,
     run,
@@ -163,16 +162,6 @@ def test_resolve_config_draws_mask_deterministically():
     assert 0 < first.a < 32
     assert first.max_repeats == 5 + 40
     assert resolve_config(first) == first  # idempotent
-
-
-def test_classical_bv_bit_probe():
-    result = classical_bv(BvMask(5, 19))
-    assert result.queries == 5 and result.a == 19
-    result = classical_bv(BvMask(1, 0))
-    assert result.queries == 1 and result.a == 0
-    for a in (0, 1, 0b1011, 0b11111):
-        res = classical_bv(BvMask(5, a))
-        assert res.queries == 5 and res.a == a
 
 
 def test_classical_simon_pigeonhole_bound():

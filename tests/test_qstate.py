@@ -6,14 +6,13 @@ import pytest
 from adiabatic_sim.errors import CapacityError, DomainError, ShapeError
 from adiabatic_sim.qstate import (
     DENSE_QUBIT_CAP,
-    HADAMARD,
     StateVector,
     fidelity,
     fwht_subsystem,
     inner,
     plus_state,
 )
-from helpers import random_state
+from helpers import HADAMARD, random_state
 
 S2 = 1.0 / np.sqrt(2.0)
 
