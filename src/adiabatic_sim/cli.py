@@ -77,12 +77,13 @@ def _seed(args: argparse.Namespace) -> int:
 
 
 def _steps(args: argparse.Namespace) -> int:
-    """--steps, or 100*T; T must be finite for the default."""
+    """--steps, or 100*T; 100*T must be finite for the default."""
     if args.steps is not None:
         return args.steps
-    if not math.isfinite(args.total_time):
-        raise UsageError(f"--time must be finite, got {args.total_time}")
-    return max(1, round(100 * args.total_time))
+    steps = 100 * args.total_time
+    if not math.isfinite(steps):
+        raise UsageError(f"--time {args.total_time} gives no default --steps: 100*T is not finite")
+    return max(1, round(steps))
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:

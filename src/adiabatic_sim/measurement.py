@@ -13,7 +13,10 @@ identical (seed, stream) plus an identical sequence of draw calls reproduces
 identical outcomes.  Samplers draw in a fixed documented order so whole runs
 replay bit-for-bit; parallel shots must use streams derived per shot.  A run
 keeps one source and re-keys it to each shot's stream with ``restart``,
-which draws exactly what a new source on that stream would.
+which draws exactly what a new source on that stream would.  Both steps
+cost about a key write: a source seeds its Philox with zero words instead of
+a ``SeedSequence``, and ``restart`` writes the (seed, stream) key words, held
+as Python ints, with a zero counter and an empty buffer.
 
 The factored readouts sample the exact outcome law of the assembled state
 from the two branch vectors alone.  Every output qubit ends in phi_{f_k(w)}
@@ -53,10 +56,19 @@ from .oracles import BvMask, SimonOracle, simon_eval_all, simon_orthogonal_row
 from .qstate import StateVector, _fwht_inplace
 
 
-# Seeds the Philox before its key and counter are set through its state:
-# Philox(key=...) reads OS entropy for an unused seed sequence.
-_FIXED_SEED_SEQUENCE = np.random.SeedSequence(0)
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+class _ZeroSeedSequence(np.random.bit_generator.ISeedSequence):
+    """Seeds a Philox with zero words: its key and counter are then set by ``restart``.
+
+    Philox(key=...) would read OS entropy for an unused seed sequence, and a
+    ``SeedSequence`` would hash a key that ``restart`` overwrites at once.
+    """
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_ZERO_SEED_SEQUENCE = _ZeroSeedSequence()
+_ZERO_WORDS = (0, 0, 0, 0)
 _POWERS_OF_TWO = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
@@ -73,16 +85,16 @@ class RandomSource:
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
-        self._key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+        self._key = [self.seed & 0xFFFFFFFFFFFFFFFF, 0]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": _ZERO_COUNTER, "key": self._key},
-            "buffer": _ZERO_COUNTER,
+            "state": {"counter": _ZERO_WORDS, "key": self._key},
+            "buffer": _ZERO_WORDS,
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._bit_generator = np.random.Philox(_FIXED_SEED_SEQUENCE)
+        self._bit_generator = np.random.Philox(_ZERO_SEED_SEQUENCE)
         self._gen = np.random.Generator(self._bit_generator)
         self.draws = 0
         self.restart(stream)

@@ -48,22 +48,14 @@ class SimonOracle:
     """Black box g with g(w) == g(y) iff w == y or w xor y == a.
 
     ``scramble`` is an optional permutation of the 2**(n-1) output labels
-    applied after the O(1) canonical rule; no table of g is kept.
+    applied after the O(1) canonical rule; no table of g is kept.  Build it
+    with ``simon_build``, which checks each input once.
     """
 
     n: int
     a: int
     pivot_bit: int
     scramble: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError("Simon oracle needs at least two bits")
-        if not 0 < self.a < (1 << self.n):
-            raise PromiseError(
-                "the xor-mask must be a positive n-bit integer; a 2-to-1 map "
-                "onto (n-1)-bit outputs cannot exist otherwise"
-            )
 
 
 def _canonical_g(n: int, a: int, pivot: int, w):
@@ -86,7 +78,10 @@ def simon_build(n: int, a: int, scramble_seed: Optional[int] = None) -> SimonOra
     if n < 2:
         raise DomainError("Simon oracle needs at least two bits")
     if not 0 < a < (1 << n):
-        raise PromiseError(f"xor-mask must satisfy 0 < a < 2^{n}, got {a}")
+        raise PromiseError(
+            f"xor-mask must satisfy 0 < a < 2^{n}, got {a}; a 2-to-1 map onto "
+            "(n-1)-bit outputs cannot exist otherwise"
+        )
     pivot = (a & -a).bit_length() - 1
 
     scramble = None

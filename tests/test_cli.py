@@ -238,6 +238,9 @@ def test_missing_subcommand_is_usage_error(capsys):
     ("bv", "--n", "4", "--time", "inf"),
     ("bv", "--n", "4", "--time", "nan"),
     ("bv", "--n", "4", "--time", "inf", "--steps", "10"),
+    ("bv", "--n", "4", "--time", "1e308"),
+    ("sweep", "--axis", "n", "--values", "2,3", "--problem", "bv", "--time", "1e307",
+     "--trials", "1"),
     ("sweep", "--axis", "T", "--values", "inf", "--problem", "bv", "--trials", "1"),
     ("simon", "--n", "25", "--scramble-seed", "1"),
     ("simon", "--n", "21", "--scramble-seed", "1"),

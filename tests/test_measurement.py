@@ -78,6 +78,22 @@ def test_random_source_draws_are_pinned(seed, stream, first_uniform, first_integ
     assert [rng.randrange(1 << 64), rng.randrange(1000)] == [first_integer, second_integer]
 
 
+@pytest.mark.parametrize("seed", [0, -3, -(2**63), 2**63 + 5])
+@pytest.mark.parametrize("stream", [0, 12, 2**64 - 1, 2**64 + 1])
+def test_key_words_match_numpys_philox_constructor(seed, stream):
+    # the key words (seed, stream) mod 2^64 are the low and high halves of the
+    # 128-bit key numpy's own constructor takes, with a zero counter
+    key = (seed % 2**64) | (stream % 2**64) << 64
+    reference = np.random.Generator(np.random.Philox(key=key, counter=0))
+    rng = RandomSource(seed, stream)
+    assert [rng.uniform() for _ in range(3)] == reference.random(3).tolist()
+    block = np.empty(37)
+    rng.fill(block)
+    assert block.tolist() == reference.random(37).tolist()
+    for bound in (1000, 1 << 64):
+        assert rng.randrange(bound) == int(reference.integers(bound, dtype=np.uint64))
+
+
 def test_restart_draws_what_a_new_source_draws():
     # each restart follows uniform, block and integer draws; an odd number of
     # randrange calls below 2^32 leaves half a Philox word buffered

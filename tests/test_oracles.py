@@ -173,3 +173,10 @@ def test_scrambled_oracle_evaluates_as_with_an_int64_table(n, a, seed):
 def test_negative_scramble_seed_is_a_domain_error():
     with pytest.raises(DomainError):
         simon_build(4, 3, scramble_seed=-1)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_too_few_bits_with_a_scramble_seed_is_a_domain_error(n):
+    # the n check comes before the 2^(n-1)-label permutation is drawn
+    with pytest.raises(DomainError):
+        simon_build(n, 1, scramble_seed=3)

@@ -372,14 +372,16 @@ def test_factored_runs_equal_the_scalar_reference_loop():
 
 
 def test_one_run_builds_one_shot_random_source(monkeypatch):
-    # the shots re-key one source; a drawn mask takes one more, on stream 0
+    # the shots re-key one source; a drawn mask takes one more, on stream 0.
+    # Counting in __init__ catches a source built by any module, per shot too
     built = []
+    init = RandomSource.__init__
 
-    def counting(seed, stream=0):
+    def counting(self, seed, stream=0):
         built.append(stream)
-        return RandomSource(seed, stream)
+        init(self, seed, stream)
 
-    monkeypatch.setattr(protocols, "RandomSource", counting)
+    monkeypatch.setattr(RandomSource, "__init__", counting)
     for run, fields in [
         (run_bv, dict(problem="bv", n=10, a=0b1011001101, total_time=1.0, steps=100, seed=0)),
         (run_simon, dict(problem="simon", n=12, a=0b101101, seed=1)),
