@@ -36,7 +36,7 @@ from .protocols import (
     sweep,
 )
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 
 SWEEP_COLUMNS = [
     "axis_value",

@@ -9,11 +9,14 @@ Two integration paths solve i d|psi>/dt = H(t/T) |psi>:
   Numer. Anal. 34, 1911 (1997)).  Global error O(dt^2) from the freezing.
 
 * ``evolve_two_level`` integrates one decoupled branch qubit with the same
-  midpoint rule but a closed-form 2x2 exponential, computed for all steps as
-  arrays and combined by a parallel-prefix product.  Because the full
-  Hamiltonian is block diagonal in the input register and the output qubits
-  are uncoupled, a full run is exactly the assembly of these branch
-  evolutions; ``assemble_bv``/``assemble_simon`` build that product state.
+  midpoint rule but a closed-form 2x2 exponential.  Each step is a scalar
+  phase times an SU(2) matrix, stored as the pair (a, b) of its first row;
+  the pairs of all steps are computed as arrays and combined by a
+  parallel-prefix product, and the phases, whose product has a closed form,
+  are applied once at the end.  Because the full Hamiltonian is block
+  diagonal in the input register and the output qubits are uncoupled, a
+  full run is exactly the assembly of these branch evolutions;
+  ``assemble_bv``/``assemble_simon`` build that product state.
 
 Phases are propagated exactly and never gauged away.  The two branch
 evolutions are related by phi_1 = sigma_x phi_0 at every time (conjugating
@@ -25,7 +28,9 @@ bit, so one evolution serves both branches.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Optional
@@ -45,10 +50,11 @@ NORM_DRIFT_LIMIT = 1e-6
 KRYLOV_TOL = 1e-13
 KRYLOV_MAX = 16
 MAX_STEP_SPLITS = 30
-# evolve_two_level builds and combines the step matrices of this many steps at
-# a time, so its arrays stay near 0.3 MB at any step count; larger chunks save
-# little time at the default 5000 steps and hold up to 1.5 MB.
-TWO_LEVEL_CHUNK = 1 << 10
+# evolve_two_level builds and scans the SU(2) steps of this many steps at a
+# time, so its traced peak stays below 1.5 MiB at any step count.  A scan
+# level costs mostly fixed call overhead, so the default 5000 steps take about
+# half as long in one 13-level scan as in five 10-level scans of 2^10.
+TWO_LEVEL_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,10 @@ class Schedule:
     def __post_init__(self) -> None:
         if not (self.total_time > 0 and math.isfinite(self.total_time)):
             raise DomainError("total_time must be positive and finite")
+        try:
+            operator.index(self.steps)  # numpy integers pass, floats do not
+        except TypeError:
+            raise DomainError(f"steps must be an integer, got {self.steps!r}") from None
         if self.steps < 1:
             raise DomainError("steps must be at least 1")
 
@@ -182,71 +192,91 @@ def evolve_full(
 
 
 def _prefix_scan(m: np.ndarray, out: np.ndarray) -> None:
-    """Fill out[:, j + 1] = m_j ... m_1 m_0 out[:, 0] for every step j.
+    """Fill out[:, j + 1] = V_j ... V_1 V_0 out[:, 0] for every step j.
 
-    ``m[i, k, j]`` is entry (i, k) of step j's 2x2 matrix.  Adjacent steps are
-    multiplied in pairs, the half-length scan fills the even columns (the
-    state after each odd step), and each odd column is one step on from the
-    column before it (Blelloch, "Prefix sums and their applications", 1990):
-    O(steps) work in O(log steps) array passes.  Every product is written
-    out entry by entry as a sum of two terms, so conjugating all matrices and
-    out[:, 0] by sigma_x only swaps the terms of each sum and swaps the rows
-    of ``out`` bit for bit.
+    Step j's SU(2) matrix V = [[a, b], [-conj(b), conj(a)]] is stored as
+    ``m[:, j] = (a, b)``; it maps a state (x, y) to
+    (a x + b y, conj(a) y - conj(b) x), and V2 V1 has the first row
+    (a2 a1 - b2 conj(b1), a2 b1 + b2 conj(a1)).  Adjacent steps are paired,
+    the half-length scan fills the even columns (the state after each odd
+    step), and each odd column is one step on from the column before it
+    (Blelloch, "Prefix sums and their applications", 1990): O(steps) work in
+    O(log steps) array passes.  Conjugating a step by sigma_x maps (a, b) to
+    (conj(a), -conj(b)); each sum here then adds the conjugates, negated where
+    the map negates, of the same terms in the same order, which IEEE rounding
+    keeps exact, so conjugating all steps and out[:, 0] swaps the rows of
+    ``out`` bit for bit.
     """
     n = m.shape[-1]
+    a, b = m[0], m[1]
+    # the even-position steps: the earlier step of each pair, and the steps
+    # the odd columns apply
+    conj = np.conjugate(m[:, 0::2])
+    conj_a, conj_b = conj[0], conj[1]
     if n > 1:
-        later, earlier = m[..., 1::2], m[..., 0 : n - 1 : 2]
-        pairs = later[:, 0, None] * earlier[0] + later[:, 1, None] * earlier[1]
+        k = n // 2
+        later_a, later_b = a[1::2], b[1::2]
+        pairs = np.empty((2, k), dtype=np.complex128)
+        term = np.empty(k, dtype=np.complex128)
+        np.multiply(later_a, a[0 : 2 * k : 2], out=pairs[0])
+        np.multiply(later_b, conj_b[:k], out=term)
+        pairs[0] -= term
+        np.multiply(later_a, b[0 : 2 * k : 2], out=pairs[1])
+        np.multiply(later_b, conj_a[:k], out=term)
+        pairs[1] += term
         _prefix_scan(pairs, out[:, 0::2])
-    step, prev = m[..., 0::2], out[:, 0:n:2]
-    out[:, 1::2] = step[:, 0] * prev[0] + step[:, 1] * prev[1]
+    x, y = out[0, 0:n:2], out[1, 0:n:2]
+    next_x, next_y = out[0, 1::2], out[1, 1::2]
+    np.multiply(a[0::2], x, out=next_x)
+    next_x += b[0::2] * y
+    np.multiply(conj_a, y, out=next_y)
+    next_y -= conj_b * x
 
 
-def _step_matrices(block: TwoLevelBlock, sched: Schedule, start: int, stop: int) -> np.ndarray:
-    """The closed-form step matrices of steps start..stop-1, shape (2, 2, stop - start)."""
-    sign = -1.0 if block.f_bit else 1.0
-    dt = sched.dt
+def _su2_steps(block: TwoLevelBlock, sched: Schedule, start: int, stop: int) -> np.ndarray:
+    """(a, b) of the SU(2) step matrices of steps start..stop-1, shape (2, stop - start)."""
     s = (np.arange(start, stop) + 0.5) / sched.steps
     vx = -0.5 * (1.0 - s)
-    vz = -0.5 * s * sign
-    c = 0.5 * (1.0 - 2.0 * s) if block.kind == "bv" else 0.5
-    r = np.hypot(vx, vz)
-    theta = r * dt
-    cos_t = np.cos(theta)
+    vz = (-0.5 if block.f_bit == 0 else 0.5) * s
+    r = np.sqrt(vx * vx + vz * vz)  # a third of np.hypot's time; no overflow at |v| <= 1/2
+    theta = r * sched.dt
     sn = np.sin(theta) / r
-    phase = np.exp(-1j * c * dt)
-    a_diag = -1j * sn * vz
-    m = np.empty((2, 2, stop - start), dtype=np.complex128)
-    np.multiply(phase, cos_t + a_diag, out=m[0, 0])
-    np.multiply(phase, -1j * sn * vx, out=m[0, 1])
-    m[1, 0] = m[0, 1]
-    np.multiply(phase, cos_t - a_diag, out=m[1, 1])
+    m = np.empty((2, stop - start), dtype=np.complex128)
+    m[0].real = np.cos(theta)
+    m[0].imag = -sn * vz
+    m[1].real = 0.0
+    m[1].imag = -sn * vx
     return m
 
 
 def evolve_two_level(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
     """Evolve one branch qubit from |+> and return its final 2-vector.
 
-    The step unitary exp(-i dt (c*1 + vx*sigma_x + vz*sigma_z)) is applied in
-    closed form:  e^(-i c dt) [cos(r dt) - i sin(r dt) vhat.sigma] with
-    r = |v|.  The step matrices of TWO_LEVEL_CHUNK steps at a time are built
-    as arrays and combined by a parallel-prefix product (``_prefix_scan``),
-    which yields the state after every step for the norm-drift check; the
-    last state carries into the next chunk, so memory stays bounded at any
-    step count.
+    The step unitary exp(-i dt (c*1 + vx*sigma_x + vz*sigma_z)) is
+    e^(-i c dt) V with V = cos(r dt) - i sin(r dt) vhat.sigma in SU(2),
+    r = |v|.  The scalar c(s)*1 commutes with every step, so the phases
+    multiply to exp(-i dt sum_j c(s_j)), which over the symmetric midpoints
+    is exact in closed form: 1 for "bv" (c = (1 - 2s)/2 sums to 0) and
+    exp(-i T/2) for "simon" (c = 1/2); it is applied once at the end.  The
+    SU(2) parts of TWO_LEVEL_CHUNK steps at a time are built as arrays and
+    combined by a parallel-prefix product (``_prefix_scan``), which yields the
+    state after every step for the norm-drift check; the last state carries
+    into the next chunk, so memory stays bounded at any step count.
     """
     u = np.full(2, math.sqrt(0.5), dtype=np.complex128)
     for start in range(0, sched.steps, TWO_LEVEL_CHUNK):
         stop = min(start + TWO_LEVEL_CHUNK, sched.steps)
         states = np.empty((2, stop - start + 1), dtype=np.complex128)
         states[:, 0] = u
-        _prefix_scan(_step_matrices(block, sched, start, stop), states)
+        _prefix_scan(_su2_steps(block, sched, start, stop), states)
         norms = (states.real**2 + states.imag**2).sum(axis=0)
         drift = float(np.max(np.abs(norms - 1.0)))
         if not drift <= NORM_DRIFT_LIMIT:
             raise IntegrationError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
         u = states[:, -1]
-    return u.copy()
+    if block.kind == "bv":
+        return u.copy()
+    return u * cmath.exp(-0.5j * sched.total_time)
 
 
 def check_branch_vector(phi: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ evolution: phi_1 is sigma_x phi_0.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -84,6 +85,14 @@ class RunConfig:
     scramble_seed: Optional[int] = None
 
     def validate(self) -> None:
+        for name in ("n", "steps", "seed", "a", "max_repeats", "scramble_seed"):
+            value = getattr(self, name)
+            if type(value) is int or value is None and name in ("a", "max_repeats", "scramble_seed"):
+                continue  # None: drawn or defaulted by resolve_config
+            try:
+                operator.index(value)  # numpy integers pass, floats do not
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if self.problem not in ("bv", "simon"):
             raise DomainError(f"unknown problem {self.problem!r}")
         min_n = 1 if self.problem == "bv" else 2
@@ -126,7 +135,13 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
     max_repeats = cfg.max_repeats
     if max_repeats is None:
         max_repeats = BV_MAX_REPEATS if cfg.problem == "bv" else cfg.n + SIMON_EXTRA_REPEATS
-    return replace(cfg, a=a, max_repeats=max_repeats)
+    # numpy integers pass validate; a run computes with Python ints
+    index, scramble_seed = operator.index, cfg.scramble_seed
+    return replace(
+        cfg, n=index(cfg.n), a=index(a), steps=index(cfg.steps), seed=index(cfg.seed),
+        max_repeats=index(max_repeats),
+        scramble_seed=None if scramble_seed is None else index(scramble_seed),
+    )
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,33 @@ def two_level(block: TwoLevelBlock, s: float) -> np.ndarray:
     return driver + 0.5 * s * (IDENTITY_2 - sign * SIGMA_Z)
 
 
+def exact_branch(kind: str, total_time: float) -> np.ndarray:
+    """The f_bit = 0 branch at time T from |+>, with no step error.
+
+    H(t/T) is affine in t, so i c' = (A + B t) c.  About each segment start
+    t_j the solution is a Taylor series whose scaled terms b_k = a_k h^k obey
+    (k+1) b_(k+1) = -i h (A_j b_k + h B b_(k-1)); the series is entire, so it
+    is summed over segments of length at most 0.25 until the terms fall
+    below 1e-17 of the state.
+    """
+    block = TwoLevelBlock(0, kind)
+    start, end = two_level(block, 0.0), two_level(block, 1.0)
+    slope = (end - start) / total_time
+    segments = math.ceil(total_time / 0.25)
+    h = total_time / segments
+    c = np.full(2, math.sqrt(0.5), dtype=np.complex128)
+    for j in range(segments):
+        a_j = start + (end - start) * (j / segments)
+        prev, term, total = np.zeros(2, dtype=np.complex128), c, c.copy()
+        k = 0
+        while np.max(np.abs(term)) > 1e-17 or np.max(np.abs(prev)) > 1e-17:
+            prev, term = term, -1j * h * (a_j @ term + h * (slope @ prev)) / (k + 1)
+            total += term
+            k += 1
+        c = total
+    return c
+
+
 def random_state(num_qubits_a: int, num_qubits_b: int, seed: int) -> StateVector:
     """Haar-ish normalized random state (Gaussian amplitudes)."""
     total = num_qubits_a + num_qubits_b

@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from adiabatic_sim.hamiltonians import (
     interpolate,
     simon_interpolated,
 )
+from adiabatic_sim.measurement import simon_row_bit_prob
 from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
+from adiabatic_sim.protocols import branch_pair
 from adiabatic_sim.qstate import SIGMA_X, StateVector, inner, plus_state
-from helpers import bv_eval, random_state
+from helpers import bv_eval, exact_branch, random_state
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -53,9 +56,11 @@ def test_schedule_validation():
     for total_time in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             Schedule(total_time, 10)
-    with pytest.raises(DomainError):
-        Schedule(1.0, 0)
+    for steps in (0, 2.5, 3.0, None):
+        with pytest.raises(DomainError):
+            Schedule(1.0, steps)
     assert Schedule(2.0, 4).dt == pytest.approx(0.5)
+    assert Schedule(2.0, np.int64(4)).dt == pytest.approx(0.5)
 
 
 def test_frozen_driver_leaves_ground_state_fixed():
@@ -99,7 +104,55 @@ def test_branch_conjugation_identity(kind, T):
     sched = Schedule(T, int(100 * T))
     phi0 = evolve_two_level(TwoLevelBlock(0, kind), sched)
     phi1 = evolve_two_level(TwoLevelBlock(1, kind), sched)
-    assert np.max(np.abs(phi1 - SIGMA_X @ phi0)) <= 1e-12
+    # exact by construction: sigma_x conjugation maps every step's (a, b) to
+    # (conj(a), -conj(b)), under which the scan's sums keep their terms
+    assert np.array_equal(phi1, SIGMA_X @ phi0)
+
+
+@pytest.mark.parametrize("T", [0.5, 5.77, 50.0])
+def test_kinds_differ_by_a_global_phase_only(T):
+    # c(s) = (1 - 2s)/2 for "bv" and 1/2 for "simon": the midpoint phases sum to
+    # 0 and T/2, as the continuous ones do (the integral of (1 - 2t/T)/2 is 0)
+    sched = Schedule(T, round(100 * T))
+    bv = evolve_two_level(TwoLevelBlock(0, "bv"), sched)
+    simon = evolve_two_level(TwoLevelBlock(0, "simon"), sched)
+    assert np.max(np.abs(simon - cmath.exp(-0.5j * T) * bv)) <= 1e-15
+    # q is phase-free; only the rounding of the phase product reaches it, a few
+    # ulps (2 at T = 50, where q is 0.4978 and an ulp is 5.6e-17)
+    q_bv = simon_row_bit_prob(*branch_pair("bv", T, sched.steps))
+    q_simon = simon_row_bit_prob(*branch_pair("simon", T, sched.steps))
+    assert abs(q_simon - q_bv) <= 4 * np.spacing(q_bv)
+    witness = cmath.exp(-0.5j * T) * exact_branch("bv", T)
+    assert np.max(np.abs(exact_branch("simon", T) - witness)) <= 1e-14
+
+
+# q(T) of the exact branch, to 12 digits
+EXACT_Q = {0.5: 0.015506080596, 1.0: 0.060618141565, 2.0: 0.221181824420,
+           5.0: 0.724610586514, 5.77: 0.750153555140, 20.0: 0.515664124416,
+           50.0: 0.497778842327}
+
+
+@lru_cache(maxsize=None)
+def exact_q(kind: str, T: float) -> float:
+    phi = exact_branch(kind, T)
+    assert abs(float(np.vdot(phi, phi).real) - 1.0) <= 1e-14
+    return simon_row_bit_prob(phi, SIGMA_X @ phi)
+
+
+@pytest.mark.parametrize("kind", ["bv", "simon"])
+def test_exact_branch_gives_the_known_q(kind):
+    for T, q in EXACT_Q.items():
+        assert abs(exact_q(kind, T) - q) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["bv", "simon"])
+@pytest.mark.parametrize("steps_of,tol", [(lambda T: round(100 * T), 2e-6), (lambda T: 1 << 16, 1e-9)],
+                         ids=["100T", "2^16"])
+def test_branch_pair_q_is_near_the_exact_q(kind, steps_of, tol):
+    # the midpoint rule's O(dt^2) error against a reference with no step error
+    for T in EXACT_Q:
+        q = simon_row_bit_prob(*branch_pair(kind, T, steps_of(T)))
+        assert abs(q - exact_q(kind, T)) <= tol
 
 
 def seed_two_level_loop(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
@@ -142,14 +195,14 @@ def test_chunks_carry_the_state(monkeypatch):
     sched = Schedule(5.0, 100)
     whole = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
     spans = []
-    step_matrices = evolution._step_matrices
+    su2_steps = evolution._su2_steps
 
     def spy(block, sched, start, stop):
         spans.append((start, stop))
-        return step_matrices(block, sched, start, stop)
+        return su2_steps(block, sched, start, stop)
 
     monkeypatch.setattr(evolution, "TWO_LEVEL_CHUNK", 7)
-    monkeypatch.setattr(evolution, "_step_matrices", spy)
+    monkeypatch.setattr(evolution, "_su2_steps", spy)
     chunked = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
     assert spans == [(start, min(start + 7, 100)) for start in range(0, 100, 7)]
     assert np.max(np.abs(chunked - whole)) <= 1e-14

@@ -6,12 +6,17 @@ The discrete fields must match exactly and the fidelities to a relative
 ``cli.SCHEMA_VERSION`` and regenerates the file:
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
+
+which refuses to run without the bump and prints, against the file it
+replaces, how many discrete fields changed and the largest relative change
+of a fidelity.
 """
 
 import json
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -94,13 +99,40 @@ def test_sweep_table_matches_golden_file():
         assert_same(got, want, want["axis_value"])
 
 
+def changes(old: dict, new: dict) -> tuple:
+    """Per discrete field, how many pinned values differ; and the largest
+    relative fidelity change, over runs with the same config and the sweep rows."""
+    old_reports = {json.dumps(e["config"], sort_keys=True): e["report"] for e in old["runs"]}
+    pairs = [(old_reports[key], e["report"]) for e in new["runs"]
+             if (key := json.dumps(e["config"], sort_keys=True)) in old_reports]
+    if all(old["sweep"][key] == new["sweep"][key] for key in SWEEP):
+        pairs += zip(old["sweep"]["rows"], new["sweep"]["rows"])
+    discrete, largest = Counter(), 0.0
+    for before, after in pairs:
+        for key, value in after.items():
+            if key in FIDELITY_FIELDS:
+                largest = max(largest, abs(value - before[key]) / abs(before[key] or 1.0))
+            elif before.get(key) != value:
+                discrete[key] += 1
+    return len(pairs), discrete, largest
+
+
 def write() -> None:
+    old = json.loads(GOLDEN.read_text())
+    if old["schema_version"] == SCHEMA_VERSION:
+        sys.exit(f"{GOLDEN.name} already pins schema {SCHEMA_VERSION}; "
+                 "bump cli.SCHEMA_VERSION before re-pinning seeded outputs")
     runs = [{"config": asdict(cfg), "report": report_of(cfg)} for cfg in golden_configs()]
     golden = {
         "schema_version": SCHEMA_VERSION,
         "runs": runs,
         "sweep": {**SWEEP, "rows": sweep_rows()},
     }
+    compared, discrete, largest = changes(old, golden)
+    print(f"schema {old['schema_version']} -> {SCHEMA_VERSION}: compared {compared} "
+          f"reports and rows; discrete fields changed: {sum(discrete.values())}"
+          + "".join(f", {key} {count}" for key, count in sorted(discrete.items())))
+    print(f"largest relative fidelity change: {largest:.3g}")
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {len(runs)} reports and {len(golden['sweep']['rows'])} sweep rows to {GOLDEN}")
 

@@ -1,5 +1,6 @@
 """End-to-end protocol runs, classical baselines, and sweeps."""
 
+import json
 import math
 import random
 from dataclasses import asdict
@@ -152,6 +153,32 @@ def test_config_validation_errors():
         RunConfig(problem="bv", n=3, total_time=-1.0).validate()
     with pytest.raises(DomainError):
         RunConfig(problem="bv", n=3, a=8).validate()
+    # non-integral sizes are refused up front, not as a TypeError inside a run
+    for fields in (dict(problem="bv", n=3, a=5, steps=2.5), dict(problem="bv", n=3, a=5, steps=3.0),
+                   dict(problem="simon", n=3.0, a=1), dict(problem="simon", n=3, a=5.0),
+                   dict(problem="bv", n=3, max_repeats=2.5), dict(problem="bv", n=3, seed=1.5),
+                   dict(problem="simon", n=3, scramble_seed=2.5), dict(problem="bv", n=None)):
+        with pytest.raises(DomainError):
+            RunConfig(**fields).validate()
+    for cfg in (RunConfig("bv", 3, a=5, steps=2.5), RunConfig("simon", 3.0, a=1)):
+        with pytest.raises(DomainError):
+            (run_bv if cfg.problem == "bv" else run_simon)(cfg)
+
+
+def test_numpy_integer_configs_run_as_python_ints():
+    # they pass validation, and a run reads them as ints: run_simon used to
+    # raise AttributeError on a numpy mask, and run_bv reported numpy scalars
+    for problem, scramble_seed in (("bv", None), ("simon", None), ("simon", 3)):
+        fields = dict(problem=problem, n=5, a=9, steps=200, seed=7, max_repeats=30,
+                      scramble_seed=scramble_seed)
+        numpy_fields = {key: np.int64(value) if isinstance(value, int) else value
+                        for key, value in fields.items()}
+        assert resolve_config(RunConfig(**numpy_fields)) == resolve_config(RunConfig(**fields))
+        report = asdict(run(RunConfig(**numpy_fields)))
+        want = asdict(run(RunConfig(**fields)))
+        del report["wall_time"], want["wall_time"]
+        assert report == want
+        json.dumps(report)
 
 
 def test_resolve_config_draws_mask_deterministically():
@@ -440,16 +467,16 @@ def test_steps_ceiling():
 
 
 @pytest.mark.parametrize("n,scramble_seed,a,runs,fidelity", [
-    (12, None, 218, 11, 0.9957656663377655),
-    (12, 7, 218, 11, 0.9957656663377655),
-    (13, None, 1865, 15, 0.9953816171271908),
-    (13, 7, 1865, 12, 0.9953816171271908),
-    (14, None, 7783, 17, 0.9949977160376061),
-    (14, 7, 7783, 14, 0.9949977160376061),
-])
+    (12, None, 218, 11, 0.995765666338106),
+    (12, 7, 218, 11, 0.995765666338106),
+    (13, None, 1865, 15, 0.9953816171275626),
+    (13, 7, 1865, 12, 0.9953816171275626),
+    (14, None, 7783, 17, 0.994997716038009),
+    (14, 7, 7783, 14, 0.994997716038009),
+], ids=["n12", "n12-scrambled", "n13", "n13-scrambled", "n14", "n14-scrambled"])
 def test_seeded_simon_reports_unchanged(n, scramble_seed, a, runs, fidelity):
     # a and runs recorded when run_simon still built the oracle's lookup
-    # table; fidelity re-recorded under schema 4 (prefix-product integrator)
+    # table; fidelity re-recorded under schema 6 (SU(2) scan, phase applied once)
     report = run_simon(RunConfig(problem="simon", n=n, seed=100 + n, scramble_seed=scramble_seed))
     assert report.success and report.recovered_a == a
     assert report.quantum_runs == report.rows_collected == runs
@@ -457,18 +484,19 @@ def test_seeded_simon_reports_unchanged(n, scramble_seed, a, runs, fidelity):
 
 
 @pytest.mark.parametrize("fields,a,runs,fidelity", [
-    (dict(n=24, total_time=0.5, steps=50, seed=324), 1381533, 121, 1.5116262790449276e-07),
+    (dict(n=24, total_time=0.5, steps=50, seed=324), 1381533, 121, 1.5116262790448898e-07),
     (dict(n=60, total_time=0.5, steps=50, seed=360), 178413162238573480, 328,
-     3.1900114514445306e-18),
+     3.1900114514443284e-18),
     (dict(n=24, total_time=1.0, steps=100, seed=324), 1381533, 43, 2.999735743613252e-07),
     (dict(n=60, total_time=1.0, steps=100, seed=360), 178413162238573480, 62,
      1.850545912195251e-17),
     (dict(n=12, total_time=0.5, steps=50, seed=312, scramble_seed=3), 3238, 86,
-     0.0005470098714606691),
+     0.0005470098714606626),
 ], ids=["T0.5-n24", "T0.5-n60", "T1-n24", "T1-n60", "T0.5-n12-scrambled"])
 def test_seeded_low_q_simon_reports(fields, a, runs, fidelity):
     # recorded under schema 5 with one scalar uniform per row bit; at low q a
-    # run draws hundreds of row-bit blocks, so these pin the draw order
+    # run draws hundreds of row-bit blocks, so these pin the draw order;
+    # three fidelities re-recorded under schema 6
     report = run_simon(RunConfig(problem="simon", max_repeats=20 * fields["n"], **fields))
     assert report.success and report.recovered_a == a
     assert report.quantum_runs == report.rows_collected == runs
@@ -476,16 +504,17 @@ def test_seeded_low_q_simon_reports(fields, a, runs, fidelity):
 
 
 @pytest.mark.parametrize("fields,a,restarts,fidelity", [
-    (dict(n=8, seed=108), 47, 0, 0.999614317681829),
-    (dict(n=16, seed=116), 37700, 2, 0.999614317681829),
-    (dict(n=60, seed=160), 14234013176458300, 1, 0.999614317681829),
-    (dict(n=4, a=0, seed=3), 0, 4, 0.999614317681829),
-    (dict(n=12, seed=7, total_time=5.0, steps=500), 670, 1, 0.8389771197853385),
+    (dict(n=8, seed=108), 47, 0, 0.9996143176818338),
+    (dict(n=16, seed=116), 37700, 2, 0.9996143176818338),
+    (dict(n=60, seed=160), 14234013176458300, 1, 0.9996143176818338),
+    (dict(n=4, a=0, seed=3), 0, 4, 0.9996143176818338),
+    (dict(n=12, seed=7, total_time=5.0, steps=500), 670, 1, 0.8389771197853407),
     (dict(n=5, seed=105, total_time=5.0, steps=500, path="full"), 5, 0, 0.8389771197853415),
 ], ids=["n8", "n16", "n60", "a0", "T5", "full"])
 def test_seeded_bv_reports(fields, a, restarts, fidelity):
-    # fidelity recorded under schema 4 (two fidelity formulas) and unchanged;
-    # restarts recorded under schema 5, where a shot is one row-bit draw
+    # fidelity recorded under schema 4 (two fidelity formulas), the factored
+    # ones re-recorded under schema 6; restarts recorded under schema 5, where
+    # a shot is one row-bit draw
     report = run_bv(RunConfig(problem="bv", **fields))
     assert report.success and report.recovered_a == a
     assert report.restarts == restarts and report.quantum_runs == restarts + 1
@@ -494,17 +523,18 @@ def test_seeded_bv_reports(fields, a, restarts, fidelity):
 
 @pytest.mark.parametrize("run,fields,runs,restarts,rows,fidelity", [
     (run_bv, dict(problem="bv", n=10, total_time=0.5, steps=50, seed=4),
-     64, 64, 0, 0.5051892560903585),
+     64, 64, 0, 0.5051892560903584),
     (run_bv, dict(problem="bv", n=4, a=9, path="full", total_time=5.0, steps=200, seed=1,
                   max_repeats=1), 1, 1, 0, 0.838982211240202),
-    (run_simon, dict(problem="simon", n=8, seed=3, max_repeats=3), 3, 0, 3, 0.9973033455332856),
+    (run_simon, dict(problem="simon", n=8, seed=3, max_repeats=3), 3, 0, 3, 0.9973033455335025),
     (run_simon, dict(problem="simon", n=8, seed=3, max_repeats=3, scramble_seed=5),
-     3, 0, 3, 0.9973033455332856),
+     3, 0, 3, 0.9973033455335025),
     (run_simon, dict(problem="simon", n=4, seed=2, max_repeats=2, path="full", total_time=5.0,
                      steps=200), 2, 0, 2, 0.5905521541517191),
 ], ids=["bv-short-anneal", "bv-full-one-shot", "simon", "simon-scrambled", "simon-full"])
 def test_seeded_budget_exhausted_reports(run, fields, runs, restarts, rows, fidelity):
-    # recorded under schema 5: every shot of the budget is spent and no mask is named
+    # recorded under schema 5 (factored fidelities under schema 6): every shot
+    # of the budget is spent and no mask is named
     report = run(RunConfig(**fields))
     assert not report.success and report.recovered_a is None
     assert report.quantum_runs == runs
