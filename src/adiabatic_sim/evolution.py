@@ -52,8 +52,8 @@ KRYLOV_MAX = 16
 MAX_STEP_SPLITS = 30
 # evolve_two_level builds and scans the SU(2) steps of this many steps at a
 # time, so its traced peak stays below 1.5 MiB at any step count.  A scan
-# level costs mostly fixed call overhead, so the default 5000 steps take about
-# half as long in one 13-level scan as in five 10-level scans of 2^10.
+# level costs mostly fixed call overhead, so the default 5000 steps take less
+# than half as long in one 13-level scan as in five 10-level scans of 2^10.
 TWO_LEVEL_CHUNK = 1 << 13
 
 
@@ -208,27 +208,29 @@ def _prefix_scan(m: np.ndarray, out: np.ndarray) -> None:
     ``out`` bit for bit.
     """
     n = m.shape[-1]
-    a, b = m[0], m[1]
     # the even-position steps: the earlier step of each pair, and the steps
     # the odd columns apply
-    conj = np.conjugate(m[:, 0::2])
-    conj_a, conj_b = conj[0], conj[1]
+    even = m[:, 0::2]
+    conj = np.conjugate(even)
+    a, b, conj_a, conj_b = even[0], even[1], conj[0], conj[1]
     if n > 1:
         k = n // 2
-        later_a, later_b = a[1::2], b[1::2]
+        later = m[:, 1::2]
+        later_a, later_b = later[0], later[1]
         pairs = np.empty((2, k), dtype=np.complex128)
+        pair_a, pair_b = pairs[0], pairs[1]
         term = np.empty(k, dtype=np.complex128)
-        np.multiply(later_a, a[0 : 2 * k : 2], out=pairs[0])
+        np.multiply(later_a, a[:k], out=pair_a)
         np.multiply(later_b, conj_b[:k], out=term)
-        pairs[0] -= term
-        np.multiply(later_a, b[0 : 2 * k : 2], out=pairs[1])
+        pair_a -= term
+        np.multiply(later_a, b[:k], out=pair_b)
         np.multiply(later_b, conj_a[:k], out=term)
-        pairs[1] += term
+        pair_b += term
         _prefix_scan(pairs, out[:, 0::2])
     x, y = out[0, 0:n:2], out[1, 0:n:2]
     next_x, next_y = out[0, 1::2], out[1, 1::2]
-    np.multiply(a[0::2], x, out=next_x)
-    next_x += b[0::2] * y
+    np.multiply(a, x, out=next_x)
+    next_x += b * y
     np.multiply(conj_a, y, out=next_y)
     next_y -= conj_b * x
 
@@ -240,12 +242,13 @@ def _su2_steps(block: TwoLevelBlock, sched: Schedule, start: int, stop: int) -> 
     vz = (-0.5 if block.f_bit == 0 else 0.5) * s
     r = np.sqrt(vx * vx + vz * vz)  # a third of np.hypot's time; no overflow at |v| <= 1/2
     theta = r * sched.dt
-    sn = np.sin(theta) / r
+    minus_sn = np.sin(theta)
+    minus_sn /= -r
     m = np.empty((2, stop - start), dtype=np.complex128)
-    m[0].real = np.cos(theta)
-    m[0].imag = -sn * vz
+    np.cos(theta, out=m[0].real)
+    np.multiply(minus_sn, vz, out=m[0].imag)
     m[1].real = 0.0
-    m[1].imag = -sn * vx
+    np.multiply(minus_sn, vx, out=m[1].imag)
     return m
 
 
