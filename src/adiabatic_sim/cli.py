@@ -36,7 +36,7 @@ from .protocols import (
     sweep,
 )
 
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 
 SWEEP_COLUMNS = [
     "axis_value",

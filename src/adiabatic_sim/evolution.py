@@ -12,7 +12,8 @@ Two integration paths solve i d|psi>/dt = H(t/T) |psi>:
   midpoint rule but a closed-form 2x2 exponential.  Each step is a scalar
   phase times an SU(2) matrix, stored as the pair (a, b) of its first row;
   the pairs of all steps are computed as arrays and combined by a
-  parallel-prefix product, and the phases, whose product has a closed form,
+  parallel-prefix product, whose recursion ends in a scalar loop over at
+  most SCAN_TAIL steps, and the phases, whose product has a closed form,
   are applied once at the end.  Because the full Hamiltonian is block
   diagonal in the input register and the output qubits are uncoupled, a
   full run is exactly the assembly of these branch evolutions;
@@ -23,7 +24,8 @@ evolutions are related by phi_1 = sigma_x phi_0 at every time (conjugating
 the branch Hamiltonian by sigma_x flips its f_bit while fixing the |+>
 initial state), which is what makes the assembled superposition carry no
 spurious relative phases.  ``evolve_two_level`` keeps the identity to the
-bit, so one evolution serves both branches.
+bit (see ``_prefix_scan``: its array passes and its scalar tail alike are
+exact under sigma_x conjugation), so one evolution serves both branches.
 """
 
 from __future__ import annotations
@@ -52,9 +54,14 @@ KRYLOV_MAX = 16
 MAX_STEP_SPLITS = 30
 # evolve_two_level builds and scans the SU(2) steps of this many steps at a
 # time, so its traced peak stays below 1.5 MiB at any step count.  A scan
-# level costs mostly fixed call overhead, so the default 5000 steps take less
-# than half as long in one 13-level scan as in five 10-level scans of 2^10.
+# level costs mostly fixed call overhead, so the default 5000 steps took less
+# than half as long in one scan as in five scans of 2^10 steps.
 TWO_LEVEL_CHUNK = 1 << 13
+# _prefix_scan steps a scan of at most this many steps one by one in Python
+# complex arithmetic instead of pairing them in further array passes, which
+# below this size cost mostly their fixed call overhead: 5000 steps take 7
+# array levels and a 39-step tail, not 13 levels.  32 and 128 were no faster.
+SCAN_TAIL = 64
 
 
 @dataclass(frozen=True)
@@ -197,36 +204,52 @@ def _prefix_scan(m: np.ndarray, out: np.ndarray) -> None:
     Step j's SU(2) matrix V = [[a, b], [-conj(b), conj(a)]] is stored as
     ``m[:, j] = (a, b)``; it maps a state (x, y) to
     (a x + b y, conj(a) y - conj(b) x), and V2 V1 has the first row
-    (a2 a1 - b2 conj(b1), a2 b1 + b2 conj(a1)).  Adjacent steps are paired,
-    the half-length scan fills the even columns (the state after each odd
-    step), and each odd column is one step on from the column before it
-    (Blelloch, "Prefix sums and their applications", 1990): O(steps) work in
-    O(log steps) array passes.  Conjugating a step by sigma_x maps (a, b) to
-    (conj(a), -conj(b)); each sum here then adds the conjugates, negated where
-    the map negates, of the same terms in the same order, which IEEE rounding
+    (a2 a1 - b2 conj(b1), a2 b1 + b2 conj(a1)).  Above SCAN_TAIL steps,
+    adjacent steps are paired, the half-length scan fills the even columns
+    (the state after each odd step), and each odd column is one step on from
+    the column before it (Blelloch, "Prefix sums and their applications",
+    1990): O(steps) work in O(log steps) array passes.  A scan of at most
+    SCAN_TAIL steps, where an array pass costs mostly its fixed call overhead,
+    steps the state through them one by one in Python complex arithmetic and
+    writes each row of states in one assignment, whose temporary is small
+    enough for numpy's small-block cache (one (2, n) temporary came from
+    malloc on every call, and in long-running processes left the scan's
+    arrays paged in afresh on every call).  Conjugating a step by sigma_x
+    maps (a, b) to (conj(a), -conj(b)); each sum here then adds the
+    conjugates, negated where the map negates, of the same terms in the same
+    order, which IEEE rounding (in numpy and in CPython's complex type alike)
     keeps exact, so conjugating all steps and out[:, 0] swaps the rows of
     ``out`` bit for bit.
     """
     n = m.shape[-1]
+    if n <= SCAN_TAIL:
+        x, y = out[:, 0].tolist()
+        xs, ys = [], []
+        for a, b in zip(*m.tolist()):
+            x, y = a * x + b * y, a.conjugate() * y - b.conjugate() * x
+            xs.append(x)
+            ys.append(y)
+        out[0, 1:] = xs
+        out[1, 1:] = ys
+        return
     # the even-position steps: the earlier step of each pair, and the steps
     # the odd columns apply
     even = m[:, 0::2]
     conj = np.conjugate(even)
     a, b, conj_a, conj_b = even[0], even[1], conj[0], conj[1]
-    if n > 1:
-        k = n // 2
-        later = m[:, 1::2]
-        later_a, later_b = later[0], later[1]
-        pairs = np.empty((2, k), dtype=np.complex128)
-        pair_a, pair_b = pairs[0], pairs[1]
-        term = np.empty(k, dtype=np.complex128)
-        np.multiply(later_a, a[:k], out=pair_a)
-        np.multiply(later_b, conj_b[:k], out=term)
-        pair_a -= term
-        np.multiply(later_a, b[:k], out=pair_b)
-        np.multiply(later_b, conj_a[:k], out=term)
-        pair_b += term
-        _prefix_scan(pairs, out[:, 0::2])
+    k = n // 2
+    later = m[:, 1::2]
+    later_a, later_b = later[0], later[1]
+    pairs = np.empty((2, k), dtype=np.complex128)
+    pair_a, pair_b = pairs[0], pairs[1]
+    term = np.empty(k, dtype=np.complex128)
+    np.multiply(later_a, a[:k], out=pair_a)
+    np.multiply(later_b, conj_b[:k], out=term)
+    pair_a -= term
+    np.multiply(later_a, b[:k], out=pair_b)
+    np.multiply(later_b, conj_a[:k], out=term)
+    pair_b += term
+    _prefix_scan(pairs, out[:, 0::2])
     x, y = out[0, 0:n:2], out[1, 0:n:2]
     next_x, next_y = out[0, 1::2], out[1, 1::2]
     np.multiply(a, x, out=next_x)

@@ -15,8 +15,9 @@ see ``measurement``.  The factored fidelity is |phi_0[0]^m|^2.
 Randomness discipline (everything derives from RunConfig.seed):
   stream 0          draws the mask when ``a`` is None (one integer draw),
   stream 1 + i      drives the i-th quantum shot (readout or row sample);
-                    one RandomSource per run is re-keyed to it, which draws
-                    exactly what a new source on that stream would,
+                    one RandomSource per run, built on stream 0, is re-keyed
+                    to it, which draws exactly what a new source on that
+                    stream would,
   sweep trials      reseed per (value index, trial index) via SeedSequence.
 Identical configs therefore reproduce identical reports, wall time aside.
 
@@ -124,10 +125,16 @@ class RunConfig:
 
 def resolve_config(cfg: RunConfig) -> RunConfig:
     """Fill in the drawn mask and default repeat budget; idempotent."""
+    return _resolve_for_run(cfg)[0]
+
+
+def _resolve_for_run(cfg: RunConfig) -> tuple[RunConfig, RandomSource]:
+    """``resolve_config`` and the run's one RandomSource, built on stream 0:
+    a mask is drawn from it there, and ``_shoot`` re-keys it for each shot."""
     cfg.validate()
+    rng = RandomSource(cfg.seed)
     a = cfg.a
     if a is None:
-        rng = RandomSource(cfg.seed, stream=0)
         if cfg.problem == "bv":
             a = rng.randrange(1 << cfg.n)
         else:
@@ -137,11 +144,12 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
         max_repeats = BV_MAX_REPEATS if cfg.problem == "bv" else cfg.n + SIMON_EXTRA_REPEATS
     # numpy integers pass validate; a run computes with Python ints
     index, scramble_seed = operator.index, cfg.scramble_seed
-    return replace(
+    resolved = replace(
         cfg, n=index(cfg.n), a=index(a), steps=index(cfg.steps), seed=index(cfg.seed),
         max_repeats=index(max_repeats),
         scramble_seed=None if scramble_seed is None else index(scramble_seed),
     )
+    return resolved, rng
 
 
 @dataclass(frozen=True)
@@ -206,6 +214,7 @@ def _anneal(
 def _shoot(
     cfg: RunConfig,
     oracle: BvMask | SimonOracle,
+    rng: RandomSource,
     absorb: Callable[[object], Optional[int]],
     pending: Callable[[], int],
     on_final_state: Optional[Callable[[StateVector], None]] = None,
@@ -213,12 +222,11 @@ def _shoot(
     """One anneal, then shot i from stream 1 + i until ``absorb`` names a mask.
 
     A block holds the ``pending()`` shots that cannot end the run, within the
-    budget, so none is drawn past the stop.  One ``RandomSource`` serves the
-    run, re-keyed to each shot's stream.  Returns (mask or None, shots taken,
+    budget, so none is drawn past the stop.  ``rng``, the run's one source,
+    is re-keyed to each shot's stream.  Returns (mask or None, shots taken,
     fidelity); at most cfg.max_repeats shots.
     """
     read, fidelity = _anneal(cfg, oracle, on_final_state)
-    rng = RandomSource(cfg.seed)
     shots = 0
     while shots < cfg.max_repeats:
         block = range(shots + 1, min(shots + pending(), cfg.max_repeats) + 1)
@@ -231,11 +239,13 @@ def _shoot(
 
 def run_bv(cfg: RunConfig) -> RunReport:
     """Repeat prepare/evolve/readout until the informative branch is seen."""
-    cfg = resolve_config(cfg)
+    cfg, rng = _resolve_for_run(cfg)
     if cfg.problem != "bv":
         raise DomainError("run_bv needs a bv config")
     t0 = time.perf_counter()
-    found, shots, fidelity = _shoot(cfg, BvMask(cfg.n, cfg.a), lambda r: r.a_candidate, lambda: 1)
+    found, shots, fidelity = _shoot(
+        cfg, BvMask(cfg.n, cfg.a), rng, lambda r: r.a_candidate, lambda: 1
+    )
     return RunReport(
         success=found == cfg.a,
         recovered_a=found,
@@ -255,7 +265,7 @@ def run_simon(
     On the full path, ``on_final_state`` (if given) receives the annealed
     state before the first shot.
     """
-    cfg = resolve_config(cfg)
+    cfg, rng = _resolve_for_run(cfg)
     if cfg.problem != "simon":
         raise DomainError("run_simon needs a simon config")
     t0 = time.perf_counter()
@@ -267,7 +277,7 @@ def run_simon(
 
     oracle = simon_build(cfg.n, cfg.a, cfg.scramble_seed)
     found, shots, fidelity = _shoot(
-        cfg, oracle, absorb, lambda: cfg.n - 1 - system.rank, on_final_state
+        cfg, oracle, rng, absorb, lambda: cfg.n - 1 - system.rank, on_final_state
     )
     return RunReport(
         success=found == cfg.a,

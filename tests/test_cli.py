@@ -23,7 +23,7 @@ def test_bv_happy_path(capsys):
     )
     assert code == 0
     record = json.loads(out)
-    assert record["schema_version"] == "6"
+    assert record["schema_version"] == "7"
     assert record["results"]["recovered_a"] == 0xB3
     assert record["config"]["a"] == 0xB3
     assert record["provenance"]["seed"] == 1
@@ -115,8 +115,8 @@ def test_simon_compare_factored_evolves_once(capsys, monkeypatch):
     )
     assert code == 0 and len(calls) == 1
     # a separate evolve_full on the same config gives this value; re-recorded
-    # under schema 6, where the factored branch moved in its last bits
-    assert json.loads(out)["results"]["max_factored_deviation"] == 2.0114655421281033e-15
+    # under schema 7, where the factored branch moved in its last bits
+    assert json.loads(out)["results"]["max_factored_deviation"] == 2.2282386309886773e-15
 
 
 def test_simon_compare_factored_requires_full_path(capsys):

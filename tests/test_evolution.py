@@ -155,6 +155,48 @@ def test_branch_pair_q_is_near_the_exact_q(kind, steps_of, tol):
         assert abs(q - exact_q(kind, T)) <= tol
 
 
+def branch_error(kind: str, T: float, steps: int) -> float:
+    """|evolve_two_level - exact branch|, in the 2-norm."""
+    phi = evolve_two_level(TwoLevelBlock(0, kind), Schedule(T, steps))
+    return float(np.linalg.norm(phi - exact_branch(kind, T)))
+
+
+@pytest.mark.parametrize("kind", ["bv", "simon"])
+@pytest.mark.parametrize("T", [1.0, 5.0, 50.0])
+def test_branch_error_over_dt_squared_is_constant(kind, T):
+    # the midpoint rule is second order: at 100 T to 800 T steps the error
+    # (3.7e-9 or more) stays far above round-off, and error / dt^2 is one
+    # constant to 10%
+    constants = [branch_error(kind, T, steps) / (T / steps) ** 2
+                 for steps in (round(100 * T), round(200 * T), round(400 * T), round(800 * T))]
+    assert max(constants) <= 1.1 * min(constants)
+
+
+@pytest.mark.parametrize("problem", ["bv", "simon"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("T", [1.0, 5.0])
+def test_full_path_is_within_its_dt_squared_bound_of_the_exact_assembly(problem, n, T):
+    # the full path freezes H at the same midpoints, so each of its m output
+    # qubits carries the branch's error C dt^2, and the product state's error
+    # is at most m C dt^2; C is the branch's constant at the finer step
+    ideal = exact_branch(problem, T)
+    if problem == "bv":
+        mask, m = BvMask(n, (1 << n) - 1), 1
+        h, exact = bv_interpolated(mask), assemble_bv(mask, ideal, SIGMA_X @ ideal)
+    else:
+        oracle, m = simon_build(n, (1 << n) - 1), n - 1
+        h, exact = simon_interpolated(oracle), assemble_simon(oracle, ideal, SIGMA_X @ ideal)
+    fine = round(200 * T)
+    constant = branch_error(problem, T, fine) / (T / fine) ** 2
+    errors = []
+    for steps in (round(100 * T), fine):
+        full = evolve_full(h, plus_state(n, m), Schedule(T, steps)).final_state
+        error = float(np.linalg.norm(full.amps - exact.amps))
+        assert error <= 1.1 * m * constant * (T / steps) ** 2
+        errors.append(error)
+    assert 3.6 <= errors[0] / errors[1] <= 4.4  # halving dt quarters the error
+
+
 def seed_two_level_loop(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
     """The original step-by-step scalar integrator, kept as the reference."""
     sign = -1.0 if block.f_bit else 1.0
@@ -179,10 +221,12 @@ def seed_two_level_loop(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", ["bv", "simon"])
-@pytest.mark.parametrize("steps", [1, 2, 3, 7, 100, 5000, (1 << 14) + 3])
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 63, 64, 65, 100, 128, 129, 5000, (1 << 14) + 3])
 def test_prefix_integrator_matches_scalar_loop(kind, steps):
-    # the last step count crosses a chunk boundary; the loop's own rounding
-    # error reaches 6e-13 at 16387 steps (the prefix product's stays below 1e-14)
+    # 63 to 129 straddle the scan's scalar tail (SCAN_TAIL = 64 steps, and one
+    # array level above it); the last step count crosses a chunk boundary; the
+    # loop's own rounding error reaches 6e-13 at 16387 steps (the prefix
+    # product's stays below 1e-14)
     for total_time in (0.01, 1.0, 50.0, 1e4):
         sched = Schedule(total_time, steps)
         for f_bit in (0, 1):
@@ -224,6 +268,25 @@ def test_two_level_drift_check_fails_on_nan(monkeypatch):
     monkeypatch.setattr(evolution, "_prefix_scan", lambda m, out: out.fill(np.nan))
     with pytest.raises(IntegrationError):
         evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(1.0, 10))
+
+
+@pytest.mark.parametrize("steps,bad", [(40, 17), (40, 39), (1001, 1000)],
+                         ids=["tail", "tail-last", "array-level-last"])
+def test_nan_step_fails_the_drift_check_through_the_scan(monkeypatch, steps, bad):
+    # 40 steps run in the scalar tail alone; the last of 1001 steps is the
+    # unpaired one that only the top array level applies, so its NaN reaches
+    # the final state alone, which the check over every state still sees
+    assert (steps <= evolution.SCAN_TAIL) == (steps == 40)
+    su2_steps = evolution._su2_steps
+
+    def poisoned(block, sched, start, stop):
+        m = su2_steps(block, sched, start, stop)
+        m[:, bad - start] = np.nan
+        return m
+
+    monkeypatch.setattr(evolution, "_su2_steps", poisoned)
+    with pytest.raises(IntegrationError):
+        evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(1.0, steps))
 
 
 def test_step_doubling_quarters_the_error():
