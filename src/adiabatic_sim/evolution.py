@@ -212,9 +212,9 @@ def _prefix_scan(m: np.ndarray, out: np.ndarray) -> None:
     SCAN_TAIL steps, where an array pass costs mostly its fixed call overhead,
     steps the state through them one by one in Python complex arithmetic and
     writes each row of states in one assignment, whose temporary is small
-    enough for numpy's small-block cache (one (2, n) temporary came from
-    malloc on every call, and in long-running processes left the scan's
-    arrays paged in afresh on every call).  Conjugating a step by sigma_x
+    enough for numpy's small-block cache: a malloc per call at the bottom of
+    the scan left long-running processes paging the scan's arrays in afresh
+    on every call.  Conjugating a step by sigma_x
     maps (a, b) to (conj(a), -conj(b)); each sum here then adds the
     conjugates, negated where the map negates, of the same terms in the same
     order, which IEEE rounding (in numpy and in CPython's complex type alike)
