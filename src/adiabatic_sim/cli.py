@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -27,7 +26,9 @@ from .evolution import assemble_simon
 from .hamiltonians import TwoLevelBlock, bv_interpolated, gap, gap_table, simon_interpolated
 from .oracles import BvMask, simon_build
 from .protocols import (
+    DEFAULT_TIME,
     MAX_STEPS,
+    STEPS_PER_UNIT_TIME,
     RunConfig,
     branch_pair,
     resolve_config,
@@ -36,7 +37,7 @@ from .protocols import (
     sweep,
 )
 
-SCHEMA_VERSION = "7"
+SCHEMA_VERSION = "8"
 
 SWEEP_COLUMNS = [
     "axis_value",
@@ -76,28 +77,18 @@ def _seed(args: argparse.Namespace) -> int:
         raise UsageError(f"ADIABATIC_SIM_SEED must be an integer, got {raw!r}")
 
 
-def _steps(args: argparse.Namespace) -> int:
-    """--steps, or 100*T; 100*T must be finite for the default."""
-    if args.steps is not None:
-        return args.steps
-    steps = 100 * args.total_time
-    if not math.isfinite(steps):
-        raise UsageError(f"--time {args.total_time} gives no default --steps: 100*T is not finite")
-    return max(1, round(steps))
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, required=True, help="input register size")
+def _add_config_flags(parser: argparse.ArgumentParser, **n_flag) -> None:
+    """The RunConfig flags that bv, simon and sweep share, and --out; ``n_flag`` completes --n."""
+    parser.add_argument("--n", type=int, help="input register size", **n_flag)
     parser.add_argument("--a", type=_mask, default=None,
                         help="hidden mask (default: drawn from the seed)")
-    parser.add_argument("--time", type=float, default=50.0, dest="total_time",
-                        help="annealing runtime T (default 50)")
+    parser.add_argument("--time", type=float, default=DEFAULT_TIME, dest="total_time",
+                        help=f"annealing runtime T (default {DEFAULT_TIME:g})")
     parser.add_argument("--steps", type=int, default=None,
-                        help="integrator steps (default 100*T)")
+                        help=f"integrator steps (default {STEPS_PER_UNIT_TIME}*T)")
     parser.add_argument("--path", choices=("factored", "full"), default="factored")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default $ADIABATIC_SIM_SEED or 0)")
-    parser.add_argument("--max-repeats", type=int, default=None)
     parser.add_argument("--out", default=None, help="write payload to a file")
 
 
@@ -108,19 +99,12 @@ def _config(args: argparse.Namespace, problem: str) -> RunConfig:
         n=args.n,
         a=args.a,
         total_time=args.total_time,
-        steps=_steps(args),
+        steps=args.steps,
         path=args.path,
         seed=_seed(args),
         max_repeats=getattr(args, "max_repeats", None),
         scramble_seed=getattr(args, "scramble_seed", None),
     )
-
-
-def _resolve(cfg: RunConfig) -> RunConfig:
-    try:
-        return resolve_config(cfg)
-    except SimulatorError as exc:
-        raise UsageError(str(exc))
 
 
 def _record(cfg: RunConfig, results: dict) -> dict:
@@ -148,7 +132,7 @@ def _emit(payload: str, out_path) -> None:
 
 
 def cmd_bv(args: argparse.Namespace) -> int:
-    cfg = _resolve(_config(args, "bv"))
+    cfg = resolve_config(_config(args, "bv"))
     report = run_bv(cfg)
     _emit(json.dumps(_record(cfg, asdict(report)), indent=2) + "\n", args.out)
     return 0 if report.success else 2
@@ -157,7 +141,7 @@ def cmd_bv(args: argparse.Namespace) -> int:
 def cmd_simon(args: argparse.Namespace) -> int:
     if args.compare_factored and args.path != "full":
         raise UsageError("--compare-factored needs --path full")
-    cfg = _resolve(_config(args, "simon"))
+    cfg = resolve_config(_config(args, "simon"))
     finals = []
     report = run_simon(cfg, finals.append if args.compare_factored else None)
     results = asdict(report)
@@ -171,20 +155,12 @@ def cmd_simon(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not args.values.strip():
-        raise UsageError("--values must be a non-empty comma-separated list")
     cast = float if args.axis == "T" else int
     try:
         values = [cast(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --values entry: {exc}")
-    if not values:
-        raise UsageError("--values must be a non-empty comma-separated list")
-    base = _config(args, args.problem)
-    try:
-        rows = sweep(args.axis, values, base, args.trials)
-    except SimulatorError as exc:
-        raise UsageError(str(exc))
+    rows = sweep(args.axis, values, _config(args, args.problem), args.trials)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(SWEEP_COLUMNS)
@@ -198,21 +174,18 @@ def cmd_gap(args: argparse.Namespace) -> int:
     seed = _seed(args)
     if not 3 <= args.grid <= MAX_STEPS:
         raise UsageError(f"--grid must be between 3 and {MAX_STEPS}")
-    try:
-        if args.two_level:
-            points = np.linspace(0.0, 1.0, args.grid)
-            table = [(float(s), gap(TwoLevelBlock(0), float(s))) for s in points]
+    if args.two_level:
+        points = np.linspace(0.0, 1.0, args.grid)
+        table = [(float(s), gap(TwoLevelBlock(0), float(s))) for s in points]
+    else:
+        if args.n is None:
+            raise UsageError("--n is required unless --two-level is given")
+        a = resolve_config(RunConfig(args.problem, args.n, args.a, path="full", seed=seed)).a
+        if args.problem == "bv":
+            h = bv_interpolated(BvMask(args.n, a))
         else:
-            if args.n is None:
-                raise UsageError("--n is required unless --two-level is given")
-            a = resolve_config(RunConfig(args.problem, args.n, args.a, path="full", seed=seed)).a
-            if args.problem == "bv":
-                h = bv_interpolated(BvMask(args.n, a))
-            else:
-                h = simon_interpolated(simon_build(args.n, a))
-            table = gap_table(h, args.grid)
-    except SimulatorError as exc:
-        raise UsageError(str(exc))
+            h = simon_interpolated(simon_build(args.n, a))
+        table = gap_table(h, args.grid)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["s", "gap"])
@@ -232,11 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bv = sub.add_parser("bv", help="run the Bernstein-Vazirani protocol")
-    _add_run_flags(p_bv)
+    _add_config_flags(p_bv, required=True)
+    p_bv.add_argument("--max-repeats", type=int, default=None)
     p_bv.set_defaults(func=cmd_bv)
 
     p_simon = sub.add_parser("simon", help="run Simon's protocol")
-    _add_run_flags(p_simon)
+    _add_config_flags(p_simon, required=True)
+    p_simon.add_argument("--max-repeats", type=int, default=None)
     p_simon.add_argument("--scramble-seed", type=int, default=None,
                          help="scramble the oracle's output labels")
     p_simon.add_argument("--compare-factored", action="store_true",
@@ -248,15 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", choices=("n", "T", "steps"), required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--problem", choices=("bv", "simon"), required=True)
-    p_sweep.add_argument("--n", type=int, default=4)
-    p_sweep.add_argument("--a", type=_mask, default=None)
-    p_sweep.add_argument("--time", type=float, default=50.0, dest="total_time")
-    p_sweep.add_argument("--steps", type=int, default=None)
-    p_sweep.add_argument("--path", choices=("factored", "full"), default="factored")
-    p_sweep.add_argument("--seed", type=int, default=None)
+    _add_config_flags(p_sweep, default=4)
     p_sweep.add_argument("--scramble-seed", type=int, default=None)
     p_sweep.add_argument("--trials", type=int, default=100)
-    p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_gap = sub.add_parser("gap", help="scan the spectral gap along the schedule")
@@ -277,7 +246,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, SimulatorError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,6 +35,7 @@ import operator
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,7 +61,8 @@ from .oracles import BvMask, SimonOracle, simon_build, simon_eval
 from .qstate import StateVector, check_capacity, plus_state
 
 DEFAULT_TIME = 50.0
-DEFAULT_STEPS = 5000
+# default steps per unit of T: norm drift below 1e-9, branch fidelity at T = 50 above 0.999
+STEPS_PER_UNIT_TIME = 100
 BV_MAX_REPEATS = 64
 SIMON_EXTRA_REPEATS = 40
 # Integer width: factored BV and unscrambled Simon hold no 2^n array, but
@@ -75,23 +77,27 @@ MAX_STEPS = 1 << 20
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
+    """A run's inputs, checked when built (``replace`` too); integer fields are
+    stored as Python ints.  ``resolve_config`` fills in ``a``, ``steps`` and
+    ``max_repeats`` where they are None."""
+
     problem: str
     n: int
     a: Optional[int] = None
     total_time: float = DEFAULT_TIME
-    steps: int = DEFAULT_STEPS
+    steps: Optional[int] = None
     path: str = "factored"
     seed: int = 0
     max_repeats: Optional[int] = None
     scramble_seed: Optional[int] = None
 
-    def validate(self) -> None:
-        for name in ("n", "steps", "seed", "a", "max_repeats", "scramble_seed"):
+    def __post_init__(self) -> None:
+        for name in ("n", "a", "steps", "seed", "max_repeats", "scramble_seed"):
             value = getattr(self, name)
-            if type(value) is int or value is None and name in ("a", "max_repeats", "scramble_seed"):
-                continue  # None: drawn or defaulted by resolve_config
+            if value is None and name not in ("n", "seed"):
+                continue  # drawn or defaulted by resolve_config, or unscrambled
             try:
-                operator.index(value)  # numpy integers pass, floats do not
+                object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if self.problem not in ("bv", "simon"):
@@ -113,25 +119,37 @@ class RunConfig:
                 raise DomainError(f"mask {self.a} out of range for {self.n} bits")
             if self.problem == "simon" and self.a == 0:
                 raise DomainError("Simon's promise requires a positive mask")
-        if not (self.total_time > 0 and math.isfinite(self.total_time)):
-            raise DomainError("total_time must be positive and finite")
-        if not 1 <= self.steps <= MAX_STEPS:
-            raise DomainError(f"steps must be between 1 and {MAX_STEPS}")
+        if not (isinstance(self.total_time, Real) and 0 < self.total_time < math.inf):
+            raise DomainError(f"total_time must be positive and finite, got {self.total_time!r}")
+        steps = _steps_for(self)
+        if not 1 <= steps <= MAX_STEPS:
+            default = "" if self.steps is not None else f" ({STEPS_PER_UNIT_TIME} * T by default)"
+            raise DomainError(f"steps must be between 1 and {MAX_STEPS}, got {steps}{default}")
         if self.max_repeats is not None and self.max_repeats < 1:
             raise DomainError("max_repeats must be at least 1")
         if self.scramble_seed is not None and self.scramble_seed < 0:
             raise DomainError(f"scramble_seed must be non-negative, got {self.scramble_seed}")
 
 
+def _steps_for(cfg: RunConfig) -> int:
+    """cfg.steps, or by default STEPS_PER_UNIT_TIME * T rounded, at least 1."""
+    if cfg.steps is not None:
+        return cfg.steps
+    steps = STEPS_PER_UNIT_TIME * cfg.total_time
+    if not math.isfinite(steps):
+        raise DomainError(f"total_time {cfg.total_time} gives no default steps: "
+                          f"{STEPS_PER_UNIT_TIME} * T is not finite")
+    return max(1, round(steps))
+
+
 def resolve_config(cfg: RunConfig) -> RunConfig:
-    """Fill in the drawn mask and default repeat budget; idempotent."""
+    """Fill in the drawn mask, the default steps and repeat budget; idempotent."""
     return _resolve_for_run(cfg)[0]
 
 
 def _resolve_for_run(cfg: RunConfig) -> tuple[RunConfig, RandomSource]:
     """``resolve_config`` and the run's one RandomSource, built on stream 0:
     a mask is drawn from it there, and ``_shoot`` re-keys it for each shot."""
-    cfg.validate()
     rng = RandomSource(cfg.seed)
     a = cfg.a
     if a is None:
@@ -142,14 +160,7 @@ def _resolve_for_run(cfg: RunConfig) -> tuple[RunConfig, RandomSource]:
     max_repeats = cfg.max_repeats
     if max_repeats is None:
         max_repeats = BV_MAX_REPEATS if cfg.problem == "bv" else cfg.n + SIMON_EXTRA_REPEATS
-    # numpy integers pass validate; a run computes with Python ints
-    index, scramble_seed = operator.index, cfg.scramble_seed
-    resolved = replace(
-        cfg, n=index(cfg.n), a=index(a), steps=index(cfg.steps), seed=index(cfg.seed),
-        max_repeats=index(max_repeats),
-        scramble_seed=None if scramble_seed is None else index(scramble_seed),
-    )
-    return resolved, rng
+    return replace(cfg, a=a, steps=_steps_for(cfg), max_repeats=max_repeats), rng
 
 
 @dataclass(frozen=True)
@@ -165,18 +176,18 @@ class RunReport:
 
 @lru_cache(maxsize=256)
 def _branch_pair_cached(kind: str, total_time: float, steps: int):
-    """phi_0 and phi_1 as tuples, then what factored runs read: q and phi_0[0]."""
+    """phi_0 and phi_1 as read-only arrays, then what factored runs read: q and phi_0[0]."""
     # phi_1 = sigma_x phi_0, exact to the bit; so <phi_0|phi_1> = 2 Re(conj(a) b)
     # is real and a scrambled row needs no overlap check
     phi0 = evolve_two_level(TwoLevelBlock(0, kind), Schedule(total_time, steps))
-    phi1 = phi0[::-1]
-    return tuple(phi0.tolist()), tuple(phi1.tolist()), simon_row_bit_prob(phi0, phi1), phi0[0]
+    phi0.flags.writeable = False
+    phi1 = phi0[::-1]  # a view, read-only with phi0
+    return phi0, phi1, simon_row_bit_prob(phi0, phi1), phi0[0]
 
 
 def branch_pair(kind: str, total_time: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Memoized (phi_0, phi_1) branch vectors for the given schedule."""
-    phi0, phi1 = _branch_pair_cached(kind, total_time, steps)[:2]
-    return np.array(phi0, dtype=np.complex128), np.array(phi1, dtype=np.complex128)
+    """Memoized (phi_0, phi_1) branch vectors for the given schedule, read-only."""
+    return _branch_pair_cached(kind, total_time, steps)[:2]
 
 
 def _anneal(
@@ -340,31 +351,25 @@ def _trial_seed(master: int, value_index: int, trial: int) -> int:
 def sweep(axis: str, values: list, base: RunConfig, trials: int) -> list[SweepRow]:
     """Run ``trials`` seeded repetitions of ``base`` at each axis value.
 
-    Every per-value config is validated before the first run.
+    Every per-value config is built, and so checked, before the first run.
     """
-    if axis not in ("n", "T", "steps"):
+    field = {"n": "n", "T": "total_time", "steps": "steps"}.get(axis)
+    if field is None:
         raise DomainError(f"unknown sweep axis {axis!r}")
     if not values:
         raise DomainError("sweep needs at least one value")
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise DomainError(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    configs = []
-    for value in values:
-        if axis == "n":
-            cfg_value = replace(base, n=int(value))
-        elif axis == "T":
-            cfg_value = replace(base, total_time=float(value))
-        else:
-            cfg_value = replace(base, steps=int(value))
-        cfg_value.validate()
-        configs.append(cfg_value)
+    configs = [replace(base, **{field: value}) for value in values]
     rows = []
     for value_index, (value, cfg_value) in enumerate(zip(values, configs)):
         t0 = time.perf_counter()
-        reports = []
-        for trial in range(trials):
-            cfg_trial = replace(cfg_value, seed=_trial_seed(base.seed, value_index, trial))
-            reports.append(run(cfg_trial))
+        reports = [run(replace(cfg_value, seed=_trial_seed(base.seed, value_index, trial)))
+                   for trial in range(trials)]
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rows.append(
             SweepRow(

@@ -23,7 +23,7 @@ def test_bv_happy_path(capsys):
     )
     assert code == 0
     record = json.loads(out)
-    assert record["schema_version"] == "7"
+    assert record["schema_version"] == "8"
     assert record["results"]["recovered_a"] == 0xB3
     assert record["config"]["a"] == 0xB3
     assert record["provenance"]["seed"] == 1
@@ -139,6 +139,48 @@ def test_sweep_csv_contract(capsys):
     ]
     fidelities = [float(r["mean_fidelity"]) for r in rows]
     assert fidelities[0] < fidelities[1] < fidelities[2]
+
+
+def test_sweep_T_gives_each_value_its_default_steps(capsys):
+    # without --steps, each swept T runs 100 T steps, as bv --time T would
+    argv = ("sweep", "--axis", "T", "--problem", "bv", "--n", "2", "--trials", "3", "--seed", "1")
+
+    def rows(*extra):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        return [{k: v for k, v in row.items() if k != "wall_ms"}
+                for row in csv.DictReader(io.StringIO(out))]
+
+    # a trial's seed depends on its value's index, so each pinned row comes
+    # from a sweep over the same values
+    swept = rows("--values", "1,5")
+    assert swept == [rows("--values", "1,5", "--steps", "100")[0],
+                     rows("--values", "1,5", "--steps", "500")[1]]
+    assert swept[0] != rows("--values", "1,5", "--steps", "5000")[0]
+
+
+def test_sweep_T_refuses_a_value_whose_default_steps_exceed_the_cap(capsys, monkeypatch):
+    # 100 T = 10^7 steps at T = 1e5: refused before the first value runs
+    from adiabatic_sim import protocols
+
+    calls = []
+    monkeypatch.setattr(protocols, "run", lambda cfg: calls.append(cfg))
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", "T", "--values", "1,1e5", "--problem", "bv",
+        "--n", "2", "--trials", "3", "--seed", "1",
+    )
+    assert code == 1 and out == "" and calls == []
+    assert err.startswith("usage error") and err.count("\n") == 1
+
+
+def test_every_config_field_is_a_simon_flag():
+    from dataclasses import fields
+
+    from adiabatic_sim.protocols import RunConfig
+
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    dests = {action.dest for action in subparsers.choices["simon"]._actions}
+    assert {f.name for f in fields(RunConfig)} - {"problem"} <= dests
 
 
 def test_sweep_simon_rows_grow_linearly(capsys):

@@ -3,7 +3,7 @@
 import json
 import math
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -141,28 +141,48 @@ def test_reported_fidelity_matches_dense_inner_product():
 
 def test_simon_zero_mask_rejected_at_validation():
     with pytest.raises(DomainError):
-        RunConfig(problem="simon", n=4, a=0).validate()
+        RunConfig(problem="simon", n=4, a=0)
 
 
 def test_config_validation_errors():
-    with pytest.raises(DomainError):
-        RunConfig(problem="bv", n=40, path="full").validate()
-    with pytest.raises(DomainError):
-        RunConfig(problem="deutsch", n=3).validate()
-    with pytest.raises(DomainError):
-        RunConfig(problem="bv", n=3, total_time=-1.0).validate()
-    with pytest.raises(DomainError):
-        RunConfig(problem="bv", n=3, a=8).validate()
-    # non-integral sizes are refused up front, not as a TypeError inside a run
-    for fields in (dict(problem="bv", n=3, a=5, steps=2.5), dict(problem="bv", n=3, a=5, steps=3.0),
+    # a config is checked when it is built, so no run can start from a bad one;
+    # non-integral sizes and a non-numeric T are DomainErrors, not TypeErrors
+    for fields in (dict(problem="bv", n=40, path="full"), dict(problem="deutsch", n=3),
+                   dict(problem="bv", n=3, total_time=-1.0), dict(problem="bv", n=3, a=8),
+                   dict(problem="bv", n=3, a=5, steps=2.5), dict(problem="bv", n=3, a=5, steps=3.0),
                    dict(problem="simon", n=3.0, a=1), dict(problem="simon", n=3, a=5.0),
                    dict(problem="bv", n=3, max_repeats=2.5), dict(problem="bv", n=3, seed=1.5),
-                   dict(problem="simon", n=3, scramble_seed=2.5), dict(problem="bv", n=None)):
+                   dict(problem="simon", n=3, scramble_seed=2.5), dict(problem="bv", n=None),
+                   dict(problem="bv", n=3, total_time="50"),
+                   dict(problem="bv", n=3, total_time=None)):
         with pytest.raises(DomainError):
-            RunConfig(**fields).validate()
-    for cfg in (RunConfig("bv", 3, a=5, steps=2.5), RunConfig("simon", 3.0, a=1)):
+            RunConfig(**fields)
+
+
+def test_replace_checks_the_new_config():
+    cfg = RunConfig(problem="bv", n=4, a=9)
+    for fields in (dict(n=-1), dict(n=2), dict(steps=0), dict(total_time=math.nan)):
         with pytest.raises(DomainError):
-            (run_bv if cfg.problem == "bv" else run_simon)(cfg)
+            replace(cfg, **fields)
+
+
+def test_integer_fields_are_python_ints_on_construction():
+    cfg = RunConfig("bv", np.int64(5), seed=np.int64(3), steps=np.int32(40))
+    for name in ("n", "seed", "steps"):
+        assert type(getattr(cfg, name)) is int
+    assert (cfg.n, cfg.seed, cfg.steps) == (5, 3, 40)
+
+
+def test_default_steps_are_one_hundred_per_unit_time():
+    assert resolve_config(RunConfig(problem="bv", n=4)).steps == 5000
+    assert resolve_config(RunConfig(problem="bv", n=4, total_time=2.0)).steps == 200
+    assert resolve_config(RunConfig(problem="bv", n=4, total_time=0.001)).steps == 1
+    assert resolve_config(RunConfig(problem="bv", n=4, total_time=2.0, steps=7)).steps == 7
+    # the default is range-checked at construction, like a given step count
+    for total_time in (1e5, 1e307):
+        with pytest.raises(DomainError):
+            RunConfig(problem="bv", n=4, total_time=total_time)
+    RunConfig(problem="bv", n=4, total_time=1e307, steps=10)
 
 
 def test_numpy_integer_configs_run_as_python_ints():
@@ -258,12 +278,23 @@ def test_sweep_steps_error_shrinks_quadratically():
 
 def test_sweep_validation():
     base = RunConfig(problem="bv", n=4)
-    with pytest.raises(DomainError):
-        sweep("T", [], base, trials=3)
-    with pytest.raises(DomainError):
-        sweep("mass", [1.0], base, trials=3)
-    with pytest.raises(DomainError):
-        sweep("T", [1.0], base, trials=0)
+    for axis, values, trials in (("T", [], 3), ("mass", [1.0], 3), ("T", [1.0], 0),
+                                 ("T", [1.0], 2.5), ("T", [1.0], 2.0), ("T", ["5"], 1),
+                                 ("n", [2.5], 1), ("steps", [3.0], 1)):
+        with pytest.raises(DomainError):
+            sweep(axis, values, base, trials=trials)
+
+
+def test_sweep_takes_each_values_default_steps():
+    # with no steps in the base, swept T values get 100 T steps each
+    base = RunConfig(problem="bv", n=2, a=1, seed=1)
+    rows = sweep("T", [1.0, 5.0], base, trials=2)
+    # a trial's seed depends on its value's index: pin each row in a sweep
+    # over the same values
+    pinned = [sweep("T", [1.0, 5.0], replace(base, steps=steps), trials=2)[i]
+              for i, steps in enumerate((100, 500))]
+    for row, want in zip(rows, pinned):
+        assert replace(row, wall_ms=0.0) == replace(want, wall_ms=0.0)
 
 
 def test_sweep_validates_every_value_before_running(monkeypatch):
@@ -310,6 +341,19 @@ def test_branch_pair_miss_evolves_once(monkeypatch):
     branch_pair("simon", 12.5, 1250)
     branch_pair("simon", 12.5, 1250)
     assert calls == [TwoLevelBlock(0, "simon")]
+
+
+def test_branch_pair_is_read_only():
+    # branch_pair hands out the cached arrays themselves, so a write must fail
+    # rather than corrupt every later run of the schedule
+    phi0, phi1 = branch_pair("bv", 3.0, 300)
+    assert branch_pair("bv", 3.0, 300)[0] is phi0
+    for phi in (phi0, phi1):
+        with pytest.raises(ValueError):
+            phi[0] = 0.0
+        with pytest.raises(ValueError):
+            phi *= 2.0
+    assert np.array_equal(phi1, phi0[::-1])
 
 
 def test_cached_branch_overlap_is_real():
@@ -434,39 +478,39 @@ def test_factored_runs_recover_mask_at_n60(run, problem):
 
 
 def test_factored_caps():
-    RunConfig(problem="simon", n=60).validate()
+    RunConfig(problem="simon", n=60)
     with pytest.raises(DomainError):
-        RunConfig(problem="bv", n=61).validate()
+        RunConfig(problem="bv", n=61)
     with pytest.raises(DomainError):
-        RunConfig(problem="simon", n=61).validate()
+        RunConfig(problem="simon", n=61)
     # scrambling materializes 2^(n-1) labels, so simon_build caps it at n <= 20
-    RunConfig(problem="simon", n=20, scramble_seed=1).validate()
+    RunConfig(problem="simon", n=20, scramble_seed=1)
     with pytest.raises(DomainError):
-        RunConfig(problem="simon", n=25, scramble_seed=1).validate()
+        RunConfig(problem="simon", n=25, scramble_seed=1)
     with pytest.raises(DomainError):
-        run_simon(RunConfig(problem="simon", n=21, scramble_seed=1))
+        RunConfig(problem="simon", n=21, scramble_seed=1)
 
 
 @pytest.mark.parametrize("total_time", [math.inf, math.nan])
 def test_total_time_must_be_finite(total_time):
     with pytest.raises(DomainError):
-        RunConfig(problem="bv", n=3, total_time=total_time, steps=10).validate()
+        RunConfig(problem="bv", n=3, total_time=total_time, steps=10)
 
 
 def test_full_path_cap_is_twenty_qubits():
     # the matrix-free full path is capped on state size, 2^20 amplitudes
-    RunConfig(problem="bv", n=19, path="full").validate()
-    RunConfig(problem="simon", n=10, path="full").validate()
+    RunConfig(problem="bv", n=19, path="full")
+    RunConfig(problem="simon", n=10, path="full")
     with pytest.raises(DomainError):
-        RunConfig(problem="bv", n=20, path="full").validate()
+        RunConfig(problem="bv", n=20, path="full")
     with pytest.raises(DomainError):
-        RunConfig(problem="simon", n=11, path="full").validate()
+        RunConfig(problem="simon", n=11, path="full")
 
 
 def test_steps_ceiling():
-    RunConfig(problem="bv", n=4, steps=1 << 20).validate()
+    RunConfig(problem="bv", n=4, steps=1 << 20)
     with pytest.raises(DomainError):
-        RunConfig(problem="bv", n=4, steps=(1 << 20) + 1).validate()
+        RunConfig(problem="bv", n=4, steps=(1 << 20) + 1)
 
 
 @pytest.mark.parametrize("n,scramble_seed,a,runs,fidelity", [
