@@ -92,9 +92,9 @@ def _add_config_flags(parser: argparse.ArgumentParser, **n_flag) -> None:
     parser.add_argument("--out", default=None, help="write payload to a file")
 
 
-def _config(args: argparse.Namespace, problem: str) -> RunConfig:
-    """The config the run flags describe, unresolved: a sweep draws a mask per trial."""
-    return RunConfig(
+def _fields(args: argparse.Namespace, problem: str) -> dict:
+    """The RunConfig fields the run flags give, unresolved: a sweep draws a mask per trial."""
+    return dict(
         problem=problem,
         n=args.n,
         a=args.a,
@@ -132,7 +132,7 @@ def _emit(payload: str, out_path) -> None:
 
 
 def cmd_bv(args: argparse.Namespace) -> int:
-    cfg = resolve_config(_config(args, "bv"))
+    cfg = resolve_config(RunConfig(**_fields(args, "bv")))
     report = run_bv(cfg)
     _emit(json.dumps(_record(cfg, asdict(report)), indent=2) + "\n", args.out)
     return 0 if report.success else 2
@@ -141,7 +141,7 @@ def cmd_bv(args: argparse.Namespace) -> int:
 def cmd_simon(args: argparse.Namespace) -> int:
     if args.compare_factored and args.path != "full":
         raise UsageError("--compare-factored needs --path full")
-    cfg = resolve_config(_config(args, "simon"))
+    cfg = resolve_config(RunConfig(**_fields(args, "simon")))
     finals = []
     report = run_simon(cfg, finals.append if args.compare_factored else None)
     results = asdict(report)
@@ -160,7 +160,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = [cast(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --values entry: {exc}")
-    rows = sweep(args.axis, values, _config(args, args.problem), args.trials)
+    rows = sweep(args.axis, values, _fields(args, args.problem), args.trials)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(SWEEP_COLUMNS)

@@ -27,7 +27,7 @@ depends on the anneal alone, and ``_read_factored(oracle, q, rng, streams)``
 reads a block of shots, each on its own stream.  A shot draws z first, one
 uniform per output bit, ascending (z_k = 1 iff the uniform is below q):
 one row of a (shots, width) block of the values scalar draws would give,
-whose z are read off in one integer matrix product:
+whose z are read off 64 bits per integer matrix product, of any width:
 
 * BV, one draw per shot.  z = 0 restarts; z = 1 leaves the input register
   on the Walsh point a, which is returned.
@@ -37,9 +37,6 @@ whose z are read off in one integer matrix product:
   skipped at z = 0, whose spectrum is the single label 0.  The descent
   counts uint8 label parities for its top bit and then takes one dot
   product per bit; every mass it compares is an exact integer.
-
-``simon_sample_factored`` takes the branch vectors instead of q and reads a
-one-shot block from the rng it is given.
 """
 
 from __future__ import annotations
@@ -115,11 +112,25 @@ class RandomSource:
         self._gen.random(out=out)
 
     def randrange(self, bound: int) -> int:
-        """Uniform integer in [0, bound) from one integer draw; bound <= 2^64."""
-        if not 1 <= bound <= 1 << 64:
-            raise DomainError(f"randrange bound must be in [1, 2^64], got {bound}")
-        self.draws += 1
-        return int(self._gen.integers(bound, dtype=np.uint64))
+        """Uniform integer in [0, bound): one integer draw for a bound up to 2^64.
+
+        Above 2^64 each attempt reads ceil(bits / 64) raw words as one integer,
+        first word lowest, and keeps its top ``bits`` bits, the width of
+        bound - 1, until they fall below bound; ``draws`` counts the words.
+        """
+        if bound < 1:
+            raise DomainError(f"randrange bound must be at least 1, got {bound}")
+        if bound <= 1 << 64:
+            self.draws += 1
+            return int(self._gen.integers(bound, dtype=np.uint64))
+        bits = (bound - 1).bit_length()
+        words = -(-bits // 64)
+        value = bound
+        while value >= bound:
+            self.draws += words
+            raw = self._bit_generator.random_raw(words).tobytes()
+            value = int.from_bytes(raw, "little") >> (64 * words - bits)
+        return value
 
     def sample_index(self, probs: np.ndarray) -> int:
         """Draw an index with the given (unnormalized) probability weights."""
@@ -178,39 +189,23 @@ def _x_outcome(column: np.ndarray, weight: float, rng: RandomSource) -> int:
     return rng.sample_index(np.abs(conditional) ** 2)
 
 
-def _branch_weights(
-    oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray, y: int
-) -> np.ndarray:
-    """Unnormalized input-branch amplitudes conditioned on output outcome y.
-
-    weight(w) = prod_k phi_{g_k(w)}[y_k]; grouping the factors by the four
-    (g_k, y_k) bit combinations reduces each branch to popcounts.
-    """
-    m = oracle.n - 1
-    g = np.asarray(simon_eval_all(oracle))
-    pop_g = np.bitwise_count(g)
-    c11 = np.bitwise_count(g & y)
-    c10 = int(y).bit_count() - c11           # g_k=0, y_k=1
-    c01 = pop_g - c11                        # g_k=1, y_k=0
-    c00 = m - c11 - c10 - c01
-    phi0 = np.asarray(phi0, dtype=np.complex128)
-    phi1 = np.asarray(phi1, dtype=np.complex128)
-    return (
-        np.power(phi0[0], c00)
-        * np.power(phi1[0], c01)
-        * np.power(phi0[1], c10)
-        * np.power(phi1[1], c11)
-    )
-
-
 def simon_factored_x_probs(
     oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray, y: int
 ) -> np.ndarray:
     """Exact x-outcome distribution of the input register given output y.
 
     The y-conditional reference that tests average to check the sampler.
+    The unnormalized branch amplitudes are prod_k phi_{g_k(w)}[y_k]; grouping
+    the factors by the four (g_k, y_k) bit combinations leaves popcounts.
     """
-    alpha = _branch_weights(oracle, phi0, phi1, y)
+    g = np.asarray(simon_eval_all(oracle))
+    c11 = np.bitwise_count(g & y)
+    c10 = int(y).bit_count() - c11           # g_k=0, y_k=1
+    c01 = np.bitwise_count(g) - c11          # g_k=1, y_k=0
+    c00 = oracle.n - 1 - c11 - c10 - c01
+    phi0 = np.asarray(phi0, dtype=np.complex128)
+    phi1 = np.asarray(phi1, dtype=np.complex128)
+    alpha = phi0[0] ** c00 * phi1[0] ** c01 * phi0[1] ** c10 * phi1[1] ** c11
     norm = np.linalg.norm(alpha)
     if not norm > 0:
         raise ResampleError("conditional branch weights underflowed to zero")
@@ -237,27 +232,23 @@ def simon_row_bit_prob(phi0: np.ndarray, phi1: np.ndarray) -> float:
 
 
 def _row_bits(q: float, u: np.ndarray) -> list:
-    """Each shot's output register x outcome z, bit k 1 iff u[shot, k] < q (exact uint64 sums)."""
-    return ((u < q) @ _POWERS_OF_TWO[: u.shape[1]]).tolist()
+    """Each shot's output register x outcome z, bit k 1 iff u[shot, k] < q, of any
+    width: one exact uint64 product per 64 columns, the words joined as ints."""
+    zs = ((u[:, :64] < q) @ _POWERS_OF_TWO[: u.shape[1]]).tolist()
+    for k in range(64, u.shape[1], 64):
+        words = ((u[:, k:k + 64] < q) @ _POWERS_OF_TWO[: u.shape[1] - k]).tolist()
+        zs = [z | word << k for z, word in zip(zs, words)]
+    return zs
 
 
 def simon_sample_factored(
     oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray, rng: RandomSource
 ) -> int:
-    """Sample one Simon readout from branch vectors alone.
+    """One Simon readout from the branch vectors alone, drawn from ``rng``.
 
-    Exactly reproduces the distribution of ``simon_sample`` on the assembled
-    state.  The input register's x law does not depend on the basis the
-    output register is measured in.  In the x basis the output bits z_k are
-    iid Bernoulli(q) and, given z, the input register is proportional to
-    sum_w (-1)^(z . g(w)) |w>.  A linear oracle's row is then x = L^T z.  For
-    a scrambled one the Walsh transform of that register vanishes off
-    x . a = 0, and on x . a = 0 it is, up to a factor, the transform of
-    s(u) = (-1)^(z . scramble[u]) over the 2^(n-1) canonical labels u, taken
-    at x without its pivot bit.  That mixture needs a real overlap
-    <phi_0|phi_1>, as phi_1 = sigma_x phi_0 gives.  One more uniform picks
-    the label by a bit-by-bit descent through that spectrum, O(2^(n-1)),
-    without transforming it whole.
+    It follows the law of ``simon_sample`` on the assembled state (see the
+    module notes); a scrambled oracle needs a real overlap <phi_0|phi_1>,
+    as phi_1 = sigma_x phi_0 gives.
     """
     q = simon_row_bit_prob(phi0, phi1)
     if oracle.scramble is not None and abs(np.vdot(phi0, phi1).imag) > 1e-9:

@@ -10,10 +10,12 @@ for Simon (a row raises the rank by at most one) and 1 for BV.  A factored
 block reads its output-register x outcomes together, at the row-bit
 probability q computed once per schedule: a BV shot is one draw, a linear
 Simon row O(n), and a scrambled Simon row adds a Walsh descent, O(2^(n-1));
-see ``measurement``.  The factored fidelity is |phi_0[0]^m|^2.
+see ``measurement``.  The factored fidelity is |phi_0[0]^m|^2.  Masks and
+rows are Python ints of any width; ``qstate.check_capacity`` bounds n.
 
 Randomness discipline (everything derives from RunConfig.seed):
-  stream 0          draws the mask when ``a`` is None (one integer draw),
+  stream 0          draws the mask when ``a`` is None (``randrange``: one
+                    integer draw up to n = 64, 64-bit words above),
   stream 1 + i      drives the i-th quantum shot (readout or row sample);
                     one RandomSource per run, built on stream 0, is re-keyed
                     to it, which draws exactly what a new source on that
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -65,11 +68,6 @@ DEFAULT_TIME = 50.0
 STEPS_PER_UNIT_TIME = 100
 BV_MAX_REPEATS = 64
 SIMON_EXTRA_REPEATS = 40
-# Integer width: factored BV and unscrambled Simon hold no 2^n array, but
-# masks are drawn as integers of at most 64 bits.  The full path (2^(input +
-# output qubits) amplitudes) and scrambled Simon (2^(n-1) labels) are bound
-# by qstate.check_capacity instead.
-FACTORED_CAP = 60
 # Run time: the full path runs one Python-level Lanczos step per schedule
 # step, and the gap scan one diagonalization per grid point.
 MAX_STEPS = 1 << 20
@@ -109,9 +107,10 @@ class RunConfig:
             check_capacity(self.n + 1 if self.problem == "bv" else 2 * self.n - 1)
         elif self.path == "factored":
             if self.problem == "simon" and self.scramble_seed is not None:
-                check_capacity(self.n)
-            elif self.n > FACTORED_CAP:
-                raise DomainError(f"path=factored caps {self.problem} at n <= {FACTORED_CAP}")
+                check_capacity(self.n)  # 2^(n-1) labels
+            else:  # BV holds less, but shares the bound
+                check_capacity((self.n * (self.n - 1)).bit_length(),
+                               f"at n = {self.n}, a Simon shot block of n(n - 1) uniforms")
         else:
             raise DomainError(f"unknown path {self.path!r}")
         if self.a is not None:
@@ -119,8 +118,10 @@ class RunConfig:
                 raise DomainError(f"mask {self.a} out of range for {self.n} bits")
             if self.problem == "simon" and self.a == 0:
                 raise DomainError("Simon's promise requires a positive mask")
-        if not (isinstance(self.total_time, Real) and 0 < self.total_time < math.inf):
-            raise DomainError(f"total_time must be positive and finite, got {self.total_time!r}")
+        T = self.total_time
+        if isinstance(T, bool) or not (isinstance(T, Real) and 0 < T <= sys.float_info.max):
+            raise DomainError(f"total_time must be positive and finite, got {T!r}")
+        object.__setattr__(self, "total_time", float(T))
         steps = _steps_for(self)
         if not 1 <= steps <= MAX_STEPS:
             default = "" if self.steps is not None else f" ({STEPS_PER_UNIT_TIME} * T by default)"
@@ -348,10 +349,12 @@ def _trial_seed(master: int, value_index: int, trial: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def sweep(axis: str, values: list, base: RunConfig, trials: int) -> list[SweepRow]:
-    """Run ``trials`` seeded repetitions of ``base`` at each axis value.
+def sweep(axis: str, values: list, base: dict, trials: int) -> list[SweepRow]:
+    """Run ``trials`` seeded repetitions at each axis value.
 
-    Every per-value config is built, and so checked, before the first run.
+    ``base`` holds the ``RunConfig`` fields; the swept one is set per value.
+    Only the per-value configs are built, and so checked, all before the
+    first run.
     """
     field = {"n": "n", "T": "total_time", "steps": "steps"}.get(axis)
     if field is None:
@@ -364,11 +367,11 @@ def sweep(axis: str, values: list, base: RunConfig, trials: int) -> list[SweepRo
         raise DomainError(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    configs = [replace(base, **{field: value}) for value in values]
+    configs = [RunConfig(**{**base, field: value}) for value in values]
     rows = []
     for value_index, (value, cfg_value) in enumerate(zip(values, configs)):
         t0 = time.perf_counter()
-        reports = [run(replace(cfg_value, seed=_trial_seed(base.seed, value_index, trial)))
+        reports = [run(replace(cfg_value, seed=_trial_seed(cfg_value.seed, value_index, trial)))
                    for trial in range(trials)]
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rows.append(

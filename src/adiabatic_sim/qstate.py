@@ -17,7 +17,9 @@ to its arguments.
 holds no 2^n array; only three objects do: the full path's state (and its
 Krylov vectors), the gap scan's Hamiltonian and a scrambled Simon oracle's
 label table.  Each is refused above DENSE_QUBIT_CAP qubits before anything
-is allocated.  (The gap scan's dense matrices have a tighter run-time bound,
+is allocated.  Any other factored run's largest array is a Simon run's
+first block of n(n-1) uniforms, so the same rule caps n at 1024.  (The gap
+scan's dense matrices have a tighter run-time bound,
 ``hamiltonians.DENSE_OPERATOR_CAP``.)
 """
 
@@ -38,12 +40,10 @@ DENSE_QUBIT_CAP = 20
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
-def check_capacity(qubits: int) -> None:
-    """Refuse a dense array over ``qubits`` qubits above DENSE_QUBIT_CAP."""
+def check_capacity(qubits: int, what: str = "a dense array") -> None:
+    """Refuse ``what``, an array of up to 2^qubits entries, above DENSE_QUBIT_CAP qubits."""
     if qubits > DENSE_QUBIT_CAP:
-        raise CapacityError(
-            f"a dense array on {qubits} qubits exceeds the cap of {DENSE_QUBIT_CAP}"
-        )
+        raise CapacityError(f"{what} on {qubits} qubits exceeds the cap of {DENSE_QUBIT_CAP}")
 
 
 @dataclass(frozen=True)

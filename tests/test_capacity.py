@@ -4,7 +4,9 @@
 DENSE_QUBIT_CAP qubits; the gap scan's dense operators at DENSE_OPERATOR_CAP.
 """
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,3 +56,17 @@ def test_dense_builders_refuse_above_cap_before_allocation(build):
         tracemalloc.stop()
     assert isinstance(refused.value, DomainError)
     assert peak < 1 << 20
+
+
+def test_the_only_cap_constants_are_the_two_dense_caps():
+    # one capacity rule: a new module-level *_CAP constant in src/ fails here
+    package = Path(__file__).resolve().parent.parent / "src" / "adiabatic_sim"
+    caps = {
+        target.id
+        for path in package.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith("_CAP")
+    }
+    assert caps == {"DENSE_QUBIT_CAP", "DENSE_OPERATOR_CAP"}

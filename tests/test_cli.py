@@ -173,6 +173,40 @@ def test_sweep_T_refuses_a_value_whose_default_steps_exceed_the_cap(capsys, monk
     assert err.startswith("usage error") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # 100 T = 10^7 default steps at T = 1e5, but the one swept config has 100
+    ("--axis", "steps", "--values", "100", "--problem", "bv", "--time", "1e5"),
+    # --n 1 is no Simon size, but the one swept config has n = 3
+    ("--axis", "n", "--values", "3", "--problem", "simon", "--n", "1"),
+])
+def test_sweep_checks_only_the_swept_configs(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", *argv, "--trials", "1", "--seed", "2")
+    assert code == 0 and err == ""
+    [row] = list(csv.DictReader(io.StringIO(out)))
+    assert row["trials"] == "1"
+
+
+def test_sweep_over_n_reaches_1024(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "n", "--values", "128,1024", "--problem", "simon",
+        "--trials", "2", "--seed", "3",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["axis_value"] for r in rows] == ["128.0", "1024.0"]
+    assert all(r["success_rate"] == "1.0" for r in rows)
+    assert [float(r["mean_rows"]) >= n - 1 for r, n in zip(rows, (128, 1024))] == [True, True]
+
+
+@pytest.mark.parametrize("problem", ["bv", "simon"])
+def test_factored_run_at_n_1024_echoes_its_mask(capsys, problem):
+    code, out, _ = run_cli(capsys, problem, "--n", "1024", "--seed", "9")
+    assert code == 0
+    record = json.loads(out)
+    assert record["results"]["recovered_a"] == record["config"]["a"] < 1 << 1024
+    assert record["config"]["total_time"] == 50.0
+
+
 def test_every_config_field_is_a_simon_flag():
     from dataclasses import fields
 
@@ -298,6 +332,10 @@ def test_missing_subcommand_is_usage_error(capsys):
     ("gap", "--problem", "simon", "--n", "7"),
     ("gap", "--two-level", "--grid", "1048577"),
     ("gap", "--n", "61"),
+    ("bv", "--n", "1025"),
+    ("simon", "--n", "1025"),
+    ("bv", "--n", "1000000"),
+    ("simon", "--n", "1000000"),
 ])
 def test_bad_inputs_are_one_line_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

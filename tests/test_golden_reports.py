@@ -62,8 +62,8 @@ def report_of(cfg: RunConfig) -> dict:
 
 
 def sweep_rows() -> list:
-    base = RunConfig(**SWEEP["base"])
-    rows = [asdict(row) for row in sweep(SWEEP["axis"], SWEEP["values"], base, SWEEP["trials"])]
+    rows = [asdict(row) for row in sweep(SWEEP["axis"], SWEEP["values"], SWEEP["base"],
+                                         SWEEP["trials"])]
     for row in rows:
         del row["wall_ms"]
     return rows

@@ -401,9 +401,48 @@ def test_randrange_bounds_and_draw_count():
     assert [rng.randrange(1) for _ in range(3)] == [0, 0, 0]
     assert 0 <= rng.randrange(1 << 64) < 1 << 64
     assert rng.draws == 4
-    for bound in (0, (1 << 64) + 1):
+    # above 2^64 an attempt reads ceil(bits / 64) words: 2 for 65 bits, 17 for 1025
+    for bound, words in (((1 << 64) + 1, 2), ((1 << 1024) + 1, 17)):
+        before = rng.draws
+        assert 0 <= rng.randrange(bound) < bound
+        spent = rng.draws - before
+        assert spent >= words and spent % words == 0
+    for bound in (0, -1):
         with pytest.raises(DomainError):
             rng.randrange(bound)
+
+
+@pytest.mark.parametrize("seed,stream,bound,value,draws", [
+    (7, 1, 1 << 64, 16278639771243212573, 1),      # one integer draw, as at every n <= 64
+    (7, 1, 1 << 65, 13615111426293259949, 2),      # the top 65 bits of two words
+    (1, 0, (1 << 64) + 1, 1147624963084715332, 4),  # the first attempt is rejected
+])
+def test_randrange_draws_are_pinned_on_both_sides_of_2_64(seed, stream, bound, value, draws):
+    rng = RandomSource(seed, stream)
+    assert (rng.randrange(bound), rng.draws) == (value, draws)
+    if bound > 1 << 64:
+        key = (seed % 2**64) | (stream % 2**64) << 64
+        words = np.random.Philox(key=key, counter=0).random_raw(draws).tolist()
+        attempts = [(words[i] | words[i + 1] << 64) >> 63 for i in range(0, draws, 2)]
+        assert attempts[-1] == value and all(v >= bound for v in attempts[:-1])
+
+
+def test_randrange_above_2_64_is_uniform():
+    # 66 bits per attempt, kept below 3 * 2^64: each third and each low-bit
+    # parity takes its share
+    values = [RandomSource(seed).randrange(3 << 64) for seed in range(600)]
+    assert all(0 <= v < 3 << 64 for v in values)
+    for third in range(3):
+        assert 150 <= sum(v >> 64 == third for v in values) <= 250
+    assert 240 <= sum(v & 1 for v in values) <= 360
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 1024])
+def test_row_bits_match_a_per_bit_reference(width):
+    u = np.random.default_rng(width).random((9, width))
+    for q in (0.0, 0.3, 0.5, 1.0):
+        expected = [sum(1 << k for k in range(width) if row[k] < q) for row in u.tolist()]
+        assert measurement._row_bits(q, u) == expected
 
 
 def test_bv_factored_readout_law_equals_dense_law():

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ def test_sweep_fidelity_increases_with_runtime():
     # strictly increasing while the anneal is too fast; once deep in the
     # adiabatic regime the error envelope decays but oscillates in T, so only
     # the floor is asserted there
-    base = RunConfig(problem="bv", n=4, a=9, seed=21)
+    base = dict(problem="bv", n=4, a=9, seed=21)
     rows = sweep("T", [1.0, 2.0, 5.0, 10.0, 20.0, 50.0], base, trials=5)
     fidelities = [row.mean_fidelity for row in rows]
     assert all(b > a for a, b in zip(fidelities[:4], fidelities[1:4]))
@@ -251,14 +252,14 @@ def test_sweep_fidelity_increases_with_runtime():
 
 
 def test_sweep_bv_fidelity_is_register_size_independent():
-    base = RunConfig(problem="bv", a=None, n=2, seed=5)
+    base = dict(problem="bv", a=None, n=2, seed=5)
     rows = sweep("n", [2, 3, 4, 5, 6, 7, 8], base, trials=3)
     values = {row.mean_fidelity for row in rows}
     assert max(values) - min(values) <= 1e-12
 
 
 def test_sweep_simon_rows_scale_linearly():
-    base = RunConfig(problem="simon", n=2, seed=11)
+    base = dict(problem="simon", n=2, seed=11)
     rows = sweep("n", [4, 6, 8, 10], base, trials=40)
     means = [row.mean_rows for row in rows]
     slope = np.polyfit([4, 6, 8, 10], means, 1)[0]
@@ -267,7 +268,7 @@ def test_sweep_simon_rows_scale_linearly():
 
 def test_sweep_steps_error_shrinks_quadratically():
     # mean_fidelity converges to the reference value at O(steps^-2)
-    base = RunConfig(problem="bv", n=4, a=9, seed=2)
+    base = dict(problem="bv", n=4, a=9, seed=2)
     rows = sweep("steps", [500, 1000, 2000, 4000], base, trials=1)
     phi_ref, _ = branch_pair("bv", 50.0, 1 << 16)
     fid_ref = abs(phi_ref[0]) ** 2
@@ -277,7 +278,7 @@ def test_sweep_steps_error_shrinks_quadratically():
 
 
 def test_sweep_validation():
-    base = RunConfig(problem="bv", n=4)
+    base = dict(problem="bv", n=4)
     for axis, values, trials in (("T", [], 3), ("mass", [1.0], 3), ("T", [1.0], 0),
                                  ("T", [1.0], 2.5), ("T", [1.0], 2.0), ("T", ["5"], 1),
                                  ("n", [2.5], 1), ("steps", [3.0], 1)):
@@ -287,11 +288,11 @@ def test_sweep_validation():
 
 def test_sweep_takes_each_values_default_steps():
     # with no steps in the base, swept T values get 100 T steps each
-    base = RunConfig(problem="bv", n=2, a=1, seed=1)
+    base = dict(problem="bv", n=2, a=1, seed=1)
     rows = sweep("T", [1.0, 5.0], base, trials=2)
     # a trial's seed depends on its value's index: pin each row in a sweep
     # over the same values
-    pinned = [sweep("T", [1.0, 5.0], replace(base, steps=steps), trials=2)[i]
+    pinned = [sweep("T", [1.0, 5.0], {**base, "steps": steps}, trials=2)[i]
               for i, steps in enumerate((100, 500))]
     for row, want in zip(rows, pinned):
         assert replace(row, wall_ms=0.0) == replace(want, wall_ms=0.0)
@@ -301,12 +302,12 @@ def test_sweep_validates_every_value_before_running(monkeypatch):
     calls = []
     monkeypatch.setattr(protocols, "run", lambda cfg: calls.append(cfg))
     with pytest.raises(DomainError):
-        sweep("steps", [200000, 2000000], RunConfig(problem="bv", n=4), trials=1)
+        sweep("steps", [200000, 2000000], dict(problem="bv", n=4), trials=1)
     assert calls == []
 
 
 def test_sweep_deterministic():
-    base = RunConfig(problem="simon", n=4, seed=17)
+    base = dict(problem="simon", n=4, seed=17)
     first = sweep("T", [5.0, 50.0], base, trials=10)
     second = sweep("T", [5.0, 50.0], base, trials=10)
     for row_a, row_b in zip(first, second):
@@ -478,11 +479,14 @@ def test_factored_runs_recover_mask_at_n60(run, problem):
 
 
 def test_factored_caps():
-    RunConfig(problem="simon", n=60)
+    # a factored run's largest array, a Simon run's first block of n(n - 1)
+    # uniforms, is bounded by check_capacity: n(n - 1) <= 2^20 up to n = 1024
+    RunConfig(problem="simon", n=1024)
+    RunConfig(problem="bv", n=1024)
     with pytest.raises(DomainError):
-        RunConfig(problem="bv", n=61)
+        RunConfig(problem="bv", n=1025)
     with pytest.raises(DomainError):
-        RunConfig(problem="simon", n=61)
+        RunConfig(problem="simon", n=1025)
     # scrambling materializes 2^(n-1) labels, so simon_build caps it at n <= 20
     RunConfig(problem="simon", n=20, scramble_seed=1)
     with pytest.raises(DomainError):
@@ -495,6 +499,38 @@ def test_factored_caps():
 def test_total_time_must_be_finite(total_time):
     with pytest.raises(DomainError):
         RunConfig(problem="bv", n=3, total_time=total_time, steps=10)
+
+
+def test_total_time_is_stored_as_a_float_and_a_bool_is_refused():
+    for total_time in (50, np.float64(50.0), Fraction(100, 2)):
+        cfg = RunConfig(problem="bv", n=3, total_time=total_time)
+        assert type(cfg.total_time) is float and cfg.total_time == 50.0
+        assert json.dumps(asdict(cfg)) == json.dumps(asdict(RunConfig("bv", 3)))
+    for total_time in (True, False, 10**400):
+        with pytest.raises(DomainError):
+            RunConfig(problem="bv", n=3, total_time=total_time, steps=10)
+
+
+@pytest.mark.parametrize("n", [61, 64, 65, 128, 256, 1024])
+@pytest.mark.parametrize("problem", ["bv", "simon"])
+def test_factored_runs_of_any_width_recover_the_mask(problem, n):
+    given = random.Random(n).getrandbits(n) | 1
+    for a in (None, given):
+        cfg = resolve_config(RunConfig(problem, n, a=a, seed=n))
+        assert 0 < cfg.a < 1 << n
+        report = run(cfg)
+        assert report.success and report.recovered_a == cfg.a
+        if problem == "simon":
+            assert n - 1 <= report.rows_collected < n + 40
+
+
+def test_sweep_checks_only_the_per_value_configs():
+    # neither base is a valid config on its own: n = 1 is too small for
+    # Simon, and 100 T steps at T = 1e5 exceed MAX_STEPS
+    [row] = sweep("n", [3], dict(problem="simon", n=1), trials=2)
+    assert row.success_rate == 1.0
+    [row] = sweep("steps", [100], dict(problem="bv", n=2, total_time=1e5), trials=1)
+    assert row.trials == 1
 
 
 def test_full_path_cap_is_twenty_qubits():
