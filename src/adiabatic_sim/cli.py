@@ -26,10 +26,12 @@ from .evolution import assemble_simon
 from .hamiltonians import TwoLevelBlock, bv_interpolated, gap, gap_table, simon_interpolated
 from .oracles import BvMask, simon_build
 from .protocols import (
+    BUDGET_FAILURE_PROB,
     DEFAULT_TIME,
     MAX_STEPS,
     STEPS_PER_UNIT_TIME,
     RunConfig,
+    _draw_mask,
     branch_pair,
     resolve_config,
     run_bv,
@@ -37,7 +39,7 @@ from .protocols import (
     sweep,
 )
 
-SCHEMA_VERSION = "8"
+SCHEMA_VERSION = "9"
 
 SWEEP_COLUMNS = [
     "axis_value",
@@ -180,7 +182,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise UsageError("--n is required unless --two-level is given")
-        a = resolve_config(RunConfig(args.problem, args.n, args.a, path="full", seed=seed)).a
+        a = _draw_mask(RunConfig(args.problem, args.n, args.a, path="full", seed=seed))[0]
         if args.problem == "bv":
             h = bv_interpolated(BvMask(args.n, a))
         else:
@@ -206,18 +208,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bv = sub.add_parser("bv", help="run the Bernstein-Vazirani protocol")
     _add_config_flags(p_bv, required=True)
-    p_bv.add_argument("--max-repeats", type=int, default=None)
     p_bv.set_defaults(func=cmd_bv)
 
     p_simon = sub.add_parser("simon", help="run Simon's protocol")
     _add_config_flags(p_simon, required=True)
-    p_simon.add_argument("--max-repeats", type=int, default=None)
     p_simon.add_argument("--scramble-seed", type=int, default=None,
                          help="scramble the oracle's output labels")
     p_simon.add_argument("--compare-factored", action="store_true",
                          help="with --path full, also report the max deviation "
                               "from the factored state")
     p_simon.set_defaults(func=cmd_simon)
+    for p in (p_bv, p_simon):
+        p.add_argument("--max-repeats", type=int, help="shot budget (default: enough that a run "
+                       f"at row-bit probability q fails w.p. <= {BUDGET_FAILURE_PROB:g})")
 
     p_sweep = sub.add_parser("sweep", help="aggregate runs over an axis")
     p_sweep.add_argument("--axis", choices=("n", "T", "steps"), required=True)

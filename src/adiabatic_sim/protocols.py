@@ -66,10 +66,9 @@ from .qstate import StateVector, check_capacity, plus_state
 DEFAULT_TIME = 50.0
 # default steps per unit of T: norm drift below 1e-9, branch fidelity at T = 50 above 0.999
 STEPS_PER_UNIT_TIME = 100
-BV_MAX_REPEATS = 64
-SIMON_EXTRA_REPEATS = 40
-# Run time: the full path runs one Python-level Lanczos step per schedule
-# step, and the gap scan one diagonalization per grid point.
+BUDGET_FAILURE_PROB = 1e-9  # at most this share of working runs exhausts a default budget
+# Run time: the full path runs one Python-level Lanczos step per schedule step,
+# the gap scan one diagonalization per grid point; it caps default budgets too.
 MAX_STEPS = 1 << 20
 
 
@@ -143,25 +142,47 @@ def _steps_for(cfg: RunConfig) -> int:
     return max(1, round(steps))
 
 
+def _shot_budget(stages: int, s: float) -> int:
+    """Shots that leave a run needing ``stages`` successes, each shot one with
+    probability at least s, short with probability at most BUDGET_FAILURE_PROB.
+
+    A BV shot succeeds with probability q.  A Simon row is simon_orthogonal_row(t);
+    given output bits z, t follows the Walsh spectrum of (-1)^(z.pi(l)), pi = id if
+    linear.  By Poisson summation P(t in V | z) = 2^-k sum_{d in V-perp} C_z(d) for V
+    of codimension k, C_z the autocorrelation, whose mean over z,
+    N^-1 sum_l (1-2q)^|pi(l) xor pi(l xor d)|, is at most |1-2q| for d != 0: a row
+    fails to raise the rank with probability at most max(q, 1-q).  The negative
+    binomial's Chernoff lower tail gives ceil(mu / s), mu = stages + L + sqrt(L^2 +
+    2 stages L), L = -ln BUDGET_FAILURE_PROB; MAX_STEPS at most, and if s is 0 or NaN."""
+    L = -math.log(BUDGET_FAILURE_PROB)
+    mu = stages + L + math.sqrt(L * L + 2 * stages * L)
+    return math.ceil(min(mu / s, MAX_STEPS)) if s > 0 else MAX_STEPS
+
+
 def resolve_config(cfg: RunConfig) -> RunConfig:
-    """Fill in the drawn mask, the default steps and repeat budget; idempotent."""
+    """Fill in the drawn mask, the default steps and shot budget; idempotent."""
     return _resolve_for_run(cfg)[0]
+
+
+def _draw_mask(cfg: RunConfig) -> tuple[int, RandomSource]:
+    """cfg.a, or a mask drawn on stream 0 of cfg.seed; and that stream's source."""
+    rng = RandomSource(cfg.seed)
+    if cfg.a is not None:
+        return cfg.a, rng
+    if cfg.problem == "bv":
+        return rng.randrange(1 << cfg.n), rng
+    return 1 + rng.randrange((1 << cfg.n) - 1), rng
 
 
 def _resolve_for_run(cfg: RunConfig) -> tuple[RunConfig, RandomSource]:
     """``resolve_config`` and the run's one RandomSource, built on stream 0:
     a mask is drawn from it there, and ``_shoot`` re-keys it for each shot."""
-    rng = RandomSource(cfg.seed)
-    a = cfg.a
-    if a is None:
-        if cfg.problem == "bv":
-            a = rng.randrange(1 << cfg.n)
-        else:
-            a = 1 + rng.randrange((1 << cfg.n) - 1)
-    max_repeats = cfg.max_repeats
-    if max_repeats is None:
-        max_repeats = BV_MAX_REPEATS if cfg.problem == "bv" else cfg.n + SIMON_EXTRA_REPEATS
-    return replace(cfg, a=a, steps=_steps_for(cfg), max_repeats=max_repeats), rng
+    a, rng = _draw_mask(cfg)
+    steps, budget = _steps_for(cfg), cfg.max_repeats
+    if budget is None:
+        q = _branch_pair_cached(cfg.problem, cfg.total_time, steps)[2]
+        budget = _shot_budget(1, q) if cfg.problem == "bv" else _shot_budget(cfg.n - 1, min(q, 1 - q))
+    return replace(cfg, a=a, steps=steps, max_repeats=budget), rng
 
 
 @dataclass(frozen=True)

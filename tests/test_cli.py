@@ -7,7 +7,10 @@ import math
 
 import pytest
 
+from adiabatic_sim import protocols
 from adiabatic_sim.cli import build_parser, main
+from adiabatic_sim.hamiltonians import gap_table, simon_interpolated
+from adiabatic_sim.oracles import simon_build
 
 
 def run_cli(capsys, *argv):
@@ -23,7 +26,7 @@ def test_bv_happy_path(capsys):
     )
     assert code == 0
     record = json.loads(out)
-    assert record["schema_version"] == "8"
+    assert record["schema_version"] == "9"
     assert record["results"]["recovered_a"] == 0xB3
     assert record["config"]["a"] == 0xB3
     assert record["provenance"]["seed"] == 1
@@ -249,6 +252,21 @@ def test_gap_bv_table(capsys):
     assert gap_min == pytest.approx(1 / math.sqrt(2), abs=1e-3)
     assert s_min == pytest.approx(0.5, abs=5e-3)
     assert "min gap" in err  # diagnostics stay on stderr
+
+
+def test_gap_draws_its_mask_without_an_anneal(capsys, monkeypatch):
+    # gap draws the mask a run would (2 for this seed) and reads no shot
+    # budget, so it integrates no branch pair
+    def no_evolution(*args):
+        raise AssertionError("gap evolved a branch")
+
+    protocols._branch_pair_cached.cache_clear()
+    monkeypatch.setattr(protocols, "evolve_two_level", no_evolution)
+    code, out, _ = run_cli(capsys, "gap", "--problem", "simon", "--n", "3", "--seed", "5")
+    assert code == 0
+    assert protocols.resolve_config(protocols.RunConfig("simon", 3, seed=5, max_repeats=1)).a == 2
+    table = gap_table(simon_interpolated(simon_build(3, 2)), 201)
+    assert out.splitlines() == ["s,gap"] + [f"{s:.10g},{value:.15g}" for s, value in table]
 
 
 def test_gap_two_level_closed_form(capsys):

@@ -8,8 +8,8 @@ The discrete fields must match exactly and the fidelities to a relative
     PYTHONPATH=src python tests/test_golden_reports.py --write
 
 which refuses to run without the bump and prints, against the file it
-replaces, how many discrete fields changed and the largest relative change
-of a fidelity.
+replaces, how many discrete fields changed, how many runs went from failure
+to success and back, and the largest relative change of a fidelity.
 """
 
 import json
@@ -100,21 +100,24 @@ def test_sweep_table_matches_golden_file():
 
 
 def changes(old: dict, new: dict) -> tuple:
-    """Per discrete field, how many pinned values differ; and the largest
-    relative fidelity change, over runs with the same config and the sweep rows."""
+    """Per discrete field, how many pinned values differ; how many runs turned
+    to success (key True) and to failure (False); and the largest relative
+    fidelity change, over runs with the same config and the sweep rows."""
     old_reports = {json.dumps(e["config"], sort_keys=True): e["report"] for e in old["runs"]}
     pairs = [(old_reports[key], e["report"]) for e in new["runs"]
              if (key := json.dumps(e["config"], sort_keys=True)) in old_reports]
     if all(old["sweep"][key] == new["sweep"][key] for key in SWEEP):
         pairs += zip(old["sweep"]["rows"], new["sweep"]["rows"])
-    discrete, largest = Counter(), 0.0
+    discrete, flips, largest = Counter(), Counter(), 0.0
     for before, after in pairs:
         for key, value in after.items():
             if key in FIDELITY_FIELDS:
                 largest = max(largest, abs(value - before[key]) / abs(before[key] or 1.0))
             elif before.get(key) != value:
                 discrete[key] += 1
-    return len(pairs), discrete, largest
+                if key == "success":
+                    flips[value] += 1
+    return len(pairs), discrete, flips, largest
 
 
 def write() -> None:
@@ -128,10 +131,11 @@ def write() -> None:
         "runs": runs,
         "sweep": {**SWEEP, "rows": sweep_rows()},
     }
-    compared, discrete, largest = changes(old, golden)
+    compared, discrete, flips, largest = changes(old, golden)
     print(f"schema {old['schema_version']} -> {SCHEMA_VERSION}: compared {compared} "
           f"reports and rows; discrete fields changed: {sum(discrete.values())}"
           + "".join(f", {key} {count}" for key, count in sorted(discrete.items())))
+    print(f"runs from failure to success: {flips[True]}; from success to failure: {flips[False]}")
     print(f"largest relative fidelity change: {largest:.3g}")
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {len(runs)} reports and {len(golden['sweep']['rows'])} sweep rows to {GOLDEN}")

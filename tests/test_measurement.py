@@ -561,6 +561,30 @@ def test_scrambled_simon_row_law_equals_dense_average(n):
             assert np.max(np.abs(law - dense)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("scrambled", [False, True])
+def test_a_row_stays_in_a_hyperplane_with_probability_at_most_max_q(n, scrambled):
+    # the bound the default shot budget rests on, from exact row laws: every
+    # hyperplane {x : c.x = 0} of a-perp, c not in {0, a}, holds row mass at
+    # most max(q, 1 - q), so a row misses a new rank no more often than that
+    x = np.arange(1 << n)
+    for a in (1, 1 << (n - 1), (1 << n) - 1, 0b110 ^ n):
+        oracle = simon_build(n, a, scramble_seed=n * a if scrambled else None)
+        for T in (0.5, 1.0, 5.77, 50.0):
+            phi0, phi1 = protocols.branch_pair("simon", T, round(100 * T))
+            marginal = np.sum(np.abs(assemble_simon(oracle, phi0, phi1).as_matrix()) ** 2, axis=0)
+            law = sum(
+                marginal[y] * simon_factored_x_probs(oracle, phi0, phi1, y)
+                for y in range(1 << (n - 1))
+            )
+            q = simon_row_bit_prob(phi0, phi1)
+            in_a_perp = np.bitwise_count(x & a) % 2 == 0
+            assert law[in_a_perp].sum() == pytest.approx(1.0, abs=1e-12)
+            for c in set(range(1, 1 << n)) - {a}:
+                mass = law[in_a_perp & (np.bitwise_count(x & c) % 2 == 0)].sum()
+                assert mass <= max(q, 1 - q) + 1e-12, (a, T, c)
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_scrambled_simon_row_is_the_inverse_cdf_of_the_walsh_masses(n):
     # the row uniform at the left edge of t's CDF interval, and just below its

@@ -208,8 +208,41 @@ def test_resolve_config_draws_mask_deterministically():
     second = resolve_config(cfg)
     assert first.a == second.a
     assert 0 < first.a < 32
-    assert first.max_repeats == 5 + 40
+    q = protocols._branch_pair_cached("simon", 50.0, 5000)[2]
+    assert first.max_repeats == protocols._shot_budget(4, min(q, 1 - q)) == 99
     assert resolve_config(first) == first  # idempotent
+
+
+def test_shot_budget_edges_and_tail():
+    budget, cap = protocols._shot_budget, protocols.MAX_STEPS
+    for stages in (1, 4, 59, 1023):
+        assert budget(stages, 0.0) == budget(stages, math.nan) == cap
+        budgets = [budget(stages, s) for s in np.geomspace(1.0, 1e-12, 400)] + [budget(stages, 0.0)]
+        assert budgets == sorted(budgets)  # never fewer shots at a lower success rate
+        assert budgets[-2] == cap
+        # the exact binomial tail P(fewer than stages successes in B shots) <= 1e-9
+        for s in (0.9, 0.5, 0.1, 0.0155, 1e-3):
+            B = budget(stages, s)
+            if B < cap:
+                tail = sum(math.exp(math.lgamma(B + 1) - math.lgamma(j + 1) - math.lgamma(B - j + 1)
+                                    + j * math.log(s) + (B - j) * math.log1p(-s))
+                           for j in range(stages))
+                assert tail <= protocols.BUDGET_FAILURE_PROB
+    # the default budget at T = 50: both problems, both paths read the same q
+    q = protocols._branch_pair_cached("bv", 50.0, 5000)[2]
+    for problem, n, want in (("bv", 3, budget(1, q)), ("simon", 3, budget(2, min(q, 1 - q)))):
+        for path in ("factored", "full"):
+            assert resolve_config(RunConfig(problem, n, path=path)).max_repeats == want
+    assert resolve_config(RunConfig("bv", 3, max_repeats=7)).max_repeats == 7
+
+
+def test_short_anneals_do_not_run_out_of_shots():
+    # at T = 0.5 a shot succeeds rarely (q = 0.0155), which costs shots, not
+    # success; the fixed budget of 64 BV shots failed 38 of these 100 seeds
+    for seed in range(100):
+        assert run_bv(RunConfig("bv", 10, total_time=0.5, steps=50, seed=seed)).success
+    for seed in range(20):
+        assert run_simon(RunConfig("simon", 12, total_time=0.5, steps=50, seed=seed)).success
 
 
 def test_classical_simon_pigeonhole_bound():
@@ -593,11 +626,13 @@ def test_seeded_low_q_simon_reports(fields, a, runs, fidelity):
     (dict(n=4, a=0, seed=3), 0, 4, 0.9996143176818341),
     (dict(n=12, seed=7, total_time=5.0, steps=500), 670, 1, 0.83897711978534),
     (dict(n=5, seed=105, total_time=5.0, steps=500, path="full"), 5, 0, 0.8389771197853415),
-], ids=["n8", "n16", "n60", "a0", "T5", "full"])
+    (dict(n=10, seed=4, total_time=0.5, steps=50), 325, 101, 0.5051892560903593),
+], ids=["n8", "n16", "n60", "a0", "T5", "full", "short-anneal"])
 def test_seeded_bv_reports(fields, a, restarts, fidelity):
     # fidelity recorded under schema 4 (two fidelity formulas), the factored
     # ones re-recorded under schema 7; restarts recorded under schema 5, where
-    # a shot is one row-bit draw
+    # a shot is one row-bit draw; short-anneal under schema 9, whose default
+    # budget (2,801 shots) outlasts the 64 that bv-short-anneal below exhausts
     report = run_bv(RunConfig(problem="bv", **fields))
     assert report.success and report.recovered_a == a
     assert report.restarts == restarts and report.quantum_runs == restarts + 1
@@ -605,7 +640,7 @@ def test_seeded_bv_reports(fields, a, restarts, fidelity):
 
 
 @pytest.mark.parametrize("run,fields,runs,restarts,rows,fidelity", [
-    (run_bv, dict(problem="bv", n=10, total_time=0.5, steps=50, seed=4),
+    (run_bv, dict(problem="bv", n=10, total_time=0.5, steps=50, seed=4, max_repeats=64),
      64, 64, 0, 0.5051892560903593),
     (run_bv, dict(problem="bv", n=4, a=9, path="full", total_time=5.0, steps=200, seed=1,
                   max_repeats=1), 1, 1, 0, 0.838982211240202),
