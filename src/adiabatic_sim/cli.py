@@ -39,7 +39,7 @@ from .protocols import (
     sweep,
 )
 
-SCHEMA_VERSION = "9"
+SCHEMA_VERSION = "10"
 
 SWEEP_COLUMNS = [
     "axis_value",

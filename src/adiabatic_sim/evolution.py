@@ -11,20 +11,20 @@ Two integration paths solve i d|psi>/dt = H(t/T) |psi>:
 * ``evolve_two_level`` integrates one decoupled branch qubit with the same
   midpoint rule but a closed-form 2x2 exponential.  Each step is a scalar
   phase times an SU(2) matrix, stored as the pair (a, b) of its first row;
-  the pairs of all steps are computed as arrays and combined by a
-  parallel-prefix product, whose recursion ends in a scalar loop over at
-  most SCAN_TAIL steps, and the phases, whose product has a closed form,
-  are applied once at the end.  Because the full Hamiltonian is block
-  diagonal in the input register and the output qubits are uncoupled, a
-  full run is exactly the assembly of these branch evolutions;
-  ``assemble_bv``/``assemble_simon`` build that product state.
+  the pairs of all steps are computed as arrays and multiplied by a
+  pairwise product tree, whose last at most SCAN_TAIL factors are taken in a
+  scalar loop, and the phases, whose product has a closed form, are applied
+  once at the end.  Because the full Hamiltonian is block diagonal in the
+  input register and the output qubits are uncoupled, a full run is exactly
+  the assembly of these branch evolutions; ``assemble_bv``/``assemble_simon``
+  build that product state.
 
 Phases are propagated exactly and never gauged away.  The two branch
 evolutions are related by phi_1 = sigma_x phi_0 at every time (conjugating
 the branch Hamiltonian by sigma_x flips its f_bit while fixing the |+>
 initial state), which is what makes the assembled superposition carry no
 spurious relative phases.  ``evolve_two_level`` keeps the identity to the
-bit (see ``_prefix_scan``: its array passes and its scalar tail alike are
+bit (see ``_su2_product``: its array levels and its scalar tail alike are
 exact under sigma_x conjugation), so one evolution serves both branches.
 """
 
@@ -52,15 +52,14 @@ NORM_DRIFT_LIMIT = 1e-6
 KRYLOV_TOL = 1e-13
 KRYLOV_MAX = 16
 MAX_STEP_SPLITS = 30
-# evolve_two_level builds and scans the SU(2) steps of this many steps at a
-# time, so its traced peak stays below 1.5 MiB at any step count.  A scan
-# level costs mostly fixed call overhead, so the default 5000 steps took less
-# than half as long in one scan as in five scans of 2^10 steps.
+# evolve_two_level builds and multiplies the SU(2) steps of this many steps at
+# a time, so its traced peak stays near 1 MiB at any step count (1,026 KiB).
+# The default 5000 steps fit one chunk (48 ns a step; 67 ns in chunks of 2^12).
 TWO_LEVEL_CHUNK = 1 << 13
-# _prefix_scan steps a scan of at most this many steps one by one in Python
-# complex arithmetic instead of pairing them in further array passes, which
-# below this size cost mostly their fixed call overhead: 5000 steps take 7
-# array levels and a 39-step tail, not 13 levels.  32 and 128 were no faster.
+# _su2_product multiplies its last at most this many factors one by one in
+# Python complex arithmetic, about 0.3 us each, where a further array level
+# costs 3 to 6 us, mostly call overhead: 5000 steps take 7 array levels and a
+# 40-step tail (88 us in all).  16, 32, 48, 96 and 128 were no faster.
 SCAN_TAIL = 64
 
 
@@ -198,64 +197,43 @@ def evolve_full(
     return EvolutionResult(final_state=final, norm_drift=drift, fidelity_to_target=fid)
 
 
-def _prefix_scan(m: np.ndarray, out: np.ndarray) -> None:
-    """Fill out[:, j + 1] = V_j ... V_1 V_0 out[:, 0] for every step j.
+def _su2_product(m: np.ndarray) -> tuple[complex, complex]:
+    """(a, b) of V_(n-1) ... V_1 V_0, the product of the n steps ``m[:, j] = (a, b)``.
 
-    Step j's SU(2) matrix V = [[a, b], [-conj(b), conj(a)]] is stored as
-    ``m[:, j] = (a, b)``; it maps a state (x, y) to
-    (a x + b y, conj(a) y - conj(b) x), and V2 V1 has the first row
-    (a2 a1 - b2 conj(b1), a2 b1 + b2 conj(a1)).  Above SCAN_TAIL steps,
-    adjacent steps are paired, the half-length scan fills the even columns
-    (the state after each odd step), and each odd column is one step on from
-    the column before it (Blelloch, "Prefix sums and their applications",
-    1990): O(steps) work in O(log steps) array passes.  A scan of at most
-    SCAN_TAIL steps, where an array pass costs mostly its fixed call overhead,
-    steps the state through them one by one in Python complex arithmetic and
-    writes each row of states in one assignment, whose temporary is small
-    enough for numpy's small-block cache: a malloc per call at the bottom of
-    the scan left long-running processes paging the scan's arrays in afresh
-    on every call.  Conjugating a step by sigma_x
-    maps (a, b) to (conj(a), -conj(b)); each sum here then adds the
+    Step j's SU(2) matrix V = [[a, b], [-conj(b), conj(a)]] maps a state (x, y)
+    to (a x + b y, conj(a) y - conj(b) x), and V2 V1 has the first row
+    (a2 a1 - b2 conj(b1), a2 b1 + b2 conj(a1)).  Each level of a pairwise
+    product tree multiplies adjacent factors so in array passes and carries
+    an unpaired last one up unchanged, until at most SCAN_TAIL are left to
+    multiply one by one in Python complex arithmetic.  Conjugating a step by
+    sigma_x maps (a, b) to (conj(a), -conj(b)); each sum here then adds the
     conjugates, negated where the map negates, of the same terms in the same
     order, which IEEE rounding (in numpy and in CPython's complex type alike)
-    keeps exact, so conjugating all steps and out[:, 0] swaps the rows of
-    ``out`` bit for bit.
+    keeps exact, so the conjugated steps multiply to the conjugated product
+    bit for bit.
     """
-    n = m.shape[-1]
-    if n <= SCAN_TAIL:
-        x, y = out[:, 0].tolist()
-        xs, ys = [], []
-        for a, b in zip(*m.tolist()):
-            x, y = a * x + b * y, a.conjugate() * y - b.conjugate() * x
-            xs.append(x)
-            ys.append(y)
-        out[0, 1:] = xs
-        out[1, 1:] = ys
-        return
-    # the even-position steps: the earlier step of each pair, and the steps
-    # the odd columns apply
-    even = m[:, 0::2]
-    conj = np.conjugate(even)
-    a, b, conj_a, conj_b = even[0], even[1], conj[0], conj[1]
-    k = n // 2
-    later = m[:, 1::2]
-    later_a, later_b = later[0], later[1]
-    pairs = np.empty((2, k), dtype=np.complex128)
-    pair_a, pair_b = pairs[0], pairs[1]
-    term = np.empty(k, dtype=np.complex128)
-    np.multiply(later_a, a[:k], out=pair_a)
-    np.multiply(later_b, conj_b[:k], out=term)
-    pair_a -= term
-    np.multiply(later_a, b[:k], out=pair_b)
-    np.multiply(later_b, conj_a[:k], out=term)
-    pair_b += term
-    _prefix_scan(pairs, out[:, 0::2])
-    x, y = out[0, 0:n:2], out[1, 0:n:2]
-    next_x, next_y = out[0, 1::2], out[1, 1::2]
-    np.multiply(a, x, out=next_x)
-    next_x += b * y
-    np.multiply(conj_a, y, out=next_y)
-    next_y -= conj_b * x
+    while m.shape[-1] > SCAN_TAIL:
+        n = m.shape[-1]
+        k = n // 2
+        (a, b), (later_a, later_b) = m[:, 0 : 2 * k : 2], m[:, 1::2]
+        pairs = np.empty((2, k + n % 2), dtype=np.complex128)
+        pair_a, pair_b = pairs[:, :k]
+        term = np.conjugate(b)
+        term *= later_b
+        np.multiply(later_a, a, out=pair_a)
+        pair_a -= term
+        np.conjugate(a, out=term)
+        term *= later_b
+        np.multiply(later_a, b, out=pair_b)
+        pair_b += term
+        if n % 2:
+            pairs[:, k] = m[:, -1]
+        m = pairs
+    steps = zip(*m.tolist())
+    a, b = next(steps)
+    for a2, b2 in steps:
+        a, b = a2 * a - b2 * b.conjugate(), a2 * b + b2 * a.conjugate()
+    return a, b
 
 
 def _su2_steps(block: TwoLevelBlock, sched: Schedule, start: int, stop: int) -> np.ndarray:
@@ -285,23 +263,33 @@ def evolve_two_level(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
     is exact in closed form: 1 for "bv" (c = (1 - 2s)/2 sums to 0) and
     exp(-i T/2) for "simon" (c = 1/2); it is applied once at the end.  The
     SU(2) parts of TWO_LEVEL_CHUNK steps at a time are built as arrays and
-    combined by a parallel-prefix product (``_prefix_scan``), which yields the
-    state after every step for the norm-drift check; the last state carries
-    into the next chunk, so memory stays bounded at any step count.
+    multiplied by a product tree (``_su2_product``), which is applied once to
+    the state carried between chunks, so memory stays bounded at any step
+    count.  No state is built per step: each step is sqrt(|a|^2 + |b|^2)
+    times a unitary, so the norm-drift check reads the squared norm after
+    every step off the running product of those factors, and the final
+    state's norm too.
     """
-    u = np.full(2, math.sqrt(0.5), dtype=np.complex128)
+    x = y = math.sqrt(0.5)
     for start in range(0, sched.steps, TWO_LEVEL_CHUNK):
-        stop = min(start + TWO_LEVEL_CHUNK, sched.steps)
-        states = np.empty((2, stop - start + 1), dtype=np.complex128)
-        states[:, 0] = u
-        _prefix_scan(_su2_steps(block, sched, start, stop), states)
-        norms = (states.real**2 + states.imag**2).sum(axis=0)
-        drift = float(np.max(np.abs(norms - 1.0)))
+        m = _su2_steps(block, sched, start, min(start + TWO_LEVEL_CHUNK, sched.steps))
+        norms = np.square(m[0].real)
+        term = np.empty_like(norms)
+        for part in (m[0].imag, m[1].real, m[1].imag):
+            norms += np.square(part, out=term)
+        np.cumprod(norms, out=norms)
+        norms *= abs(x) ** 2 + abs(y) ** 2
+        a, b = _su2_product(m)
+        x, y = a * x + b * y, a.conjugate() * y - b.conjugate() * x
+        # np.maximum keeps a NaN, where max(0.0, nan) would drop it; a NaN norm
+        # makes both extremes NaN
+        final = abs(x) ** 2 + abs(y) ** 2
+        drift = float(np.maximum(max(norms.max() - 1.0, 1.0 - norms.min()), abs(final - 1.0)))
         if not drift <= NORM_DRIFT_LIMIT:
             raise IntegrationError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
-        u = states[:, -1]
+    u = np.array([x, y])
     if block.kind == "bv":
-        return u.copy()
+        return u
     return u * cmath.exp(-0.5j * sched.total_time)
 
 

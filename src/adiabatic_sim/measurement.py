@@ -29,8 +29,9 @@ uniform per output bit, ascending (z_k = 1 iff the uniform is below q):
 one row of a (shots, width) block of the values scalar draws would give,
 whose z are read off 64 bits per integer matrix product, of any width:
 
-* BV, one draw per shot.  z = 0 restarts; z = 1 leaves the input register
-  on the Walsh point a, which is returned.
+* BV, one draw per shot, compared with q as a float, so a BV block builds
+  no array.  z = 0 restarts; z = 1 leaves the input register on the Walsh
+  point a, which is returned.
 * Simon, the row x = L^T z for an unscrambled (linear) oracle, O(n) per
   shot; for a scrambled one, one more uniform for the row and a bit-by-bit
   descent through the Walsh spectrum of 2^(n-1) labels, O(2^(n-1)) per row,
@@ -151,6 +152,9 @@ class BvReadout:
     a_candidate: Optional[int] = None
 
 
+_RESTART = BvReadout(restart=True)
+
+
 def bv_readout(final: StateVector, rng: RandomSource) -> BvReadout:
     """BV readout: x-measure the output qubit, then the input register.
 
@@ -261,19 +265,23 @@ def simon_sample_factored(
 def _read_factored(
     oracle: BvMask | SimonOracle, q: float, rng: RandomSource, streams: range
 ) -> list:
-    """The shots on ``streams`` at row-bit probability q, each after ``rng.restart(stream)``."""
-    width = 1 if isinstance(oracle, BvMask) else oracle.n - (oracle.scramble is None)
-    u = np.empty((len(streams), width))
+    """The shots on ``streams`` at row-bit probability q, each after ``rng.restart(stream)``;
+    a BV shot's one uniform is read as a float, so a BV block builds no array."""
+    if isinstance(oracle, BvMask):
+        found, shots = BvReadout(False, oracle.a), []
+        for stream in streams:
+            rng.restart(stream)
+            shots.append(found if rng.uniform() < q else _RESTART)
+        return shots
+    u = np.empty((len(streams), oracle.n - (oracle.scramble is None)))
     for row, stream in zip(u, streams):
         rng.restart(stream)
         rng.fill(row)
     return _readout(oracle, q, u)
 
 
-def _readout(oracle: BvMask | SimonOracle, q: float, u: np.ndarray) -> list:
-    """The shots whose uniforms are the rows of u: ``BvReadout``s for BV, rows for Simon."""
-    if isinstance(oracle, BvMask):
-        return [BvReadout(not z, oracle.a if z else None) for z in _row_bits(q, u)]
+def _readout(oracle: SimonOracle, q: float, u: np.ndarray) -> list:
+    """The Simon rows of the shots whose uniforms are the rows of u."""
     m = oracle.n - 1
     zs = _row_bits(q, u[:, :m])
     if oracle.scramble is None:

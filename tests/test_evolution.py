@@ -101,12 +101,15 @@ def test_two_level_adiabatic_limit():
 @pytest.mark.parametrize("kind", ["bv", "simon"])
 @pytest.mark.parametrize("T", [1.0, 5.0, 50.0])
 def test_branch_conjugation_identity(kind, T):
-    sched = Schedule(T, int(100 * T))
-    phi0 = evolve_two_level(TwoLevelBlock(0, kind), sched)
-    phi1 = evolve_two_level(TwoLevelBlock(1, kind), sched)
-    # exact by construction: sigma_x conjugation maps every step's (a, b) to
-    # (conj(a), -conj(b)), under which the scan's sums keep their terms
-    assert np.array_equal(phi1, SIGMA_X @ phi0)
+    # 65 and 1001 steps leave an unpaired step at the first tree level, 129 one
+    # level higher; 8193 and 16387 cross a chunk boundary (TWO_LEVEL_CHUNK = 8192)
+    for steps in (int(100 * T), 65, 129, 1001, 8193, 16387):
+        sched = Schedule(T, steps)
+        phi0 = evolve_two_level(TwoLevelBlock(0, kind), sched)
+        phi1 = evolve_two_level(TwoLevelBlock(1, kind), sched)
+        # exact by construction: sigma_x conjugation maps every step's (a, b) to
+        # (conj(a), -conj(b)), under which the product tree's sums keep their terms
+        assert np.array_equal(phi1, SIGMA_X @ phi0), steps
 
 
 @pytest.mark.parametrize("T", [0.5, 5.77, 50.0])
@@ -223,10 +226,10 @@ def seed_two_level_loop(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["bv", "simon"])
 @pytest.mark.parametrize("steps", [1, 2, 3, 7, 63, 64, 65, 100, 128, 129, 5000, (1 << 14) + 3])
 def test_prefix_integrator_matches_scalar_loop(kind, steps):
-    # 63 to 129 straddle the scan's scalar tail (SCAN_TAIL = 64 steps, and one
+    # 63 to 129 straddle the tree's scalar tail (SCAN_TAIL = 64 steps, and one
     # array level above it); the last step count crosses a chunk boundary; the
-    # loop's own rounding error reaches 6e-13 at 16387 steps (the prefix
-    # product's stays below 1e-14)
+    # loop's own rounding error reaches 6e-13 at 16387 steps (the product
+    # tree's stays below 1e-14)
     for total_time in (0.01, 1.0, 50.0, 1e4):
         sched = Schedule(total_time, steps)
         for f_bit in (0, 1):
@@ -265,17 +268,30 @@ def test_two_level_memory_is_bounded_by_the_chunk():
 
 
 def test_two_level_drift_check_fails_on_nan(monkeypatch):
-    monkeypatch.setattr(evolution, "_prefix_scan", lambda m, out: out.fill(np.nan))
+    monkeypatch.setattr(evolution, "_su2_product", lambda m: (complex("nan"), 0j))
     with pytest.raises(IntegrationError):
         evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(1.0, 10))
+
+
+def poison_step(monkeypatch, bad, value):
+    """Make _su2_steps set step ``bad``'s (a, b) to value(a, b)."""
+    su2_steps = evolution._su2_steps
+
+    def poisoned(block, sched, start, stop):
+        m = su2_steps(block, sched, start, stop)
+        if start <= bad < stop:
+            m[:, bad - start] = value(m[:, bad - start])
+        return m
+
+    monkeypatch.setattr(evolution, "_su2_steps", poisoned)
 
 
 @pytest.mark.parametrize("steps,bad", [(40, 17), (40, 39), (1001, 1000)],
                          ids=["tail", "tail-last", "array-level-last"])
 def test_nan_step_fails_the_drift_check_through_the_scan(monkeypatch, steps, bad):
     # 40 steps run in the scalar tail alone; the last of 1001 steps is the
-    # unpaired one that only the top array level applies, so its NaN reaches
-    # the final state alone, which the check over every state still sees
+    # unpaired one that every array level carries up unchanged, so its NaN
+    # reaches the final state alone, which the check over every state still sees
     assert (steps <= evolution.SCAN_TAIL) == (steps == 40)
     su2_steps = evolution._su2_steps
 
@@ -287,6 +303,44 @@ def test_nan_step_fails_the_drift_check_through_the_scan(monkeypatch, steps, bad
     monkeypatch.setattr(evolution, "_su2_steps", poisoned)
     with pytest.raises(IntegrationError):
         evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(1.0, steps))
+
+
+CHUNK = evolution.TWO_LEVEL_CHUNK
+
+
+@pytest.mark.parametrize("steps,scales", [
+    (40, {17: 1 + 1e-5}),
+    (1001, {500: 1 + 1e-5}),
+    (1001, {1000: 1 + 1e-5}),
+    (40, {17: 1 + 1e-5, 30: 1 / (1 + 1e-5)}),
+    (1001, {500: 1 + 1e-5, 900: 1 / (1 + 1e-5)}),
+    (CHUNK + 1808, {100: 1 + 3e-7, CHUNK + 800: 1 + 3e-7, CHUNK + 1300: (1 + 3e-7) ** -2}),
+], ids=["tail", "array-level", "array-level-last", "undone-in-tail", "undone-in-array-level",
+        "carried-into-next-chunk"])
+def test_scaled_step_fails_the_drift_check(monkeypatch, steps, scales):
+    # a step that is (1 + 1e-5) times a unitary leaves every later state 2e-5
+    # off in squared norm, 20 times the limit, wherever the tree multiplies it
+    # in; the "undone" cases bring the final state back to norm 1, so only the
+    # states between their steps are off; in the last case each chunk's own
+    # steps move the squared norm by at most 6e-7, and only the norm carried
+    # out of the first chunk puts the states between its last two steps 1.2e-6 off
+    for bad, scale in scales.items():
+        poison_step(monkeypatch, bad, lambda ab, scale=scale: ab * scale)
+    with pytest.raises(IntegrationError):
+        evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(1.0, steps))
+
+
+def test_two_level_peak_memory():
+    # the product tree keeps no state per step: 5000 steps peaked at 718 KiB
+    # when every intermediate state was written
+    evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(50.0, 5000))
+    tracemalloc.start()
+    try:
+        evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(50.0, 5000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 450 << 10
 
 
 def test_step_doubling_quarters_the_error():
