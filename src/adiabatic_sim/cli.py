@@ -24,6 +24,7 @@ from . import __version__
 from .errors import SimulatorError
 from .evolution import assemble_simon
 from .hamiltonians import TwoLevelBlock, bv_interpolated, gap, gap_table, simon_interpolated
+from .measurement import RandomSource
 from .oracles import BvMask, simon_build
 from .protocols import (
     BUDGET_FAILURE_PROB,
@@ -34,7 +35,7 @@ from .protocols import (
     _draw_mask,
     branch_pair,
     resolve_config,
-    run_bv,
+    run,
     run_simon,
     sweep,
 )
@@ -135,7 +136,7 @@ def _emit(payload: str, out_path) -> None:
 
 def cmd_bv(args: argparse.Namespace) -> int:
     cfg = resolve_config(RunConfig(**_fields(args, "bv")))
-    report = run_bv(cfg)
+    report = run(cfg)
     _emit(json.dumps(_record(cfg, asdict(report)), indent=2) + "\n", args.out)
     return 0 if report.success else 2
 
@@ -182,7 +183,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise UsageError("--n is required unless --two-level is given")
-        a = _draw_mask(RunConfig(args.problem, args.n, args.a, path="full", seed=seed))[0]
+        a = _draw_mask(RunConfig(args.problem, args.n, args.a, path="full", seed=seed), RandomSource(seed))
         if args.problem == "bv":
             h = bv_interpolated(BvMask(args.n, a))
         else:

@@ -12,11 +12,11 @@ Randomness flows through ``RandomSource``, a counter-based (Philox) generator:
 identical (seed, stream) plus an identical sequence of draw calls reproduces
 identical outcomes.  Samplers draw in a fixed documented order so whole runs
 replay bit-for-bit; parallel shots must use streams derived per shot.  A run
-keeps one source and re-keys it to each shot's stream with ``restart``,
-which draws exactly what a new source on that stream would.  Both steps
-cost about a key write: a source seeds its Philox with zero words instead of
-a ``SeedSequence``, and ``restart`` writes the (seed, stream) key words, held
-as Python ints, with a zero counter and an empty buffer.
+re-keys one source to each shot's stream with ``restart`` (a sweep to each
+trial's seed with ``reseed``), which draws exactly what a new source would.
+Each re-key writes the (seed, stream) key words, held as Python ints, with
+a zero counter and an empty buffer; a new source seeds its Philox with zero
+words instead of a ``SeedSequence``.
 
 The factored readouts sample the exact outcome law of the assembled state
 from the two branch vectors alone.  Every output qubit ends in phi_{f_k(w)}
@@ -77,13 +77,12 @@ class RandomSource:
     Distinct streams of one seed are independent.  ``restart(stream)`` re-keys
     the one generator: Philox output is a pure function of key and counter, so
     the draws that follow are those of a new ``RandomSource(seed, stream)``.
-    ``draws`` counts every draw since construction, restarts included, for
-    run-record provenance.
+    ``reseed(seed, stream)`` re-keys to another seed too.  ``draws`` counts
+    every draw since the last (re)seed, restarts included, for provenance.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self._key = [self.seed & 0xFFFFFFFFFFFFFFFF, 0]
+        self._key = [0, 0]
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": _ZERO_WORDS, "key": self._key},
@@ -94,6 +93,12 @@ class RandomSource:
         }
         self._bit_generator = np.random.Philox(_ZERO_SEED_SEQUENCE)
         self._gen = np.random.Generator(self._bit_generator)
+        self.reseed(seed, stream)
+
+    def reseed(self, seed: int, stream: int = 0) -> None:
+        """Draw from here on what a new ``RandomSource(seed, stream)`` would, for a key write."""
+        self.seed = int(seed)
+        self._key[0] = self.seed & 0xFFFFFFFFFFFFFFFF
         self.draws = 0
         self.restart(stream)
 

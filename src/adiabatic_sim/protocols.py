@@ -13,14 +13,17 @@ Simon row O(n), and a scrambled Simon row adds a Walsh descent, O(2^(n-1));
 see ``measurement``.  The factored fidelity is |phi_0[0]^m|^2.  Masks and
 rows are Python ints of any width; ``qstate.check_capacity`` bounds n.
 
+A run builds no resolved RunConfig: its config fixes ``_schedule`` (steps,
+shot budget), its seed the one RandomSource that draws the mask and shots.
+
 Randomness discipline (everything derives from RunConfig.seed):
   stream 0          draws the mask when ``a`` is None (``randrange``: one
                     integer draw up to n = 64, 64-bit words above),
   stream 1 + i      drives the i-th quantum shot (readout or row sample);
-                    one RandomSource per run, built on stream 0, is re-keyed
-                    to it, which draws exactly what a new source on that
-                    stream would,
-  sweep trials      reseed per (value index, trial index) via SeedSequence.
+                    the run's source, keyed on stream 0, is re-keyed to it,
+                    which draws exactly what a new source on that stream would,
+  sweep trials      seed per (value index, trial index) via SeedSequence, on
+                    one source ``reseed``-ed per trial, one schedule per value.
 Identical configs therefore reproduce identical reports, wall time aside.
 
 Branch evolutions depend only on (kind, T, steps), so they are memoized
@@ -75,8 +78,8 @@ MAX_STEPS = 1 << 20
 @dataclass(frozen=True, slots=True)
 class RunConfig:
     """A run's inputs, checked when built (``replace`` too); integer fields are
-    stored as Python ints.  ``resolve_config`` fills in ``a``, ``steps`` and
-    ``max_repeats`` where they are None."""
+    stored as Python ints.  A run draws ``a`` and defaults ``steps`` and
+    ``max_repeats`` where they are None, as ``resolve_config`` shows."""
 
     problem: str
     n: int
@@ -142,7 +145,7 @@ def _steps_for(cfg: RunConfig) -> int:
     return max(1, round(steps))
 
 
-def _shot_budget(stages: int, s: float) -> int:
+def _shot_budget(stages: int, s: float) -> float:
     """Shots that leave a run needing ``stages`` successes, each shot one with
     probability at least s, short with probability at most BUDGET_FAILURE_PROB.
 
@@ -153,36 +156,40 @@ def _shot_budget(stages: int, s: float) -> int:
     N^-1 sum_l (1-2q)^|pi(l) xor pi(l xor d)|, is at most |1-2q| for d != 0: a row
     fails to raise the rank with probability at most max(q, 1-q).  The negative
     binomial's Chernoff lower tail gives ceil(mu / s), mu = stages + L + sqrt(L^2 +
-    2 stages L), L = -ln BUDGET_FAILURE_PROB; MAX_STEPS at most, and if s is 0 or NaN."""
+    2 stages L), L = -ln BUDGET_FAILURE_PROB; inf if s is 0 or NaN, or mu / s overflows."""
     L = -math.log(BUDGET_FAILURE_PROB)
     mu = stages + L + math.sqrt(L * L + 2 * stages * L)
-    return math.ceil(min(mu / s, MAX_STEPS)) if s > 0 else MAX_STEPS
+    need = mu / s if s > 0 else math.inf
+    return math.ceil(need) if need < math.inf else need
 
 
-def resolve_config(cfg: RunConfig) -> RunConfig:
-    """Fill in the drawn mask, the default steps and shot budget; idempotent."""
-    return _resolve_for_run(cfg)[0]
-
-
-def _draw_mask(cfg: RunConfig) -> tuple[int, RandomSource]:
-    """cfg.a, or a mask drawn on stream 0 of cfg.seed; and that stream's source."""
-    rng = RandomSource(cfg.seed)
-    if cfg.a is not None:
-        return cfg.a, rng
-    if cfg.problem == "bv":
-        return rng.randrange(1 << cfg.n), rng
-    return 1 + rng.randrange((1 << cfg.n) - 1), rng
-
-
-def _resolve_for_run(cfg: RunConfig) -> tuple[RunConfig, RandomSource]:
-    """``resolve_config`` and the run's one RandomSource, built on stream 0:
-    a mask is drawn from it there, and ``_shoot`` re-keys it for each shot."""
-    a, rng = _draw_mask(cfg)
+def _schedule(cfg: RunConfig) -> tuple[int, int]:
+    """What cfg fixes for every seed: (steps, shot budget); a default budget,
+    read off the branch cache's q, is refused above MAX_STEPS."""
     steps, budget = _steps_for(cfg), cfg.max_repeats
     if budget is None:
         q = _branch_pair_cached(cfg.problem, cfg.total_time, steps)[2]
         budget = _shot_budget(1, q) if cfg.problem == "bv" else _shot_budget(cfg.n - 1, min(q, 1 - q))
-    return replace(cfg, a=a, steps=steps, max_repeats=budget), rng
+        if not budget <= MAX_STEPS:
+            raise DomainError(f"at q = {q:.3g} the default shot budget is {budget} shots, over "
+                              f"{MAX_STEPS}, to fail at most {BUDGET_FAILURE_PROB:g} of runs; give max_repeats")
+    return steps, budget
+
+
+def _draw_mask(cfg: RunConfig, rng: RandomSource) -> int:
+    """cfg.a, or a mask drawn from rng, keyed to stream 0 of cfg.seed."""
+    if cfg.a is not None:
+        return cfg.a
+    if cfg.problem == "bv":
+        return rng.randrange(1 << cfg.n)
+    return 1 + rng.randrange((1 << cfg.n) - 1)
+
+
+def resolve_config(cfg: RunConfig) -> RunConfig:
+    """The config a run of cfg resolves to, for the CLI to echo: the drawn mask,
+    the steps and the shot budget filled in; idempotent."""
+    steps, budget = _schedule(cfg)
+    return replace(cfg, a=_draw_mask(cfg, RandomSource(cfg.seed)), steps=steps, max_repeats=budget)
 
 
 @dataclass(frozen=True)
@@ -214,6 +221,7 @@ def branch_pair(kind: str, total_time: float, steps: int) -> tuple[np.ndarray, n
 
 def _anneal(
     cfg: RunConfig,
+    steps: int,
     oracle: BvMask | SimonOracle,
     on_final_state: Optional[Callable[[StateVector], None]] = None,
 ) -> tuple:
@@ -229,12 +237,12 @@ def _anneal(
         m, assemble, interpolated = cfg.n - 1, assemble_simon, simon_interpolated
         full_shot = simon_sample
     if cfg.path == "factored":
-        q, phi00 = _branch_pair_cached(cfg.problem, cfg.total_time, cfg.steps)[2:]
+        q, phi00 = _branch_pair_cached(cfg.problem, cfg.total_time, steps)[2:]
         # the factored fidelity |<target|psi>|^2: each output qubit overlaps its
         # ideal vector e_f(w) by phi_f(w)[f(w)], which is phi_0[0] on either
         # branch, as phi_1[1] = phi_0[0]; so the overlap is phi_0[0]^m
         return partial(_read_factored, oracle, q), abs(phi00 ** m) ** 2
-    sched = Schedule(cfg.total_time, cfg.steps)
+    sched = Schedule(cfg.total_time, steps)
     target = assemble(oracle, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     result = evolve_full(interpolated(oracle), plus_state(cfg.n, m), sched, target)
     if on_final_state is not None:
@@ -246,48 +254,65 @@ def _anneal(
 
 def _shoot(
     cfg: RunConfig,
+    steps: int,
+    budget: int,
     oracle: BvMask | SimonOracle,
     rng: RandomSource,
     absorb: Callable[[object], Optional[int]],
     pending: Callable[[], int],
     on_final_state: Optional[Callable[[StateVector], None]] = None,
 ) -> tuple[Optional[int], int, float]:
-    """One anneal, then shot i from stream 1 + i until ``absorb`` names a mask.
+    """One anneal of ``steps``, then shot i from stream 1 + i until ``absorb`` names a mask.
 
     A block holds the ``pending()`` shots that cannot end the run, within the
     budget, so none is drawn past the stop.  ``rng``, the run's one source,
     is re-keyed to each shot's stream.  Returns (mask or None, shots taken,
-    fidelity); at most cfg.max_repeats shots.
+    fidelity); at most ``budget`` shots.
     """
-    read, fidelity = _anneal(cfg, oracle, on_final_state)
+    read, fidelity = _anneal(cfg, steps, oracle, on_final_state)
     shots = 0
-    while shots < cfg.max_repeats:
-        block = range(shots + 1, min(shots + pending(), cfg.max_repeats) + 1)
+    while shots < budget:
+        block = range(shots + 1, min(shots + pending(), budget) + 1)
         for shots, outcome in zip(block, read(rng, block)):
             found = absorb(outcome)
             if found is not None:
                 return found, shots, float(fidelity)
-    return None, cfg.max_repeats, float(fidelity)
+    return None, budget, float(fidelity)
+
+
+def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
+                on_final_state: Optional[Callable[[StateVector], None]] = None) -> RunReport:
+    """A run of cfg on its ``_schedule``, from ``rng`` keyed to stream 0 of the run's seed."""
+    a = _draw_mask(cfg, rng)
+    t0 = time.perf_counter()
+    if cfg.problem == "bv":
+        oracle, absorb, pending = BvMask(cfg.n, a), lambda r: r.a_candidate, lambda: 1
+    else:
+        system = Gf2Matrix(cfg.n)
+
+        def absorb(row: int) -> Optional[int]:
+            system.add_row(row)
+            return recover_mask(system)
+
+        oracle, pending = simon_build(cfg.n, a, cfg.scramble_seed), lambda: cfg.n - 1 - system.rank
+    found, shots, fidelity = _shoot(cfg, steps, budget, oracle, rng, absorb, pending, on_final_state)
+    bv = cfg.problem == "bv"
+    return RunReport(
+        success=found == a,
+        recovered_a=found,
+        quantum_runs=shots,
+        restarts=shots - (found is not None) if bv else 0,
+        rows_collected=0 if bv else shots,
+        per_run_fidelity=fidelity,
+        wall_time=time.perf_counter() - t0,
+    )
 
 
 def run_bv(cfg: RunConfig) -> RunReport:
     """Repeat prepare/evolve/readout until the informative branch is seen."""
-    cfg, rng = _resolve_for_run(cfg)
     if cfg.problem != "bv":
         raise DomainError("run_bv needs a bv config")
-    t0 = time.perf_counter()
-    found, shots, fidelity = _shoot(
-        cfg, BvMask(cfg.n, cfg.a), rng, lambda r: r.a_candidate, lambda: 1
-    )
-    return RunReport(
-        success=found == cfg.a,
-        recovered_a=found,
-        quantum_runs=shots,
-        restarts=shots - (found is not None),
-        rows_collected=0,
-        per_run_fidelity=fidelity,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _run_seeded(cfg, *_schedule(cfg), RandomSource(cfg.seed))
 
 
 def run_simon(
@@ -298,29 +323,9 @@ def run_simon(
     On the full path, ``on_final_state`` (if given) receives the annealed
     state before the first shot.
     """
-    cfg, rng = _resolve_for_run(cfg)
     if cfg.problem != "simon":
         raise DomainError("run_simon needs a simon config")
-    t0 = time.perf_counter()
-    system = Gf2Matrix(cfg.n)
-
-    def absorb(row: int) -> Optional[int]:
-        system.add_row(row)
-        return recover_mask(system)
-
-    oracle = simon_build(cfg.n, cfg.a, cfg.scramble_seed)
-    found, shots, fidelity = _shoot(
-        cfg, oracle, rng, absorb, lambda: cfg.n - 1 - system.rank, on_final_state
-    )
-    return RunReport(
-        success=found == cfg.a,
-        recovered_a=found,
-        quantum_runs=shots,
-        restarts=0,
-        rows_collected=shots,
-        per_run_fidelity=fidelity,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _run_seeded(cfg, *_schedule(cfg), RandomSource(cfg.seed), on_final_state)
 
 
 def run(cfg: RunConfig) -> RunReport:
@@ -375,7 +380,7 @@ def sweep(axis: str, values: list, base: dict, trials: int) -> list[SweepRow]:
 
     ``base`` holds the ``RunConfig`` fields; the swept one is set per value.
     Only the per-value configs are built, and so checked, all before the
-    first run.
+    first run.  A value's schedule is resolved inside its timed section.
     """
     field = {"n": "n", "T": "total_time", "steps": "steps"}.get(axis)
     if field is None:
@@ -389,11 +394,13 @@ def sweep(axis: str, values: list, base: dict, trials: int) -> list[SweepRow]:
     if trials < 1:
         raise DomainError("trials must be at least 1")
     configs = [RunConfig(**{**base, field: value}) for value in values]
+    rng = RandomSource(0)  # re-keyed to each trial's seed
     rows = []
     for value_index, (value, cfg_value) in enumerate(zip(values, configs)):
         t0 = time.perf_counter()
-        reports = [run(replace(cfg_value, seed=_trial_seed(cfg_value.seed, value_index, trial)))
-                   for trial in range(trials)]
+        steps, budget = _schedule(cfg_value)
+        seeds = (_trial_seed(cfg_value.seed, value_index, trial) for trial in range(trials))
+        reports = [_run_seeded(cfg_value, steps, budget, rng) for _ in map(rng.reseed, seeds)]
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rows.append(
             SweepRow(

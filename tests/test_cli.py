@@ -164,16 +164,32 @@ def test_sweep_T_gives_each_value_its_default_steps(capsys):
 
 def test_sweep_T_refuses_a_value_whose_default_steps_exceed_the_cap(capsys, monkeypatch):
     # 100 T = 10^7 steps at T = 1e5: refused before the first value runs
-    from adiabatic_sim import protocols
+    calls, shoot = [], protocols._shoot
 
-    calls = []
-    monkeypatch.setattr(protocols, "run", lambda cfg: calls.append(cfg))
+    def spy(*args):
+        calls.append(args)
+        return shoot(*args)
+
+    monkeypatch.setattr(protocols, "_shoot", spy)
     code, out, err = run_cli(
         capsys, "sweep", "--axis", "T", "--values", "1,1e5", "--problem", "bv",
         "--n", "2", "--trials", "3", "--seed", "1",
     )
     assert code == 1 and out == "" and calls == []
     assert err.startswith("usage error") and err.count("\n") == 1
+
+
+def test_bv_refuses_a_default_budget_past_the_cap(capsys):
+    # at T = 1e-9, q = 6.25e-20: the 1e-9 failure bound needs 6.9e20 shots,
+    # which the cap of 2^20 used to cut to a run that failed with exit 2
+    code, out, err = run_cli(capsys, "bv", "--n", "4", "--time", "1e-9", "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error") and err.count("\n") == 1
+    assert "q = 6.25e-20" in err and "max_repeats" in err
+    # an explicit budget runs as given, and here fails
+    code, out, _ = run_cli(capsys, "bv", "--n", "4", "--time", "1e-9", "--seed", "1",
+                           "--max-repeats", "5")
+    assert code == 2 and json.loads(out)["results"]["quantum_runs"] == 5
 
 
 @pytest.mark.parametrize("argv", [

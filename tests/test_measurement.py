@@ -96,7 +96,8 @@ def test_key_words_match_numpys_philox_constructor(seed, stream):
 
 def test_restart_draws_what_a_new_source_draws():
     # each restart follows uniform, block and integer draws; an odd number of
-    # randrange calls below 2^32 leaves half a Philox word buffered
+    # randrange calls below 2^32 leaves half a Philox word buffered.  Every
+    # second re-key is a reseed to another seed, which counts draws afresh
     rng = np.random.default_rng(23)
     seeds = rng.integers(0, 2**64, size=250, dtype=np.uint64).tolist()
     seeds[:4] = [0, -1, -(2**63), 2**63]
@@ -104,14 +105,19 @@ def test_restart_draws_what_a_new_source_draws():
     for seed in seeds:
         source = RandomSource(seed, int(rng.integers(2**64, dtype=np.uint64)))
         draws = 0
-        for stream in rng.integers(0, 2**64, size=4, dtype=np.uint64).tolist() + [2**64 + 3]:
+        streams = rng.integers(0, 2**64, size=4, dtype=np.uint64).tolist() + [2**64 + 3]
+        for i, stream in enumerate(streams):
             for _ in range(int(rng.integers(0, 4))):
                 source.uniform()
             source.fill(np.empty(int(rng.integers(1, 70))))
             for _ in range(int(rng.integers(0, 4))):
                 source.randrange(int(rng.integers(1, 2**32)))
             draws = source.draws
-            source.restart(stream)
+            if i % 2:
+                seed, draws = int(rng.integers(2**64, dtype=np.uint64)) - 2**63, 0
+                source.reseed(seed, stream)
+            else:
+                source.restart(stream)
             fresh = RandomSource(seed, stream)
             count = int(rng.integers(1, 70))
             mine, theirs = np.empty(count), np.empty(count)
@@ -123,8 +129,8 @@ def test_restart_draws_what_a_new_source_draws():
             assert source.randrange(bound) == fresh.randrange(bound)
             assert source.randrange(1 << 64) == fresh.randrange(1 << 64)
             assert source.uniform() == fresh.uniform()
-            assert source.stream == fresh.stream == stream
-            assert source.draws == draws + count + 4  # counted since construction
+            assert (source.seed, source.stream) == (fresh.seed, fresh.stream) == (seed, stream)
+            assert source.draws == draws + count + 4  # counted since construction or reseed
             pairs += 1
     assert pairs >= 1000
 

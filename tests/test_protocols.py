@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import asdict, replace
 from fractions import Fraction
 
@@ -177,7 +178,8 @@ def test_integer_fields_are_python_ints_on_construction():
 def test_default_steps_are_one_hundred_per_unit_time():
     assert resolve_config(RunConfig(problem="bv", n=4)).steps == 5000
     assert resolve_config(RunConfig(problem="bv", n=4, total_time=2.0)).steps == 200
-    assert resolve_config(RunConfig(problem="bv", n=4, total_time=0.001)).steps == 1
+    # at T = 0.001 the default budget would pass the cap: an explicit one resolves
+    assert resolve_config(RunConfig(problem="bv", n=4, total_time=0.001, max_repeats=1)).steps == 1
     assert resolve_config(RunConfig(problem="bv", n=4, total_time=2.0, steps=7)).steps == 7
     # the default is range-checked at construction, like a given step count
     for total_time in (1e5, 1e307):
@@ -216,10 +218,10 @@ def test_resolve_config_draws_mask_deterministically():
 def test_shot_budget_edges_and_tail():
     budget, cap = protocols._shot_budget, protocols.MAX_STEPS
     for stages in (1, 4, 59, 1023):
-        assert budget(stages, 0.0) == budget(stages, math.nan) == cap
+        assert budget(stages, 0.0) == budget(stages, math.nan) == budget(stages, 5e-324) == math.inf
         budgets = [budget(stages, s) for s in np.geomspace(1.0, 1e-12, 400)] + [budget(stages, 0.0)]
         assert budgets == sorted(budgets)  # never fewer shots at a lower success rate
-        assert budgets[-2] == cap
+        assert cap < budgets[-2] < math.inf
         # the exact binomial tail P(fewer than stages successes in B shots) <= 1e-9
         for s in (0.9, 0.5, 0.1, 0.0155, 1e-3):
             B = budget(stages, s)
@@ -331,12 +333,123 @@ def test_sweep_takes_each_values_default_steps():
         assert replace(row, wall_ms=0.0) == replace(want, wall_ms=0.0)
 
 
+def spy_on_shots(monkeypatch) -> list:
+    """Record the arguments of every ``_shoot`` call, the shot loop every run and trial enters."""
+    calls, shoot = [], protocols._shoot
+
+    def spy(*args):
+        calls.append(args)
+        return shoot(*args)
+
+    monkeypatch.setattr(protocols, "_shoot", spy)
+    return calls
+
+
 def test_sweep_validates_every_value_before_running(monkeypatch):
-    calls = []
-    monkeypatch.setattr(protocols, "run", lambda cfg: calls.append(cfg))
+    calls = spy_on_shots(monkeypatch)
     with pytest.raises(DomainError):
         sweep("steps", [200000, 2000000], dict(problem="bv", n=4), trials=1)
     assert calls == []
+
+
+@pytest.mark.parametrize("problem,n,total_time", [
+    ("bv", 10, 0.005),      # q = 1.6e-6: 2.8e7 shots
+    ("simon", 60, 0.04),    # 4 steps, q = 1e-4: 1.3e6 rows
+    ("bv", 4, 1e-160),      # q subnormal: the budget overflows a float
+    ("simon", 3, 1e-200),   # q = 0
+])
+def test_a_default_budget_past_the_cap_is_refused(problem, n, total_time):
+    # the 1e-9 failure bound is kept or the config refused, never cut at the cap
+    cfg = RunConfig(problem, n, total_time=total_time, seed=2)
+    q = protocols._branch_pair_cached(problem, total_time, protocols._steps_for(cfg))[2]
+    s = q if problem == "bv" else min(q, 1 - q)
+    need = protocols._shot_budget(1 if problem == "bv" else n - 1, s)
+    assert need > protocols.MAX_STEPS
+    for call in (resolve_config, run):
+        with pytest.raises(DomainError) as info:
+            call(cfg)
+        message = str(info.value)
+        assert "\n" not in message and f"q = {q:.3g}" in message
+        assert f"{need} shots" in message and "max_repeats" in message
+    # an explicit budget runs as given
+    assert run(replace(cfg, max_repeats=3)).quantum_runs == 3
+
+
+def test_a_nan_row_bit_probability_is_refused(monkeypatch):
+    monkeypatch.setattr(protocols, "_branch_pair_cached", lambda *key: (None, None, math.nan, 1.0))
+    for problem in ("bv", "simon"):
+        with pytest.raises(DomainError, match="q = nan .* inf shots"):
+            resolve_config(RunConfig(problem, 4))
+
+
+def test_a_sweep_refuses_a_default_budget_when_its_value_resolves(monkeypatch):
+    calls = spy_on_shots(monkeypatch)
+    with pytest.raises(DomainError, match="max_repeats"):
+        sweep("T", [1.0, 0.005, 2.0], dict(problem="bv", n=4, seed=1), trials=3)
+    assert [args[0].total_time for args in calls] == [1.0] * 3
+
+
+@pytest.mark.parametrize("axis,values,base,trials", [
+    ("n", [3, 6], dict(problem="bv", total_time=2.0, seed=3), 3),
+    ("n", [2, 5], dict(problem="simon", total_time=1.0, steps=100, max_repeats=3, seed=-4), 3),
+    ("T", [0.5, 2.0], dict(problem="simon", n=5, seed=4, scramble_seed=7), 3),
+    ("T", [1.0, 3.0], dict(problem="bv", n=3, a=5, path="full", steps=60, max_repeats=2, seed=6), 2),
+    ("steps", [20, 200], dict(problem="simon", n=4, total_time=2.0, max_repeats=4, seed=5), 3),
+    ("steps", [30, 90], dict(problem="simon", n=3, path="full", total_time=1.5, seed=8), 2),
+    ("steps", [50], dict(problem="bv", n=8, total_time=0.5), 4),
+])
+def test_each_sweep_trial_equals_a_run(monkeypatch, axis, values, base, trials):
+    # the golden rows aggregate trials, which could hide offsetting differences:
+    # each trial's report, without wall_time, is that of run() on its seed
+    reports, run_seeded = [], protocols._run_seeded
+
+    def recording(*args):
+        report = run_seeded(*args)
+        reports.append(asdict(report))
+        return report
+
+    monkeypatch.setattr(protocols, "_run_seeded", recording)
+    sweep(axis, values, base, trials)
+    monkeypatch.undo()
+    field = {"n": "n", "T": "total_time", "steps": "steps"}[axis]
+    want = []
+    for i, value in enumerate(values):
+        cfg_value = RunConfig(**{**base, field: value})
+        for t in range(trials):
+            want.append(asdict(run(replace(cfg_value, seed=protocols._trial_seed(cfg_value.seed, i, t)))))
+    for report in reports + want:
+        del report["wall_time"]
+    assert reports == want
+
+
+def test_runs_and_sweeps_build_no_config_per_run_and_one_source(monkeypatch):
+    # a run resolves without a RunConfig; a sweep builds one per value and
+    # one RandomSource, re-keyed per trial
+    cfgs = [RunConfig("bv", 6, total_time=2.0, seed=1), RunConfig("simon", 5, a=3, seed=2),
+            RunConfig("simon", 6, scramble_seed=4, max_repeats=7), RunConfig("bv", 3, path="full", steps=40)]
+    built = Counter()
+    post_init, init = RunConfig.__post_init__, RandomSource.__init__
+
+    def counting_post_init(self):
+        built["configs"] += 1
+        post_init(self)
+
+    def counting_init(self, *args):
+        built["sources"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(RunConfig, "__post_init__", counting_post_init)
+    monkeypatch.setattr(RandomSource, "__init__", counting_init)
+    for cfg in cfgs:
+        built.clear()
+        run(cfg)
+        assert built == {"sources": 1}, cfg
+    for axis, values, base in (("T", [1.0, 2.0, 3.0], dict(problem="bv", n=4)),
+                               ("n", [3, 4], dict(problem="simon", seed=9, scramble_seed=1))):
+        for trials in (1, 3, 8):
+            built.clear()
+            sweep(axis, values, base, trials)
+            assert built == {"configs": len(values), "sources": 1}, (axis, trials)
 
 
 def test_sweep_deterministic():
