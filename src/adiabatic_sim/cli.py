@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 from functools import cache
 
@@ -32,6 +32,7 @@ from .protocols import (
     MAX_STEPS,
     STEPS_PER_UNIT_TIME,
     RunConfig,
+    SweepRow,
     _draw_mask,
     branch_pair,
     resolve_config,
@@ -42,15 +43,7 @@ from .protocols import (
 
 SCHEMA_VERSION = "10"
 
-SWEEP_COLUMNS = [
-    "axis_value",
-    "trials",
-    "success_rate",
-    "mean_fidelity",
-    "mean_rows",
-    "mean_restarts",
-    "wall_ms",
-]
+SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 class UsageError(Exception):
@@ -92,6 +85,8 @@ def _add_config_flags(parser: argparse.ArgumentParser, **n_flag) -> None:
     parser.add_argument("--path", choices=("factored", "full"), default="factored")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default $ADIABATIC_SIM_SEED or 0)")
+    parser.add_argument("--max-repeats", type=int, help="shot budget (default: enough that a run "
+                        f"at row-bit probability q fails w.p. <= {BUDGET_FAILURE_PROB:g})")
     parser.add_argument("--out", default=None, help="write payload to a file")
 
 
@@ -105,7 +100,7 @@ def _fields(args: argparse.Namespace, problem: str) -> dict:
         steps=args.steps,
         path=args.path,
         seed=_seed(args),
-        max_repeats=getattr(args, "max_repeats", None),
+        max_repeats=args.max_repeats,
         scramble_seed=getattr(args, "scramble_seed", None),
     )
 
@@ -168,7 +163,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     writer = csv.writer(buffer)
     writer.writerow(SWEEP_COLUMNS)
     for row in rows:
-        writer.writerow([getattr(row, col) for col in SWEEP_COLUMNS])
+        writer.writerow(astuple(row))
     _emit(buffer.getvalue(), args.out)
     return 0
 
@@ -219,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --path full, also report the max deviation "
                               "from the factored state")
     p_simon.set_defaults(func=cmd_simon)
-    for p in (p_bv, p_simon):
-        p.add_argument("--max-repeats", type=int, help="shot budget (default: enough that a run "
-                       f"at row-bit probability q fails w.p. <= {BUDGET_FAILURE_PROB:g})")
 
     p_sweep = sub.add_parser("sweep", help="aggregate runs over an axis")
     p_sweep.add_argument("--axis", choices=("n", "T", "steps"), required=True)

@@ -1,12 +1,12 @@
 """End-to-end BV and Simon experiments, Simon's classical baseline, and sweeps.
 
-A run is: prepare |+>|+>, anneal for time T (path "full" integrates the
-dense state, applying H(s) without a matrix; path "factored" integrates the
-two branch qubits and samples the product state's readout from them),
-measure, repeat per the algorithm's rule, and reduce the collected outcomes
-to a mask candidate; both problems share that one shot loop, ``_shoot``.
-It reads shots in blocks of those that cannot end the run: n - 1 - rank
-for Simon (a row raises the rank by at most one) and 1 for BV.  A factored
+A run is the algorithm's one loop, in ``_run_seeded``: prepare |+>|+>,
+anneal once for time T (path "full" integrates the dense state, applying
+H(s) without a matrix; path "factored" integrates the two branch qubits and
+samples the product state's readout from them), measure, repeat until the
+outcomes pin the mask, then solve.  Shots are read in blocks of those that
+cannot end the run: n - 1 - rank for Simon (a row raises the rank by at most
+one) and 1 for BV, which stops at its first informative shot.  A factored
 block reads its output-register x outcomes together, at the row-bit
 probability q computed once per schedule: a BV shot is one draw, a linear
 Simon row O(n), and a scrambled Simon row adds a Walsh descent, O(2^(n-1));
@@ -219,91 +219,60 @@ def branch_pair(kind: str, total_time: float, steps: int) -> tuple[np.ndarray, n
     return _branch_pair_cached(kind, total_time, steps)[:2]
 
 
-def _anneal(
-    cfg: RunConfig,
-    steps: int,
-    oracle: BvMask | SimonOracle,
-    on_final_state: Optional[Callable[[StateVector], None]] = None,
-) -> tuple:
-    """One anneal serves every shot of a run: (read, fidelity); read(rng, streams) reads a block.
+def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
+                on_final_state: Optional[Callable[[StateVector], None]] = None) -> RunReport:
+    """A run of cfg on its ``_schedule``, from ``rng`` keyed to stream 0 of the run's seed.
 
-    The factored path reads a block at once, at the memoized q; the full path
-    steps the dense state from |+>|+>, hands it to ``on_final_state`` if
-    given, and reads out its final state shot by shot.
+    One anneal of ``steps`` serves every shot; on the full path, ``on_final_state``
+    (if given) receives its final state before the first shot.  Shot i is read
+    from stream 1 + i, in blocks that end where the run can, so no shot is
+    drawn past the stop.
     """
-    if cfg.problem == "bv":
-        m, assemble, interpolated, full_shot = 1, assemble_bv, bv_interpolated, bv_readout
+    a = _draw_mask(cfg, rng)
+    t0 = time.perf_counter()
+    bv = cfg.problem == "bv"
+    if bv:
+        oracle, m = BvMask(cfg.n, a), 1
+        assemble, interpolated, full_shot = assemble_bv, bv_interpolated, bv_readout
     else:
-        m, assemble, interpolated = cfg.n - 1, assemble_simon, simon_interpolated
-        full_shot = simon_sample
+        oracle, m = simon_build(cfg.n, a, cfg.scramble_seed), cfg.n - 1
+        assemble, interpolated, full_shot = assemble_simon, simon_interpolated, simon_sample
+        system = Gf2Matrix(cfg.n)
     if cfg.path == "factored":
         q, phi00 = _branch_pair_cached(cfg.problem, cfg.total_time, steps)[2:]
+        read = partial(_read_factored, oracle, q, rng)
         # the factored fidelity |<target|psi>|^2: each output qubit overlaps its
         # ideal vector e_f(w) by phi_f(w)[f(w)], which is phi_0[0] on either
         # branch, as phi_1[1] = phi_0[0]; so the overlap is phi_0[0]^m
-        return partial(_read_factored, oracle, q), abs(phi00 ** m) ** 2
-    sched = Schedule(cfg.total_time, steps)
-    target = assemble(oracle, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    result = evolve_full(interpolated(oracle), plus_state(cfg.n, m), sched, target)
-    if on_final_state is not None:
-        on_final_state(result.final_state)
-    state = result.final_state  # map(rng.restart, streams) re-keys rng before each shot
-    read = lambda rng, streams: [full_shot(state, rng) for _ in map(rng.restart, streams)]  # noqa: E731
-    return read, result.fidelity_to_target
-
-
-def _shoot(
-    cfg: RunConfig,
-    steps: int,
-    budget: int,
-    oracle: BvMask | SimonOracle,
-    rng: RandomSource,
-    absorb: Callable[[object], Optional[int]],
-    pending: Callable[[], int],
-    on_final_state: Optional[Callable[[StateVector], None]] = None,
-) -> tuple[Optional[int], int, float]:
-    """One anneal of ``steps``, then shot i from stream 1 + i until ``absorb`` names a mask.
-
-    A block holds the ``pending()`` shots that cannot end the run, within the
-    budget, so none is drawn past the stop.  ``rng``, the run's one source,
-    is re-keyed to each shot's stream.  Returns (mask or None, shots taken,
-    fidelity); at most ``budget`` shots.
-    """
-    read, fidelity = _anneal(cfg, steps, oracle, on_final_state)
-    shots = 0
-    while shots < budget:
-        block = range(shots + 1, min(shots + pending(), budget) + 1)
-        for shots, outcome in zip(block, read(rng, block)):
-            found = absorb(outcome)
-            if found is not None:
-                return found, shots, float(fidelity)
-    return None, budget, float(fidelity)
-
-
-def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
-                on_final_state: Optional[Callable[[StateVector], None]] = None) -> RunReport:
-    """A run of cfg on its ``_schedule``, from ``rng`` keyed to stream 0 of the run's seed."""
-    a = _draw_mask(cfg, rng)
-    t0 = time.perf_counter()
-    if cfg.problem == "bv":
-        oracle, absorb, pending = BvMask(cfg.n, a), lambda r: r.a_candidate, lambda: 1
+        fidelity = abs(phi00 ** m) ** 2
     else:
-        system = Gf2Matrix(cfg.n)
-
-        def absorb(row: int) -> Optional[int]:
-            system.add_row(row)
-            return recover_mask(system)
-
-        oracle, pending = simon_build(cfg.n, a, cfg.scramble_seed), lambda: cfg.n - 1 - system.rank
-    found, shots, fidelity = _shoot(cfg, steps, budget, oracle, rng, absorb, pending, on_final_state)
-    bv = cfg.problem == "bv"
+        target = assemble(oracle, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        sched = Schedule(cfg.total_time, steps)
+        result = evolve_full(interpolated(oracle), plus_state(cfg.n, m), sched, target)
+        if on_final_state is not None:
+            on_final_state(result.final_state)
+        state = result.final_state  # map(rng.restart, streams) re-keys rng before each shot
+        read = lambda streams: [full_shot(state, rng) for _ in map(rng.restart, streams)]  # noqa: E731
+        fidelity = result.fidelity_to_target
+    shots, found = 0, None
+    while found is None and shots < budget:
+        pending = 1 if bv else m - system.rank
+        block = range(shots + 1, min(shots + pending, budget) + 1)
+        outcomes = read(block)
+        shots = block[-1]
+        if bv:
+            found = outcomes[0].a_candidate
+        else:
+            for row in outcomes:
+                system.add_row(row)
+            found = recover_mask(system)
     return RunReport(
         success=found == a,
         recovered_a=found,
         quantum_runs=shots,
         restarts=shots - (found is not None) if bv else 0,
         rows_collected=0 if bv else shots,
-        per_run_fidelity=fidelity,
+        per_run_fidelity=float(fidelity),
         wall_time=time.perf_counter() - t0,
     )
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -11,6 +12,7 @@ from adiabatic_sim import protocols
 from adiabatic_sim.cli import build_parser, main
 from adiabatic_sim.hamiltonians import gap_table, simon_interpolated
 from adiabatic_sim.oracles import simon_build
+from adiabatic_sim.protocols import RunConfig
 
 
 def run_cli(capsys, *argv):
@@ -162,15 +164,42 @@ def test_sweep_T_gives_each_value_its_default_steps(capsys):
     assert swept[0] != rows("--values", "1,5", "--steps", "5000")[0]
 
 
+def test_every_run_config_field_has_a_flag_on_each_run_subcommand():
+    # bv alone has no scrambled oracle; problem is the subcommand or --problem
+    names = {f.name for f in fields(RunConfig)} - {"problem"}
+    parser = build_parser()
+    for argv in (("bv", "--n", "3"), ("simon", "--n", "3"),
+                 ("sweep", "--axis", "n", "--values", "3", "--problem", "bv")):
+        want = names - {"scramble_seed"} if argv[0] == "bv" else names
+        assert want <= set(vars(parser.parse_args(argv))), argv[0]
+
+
+def test_sweep_takes_a_shot_budget(capsys):
+    # at T = 0.005 (one step, q = 1.6e-6) the default BV budget is refused,
+    # so a sweep that reaches it needs --max-repeats
+    argv = ("sweep", "--axis", "T", "--values", "0.005,1", "--problem", "bv", "--n", "10",
+            "--seed", "3")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "max_repeats" in err
+    code, out, _ = run_cli(capsys, *argv, "--max-repeats", "100")
+    assert code == 0
+    rows = [{k: v for k, v in row.items() if k != "wall_ms"}
+            for row in csv.DictReader(io.StringIO(out))]
+    base = dict(problem="bv", n=10, seed=3, max_repeats=100)
+    want = [{k: str(v) for k, v in asdict(row).items() if k != "wall_ms"}
+            for row in protocols.sweep("T", [0.005, 1.0], base, trials=100)]
+    assert rows == want
+
+
 def test_sweep_T_refuses_a_value_whose_default_steps_exceed_the_cap(capsys, monkeypatch):
     # 100 T = 10^7 steps at T = 1e5: refused before the first value runs
-    calls, shoot = [], protocols._shoot
+    calls, run_seeded = [], protocols._run_seeded
 
     def spy(*args):
         calls.append(args)
-        return shoot(*args)
+        return run_seeded(*args)
 
-    monkeypatch.setattr(protocols, "_shoot", spy)
+    monkeypatch.setattr(protocols, "_run_seeded", spy)
     code, out, err = run_cli(
         capsys, "sweep", "--axis", "T", "--values", "1,1e5", "--problem", "bv",
         "--n", "2", "--trials", "3", "--seed", "1",

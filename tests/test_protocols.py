@@ -12,8 +12,8 @@ import pytest
 
 from adiabatic_sim import measurement, protocols
 from adiabatic_sim.errors import DomainError
-from adiabatic_sim.evolution import Schedule, evolve_two_level
-from adiabatic_sim.hamiltonians import TwoLevelBlock
+from adiabatic_sim.evolution import Schedule, evolve_full, evolve_two_level
+from adiabatic_sim.hamiltonians import TwoLevelBlock, simon_interpolated
 from adiabatic_sim.measurement import RandomSource
 from adiabatic_sim.oracles import BvMask, simon_build
 from adiabatic_sim.protocols import (
@@ -26,6 +26,7 @@ from adiabatic_sim.protocols import (
     run_simon,
     sweep,
 )
+from adiabatic_sim.qstate import plus_state
 from helpers import reference_run
 
 
@@ -333,15 +334,31 @@ def test_sweep_takes_each_values_default_steps():
         assert replace(row, wall_ms=0.0) == replace(want, wall_ms=0.0)
 
 
+def test_on_final_state_receives_the_full_paths_anneal_once():
+    # the full path hands its annealed state to the callback, once; the
+    # factored path has no dense state and never calls it
+    cfg = RunConfig("simon", 4, a=9, total_time=5.0, steps=200, path="full", seed=2,
+                    max_repeats=20, scramble_seed=3)
+    finals = []
+    assert run_simon(cfg, finals.append).success
+    oracle = simon_build(cfg.n, cfg.a, cfg.scramble_seed)
+    want = evolve_full(simon_interpolated(oracle), plus_state(cfg.n, cfg.n - 1),
+                       Schedule(cfg.total_time, cfg.steps))
+    assert len(finals) == 1 and np.array_equal(finals[0].amps, want.final_state.amps)
+    called = []
+    assert run_simon(replace(cfg, path="factored"), called.append).success
+    assert called == []
+
+
 def spy_on_shots(monkeypatch) -> list:
-    """Record the arguments of every ``_shoot`` call, the shot loop every run and trial enters."""
-    calls, shoot = [], protocols._shoot
+    """Record the arguments of every ``_run_seeded`` call, the run body every run and trial enters."""
+    calls, run_seeded = [], protocols._run_seeded
 
     def spy(*args):
         calls.append(args)
-        return shoot(*args)
+        return run_seeded(*args)
 
-    monkeypatch.setattr(protocols, "_shoot", spy)
+    monkeypatch.setattr(protocols, "_run_seeded", spy)
     return calls
 
 
