@@ -11,27 +11,30 @@ state is built.  x outcomes are labeled with bit 0 <-> |+> and bit 1 <-> |->.
 Randomness flows through ``RandomSource``, a counter-based (Philox) generator:
 identical (seed, stream) plus an identical sequence of draw calls reproduces
 identical outcomes.  Samplers draw in a fixed documented order so whole runs
-replay bit-for-bit; parallel shots must use streams derived per shot.  A run
-re-keys one source to each shot's stream with ``restart`` (a sweep to each
-trial's seed with ``reseed``), which draws exactly what a new source would.
-Each re-key writes the (seed, stream) key words, held as Python ints, with
-a zero counter and an empty buffer; a new source seeds its Philox with zero
-words instead of a ``SeedSequence``.
+replay bit-for-bit.  A run keys one source to stream 0 of its seed, which
+draws the mask, then re-keys it once with ``restart`` to stream 1, which
+serves every shot in order: Philox output is a pure function of key and
+counter, so one key with a running counter gives shots as independent as a
+key per shot.  A sweep re-keys the source to each trial's seed with
+``reseed``.  A re-key draws exactly what a new source would: it writes the
+(seed, stream) key words, held as Python ints, with a zero counter and an
+empty buffer; a new source seeds its Philox with zero words instead of a
+``SeedSequence``.
 
 The factored readouts sample the exact outcome law of the assembled state
 from the two branch vectors alone.  Every output qubit ends in phi_{f_k(w)}
 with phi_1 = sigma_x phi_0, so measuring the output register in the x basis
 gives iid row bits z_k ~ Bernoulli(q), q = ||phi_0 - phi_1||^2 / 4, and
 leaves the input register proportional to sum_w (-1)^(z . f(w)) |w>.  q
-depends on the anneal alone, and ``_read_factored(oracle, q, rng, streams)``
-reads a block of shots, each on its own stream.  A shot draws z first, one
-uniform per output bit, ascending (z_k = 1 iff the uniform is below q):
-one row of a (shots, width) block of the values scalar draws would give,
-whose z are read off 64 bits per integer matrix product, of any width:
+depends on the anneal alone, and ``_read_factored(oracle, q, rng, shots)``
+reads the next ``shots`` shots with one ``fill`` of a (shots, width) block.
+A shot draws z first, one uniform per output bit, ascending (z_k = 1 iff
+the uniform is below q), so the block holds the values one-shot reads in
+order would draw; its z are read off 64 bits per integer matrix product, of
+any width:
 
-* BV, one draw per shot, compared with q as a float, so a BV block builds
-  no array.  z = 0 restarts; z = 1 leaves the input register on the Walsh
-  point a, which is returned.
+* BV, one uniform per shot.  z = 0 restarts; z = 1 leaves the input
+  register on the Walsh point a, which is returned.
 * Simon, the row x = L^T z for an unscrambled (linear) oracle, O(n) per
   shot; for a scrambled one, one more uniform for the row and a bit-by-bit
   descent through the Walsh spectrum of 2^(n-1) labels, O(2^(n-1)) per row,
@@ -262,31 +265,17 @@ def simon_sample_factored(
     q = simon_row_bit_prob(phi0, phi1)
     if oracle.scramble is not None and abs(np.vdot(phi0, phi1).imag) > 1e-9:
         raise DomainError("scrambled Simon sampling needs a real branch overlap <phi_0|phi_1>")
-    u = np.empty((1, oracle.n - (oracle.scramble is None)))
+    return _read_factored(oracle, q, rng, 1)[0]
+
+
+def _read_factored(oracle: BvMask | SimonOracle, q: float, rng: RandomSource, shots: int) -> list:
+    """The next ``shots`` shots from ``rng`` at row-bit probability q, read from one block fill."""
+    bv = isinstance(oracle, BvMask)
+    u = np.empty((shots, 1 if bv else oracle.n - (oracle.scramble is None)))
     rng.fill(u)
-    return _readout(oracle, q, u)[0]
-
-
-def _read_factored(
-    oracle: BvMask | SimonOracle, q: float, rng: RandomSource, streams: range
-) -> list:
-    """The shots on ``streams`` at row-bit probability q, each after ``rng.restart(stream)``;
-    a BV shot's one uniform is read as a float, so a BV block builds no array."""
-    if isinstance(oracle, BvMask):
-        found, shots = BvReadout(False, oracle.a), []
-        for stream in streams:
-            rng.restart(stream)
-            shots.append(found if rng.uniform() < q else _RESTART)
-        return shots
-    u = np.empty((len(streams), oracle.n - (oracle.scramble is None)))
-    for row, stream in zip(u, streams):
-        rng.restart(stream)
-        rng.fill(row)
-    return _readout(oracle, q, u)
-
-
-def _readout(oracle: SimonOracle, q: float, u: np.ndarray) -> list:
-    """The Simon rows of the shots whose uniforms are the rows of u."""
+    if bv:
+        found = BvReadout(False, oracle.a)
+        return [found if x < q else _RESTART for (x,) in u.tolist()]
     m = oracle.n - 1
     zs = _row_bits(q, u[:, :m])
     if oracle.scramble is None:

@@ -19,11 +19,13 @@ shot budget), its seed the one RandomSource that draws the mask and shots.
 Randomness discipline (everything derives from RunConfig.seed):
   stream 0          draws the mask when ``a`` is None (``randrange``: one
                     integer draw up to n = 64, 64-bit words above),
-  stream 1 + i      drives the i-th quantum shot (readout or row sample);
-                    the run's source, keyed on stream 0, is re-keyed to it,
-                    which draws exactly what a new source on that stream would,
-  sweep trials      seed per (value index, trial index) via SeedSequence, on
-                    one source ``reseed``-ed per trial, one schedule per value.
+  stream 1          serves every quantum shot (readout or row sample) in
+                    order; the run's source, keyed on stream 0, is re-keyed
+                    to it once, whether or not a mask was drawn, so a config
+                    with the drawn mask filled in reads the same shots,
+  sweep trials      get their own seed, a bijective mix of the master seed
+                    and (value index, trial index), on one source
+                    ``reseed``-ed per trial, one schedule per value.
 Identical configs therefore reproduce identical reports, wall time aside.
 
 Branch evolutions depend only on (kind, T, steps), so they are memoized
@@ -224,11 +226,12 @@ def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
     """A run of cfg on its ``_schedule``, from ``rng`` keyed to stream 0 of the run's seed.
 
     One anneal of ``steps`` serves every shot; on the full path, ``on_final_state``
-    (if given) receives its final state before the first shot.  Shot i is read
-    from stream 1 + i, in blocks that end where the run can, so no shot is
-    drawn past the stop.
+    (if given) receives its final state before the first shot.  The shots are
+    read in order from stream 1, in blocks that end where the run can, so no
+    shot is drawn past the stop.
     """
     a = _draw_mask(cfg, rng)
+    rng.restart(1)
     t0 = time.perf_counter()
     bv = cfg.problem == "bv"
     if bv:
@@ -251,15 +254,13 @@ def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
         result = evolve_full(interpolated(oracle), plus_state(cfg.n, m), sched, target)
         if on_final_state is not None:
             on_final_state(result.final_state)
-        state = result.final_state  # map(rng.restart, streams) re-keys rng before each shot
-        read = lambda streams: [full_shot(state, rng) for _ in map(rng.restart, streams)]  # noqa: E731
+        read = lambda shots: [full_shot(result.final_state, rng) for _ in range(shots)]  # noqa: E731
         fidelity = result.fidelity_to_target
     shots, found = 0, None
     while found is None and shots < budget:
-        pending = 1 if bv else m - system.rank
-        block = range(shots + 1, min(shots + pending, budget) + 1)
+        block = min(1 if bv else m - system.rank, budget - shots)
         outcomes = read(block)
-        shots = block[-1]
+        shots += block
         if bv:
             found = outcomes[0].a_candidate
         else:
@@ -340,8 +341,13 @@ class SweepRow:
 
 
 def _trial_seed(master: int, value_index: int, trial: int) -> int:
-    seq = np.random.SeedSequence((master & 0xFFFFFFFFFFFFFFFF, value_index, trial))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    """SplitMix64's finalizer, a bijection of 64-bit words, of master mod 2^64 xor
+    (value_index << 32 | trial) times an odd constant: distinct pairs below 2^32
+    get distinct seeds."""
+    x = (master ^ (value_index << 32 | trial) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    x = (x ^ x >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    return x ^ x >> 31
 
 
 def sweep(axis: str, values: list, base: dict, trials: int) -> list[SweepRow]:

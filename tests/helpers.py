@@ -93,10 +93,10 @@ def gf2_nullspace(rows, n: int) -> list:
 def reference_run(cfg) -> dict:
     """A factored run's report, without wall_time, read one shot at a time.
 
-    Shot i draws on ``RandomSource(seed, 1 + i)``, absorbed until a mask is
-    found or the repeat budget runs out.  A BV shot is informative iff its one
-    uniform is below q, the documented draw; a Simon shot is the public
-    one-shot sampler.
+    The shots draw in order from one ``RandomSource(seed, 1)``, absorbed until
+    a mask is found or the repeat budget runs out.  A BV shot is informative
+    iff its one uniform is below q, the documented draw; a Simon shot is the
+    public one-shot sampler.
     """
     cfg = resolve_config(cfg)
     phi0, phi1 = branch_pair(cfg.problem, cfg.total_time, cfg.steps)
@@ -105,9 +105,8 @@ def reference_run(cfg) -> dict:
     else:
         oracle, m = simon_build(cfg.n, cfg.a, cfg.scramble_seed), cfg.n - 1
         system = Gf2Matrix(cfg.n)
-    found, shots = None, cfg.max_repeats
+    found, shots, rng = None, cfg.max_repeats, RandomSource(cfg.seed, 1)
     for i in range(cfg.max_repeats):
-        rng = RandomSource(cfg.seed, 1 + i)
         if cfg.problem == "bv":
             found = cfg.a if rng.uniform() < q else None
         else:

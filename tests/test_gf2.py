@@ -119,9 +119,9 @@ def test_rows_from_ideal_sampler_recover_planted_mask():
     for seed in range(10):
         n, a = 5, 0b10110
         oracle = simon_build(n, a)
-        m = Gf2Matrix(n)
-        for shot in range(200):
-            m.add_row(simon_sample_factored(oracle, e0, e1, RandomSource(seed, 1 + shot)))
+        m, rng = Gf2Matrix(n), RandomSource(seed, 1)
+        for _ in range(200):
+            m.add_row(simon_sample_factored(oracle, e0, e1, rng))
             if m.rank == n - 1:
                 break
         assert recover_mask(m) == a

@@ -145,28 +145,57 @@ def scalar_row_bits(q: float, bits: int, rng: RandomSource) -> int:
 
 
 def test_row_bits_block_draw_equals_scalar_loop():
-    # a block readout gives each shot the z of one scalar uniform per bit on
-    # its own stream, the draw count of those scalar draws and, after the
-    # block, the next draw of its last stream, for every width a linear Simon
-    # row can have; a row is L^T z with L of full rank, so equal rows are equal z
+    # a block of shots gives each shot in turn the z of one scalar uniform per
+    # bit, read in order from the same stream, the draw count of those scalar
+    # draws and, after the block, the next draw of that stream, for every
+    # width a linear Simon row can have; a row is L^T z with L of full rank,
+    # so equal rows are equal z
     cases = [(bits, q) for bits in range(1, 60) for q in (0.0, 1e-3, 0.5, 0.75, 1.0)] * 4
     keys = np.random.default_rng(17).integers(0, 2**63, size=(len(cases), 2)).tolist()
     for (bits, q), (seed, stream) in zip(cases, keys):
         oracle = simon_build(bits + 1, (1 << bits) | (seed & ((1 << bits) - 1)))
-        streams = range(stream, stream + 3)
-        block, scalars = RandomSource(seed), [RandomSource(seed, s) for s in streams]
-        rows = _read_factored(oracle, q, block, streams)
-        assert rows == [simon_orthogonal_row(oracle, scalar_row_bits(q, bits, s)) for s in scalars]
-        assert block.draws == sum(s.draws for s in scalars) == bits * len(streams)
-        assert block.uniform() == scalars[-1].uniform()
+        block, scalar = RandomSource(seed, stream), RandomSource(seed, stream)
+        rows = _read_factored(oracle, q, block, 3)
+        assert rows == [simon_orthogonal_row(oracle, scalar_row_bits(q, bits, scalar)) for _ in rows]
+        assert block.draws == scalar.draws == bits * 3
+        assert block.uniform() == scalar.uniform()
     # a BV shot is the one bit z: a restart iff the uniform is not below q
     for q in (0.0, 0.3, 1.0):
-        block = RandomSource(5)
-        readouts = _read_factored(BvMask(4, 9), q, block, range(1, 40))
+        block, scalar = RandomSource(5, 1), RandomSource(5, 1)
+        readouts = _read_factored(BvMask(4, 9), q, block, 39)
         assert block.draws == 39
-        for stream, readout in zip(range(1, 40), readouts):
-            z = scalar_row_bits(q, 1, RandomSource(5, stream))
+        for readout in readouts:
+            z = scalar_row_bits(q, 1, scalar)
             assert readout == BvReadout(restart=not z, a_candidate=9 if z else None)
+        assert block.uniform() == scalar.uniform()
+
+
+@pytest.mark.parametrize("kind", ["bv", "linear", "scrambled"])
+def test_factored_shots_do_not_depend_on_the_block_size(kind):
+    # one block of k shots, k blocks of one shot and k calls of the public
+    # one-shot sampler (BV: the documented draw, informative iff the uniform
+    # is below q) give the same outcomes and draws, and leave the stream at
+    # the same place
+    branch_sets = [(E0, E1), evolved_branches("simon", 0.5), evolved_branches("simon", 5.0)]
+    for n, (phi0, phi1), seed in zip((2, 5, 9, 12), branch_sets * 2, range(4)):
+        a = (1 << (n - 1)) | seed
+        if kind == "bv":
+            oracle = BvMask(n, a)
+        else:
+            oracle = simon_build(n, a, scramble_seed=seed if kind == "scrambled" else None)
+        q = simon_row_bit_prob(phi0, phi1)
+        for k in (1, 2, 7, 30):
+            sources = [RandomSource(seed, 1) for _ in range(3)]
+            blocks = _read_factored(oracle, q, sources[0], k)
+            singles = [_read_factored(oracle, q, sources[1], 1)[0] for _ in range(k)]
+            if kind == "bv":
+                public = [BvReadout(False, a) if sources[2].uniform() < q else BvReadout(True)
+                          for _ in range(k)]
+            else:
+                public = [simon_sample_factored(oracle, phi0, phi1, sources[2]) for _ in range(k)]
+            assert blocks == singles == public
+            assert len({s.draws for s in sources}) == 1
+            assert len({s.uniform() for s in sources}) == 1
 
 
 def test_sample_index_zero_weights():
@@ -468,7 +497,7 @@ def test_bv_factored_readout_law_equals_dense_law():
                 assert np.max(np.abs(informative - np.eye(1 << n)[a])) <= 1e-12
                 for seed in range(200):
                     rng = RandomSource(seed)
-                    [readout] = _read_factored(mask, q, rng, range(1, 2))
+                    [readout] = _read_factored(mask, q, rng, 1)
                     assert rng.draws == 1
                     assert readout.restart or readout.a_candidate == a
 

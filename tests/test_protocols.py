@@ -13,8 +13,9 @@ import pytest
 from adiabatic_sim import measurement, protocols
 from adiabatic_sim.errors import DomainError
 from adiabatic_sim.evolution import Schedule, evolve_full, evolve_two_level
+from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
 from adiabatic_sim.hamiltonians import TwoLevelBlock, simon_interpolated
-from adiabatic_sim.measurement import RandomSource
+from adiabatic_sim.measurement import RandomSource, bv_readout, simon_sample
 from adiabatic_sim.oracles import BvMask, simon_build
 from adiabatic_sim.protocols import (
     RunConfig,
@@ -439,6 +440,24 @@ def test_each_sweep_trial_equals_a_run(monkeypatch, axis, values, base, trials):
     assert reports == want
 
 
+def test_trial_seeds_are_pinned_and_distinct():
+    # at master 0 and value index 0, trial t gets SplitMix64's t-th output
+    # from state 0, the published 0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, ...
+    trial_seed = protocols._trial_seed
+    assert [trial_seed(0, 0, t) for t in (1, 2, 3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert trial_seed(-7, 0, 0) == 15824578273388328691
+    assert trial_seed(-7, 3, 11) == 1749584916886561099
+    assert trial_seed(2**63, 1, 2) == 9904550274404313384
+    assert trial_seed(-1, 2, 5) == trial_seed(2**64 - 1, 2, 5) == 3409793772800189454
+    # (value_index, trial) pairs below 2^32 map to distinct seeds, at the
+    # 2^32 edge too, where a pair must not spill into its neighbour
+    pairs = [(i, t) for i in range(48) for t in range(48)]
+    pairs += [(0, 2**32 - 1), (1, 2**32 - 1), (2**32 - 1, 0), (2**32 - 1, 2**32 - 1)]
+    for master in (0, -3, 2**63 + 1):
+        assert len({trial_seed(master, i, t) for i, t in pairs}) == len(pairs)
+
+
 def test_runs_and_sweeps_build_no_config_per_run_and_one_source(monkeypatch):
     # a run resolves without a RunConfig; a sweep builds one per value and
     # one RandomSource, re-keyed per trial
@@ -609,17 +628,22 @@ def test_factored_runs_equal_the_scalar_reference_loop():
 
 
 def test_one_run_builds_one_shot_random_source(monkeypatch):
-    # one source serves a run: a drawn mask comes from its stream 0, and the
-    # shots re-key it.  Counting in __init__ catches a source built by any
-    # module, per shot too
-    built = []
-    init = RandomSource.__init__
+    # one source serves a run: a drawn mask comes from its stream 0, and one
+    # re-key to stream 1 serves every shot.  Counting in __init__ catches a
+    # source built by any module, per shot too
+    built, restarts = [], []
+    init, restart = RandomSource.__init__, RandomSource.restart
 
     def counting(self, seed, stream=0):
         built.append(stream)
         init(self, seed, stream)
 
+    def counting_restart(self, stream):
+        restarts.append(stream)
+        restart(self, stream)
+
     monkeypatch.setattr(RandomSource, "__init__", counting)
+    monkeypatch.setattr(RandomSource, "restart", counting_restart)
     for run, fields in [
         (run_bv, dict(problem="bv", n=10, a=0b1011001101, total_time=1.0, steps=100, seed=0)),
         (run_simon, dict(problem="simon", n=12, a=0b101101, seed=1)),
@@ -628,9 +652,54 @@ def test_one_run_builds_one_shot_random_source(monkeypatch):
     ]:
         for a in (fields["a"], None):
             built.clear()
+            restarts.clear()
             report = run(RunConfig(**{**fields, "a": a}))
             assert report.quantum_runs >= 2
             assert built == [0]
+            assert restarts == [0, 1]  # the constructor's, then the shots'
+
+
+@pytest.mark.parametrize("problem", ["bv", "simon"])
+def test_full_path_shots_do_not_depend_on_the_block_size(problem):
+    # a full-path run reads its shots in blocks that end where the run can;
+    # its report and draws equal those of the public dense sampler called
+    # once per shot, in order, from stream 1 of the seed, on the run's state
+    shot = bv_readout if problem == "bv" else simon_sample
+    for seed in range(6):
+        for max_repeats in (1, 2, 5, None):
+            cfg = resolve_config(RunConfig(problem, 4, total_time=2.0, steps=60, path="full",
+                                           seed=seed, max_repeats=max_repeats))
+            states, rng = [], RandomSource(cfg.seed)
+            report = protocols._run_seeded(cfg, cfg.steps, cfg.max_repeats, rng, states.append)
+            reference, system = RandomSource(cfg.seed, 1), Gf2Matrix(cfg.n)
+            found, shots = None, 0
+            while found is None and shots < cfg.max_repeats:
+                outcome, shots = shot(states[0], reference), shots + 1
+                if problem == "bv":
+                    found = outcome.a_candidate
+                else:
+                    system.add_row(outcome)
+                    found = recover_mask(system)
+            assert (report.quantum_runs, report.recovered_a) == (shots, found), cfg
+            assert rng.draws == reference.draws, cfg
+
+
+@pytest.mark.parametrize("path", ["factored", "full"])
+def test_a_drawn_mask_and_its_echo_give_the_same_report(path):
+    # a run with a = None draws its mask on stream 0; the config that
+    # resolve_config echoes names that mask and draws nothing, and must read
+    # the same shots.  Short anneals make runs of several shots whose count
+    # depends on the draws
+    cases = [("bv", 12, None), ("simon", 10, None), ("simon", 8, 5)]
+    if path == "full":
+        cases = [("bv", 3, None), ("simon", 3, None)]
+    for problem, n, scramble_seed in cases:
+        for seed in range(40 if path == "factored" else 10):
+            cfg = RunConfig(problem, n, total_time=1.0, steps=100 if path == "factored" else 40,
+                            path=path, seed=seed - 20, scramble_seed=scramble_seed)
+            drawn, echoed = asdict(run(cfg)), asdict(run(resolve_config(cfg)))
+            del drawn["wall_time"], echoed["wall_time"]
+            assert drawn == echoed, cfg
 
 
 @pytest.mark.parametrize("run,problem", [(run_bv, "bv"), (run_simon, "simon")])
@@ -714,16 +783,16 @@ def test_steps_ceiling():
 
 @pytest.mark.parametrize("n,scramble_seed,a,runs,fidelity", [
     (12, None, 218, 11, 0.9957656663381109),
-    (12, 7, 218, 11, 0.9957656663381109),
-    (13, None, 1865, 15, 0.9953816171275679),
-    (13, 7, 1865, 12, 0.9953816171275679),
-    (14, None, 7783, 17, 0.9949977160380146),
-    (14, 7, 7783, 14, 0.9949977160380146),
+    (12, 7, 218, 12, 0.9957656663381109),
+    (13, None, 1865, 14, 0.9953816171275679),
+    (13, 7, 1865, 13, 0.9953816171275679),
+    (14, None, 7783, 15, 0.9949977160380146),
+    (14, 7, 7783, 16, 0.9949977160380146),
 ], ids=["n12", "n12-scrambled", "n13", "n13-scrambled", "n14", "n14-scrambled"])
 def test_seeded_simon_reports_unchanged(n, scramble_seed, a, runs, fidelity):
-    # a and runs recorded when run_simon still built the oracle's lookup
-    # table; fidelity re-recorded under schemas 7 (the scan's scalar tail)
-    # and 10 (the product tree)
+    # a recorded when run_simon still built the oracle's lookup table; runs
+    # re-recorded under schema 11 (every shot on stream 1); fidelity under
+    # schemas 7 (the scan's scalar tail) and 10 (the product tree)
     report = run_simon(RunConfig(problem="simon", n=n, seed=100 + n, scramble_seed=scramble_seed))
     assert report.success and report.recovered_a == a
     assert report.quantum_runs == report.rows_collected == runs
@@ -731,19 +800,20 @@ def test_seeded_simon_reports_unchanged(n, scramble_seed, a, runs, fidelity):
 
 
 @pytest.mark.parametrize("fields,a,runs,fidelity", [
-    (dict(n=24, total_time=0.5, steps=50, seed=324), 1381533, 121, 1.5116262790448898e-07),
-    (dict(n=60, total_time=0.5, steps=50, seed=360), 178413162238573480, 328,
+    (dict(n=24, total_time=0.5, steps=50, seed=324), 1381533, 340, 1.5116262790448898e-07),
+    (dict(n=60, total_time=0.5, steps=50, seed=360), 178413162238573480, 212,
      3.1900114514443284e-18),
-    (dict(n=24, total_time=1.0, steps=100, seed=324), 1381533, 43, 2.999735743613297e-07),
+    (dict(n=24, total_time=1.0, steps=100, seed=324), 1381533, 50, 2.999735743613297e-07),
     (dict(n=60, total_time=1.0, steps=100, seed=360), 178413162238573480, 62,
      1.85054591219532e-17),
-    (dict(n=12, total_time=0.5, steps=50, seed=312, scramble_seed=3), 3238, 86,
+    (dict(n=12, total_time=0.5, steps=50, seed=312, scramble_seed=3), 3238, 114,
      0.0005470098714606626),
 ], ids=["T0.5-n24", "T0.5-n60", "T1-n24", "T1-n60", "T0.5-n12-scrambled"])
 def test_seeded_low_q_simon_reports(fields, a, runs, fidelity):
     # recorded under schema 5 with one scalar uniform per row bit; at low q a
-    # run draws hundreds of row-bit blocks, so these pin the draw order;
-    # the fidelities re-recorded under schemas 7 and 10
+    # run draws hundreds of row-bit blocks, so these pin the draw order; runs
+    # re-recorded under schema 11 (every shot on stream 1), the fidelities
+    # under schemas 7 and 10
     report = run_simon(RunConfig(problem="simon", max_repeats=20 * fields["n"], **fields))
     assert report.success and report.recovered_a == a
     assert report.quantum_runs == report.rows_collected == runs
@@ -752,18 +822,19 @@ def test_seeded_low_q_simon_reports(fields, a, runs, fidelity):
 
 @pytest.mark.parametrize("fields,a,restarts,fidelity", [
     (dict(n=8, seed=108), 47, 0, 0.9996143176818343),
-    (dict(n=16, seed=116), 37700, 2, 0.9996143176818343),
+    (dict(n=16, seed=116), 37700, 1, 0.9996143176818343),
     (dict(n=60, seed=160), 14234013176458300, 1, 0.9996143176818343),
-    (dict(n=4, a=0, seed=3), 0, 4, 0.9996143176818343),
+    (dict(n=4, a=0, seed=3), 0, 3, 0.9996143176818343),
     (dict(n=12, seed=7, total_time=5.0, steps=500), 670, 1, 0.8389771197853403),
     (dict(n=5, seed=105, total_time=5.0, steps=500, path="full"), 5, 0, 0.8389771197853415),
-    (dict(n=10, seed=4, total_time=0.5, steps=50), 325, 101, 0.5051892560903584),
+    (dict(n=10, seed=4, total_time=0.5, steps=50), 325, 18, 0.5051892560903584),
 ], ids=["n8", "n16", "n60", "a0", "T5", "full", "short-anneal"])
 def test_seeded_bv_reports(fields, a, restarts, fidelity):
     # fidelity recorded under schema 4 (two fidelity formulas), the factored
     # ones re-recorded under schemas 7 and 10; restarts recorded under schema
-    # 5, where a shot is one row-bit draw; short-anneal under schema 9, whose default
-    # budget (2,801 shots) outlasts the 64 that bv-short-anneal below exhausts
+    # 5, where a shot is one row-bit draw, and re-recorded under schema 11,
+    # where every shot is on stream 1; short-anneal's default budget (2,801
+    # shots) outlasts the 16 that bv-short-anneal below exhausts
     report = run_bv(RunConfig(problem="bv", **fields))
     assert report.success and report.recovered_a == a
     assert report.restarts == restarts and report.quantum_runs == restarts + 1
@@ -771,8 +842,8 @@ def test_seeded_bv_reports(fields, a, restarts, fidelity):
 
 
 @pytest.mark.parametrize("run,fields,runs,restarts,rows,fidelity", [
-    (run_bv, dict(problem="bv", n=10, total_time=0.5, steps=50, seed=4, max_repeats=64),
-     64, 64, 0, 0.5051892560903584),
+    (run_bv, dict(problem="bv", n=10, total_time=0.5, steps=50, seed=4, max_repeats=16),
+     16, 16, 0, 0.5051892560903584),
     (run_bv, dict(problem="bv", n=4, a=9, path="full", total_time=5.0, steps=200, seed=1,
                   max_repeats=1), 1, 1, 0, 0.838982211240202),
     (run_simon, dict(problem="simon", n=8, seed=3, max_repeats=3), 3, 0, 3, 0.9973033455335059),
@@ -782,8 +853,9 @@ def test_seeded_bv_reports(fields, a, restarts, fidelity):
                      steps=200), 2, 0, 2, 0.5905521541517191),
 ], ids=["bv-short-anneal", "bv-full-one-shot", "simon", "simon-scrambled", "simon-full"])
 def test_seeded_budget_exhausted_reports(run, fields, runs, restarts, rows, fidelity):
-    # recorded under schema 5 (factored fidelities under schemas 7 and 10): every shot
-    # of the budget is spent and no mask is named
+    # recorded under schema 5 (factored fidelities under schemas 7 and 10; under
+    # schema 11 bv-short-anneal's seed finds the mask at shot 19, so its budget
+    # went from 64 to 16): every shot of the budget is spent and no mask is named
     report = run(RunConfig(**fields))
     assert not report.success and report.recovered_a is None
     assert report.quantum_runs == runs
