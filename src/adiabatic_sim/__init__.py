@@ -1,6 +1,6 @@
 """Adiabatic-evolution simulator for the Bernstein-Vazirani and Simon problems.
 
-The package provides dense state vectors and Hamiltonians (qstate,
+The package provides dense state vectors and matrix-free Hamiltonians (qstate,
 hamiltonians), oracles with Simon's 2-to-1 promise built in (oracles),
 Schrodinger propagation in full and branch-factored form (evolution),
 seeded sampling of both readouts (measurement), GF(2) mask recovery (gf2),
@@ -33,7 +33,6 @@ from .hamiltonians import (
     TwoLevelBlock,
     bv_interpolated,
     gap,
-    interpolate,
     min_gap_scan,
     simon_interpolated,
 )

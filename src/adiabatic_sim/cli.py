@@ -129,6 +129,14 @@ def _emit(payload: str, out_path) -> None:
         sys.stdout.write(payload)
 
 
+def _emit_csv(header: list, rows, out_path) -> None:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _emit(buffer.getvalue(), out_path)
+
+
 def cmd_bv(args: argparse.Namespace) -> int:
     cfg = resolve_config(RunConfig(**_fields(args, "bv")))
     report = run(cfg)
@@ -159,12 +167,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"bad --values entry: {exc}")
     rows = sweep(args.axis, values, _fields(args, args.problem), args.trials)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow(astuple(row))
-    _emit(buffer.getvalue(), args.out)
+    _emit_csv(SWEEP_COLUMNS, map(astuple, rows), args.out)
     return 0
 
 
@@ -173,8 +176,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
     if not 3 <= args.grid <= MAX_STEPS:
         raise UsageError(f"--grid must be between 3 and {MAX_STEPS}")
     if args.two_level:
-        points = np.linspace(0.0, 1.0, args.grid)
-        table = [(float(s), gap(TwoLevelBlock(0), float(s))) for s in points]
+        table = [(s, gap(TwoLevelBlock(0), s)) for s in np.linspace(0.0, 1.0, args.grid).tolist()]
     else:
         if args.n is None:
             raise UsageError("--n is required unless --two-level is given")
@@ -184,12 +186,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
         else:
             h = simon_interpolated(simon_build(args.n, a))
         table = gap_table(h, args.grid)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["s", "gap"])
-    for s, value in table:
-        writer.writerow([f"{s:.10g}", f"{value:.15g}"])
-    _emit(buffer.getvalue(), args.out)
+    _emit_csv(["s", "gap"], ([f"{s:.10g}", f"{value:.15g}"] for s, value in table), args.out)
     s_min, gap_min = min(table, key=lambda pair: pair[1])
     print(f"min gap {gap_min:.6g} at s = {s_min:.6g}", file=sys.stderr)
     return 0
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument("--a", type=_mask, default=None)
     p_gap.add_argument("--grid", type=int, default=201)
     p_gap.add_argument("--two-level", action="store_true",
-                       help="scan one decoupled branch instead of a dense system")
+                       help="scan one decoupled branch instead of the register pair")
     p_gap.add_argument("--seed", type=int, default=None)
     p_gap.add_argument("--out", default=None)
     p_gap.set_defaults(func=cmd_gap)

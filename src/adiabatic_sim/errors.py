@@ -14,7 +14,7 @@ class DomainError(SimulatorError):
 
 
 class CapacityError(DomainError):
-    """A 2^n array or dense operator above its qubit cap, refused before allocation."""
+    """A 2^n array above the qubit cap, refused before allocation."""
 
 
 class PromiseError(SimulatorError):

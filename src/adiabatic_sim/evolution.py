@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IntegrationError, ShapeError
-from .hamiltonians import InterpolatedHamiltonian, TwoLevelBlock
+from .hamiltonians import InterpolatedHamiltonian, TwoLevelBlock, _apply_h
 from .oracles import BvMask, SimonOracle, bv_eval_all, simon_eval_all
 from .qstate import StateVector, check_capacity, fidelity
 
@@ -93,21 +93,6 @@ class EvolutionResult:
     final_state: StateVector
     norm_drift: float
     fidelity_to_target: Optional[float] = None
-
-
-def _apply_h(
-    diag_s: np.ndarray, half_drive: float, n_b: int, psi: np.ndarray, out: np.ndarray
-) -> None:
-    """out = H(s) psi = diag_s psi - half_drive * sum_k X_k psi, matrix-free.
-
-    diag_s folds s*H_p and the driver's constant part into one diagonal; X_k
-    flips output qubit k by reversing one axis of a reshaped view.
-    """
-    np.multiply(diag_s, psi, out=out)
-    scaled = half_drive * psi
-    for k in range(n_b):
-        view = out.reshape(-1, 2, 1 << k)
-        view -= scaled.reshape(-1, 2, 1 << k)[:, ::-1]
 
 
 def _lanczos_expm(apply_h, psi: np.ndarray, tau: float, basis: np.ndarray):

@@ -11,10 +11,12 @@ register pair where A holds the oracle input w and B the output register.
          H_d = 1/2 sum_k (1 - sigma_x^k) over the n-1 B qubits.
 
 ``InterpolatedHamiltonian`` keeps only the problem diagonal and the register
-sizes; ``evolution.evolve_full`` applies H(s) to a state without a matrix.
-Building one is refused above ``qstate.DENSE_QUBIT_CAP`` total qubits, the
-package's one memory rule.  ``interpolate`` builds the dense H(s) for the
-gap scan and the tests, refused above DENSE_OPERATOR_CAP, a run-time bound.
+sizes; ``_apply_h`` applies H(s) without a matrix.  Building one, or scanning
+its gap, is refused above ``qstate.DENSE_QUBIT_CAP`` total qubits.  The gap
+scan reads H(s) on K, the smallest subspace holding |+>|+> that H_p and H_d
+map into itself, which the anneal never leaves.  A Krylov closure finds K
+without the factorization below, so the scan is a witness of it: K is the
+symmetric subspace of the n_b output qubits (2 dimensions for BV, n for Simon).
 
 Because H(s) is block diagonal in w and the B qubits are uncoupled, every
 branch reduces to independent two-level systems; ``TwoLevelBlock`` names
@@ -27,16 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .oracles import BvMask, SimonOracle, bv_eval_all, simon_eval_all
 from .qstate import check_capacity
 
-# Run time: the gap scan diagonalizes one 2^k x 2^k matrix per grid point, so
-# k is capped here.  Time evolution never builds a dense operator.
-DENSE_OPERATOR_CAP = 12
+# A closure residual at most this times the operators' scale is round-off
+# (it was at most 2e-16 for Simon n = 10, where kept residuals were above 0.16).
+_CLOSURE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -89,27 +92,17 @@ def simon_interpolated(oracle: SimonOracle) -> InterpolatedHamiltonian:
     return InterpolatedHamiltonian(_hamming_diag(simon_eval_all(oracle), m), (oracle.n, m))
 
 
-def _dense_driver(dims: tuple[int, int]) -> np.ndarray:
-    """Dense H_d = 1/2 sum_k (1 - sigma_x^k) on the n_b output qubits, identity on A."""
-    n_a, n_b = dims
-    if n_a + n_b > DENSE_OPERATOR_CAP:
-        raise CapacityError(
-            f"a dense operator on {n_a + n_b} qubits exceeds the cap of {DENSE_OPERATOR_CAP}"
-        )
-    y = np.arange(1 << n_b)
-    b_part = np.zeros((1 << n_b, 1 << n_b))
-    b_part[y, y] = 0.5 * n_b
+def _apply_h(diag_s, half_drive: float, n_b: int, psi: np.ndarray, out: np.ndarray) -> None:
+    """out = H(s) psi = diag_s psi - half_drive * sum_k X_k psi, matrix-free.
+
+    diag_s folds s*H_p and the driver's constant part into one diagonal (or a
+    scalar); X_k flips output qubit k by reversing one axis of a reshaped view.
+    """
+    np.multiply(diag_s, psi, out=out)
+    scaled = half_drive * psi
     for k in range(n_b):
-        b_part[y, y ^ (1 << k)] = -0.5
-    return np.kron(np.eye(1 << n_a), b_part)
-
-
-def interpolate(h: InterpolatedHamiltonian, s: float) -> np.ndarray:
-    """Dense convex combination s*H_p + (1-s)*H_d."""
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"annealing parameter s={s} outside [0, 1]")
-    driver = _dense_driver(h.dims)  # checks the cap before anything dense is built
-    return s * np.diag(h.problem_diag) + (1.0 - s) * driver
+        view = out.reshape(-1, 2, 1 << k)
+        view -= scaled.reshape(-1, 2, 1 << k)[:, ::-1]
 
 
 def gap(block: TwoLevelBlock, s: float) -> float:
@@ -117,25 +110,53 @@ def gap(block: TwoLevelBlock, s: float) -> float:
     return math.hypot(1.0 - s, s)
 
 
-# Eigenvalues closer than this are treated as one degenerate level.
-_DEGENERACY_TOL = 1e-8
+def _closure(h: InterpolatedHamiltonian) -> np.ndarray:
+    """H_p and H_d projected onto K, shape (2, d, d).
 
-
-def _level_gap(dense_h: np.ndarray) -> float:
-    """Gap between the (possibly degenerate) ground level and the next level."""
-    evals = np.linalg.eigvalsh(dense_h)
-    above = evals[evals > evals[0] + _DEGENERACY_TOL]
-    if above.size == 0:
-        return 0.0
-    return float(above[0] - evals[0])
+    K is spanned from |+>|+> by applying both operators to each basis vector j
+    in turn and keeping what two Gram-Schmidt passes leave above _CLOSURE_TOL;
+    their overlaps and the kept norm fill column j.  More than n_b + 1 vectors
+    (H_p is no Hamming encoding), or one alone, are refused.
+    """
+    n_a, n_b = h.dims
+    check_capacity(n_a + n_b, "the gap scan's subspace")
+    # H_p, and H_d = n_b/2 - 1/2 sum_k X_k, through the one matrix-free product
+    ops = (partial(_apply_h, h.problem_diag, 0.0, 0), partial(_apply_h, 0.5 * n_b, 0.5, n_b))
+    tol = _CLOSURE_TOL * max(float(np.abs(h.problem_diag).max()), n_b)
+    basis = np.empty((n_b + 2, 1 << (n_a + n_b)))  # row d holds the next candidate
+    basis[0] = 1.0 / math.sqrt(basis.shape[1])
+    projected = np.zeros((2, n_b + 1, n_b + 1))
+    d, j = 1, 0
+    while j < d:
+        for x, op in enumerate(ops):
+            op(basis[j], basis[d])
+            for _ in range(2):
+                overlaps = basis[:d] @ basis[d]
+                projected[x, :d, j] += overlaps
+                basis[d] -= overlaps @ basis[:d]
+            norm = math.sqrt(float(basis[d] @ basis[d]))
+            if norm > tol:
+                if d == n_b + 1:
+                    raise DomainError(f"the gap scan's subspace outgrew {d} vectors: "
+                                      "the problem diagonal is no Hamming encoding")
+                basis[d] *= 1.0 / norm
+                projected[x, d, j] = norm
+                d += 1
+        j += 1
+    if d == 1:
+        raise DomainError("the gap scan's subspace holds one level: H(s) has no gap on it")
+    return projected[:, :d, :d]
 
 
 def gap_table(h: InterpolatedHamiltonian, grid: int) -> list[tuple[float, float]]:
-    """(s, gap) pairs on a uniform grid over [0, 1]."""
+    """(s, gap) pairs on a uniform grid over [0, 1]: the spacing of the two lowest
+    eigenvalues of H(s) on K, where no level is degenerate."""
     if grid < 3:
         raise DomainError("gap scan needs a grid of at least 3 points")
+    hp, hd = _closure(h)
     points = np.linspace(0.0, 1.0, grid)
-    return [(float(s), _level_gap(interpolate(h, float(s)))) for s in points]
+    evals = (np.linalg.eigvalsh(s * hp + (1.0 - s) * hd) for s in points)
+    return [(float(s), float(e[1] - e[0])) for s, e in zip(points, evals)]
 
 
 @dataclass(frozen=True)
@@ -146,6 +167,4 @@ class GapScan:
 
 def min_gap_scan(h: InterpolatedHamiltonian, grid: int) -> GapScan:
     """Minimum ground-to-first-excited gap over a uniform s grid."""
-    table = gap_table(h, grid)
-    s_min, gap_min = min(table, key=lambda pair: pair[1])
-    return GapScan(s_min=s_min, gap_min=gap_min)
+    return GapScan(*min(gap_table(h, grid), key=lambda pair: pair[1]))

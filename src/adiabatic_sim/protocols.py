@@ -73,7 +73,7 @@ DEFAULT_TIME = 50.0
 STEPS_PER_UNIT_TIME = 100
 BUDGET_FAILURE_PROB = 1e-9  # at most this share of working runs exhausts a default budget
 # Run time: the full path runs one Python-level Lanczos step per schedule step,
-# the gap scan one diagonalization per grid point; it caps default budgets too.
+# the gap scan one d x d eigvalsh per grid point; it caps default budgets too.
 MAX_STEPS = 1 << 20
 
 

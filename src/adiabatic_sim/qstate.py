@@ -13,14 +13,13 @@ spin-up (+z) state, so sigma_z |0> = +|0>.
 Everything here is a pure function on immutable inputs; no operation writes
 to its arguments.
 
-``check_capacity`` is the one memory rule of the package.  The factored path
-holds no 2^n array; only three objects do: the full path's state (and its
-Krylov vectors), the gap scan's Hamiltonian and a scrambled Simon oracle's
-label table.  Each is refused above DENSE_QUBIT_CAP qubits before anything
-is allocated.  Any other factored run's largest array is a Simon run's
-first block of n(n-1) uniforms, so the same rule caps n at 1024.  (The gap
-scan's dense matrices have a tighter run-time bound,
-``hamiltonians.DENSE_OPERATOR_CAP``.)
+``check_capacity`` is the one memory rule of the package, and DENSE_QUBIT_CAP
+its one cap.  The factored path holds no 2^n array; only three objects do:
+the full path's state (and its Krylov vectors), the gap scan's Hamiltonian
+(and its subspace basis) and a scrambled Simon oracle's label table.  Each is
+refused above DENSE_QUBIT_CAP qubits before anything is allocated.  Any other
+factored run's largest array is a Simon run's first block of n(n-1)
+uniforms, so the same rule caps n at 1024.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .errors import CapacityError, DomainError, ShapeError
 
 # Memory: no array of 2^n entries is built above this many qubits.  At the
 # cap the full path holds KRYLOV_MAX + 1 Krylov vectors of 2^20 amplitudes,
-# 272 MiB.
+# 272 MiB; a gap scan n_b + 2 real vectors (48 MiB traced at Simon n = 10).
 DENSE_QUBIT_CAP = 20
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)

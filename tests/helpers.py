@@ -6,7 +6,7 @@ import numpy as np
 
 from adiabatic_sim.errors import DomainError
 from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
-from adiabatic_sim.hamiltonians import TwoLevelBlock
+from adiabatic_sim.hamiltonians import InterpolatedHamiltonian, TwoLevelBlock
 from adiabatic_sim.measurement import RandomSource, simon_row_bit_prob, simon_sample_factored
 from adiabatic_sim.oracles import BvMask, simon_build
 from adiabatic_sim.protocols import branch_pair, resolve_config
@@ -22,6 +22,38 @@ def bv_eval(mask: BvMask, w: int) -> int:
     if not 0 <= w < (1 << mask.n):
         raise DomainError(f"input {w} out of range for {mask.n} bits")
     return (w & mask.a).bit_count() & 1
+
+
+def kron_chain(mats) -> np.ndarray:
+    """mats[0] (x) mats[1] (x) ...; the first factor holds the most significant bit."""
+    out = np.eye(1, dtype=complex)
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
+def dense_driver(dims: tuple) -> np.ndarray:
+    """H_d = 1/2 sum_k (1 - sigma_x^k) on the n_b output qubits, identity on A, from kron_chain."""
+    n_a, n_b = dims
+    flips = [
+        kron_chain([IDENTITY_2 - SIGMA_X if q == k else IDENTITY_2 for q in reversed(range(n_b))])
+        for k in range(n_b)
+    ]
+    b_part = 0.5 * sum(flips, np.zeros((1 << n_b, 1 << n_b)))
+    return np.kron(np.eye(1 << n_a), b_part.real)
+
+
+def interpolate(h: InterpolatedHamiltonian, s: float) -> np.ndarray:
+    """Dense H(s) = s*H_p + (1-s)*H_d."""
+    return s * np.diag(h.problem_diag) + (1.0 - s) * dense_driver(h.dims)
+
+
+def level_gap(dense_h: np.ndarray, tol: float = 1e-8) -> float:
+    """Gap between the (possibly degenerate) ground level and the next level;
+    eigenvalues closer than ``tol`` are one level."""
+    evals = np.linalg.eigvalsh(dense_h)
+    above = evals[evals > evals[0] + tol]
+    return float(above[0] - evals[0]) if above.size else 0.0
 
 
 def two_level(block: TwoLevelBlock, s: float) -> np.ndarray:

@@ -1,7 +1,7 @@
-"""The capacity rule: every dense builder refuses above its qubit cap before allocating.
+"""The capacity rule: every dense builder refuses above the qubit cap before allocating.
 
-2^n arrays (states, problem diagonals, oracle label tables) are capped at
-DENSE_QUBIT_CAP qubits; the gap scan's dense operators at DENSE_OPERATOR_CAP.
+2^n arrays (states, problem diagonals, oracle label tables, the gap scan's
+subspace basis) are capped at DENSE_QUBIT_CAP qubits, the one cap constant.
 """
 
 import ast
@@ -14,9 +14,8 @@ import pytest
 from adiabatic_sim.errors import CapacityError, DomainError
 from adiabatic_sim.evolution import assemble_bv, assemble_simon
 from adiabatic_sim.hamiltonians import (
-    DENSE_OPERATOR_CAP,
+    InterpolatedHamiltonian,
     bv_interpolated,
-    interpolate,
     min_gap_scan,
     simon_interpolated,
 )
@@ -25,9 +24,8 @@ from adiabatic_sim.qstate import DENSE_QUBIT_CAP, check_capacity, plus_state
 
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
-# one qubit over each cap: n + 1 qubits for BV, n + (n - 1) for Simon
+# one qubit over the cap: n + 1 qubits for BV, n + (n - 1) for Simon
 OVER = DENSE_QUBIT_CAP + 1
-OVER_OP = DENSE_OPERATOR_CAP + 1
 
 BUILDERS = {
     "check_capacity": lambda: check_capacity(OVER),
@@ -39,9 +37,8 @@ BUILDERS = {
     "simon_eval_all": lambda: simon_eval_all(simon_build(OVER, 1)),
     "bv_eval_all": lambda: bv_eval_all(BvMask(OVER, 1)),
     "scramble": lambda: simon_build(OVER, 1, scramble_seed=0),
-    # the matrix-free Hamiltonian exists above DENSE_OPERATOR_CAP; its dense form does not
-    "interpolate": lambda: interpolate(bv_interpolated(BvMask(OVER_OP - 1, 3)), 0.5),
-    "min_gap_scan": lambda: min_gap_scan(bv_interpolated(BvMask(OVER_OP - 1, 3)), grid=5),
+    # a hand-built Hamiltonian on OVER qubits reaches the scan's own refusal
+    "min_gap_scan": lambda: min_gap_scan(InterpolatedHamiltonian(np.zeros(1), (OVER - 1, 1)), 5),
 }
 
 
@@ -58,7 +55,7 @@ def test_dense_builders_refuse_above_cap_before_allocation(build):
     assert peak < 1 << 20
 
 
-def test_the_only_cap_constants_are_the_two_dense_caps():
+def test_the_only_cap_constant_is_the_dense_qubit_cap():
     # one capacity rule: a new module-level *_CAP constant in src/ fails here
     package = Path(__file__).resolve().parent.parent / "src" / "adiabatic_sim"
     caps = {
@@ -69,4 +66,4 @@ def test_the_only_cap_constants_are_the_two_dense_caps():
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         if isinstance(target, ast.Name) and target.id.endswith("_CAP")
     }
-    assert caps == {"DENSE_QUBIT_CAP", "DENSE_OPERATOR_CAP"}
+    assert caps == {"DENSE_QUBIT_CAP"}

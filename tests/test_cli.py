@@ -314,6 +314,18 @@ def test_gap_draws_its_mask_without_an_anneal(capsys, monkeypatch):
     assert out.splitlines() == ["s,gap"] + [f"{s:.10g},{value:.15g}" for s, value in table]
 
 
+@pytest.mark.parametrize("problem,n", [("simon", 7), ("bv", 12)])
+def test_gap_scans_thirteen_qubits(capsys, problem, n):
+    # 13 total qubits each: only the memory cap bounds the scan
+    code, out, err = run_cli(capsys, "gap", "--problem", problem, "--n", str(n), "--grid", "21")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    s_min, gap_min = min(((float(r["s"]), float(r["gap"])) for r in rows), key=lambda p: p[1])
+    assert s_min == 0.5
+    assert abs(gap_min - 1 / math.sqrt(2)) <= 1e-12
+    assert err.startswith("min gap 0.707107 at s = 0.5")
+
+
 def test_gap_two_level_closed_form(capsys):
     code, out, _ = run_cli(capsys, "gap", "--two-level", "--grid", "1001")
     assert code == 0
@@ -392,7 +404,7 @@ def test_missing_subcommand_is_usage_error(capsys):
     ("bv", "--n", "4", "--time", "1e6"),
     ("sweep", "--axis", "steps", "--values", "2000000", "--problem", "bv", "--trials", "1"),
     ("gap", "--problem", "bv", "--n", "25"),
-    ("gap", "--problem", "simon", "--n", "7"),
+    ("gap", "--problem", "simon", "--n", "11"),
     ("gap", "--two-level", "--grid", "1048577"),
     ("gap", "--n", "61"),
     ("bv", "--n", "1025"),
@@ -406,7 +418,7 @@ def test_bad_inputs_are_one_line_usage_errors(capsys, argv):
     assert out == ""
     assert err.startswith("usage error") and err.count("\n") == 1
     if argv[0] == "gap" and "--n" in argv:
-        assert "dense" in err  # the gap scan is refused by a dense cap, not the factored one
+        assert "dense" in err  # the gap scan is refused by the dense cap, not the factored one
 
 
 def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):

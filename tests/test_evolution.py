@@ -21,14 +21,13 @@ from adiabatic_sim.hamiltonians import (
     InterpolatedHamiltonian,
     TwoLevelBlock,
     bv_interpolated,
-    interpolate,
     simon_interpolated,
 )
 from adiabatic_sim.measurement import simon_row_bit_prob
 from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
 from adiabatic_sim.protocols import branch_pair
 from adiabatic_sim.qstate import SIGMA_X, StateVector, inner, plus_state
-from helpers import bv_eval, exact_branch, random_state
+from helpers import bv_eval, exact_branch, interpolate, random_state
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)

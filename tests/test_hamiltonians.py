@@ -1,43 +1,60 @@
-"""Hamiltonian builders, the two-level reduction, and gap scans."""
+"""Hamiltonian builders, the matrix-free product, the two-level reduction, and gap scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from adiabatic_sim.errors import DomainError
 from adiabatic_sim.hamiltonians import (
+    InterpolatedHamiltonian,
     TwoLevelBlock,
+    _apply_h,
+    _closure,
     bv_interpolated,
     gap,
-    interpolate,
+    gap_table,
     min_gap_scan,
     simon_interpolated,
 )
 from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
 from adiabatic_sim.qstate import SIGMA_X, plus_state
-from helpers import IDENTITY_2, SIGMA_Z, bv_eval, random_state, two_level
+from helpers import (
+    IDENTITY_2,
+    SIGMA_Z,
+    bv_eval,
+    dense_driver,
+    interpolate,
+    kron_chain,
+    level_gap,
+    random_state,
+    two_level,
+)
 
 S2 = 1.0 / math.sqrt(2.0)
 
 
-def kron_chain(mats):
-    out = np.eye(1, dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
+def applied(h, s):
+    """H(s) as a matrix: column i is the library's matrix-free product applied to |i>."""
+    n_b = h.dims[1]
+    diag_s = s * h.problem_diag + 0.5 * n_b * (1.0 - s)
+    columns = np.empty((h.problem_diag.size,) * 2)
+    for i, basis_vector in enumerate(np.eye(h.problem_diag.size)):
+        _apply_h(diag_s, 0.5 * (1.0 - s), n_b, basis_vector, columns[i])
+    return columns.T
 
 
 def test_bv_problem_n1_by_hand():
     # f(0)=0, f(1)=1 for a=1: ground entries sit at |0,0> and |1,1>
-    h = interpolate(bv_interpolated(BvMask(1, 1)), 1.0)
+    h = applied(bv_interpolated(BvMask(1, 1)), 1.0)
     np.testing.assert_allclose(np.diag(h), [-1, 0, 0, -1], atol=1e-15)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
 
 @pytest.mark.parametrize("n,a", [(1, 1), (2, 2), (3, 5), (4, 11)])
 def test_bv_problem_trace_and_spectrum(n, a):
-    h = interpolate(bv_interpolated(BvMask(n, a)), 1.0)
+    h = applied(bv_interpolated(BvMask(n, a)), 1.0)
     assert np.trace(h).real == pytest.approx(-(1 << n))
     evals = np.linalg.eigvalsh(h)
     assert set(np.round(evals, 12)) == {-1.0, 0.0}
@@ -47,21 +64,21 @@ def test_bv_problem_trace_and_spectrum(n, a):
 
 def test_bv_driver_annihilates_plus():
     n = 3
-    h = interpolate(bv_interpolated(BvMask(n, 0)), 0.0)
+    h = applied(bv_interpolated(BvMask(n, 0)), 0.0)
     psi = np.kron(random_state(n, 0, 1).amps, plus_state(1, 0).amps)
     assert np.max(np.abs(h @ psi)) <= 1e-12
 
 
 def test_bv_driver_minus_eigenstate():
     n = 2
-    h = interpolate(bv_interpolated(BvMask(n, 0)), 0.0)
+    h = applied(bv_interpolated(BvMask(n, 0)), 0.0)
     psi = np.kron(random_state(n, 0, 2).amps, [S2, -S2])
     np.testing.assert_allclose(h @ psi, psi, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bv_driver_spectrum(n):
-    h = interpolate(bv_interpolated(BvMask(n, 0)), 0.0)
+    h = applied(bv_interpolated(BvMask(n, 0)), 0.0)
     np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
     evals = np.linalg.eigvalsh(h)
     assert int(np.sum(np.isclose(evals, 0.0))) == 1 << n
@@ -70,7 +87,7 @@ def test_bv_driver_spectrum(n):
 
 def test_simon_problem_entry_from_oracle_table():
     oracle = simon_build(2, 3)
-    h = interpolate(simon_interpolated(oracle), 1.0)
+    h = applied(simon_interpolated(oracle), 1.0)
     # |w=01> (x) |y=0> sits at index 1*2 + 0 = 2 with value h(0, g(01)) = 1
     assert h[2, 2].real == pytest.approx(1.0)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
@@ -78,7 +95,7 @@ def test_simon_problem_entry_from_oracle_table():
 
 @pytest.mark.parametrize("n,a,seed", [(2, 3, None), (3, 5, 2), (3, 1, None), (4, 6, 7)])
 def test_simon_problem_ground_degeneracy(n, a, seed):
-    h = interpolate(simon_interpolated(simon_build(n, a, scramble_seed=seed)), 1.0)
+    h = applied(simon_interpolated(simon_build(n, a, scramble_seed=seed)), 1.0)
     diag = np.diag(h).real
     assert diag.min() == pytest.approx(0.0)
     assert int(np.sum(np.isclose(diag, 0.0))) == 1 << n
@@ -106,19 +123,19 @@ def test_simon_problem_hamming_equals_pauli_form(a, seed):
         proj = np.zeros((1 << n, 1 << n))
         proj[w, w] = 1.0
         expected += np.kron(proj, h_w)
-    np.testing.assert_allclose(interpolate(simon_interpolated(oracle), 1.0), expected, atol=1e-12)
+    np.testing.assert_allclose(applied(simon_interpolated(oracle), 1.0), expected, atol=1e-12)
 
 
 def test_simon_driver_annihilates_all_plus():
     n = 3
-    h = interpolate(simon_interpolated(simon_build(n, 1)), 0.0)
+    h = applied(simon_interpolated(simon_build(n, 1)), 0.0)
     assert np.max(np.abs(h @ plus_state(n, n - 1).amps)) <= 1e-12
 
 
 def test_simon_driver_b_factor_spectrum():
     # two-qubit transverse field: per-branch eigenvalues {0, 1, 1, 2}
     n = 3
-    h = interpolate(simon_interpolated(simon_build(n, 1)), 0.0)
+    h = applied(simon_interpolated(simon_build(n, 1)), 0.0)
     evals = np.round(np.linalg.eigvalsh(h), 10)
     values, counts = np.unique(evals, return_counts=True)
     np.testing.assert_allclose(values, [0.0, 1.0, 2.0], atol=1e-12)
@@ -126,7 +143,7 @@ def test_simon_driver_b_factor_spectrum():
 
 
 def test_simon_driver_hermitian():
-    h = interpolate(simon_interpolated(simon_build(3, 1)), 0.0)
+    h = applied(simon_interpolated(simon_build(3, 1)), 0.0)
     np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
 
 
@@ -136,13 +153,23 @@ def test_interpolate_endpoints_and_midpoint():
     # independent constructions of H_p and H_d = 1/2 (1 - sigma_x) on the B qubit
     problem = -np.diag([float(y == bv_eval(mask, w)) for w in range(4) for y in (0, 1)])
     driver = np.kron(np.eye(4), 0.5 * (IDENTITY_2 - SIGMA_X))
-    np.testing.assert_allclose(interpolate(h, 0.0), driver, atol=1e-15)
-    np.testing.assert_allclose(interpolate(h, 1.0), problem, atol=1e-15)
+    np.testing.assert_allclose(applied(h, 0.0), driver, atol=1e-15)
+    np.testing.assert_allclose(applied(h, 1.0), problem, atol=1e-15)
     np.testing.assert_allclose(
-        interpolate(h, 0.5), 0.5 * (problem + driver), atol=1e-15
+        applied(h, 0.5), 0.5 * (problem + driver), atol=1e-15
     )
-    with pytest.raises(DomainError):
-        interpolate(h, 1.5)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [bv_interpolated(BvMask(3, 5)), simon_interpolated(simon_build(3, 5, scramble_seed=2))],
+    ids=["bv", "simon"],
+)
+def test_matrix_free_product_matches_dense_kron_driver(h):
+    # each basis vector through _apply_h at the endpoints: the Kronecker-product
+    # driver at s = 0, the problem diagonal at s = 1
+    np.testing.assert_allclose(applied(h, 0.0), dense_driver(h.dims), atol=1e-15)
+    np.testing.assert_allclose(applied(h, 1.0), np.diag(h.problem_diag), atol=1e-15)
 
 
 def test_two_level_bv_endpoints():
@@ -197,7 +224,7 @@ def test_bv_block_diagonal_identity(n, a):
             proj = np.zeros((1 << n, 1 << n))
             proj[w, w] = 1.0
             expected += np.kron(proj, two_level(TwoLevelBlock(bv_eval(mask, w), "bv"), s))
-        np.testing.assert_allclose(interpolate(h, s), expected, atol=1e-12)
+        np.testing.assert_allclose(applied(h, s), expected, atol=1e-12)
 
 
 def test_simon_block_diagonal_identity():
@@ -218,7 +245,7 @@ def test_simon_block_diagonal_identity():
                     [block if q == k else IDENTITY_2 for q in reversed(range(m))]
                 )
             expected += np.kron(_projector(w, n), h_w)
-        np.testing.assert_allclose(interpolate(h, s), expected, atol=1e-12)
+        np.testing.assert_allclose(applied(h, s), expected, atol=1e-12)
 
 
 def _projector(w, n):
@@ -237,6 +264,50 @@ def test_min_gap_scan_simon():
     scan = min_gap_scan(simon_interpolated(simon_build(2, 3)), grid=201)
     assert scan.gap_min == pytest.approx(S2, abs=1e-3)
     assert scan.s_min == pytest.approx(0.5, abs=5e-3)
+
+
+WITNESS_CASES = {
+    **{
+        f"bv-{n}": (bv_interpolated(BvMask(n, a)), 2)
+        for n, a in [(1, 1), (2, 2), (3, 5), (4, 11), (5, 22)]
+    },
+    **{
+        f"simon-{n}-{seed}": (simon_interpolated(simon_build(n, a, scramble_seed=seed)), n)
+        for n, a in [(2, 3), (3, 5), (4, 6)]
+        for seed in (None, 7)
+    },
+}
+
+
+@pytest.mark.parametrize("h,d", WITNESS_CASES.values(), ids=WITNESS_CASES.keys())
+def test_gap_table_on_k_matches_dense_full_spectrum(h, d):
+    # K is the symmetric subspace of the n_b output qubits: 2 for BV, n for Simon
+    hp, hd = _closure(h)
+    assert hp.shape == hd.shape == (d, d)
+    table = gap_table(h, 25)
+    assert table[0][0] == 0.0 and table[-1][0] == 1.0
+    for s, value in table:
+        assert abs(value - level_gap(interpolate(h, s))) <= 1e-12, (s, value)
+
+
+def test_gap_scan_refuses_a_closure_past_n_b_plus_1_vectors():
+    # a random problem diagonal is no Hamming encoding: K would grow toward 2^12 vectors
+    h = InterpolatedHamiltonian(np.random.default_rng(5).uniform(-2.0, 2.0, 1 << 12), (8, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as refused:
+            min_gap_scan(h, grid=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "\n" not in str(refused.value)
+    assert peak < 10 * h.problem_diag.nbytes  # n_b + 1 = 5 basis vectors and scratch, not 2^12
+
+
+def test_gap_scan_refuses_a_one_level_subspace():
+    # a constant problem diagonal leaves |+>|+> an eigenvector of both operators
+    with pytest.raises(DomainError, match="one level"):
+        min_gap_scan(InterpolatedHamiltonian(np.zeros(4), (1, 1)), grid=5)
 
 
 def test_min_gap_scan_grid_too_small():
