@@ -41,7 +41,7 @@ from .protocols import (
     sweep,
 )
 
-SCHEMA_VERSION = "11"
+SCHEMA_VERSION = "12"
 
 SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
 

@@ -10,21 +10,24 @@ Two integration paths solve i d|psi>/dt = H(t/T) |psi>:
 
 * ``evolve_two_level`` integrates one decoupled branch qubit with the same
   midpoint rule but a closed-form 2x2 exponential.  Each step is a scalar
-  phase times an SU(2) matrix, stored as the pair (a, b) of its first row;
-  the pairs of all steps are computed as arrays and multiplied by a
-  pairwise product tree, whose last at most SCAN_TAIL factors are taken in a
-  scalar loop, and the phases, whose product has a closed form, are applied
-  once at the end.  Because the full Hamiltonian is block diagonal in the
-  input register and the output qubits are uncoupled, a full run is exactly
-  the assembly of these branch evolutions; ``assemble_bv``/``assemble_simon``
-  build that product state.
+  phase times an SU(2) matrix, stored as the pair (a, b) of its first row.
+  The ramp is symmetric under s -> 1 - s, so the last N // 2 steps multiply
+  to a reflection of the first N // 2 steps' product (``_mirror``; Hairer,
+  Lubich & Wanner, Geometric Numerical Integration (2006), ch. V).  Only
+  those, and the s = 1/2 step of an odd N, are computed, as arrays, and
+  multiplied by a pairwise product tree, whose last at most SCAN_TAIL
+  factors are taken in a scalar loop; the phases, whose product has a closed
+  form, are applied once at the end.  Because the full Hamiltonian is block
+  diagonal in the input register and the output qubits are uncoupled, a full
+  run is exactly the assembly of these branch evolutions;
+  ``assemble_bv``/``assemble_simon`` build that product state.
 
 Phases are propagated exactly and never gauged away.  The two branch
 evolutions are related by phi_1 = sigma_x phi_0 at every time (conjugating
 the branch Hamiltonian by sigma_x flips its f_bit while fixing the |+>
 initial state), which is what makes the assembled superposition carry no
 spurious relative phases.  ``evolve_two_level`` keeps the identity to the
-bit (see ``_su2_product``: its array levels and its scalar tail alike are
+bit (``_su2_product``'s array levels and scalar tail, and ``_mirror``, are
 exact under sigma_x conjugation), so one evolution serves both branches.
 """
 
@@ -53,13 +56,13 @@ KRYLOV_TOL = 1e-13
 KRYLOV_MAX = 16
 MAX_STEP_SPLITS = 30
 # evolve_two_level builds and multiplies the SU(2) steps of this many steps at
-# a time, so its traced peak stays near 1 MiB at any step count (1,026 KiB).
-# The default 5000 steps fit one chunk (48 ns a step; 67 ns in chunks of 2^12).
+# a time, so its traced peak stays near 1 MiB at any step count (1,033 KiB).
+# A built step takes 48 ns at 2^20 steps (58 ns in chunks of 2^12).
 TWO_LEVEL_CHUNK = 1 << 13
 # _su2_product multiplies its last at most this many factors one by one in
 # Python complex arithmetic, about 0.3 us each, where a further array level
-# costs 3 to 6 us, mostly call overhead: 5000 steps take 7 array levels and a
-# 40-step tail (88 us in all).  16, 32, 48, 96 and 128 were no faster.
+# costs 3 to 6 us, mostly call overhead: the 2500 steps built for 5000 take 6
+# array levels and a 40-step tail (72 us).  16, 32, 48, 96 and 128 were no faster.
 SCAN_TAIL = 64
 
 
@@ -238,6 +241,18 @@ def _su2_steps(block: TwoLevelBlock, sched: Schedule, start: int, stop: int) -> 
     return m
 
 
+def _mirror(q: tuple[complex, complex], f_bit: int) -> tuple[complex, complex]:
+    """(a, b) of R Q^T R, the last h of N steps' product, from Q = (a, b) of the first h.
+
+    Step N-1-j, at s = 1 - s_j, is R V_j R with R = (sigma_x + sigma_z)/sqrt(2)
+    for f_bit 0 and (sigma_z - sigma_x)/sqrt(2) for f_bit 1; every V_j is
+    symmetric (its axis lies in the x-z plane), so V_(N-1) ... V_(N-h) = R Q^T R.
+    """
+    a, b = q
+    sign = -1.0 if f_bit else 1.0
+    return complex(a.real, sign * b.imag), complex(b.real, sign * a.imag)
+
+
 def evolve_two_level(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
     """Evolve one branch qubit from |+> and return its final 2-vector.
 
@@ -246,33 +261,42 @@ def evolve_two_level(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
     r = |v|.  The scalar c(s)*1 commutes with every step, so the phases
     multiply to exp(-i dt sum_j c(s_j)), which over the symmetric midpoints
     is exact in closed form: 1 for "bv" (c = (1 - 2s)/2 sums to 0) and
-    exp(-i T/2) for "simon" (c = 1/2); it is applied once at the end.  The
-    SU(2) parts of TWO_LEVEL_CHUNK steps at a time are built as arrays and
-    multiplied by a product tree (``_su2_product``), which is applied once to
-    the state carried between chunks, so memory stays bounded at any step
-    count.  No state is built per step: each step is sqrt(|a|^2 + |b|^2)
-    times a unitary, so the norm-drift check reads the squared norm after
-    every step off the running product of those factors, and the final
-    state's norm too.
+    exp(-i T/2) for "simon" (c = 1/2); it is applied once at the end.  Only
+    the SU(2) parts of the first h = N // 2 steps are built, TWO_LEVEL_CHUNK
+    at a time as arrays, each chunk multiplied by a product tree
+    (``_su2_product``); their product Q gives the whole one as
+    _mirror(Q) V_mid Q, V_mid the s = 1/2 step of an odd N ((h + 0.5) / N is
+    exactly 0.5).  No state is built per step: each step is
+    sqrt(|a|^2 + |b|^2) times a unitary, so the norm-drift check reads the
+    squared norm after each of the first h steps off the running product C
+    of those factors.  The mirrored steps repeat them in reverse, so with E
+    the squared norm after the middle step, the state after k of them has
+    E C_(h-1) / C_(h-1-k), whose extremes follow from those of C; the final
+    state's own norm is checked too.
     """
-    x = y = math.sqrt(0.5)
-    for start in range(0, sched.steps, TWO_LEVEL_CHUNK):
-        m = _su2_steps(block, sched, start, min(start + TWO_LEVEL_CHUNK, sched.steps))
+    half = sched.steps // 2
+    lo = hi = c = 1.0
+    parts = []
+    for start in range(0, half, TWO_LEVEL_CHUNK):
+        m = _su2_steps(block, sched, start, min(start + TWO_LEVEL_CHUNK, half))
         norms = np.square(m[0].real)
         term = np.empty_like(norms)
         for part in (m[0].imag, m[1].real, m[1].imag):
             norms += np.square(part, out=term)
         np.cumprod(norms, out=norms)
-        norms *= abs(x) ** 2 + abs(y) ** 2
-        a, b = _su2_product(m)
-        x, y = a * x + b * y, a.conjugate() * y - b.conjugate() * x
-        # np.maximum keeps a NaN, where max(0.0, nan) would drop it; a NaN norm
-        # makes both extremes NaN
-        final = abs(x) ** 2 + abs(y) ** 2
-        drift = float(np.maximum(max(norms.max() - 1.0, 1.0 - norms.min()), abs(final - 1.0)))
-        if not drift <= NORM_DRIFT_LIMIT:
-            raise IntegrationError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
-    u = np.array([x, y])
+        norms *= c
+        # np.minimum and np.maximum keep a NaN, where min and max would drop it
+        c, lo, hi = norms[-1], np.minimum(lo, norms.min()), np.maximum(hi, norms.max())
+        parts.append(_su2_product(m))
+    q = [_su2_product(np.array(parts).T)] if parts else []
+    mid = list(_su2_steps(block, sched, half, half + 1).T) if sched.steps % 2 else []
+    e = c * np.prod([np.vdot(v, v).real for v in mid])
+    a, b = _su2_product(np.array(q + mid + [_mirror(p, block.f_bit) for p in q]).T)
+    u = math.sqrt(0.5) * np.array([a + b, a.conjugate() - b.conjugate()])  # the product on |+>
+    ends = np.array([lo, hi, e * c / hi, e * c / lo, np.vdot(u, u).real])  # lo <= c <= hi
+    drift = float(np.max(np.abs(ends - 1.0)))  # NaN if any norm is NaN
+    if not drift <= NORM_DRIFT_LIMIT:
+        raise IntegrationError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
     if block.kind == "bv":
         return u
     return u * cmath.exp(-0.5j * sched.total_time)

@@ -99,10 +99,11 @@ def _apply_h(diag_s, half_drive: float, n_b: int, psi: np.ndarray, out: np.ndarr
     scalar); X_k flips output qubit k by reversing one axis of a reshaped view.
     """
     np.multiply(diag_s, psi, out=out)
-    scaled = half_drive * psi
-    for k in range(n_b):
-        view = out.reshape(-1, 2, 1 << k)
-        view -= scaled.reshape(-1, 2, 1 << k)[:, ::-1]
+    if n_b:  # H_p alone (n_b = 0) reads no scaled copy of psi
+        scaled = half_drive * psi
+        for k in range(n_b):
+            view = out.reshape(-1, 2, 1 << k)
+            view -= scaled.reshape(-1, 2, 1 << k)[:, ::-1]
 
 
 def gap(block: TwoLevelBlock, s: float) -> float:

@@ -1,10 +1,12 @@
 """Builders and reference definitions shared by the tests."""
 
+import cmath
 import math
 
 import numpy as np
 
 from adiabatic_sim.errors import DomainError
+from adiabatic_sim.evolution import Schedule, _su2_steps
 from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
 from adiabatic_sim.hamiltonians import InterpolatedHamiltonian, TwoLevelBlock
 from adiabatic_sim.measurement import RandomSource, simon_row_bit_prob, simon_sample_factored
@@ -90,6 +92,17 @@ def exact_branch(kind: str, total_time: float) -> np.ndarray:
             k += 1
         c = total
     return c
+
+
+def unmirrored_branch(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
+    """``evolve_two_level`` without the mirror: all N steps built by
+    ``_su2_steps`` and multiplied one by one in Python complex arithmetic."""
+    a, b = 1 + 0j, 0j
+    for a2, b2 in zip(*_su2_steps(block, sched, 0, sched.steps).tolist()):
+        a, b = a2 * a - b2 * b.conjugate(), a2 * b + b2 * a.conjugate()
+    x = y = math.sqrt(0.5)
+    u = np.array([a * x + b * y, a.conjugate() * y - b.conjugate() * x])
+    return u if block.kind == "bv" else u * cmath.exp(-0.5j * sched.total_time)
 
 
 def random_state(num_qubits_a: int, num_qubits_b: int, seed: int) -> StateVector:

@@ -27,11 +27,12 @@ from adiabatic_sim.measurement import simon_row_bit_prob
 from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
 from adiabatic_sim.protocols import branch_pair
 from adiabatic_sim.qstate import SIGMA_X, StateVector, inner, plus_state
-from helpers import bv_eval, exact_branch, interpolate, random_state
+from helpers import bv_eval, exact_branch, interpolate, random_state, unmirrored_branch
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+CHUNK = evolution.TWO_LEVEL_CHUNK
 
 
 def bv_target(mask: BvMask) -> StateVector:
@@ -238,7 +239,7 @@ def test_prefix_integrator_matches_scalar_loop(kind, steps):
 
 
 def test_chunks_carry_the_state(monkeypatch):
-    sched = Schedule(5.0, 100)
+    sched = Schedule(5.0, 101)
     whole = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
     spans = []
     su2_steps = evolution._su2_steps
@@ -250,8 +251,46 @@ def test_chunks_carry_the_state(monkeypatch):
     monkeypatch.setattr(evolution, "TWO_LEVEL_CHUNK", 7)
     monkeypatch.setattr(evolution, "_su2_steps", spy)
     chunked = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
-    assert spans == [(start, min(start + 7, 100)) for start in range(0, 100, 7)]
+    # the first half in chunks, then the middle step of the odd step count
+    assert spans == [(start, min(start + 7, 50)) for start in range(0, 50, 7)] + [(50, 51)]
     assert np.max(np.abs(chunked - whole)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["bv", "simon"])
+@pytest.mark.parametrize("steps", [1, 2, 3, 64, 65, 129, 1001, 5000, 8193, 16387, 2 * CHUNK + 3])
+def test_mirrored_half_matches_every_step_built(kind, steps):
+    # the reference builds and multiplies all N steps; evolve_two_level builds
+    # the first half and reflects it, which rounds in another order (2.4e-14 at
+    # most over these cases)
+    for total_time in (1.0, 37.3, 1000.0):
+        sched = Schedule(total_time, steps)
+        for f_bit in (0, 1):
+            block = TwoLevelBlock(f_bit, kind)
+            phi = evolve_two_level(block, sched)
+            assert np.max(np.abs(phi - unmirrored_branch(block, sched))) <= 1e-13
+
+
+@pytest.mark.parametrize("f_bit", [0, 1])
+@pytest.mark.parametrize("steps", [2, 3, 65, 1001, 5000])
+def test_mirror_is_the_second_half_built_directly(f_bit, steps):
+    block, sched, half = TwoLevelBlock(f_bit, "bv"), Schedule(37.3, steps), steps // 2
+    first = evolution._su2_product(evolution._su2_steps(block, sched, 0, half))
+    second = evolution._su2_product(evolution._su2_steps(block, sched, steps - half, steps))
+    assert np.max(np.abs(np.subtract(evolution._mirror(first, f_bit), second))) <= 1e-14
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 1001, 5000, 2 * CHUNK + 3])
+def test_only_half_the_steps_are_built(monkeypatch, steps):
+    built = []
+    su2_steps = evolution._su2_steps
+
+    def spy(block, sched, start, stop):
+        built.append(stop - start)
+        return su2_steps(block, sched, start, stop)
+
+    monkeypatch.setattr(evolution, "_su2_steps", spy)
+    evolve_two_level(TwoLevelBlock(0, "simon"), Schedule(37.3, steps))
+    assert sum(built) == math.ceil(steps / 2)
 
 
 def test_two_level_memory_is_bounded_by_the_chunk():
@@ -285,44 +324,44 @@ def poison_step(monkeypatch, bad, value):
     monkeypatch.setattr(evolution, "_su2_steps", poisoned)
 
 
-@pytest.mark.parametrize("steps,bad", [(40, 17), (40, 39), (1001, 1000)],
-                         ids=["tail", "tail-last", "array-level-last"])
+@pytest.mark.parametrize("steps,bad", [(40, 17), (40, 19), (2003, 1000), (1001, 0), (1001, 500)],
+                         ids=["tail", "tail-last", "array-level-last", "first", "middle"])
 def test_nan_step_fails_the_drift_check_through_the_scan(monkeypatch, steps, bad):
-    # 40 steps run in the scalar tail alone; the last of 1001 steps is the
-    # unpaired one that every array level carries up unchanged, so its NaN
-    # reaches the final state alone, which the check over every state still sees
-    assert (steps <= evolution.SCAN_TAIL) == (steps == 40)
-    su2_steps = evolution._su2_steps
-
-    def poisoned(block, sched, start, stop):
-        m = su2_steps(block, sched, start, stop)
-        m[:, bad - start] = np.nan
-        return m
-
-    monkeypatch.setattr(evolution, "_su2_steps", poisoned)
+    # only steps below N // 2 and the middle step of an odd N are built; the
+    # 20 built steps of 40 run in the scalar tail alone; step 1000, the last
+    # built of 2003, is the unpaired one that every array level carries up
+    # unchanged, so its NaN reaches the product alone, which the check over
+    # every state still sees
+    assert (steps // 2 <= evolution.SCAN_TAIL) == (steps == 40)
+    poison_step(monkeypatch, bad, lambda ab: ab * np.nan)
     with pytest.raises(IntegrationError):
         evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(1.0, steps))
 
 
-CHUNK = evolution.TWO_LEVEL_CHUNK
-
-
 @pytest.mark.parametrize("steps,scales", [
     (40, {17: 1 + 1e-5}),
+    (1001, {300: 1 + 1e-5}),
+    (2003, {1000: 1 + 1e-5}),
     (1001, {500: 1 + 1e-5}),
-    (1001, {1000: 1 + 1e-5}),
-    (40, {17: 1 + 1e-5, 30: 1 / (1 + 1e-5)}),
-    (1001, {500: 1 + 1e-5, 900: 1 / (1 + 1e-5)}),
-    (CHUNK + 1808, {100: 1 + 3e-7, CHUNK + 800: 1 + 3e-7, CHUNK + 1300: (1 + 3e-7) ** -2}),
-], ids=["tail", "array-level", "array-level-last", "undone-in-tail", "undone-in-array-level",
-        "carried-into-next-chunk"])
+    (40, {5: 1 + 1e-5, 17: 1 / (1 + 1e-5)}),
+    (1001, {100: 1 + 1e-5, 400: 1 / (1 + 1e-5)}),
+    (2 * (CHUNK + 1808), {100: math.sqrt(1 + 4.5e-7), CHUNK + 800: math.sqrt(1 + 7e-7),
+                          CHUNK + 1300: 1 / math.sqrt(1 + 7e-7)}),
+    (1000, {0: math.sqrt(1 + 4e-7), 1: 1 / (1 + 4e-7)}),
+], ids=["tail", "array-level", "array-level-last", "middle", "undone-in-tail",
+        "undone-in-array-level", "carried-into-next-chunk", "seen-only-in-the-mirrored-half"])
 def test_scaled_step_fails_the_drift_check(monkeypatch, steps, scales):
     # a step that is (1 + 1e-5) times a unitary leaves every later state 2e-5
     # off in squared norm, 20 times the limit, wherever the tree multiplies it
-    # in; the "undone" cases bring the final state back to norm 1, so only the
-    # states between their steps are off; in the last case each chunk's own
-    # steps move the squared norm by at most 6e-7, and only the norm carried
-    # out of the first chunk puts the states between its last two steps 1.2e-6 off
+    # in; step 500 of 1001 is the middle one; the "undone" cases bring the
+    # norm back to 1 before the middle, so only the states between their steps
+    # and between their mirrors are off; in the carried case the first half
+    # spans two chunks, whose own steps move the squared norm by at most 7e-7,
+    # and only the norm carried out of the first puts the states between steps
+    # CHUNK + 800 and CHUNK + 1300 1.15e-6 off: the final state (9e-7 off) and
+    # the mirrored states (within 9e-7) do not show it; in the last case the
+    # first half and the final state stay within 4e-7 and 8e-7, and only the
+    # state after the mirror of step 1, (1 + 4e-7)^-3, is 1.2e-6 off
     for bad, scale in scales.items():
         poison_step(monkeypatch, bad, lambda ab, scale=scale: ab * scale)
     with pytest.raises(IntegrationError):
@@ -330,8 +369,9 @@ def test_scaled_step_fails_the_drift_check(monkeypatch, steps, scales):
 
 
 def test_two_level_peak_memory():
-    # the product tree keeps no state per step: 5000 steps peaked at 718 KiB
-    # when every intermediate state was written
+    # the product tree keeps no state per step, and only the first half of the
+    # steps is built: 5000 steps peak at 208 KiB (413 KiB with all of them
+    # built, 718 KiB when every intermediate state was written)
     evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(50.0, 5000))
     tracemalloc.start()
     try:
@@ -339,7 +379,7 @@ def test_two_level_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 450 << 10
+    assert peak <= 260 << 10
 
 
 def test_step_doubling_quarters_the_error():

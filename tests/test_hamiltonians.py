@@ -172,6 +172,22 @@ def test_matrix_free_product_matches_dense_kron_driver(h):
     np.testing.assert_allclose(applied(h, 1.0), np.diag(h.problem_diag), atol=1e-15)
 
 
+def test_problem_only_product_builds_no_scaled_copy():
+    # with no output qubits (the gap scan's H_p product) nothing reads
+    # half_drive * psi, so no copy of psi is made: the peak read 1.0 psi with
+    # one, and reads 0.13 psi (the float-to-complex cast buffer) without
+    diag, psi = np.arange(1 << 16, dtype=float), np.ones(1 << 16, dtype=complex)
+    out = np.empty_like(psi)
+    tracemalloc.start()
+    try:
+        _apply_h(diag, 0.5, 0, psi, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out, diag * psi)
+    assert peak < psi.nbytes / 2
+
+
 def test_two_level_bv_endpoints():
     np.testing.assert_allclose(
         two_level(TwoLevelBlock(0, "bv"), 1.0), np.diag([-1.0, 0.0]), atol=1e-15

@@ -782,17 +782,18 @@ def test_steps_ceiling():
 
 
 @pytest.mark.parametrize("n,scramble_seed,a,runs,fidelity", [
-    (12, None, 218, 11, 0.9957656663381109),
-    (12, 7, 218, 12, 0.9957656663381109),
-    (13, None, 1865, 14, 0.9953816171275679),
-    (13, 7, 1865, 13, 0.9953816171275679),
-    (14, None, 7783, 15, 0.9949977160380146),
-    (14, 7, 7783, 16, 0.9949977160380146),
+    (12, None, 218, 11, 0.9957656663381276),
+    (12, 7, 218, 12, 0.9957656663381276),
+    (13, None, 1865, 14, 0.9953816171275862),
+    (13, 7, 1865, 13, 0.9953816171275862),
+    (14, None, 7783, 15, 0.9949977160380344),
+    (14, 7, 7783, 16, 0.9949977160380344),
 ], ids=["n12", "n12-scrambled", "n13", "n13-scrambled", "n14", "n14-scrambled"])
 def test_seeded_simon_reports_unchanged(n, scramble_seed, a, runs, fidelity):
     # a recorded when run_simon still built the oracle's lookup table; runs
     # re-recorded under schema 11 (every shot on stream 1); fidelity under
-    # schemas 7 (the scan's scalar tail) and 10 (the product tree)
+    # schemas 7 (the scan's scalar tail), 10 (the product tree) and 12 (the
+    # mirrored half ramp)
     report = run_simon(RunConfig(problem="simon", n=n, seed=100 + n, scramble_seed=scramble_seed))
     assert report.success and report.recovered_a == a
     assert report.quantum_runs == report.rows_collected == runs
@@ -800,20 +801,20 @@ def test_seeded_simon_reports_unchanged(n, scramble_seed, a, runs, fidelity):
 
 
 @pytest.mark.parametrize("fields,a,runs,fidelity", [
-    (dict(n=24, total_time=0.5, steps=50, seed=324), 1381533, 340, 1.5116262790448898e-07),
+    (dict(n=24, total_time=0.5, steps=50, seed=324), 1381533, 340, 1.5116262790449054e-07),
     (dict(n=60, total_time=0.5, steps=50, seed=360), 178413162238573480, 212,
-     3.1900114514443284e-18),
-    (dict(n=24, total_time=1.0, steps=100, seed=324), 1381533, 50, 2.999735743613297e-07),
+     3.190011451444411e-18),
+    (dict(n=24, total_time=1.0, steps=100, seed=324), 1381533, 50, 2.99973574361328e-07),
     (dict(n=60, total_time=1.0, steps=100, seed=360), 178413162238573480, 62,
-     1.85054591219532e-17),
+     1.8505459121952957e-17),
     (dict(n=12, total_time=0.5, steps=50, seed=312, scramble_seed=3), 3238, 114,
-     0.0005470098714606626),
+     0.0005470098714606655),
 ], ids=["T0.5-n24", "T0.5-n60", "T1-n24", "T1-n60", "T0.5-n12-scrambled"])
 def test_seeded_low_q_simon_reports(fields, a, runs, fidelity):
     # recorded under schema 5 with one scalar uniform per row bit; at low q a
     # run draws hundreds of row-bit blocks, so these pin the draw order; runs
     # re-recorded under schema 11 (every shot on stream 1), the fidelities
-    # under schemas 7 and 10
+    # under schemas 7, 10 and 12
     report = run_simon(RunConfig(problem="simon", max_repeats=20 * fields["n"], **fields))
     assert report.success and report.recovered_a == a
     assert report.quantum_runs == report.rows_collected == runs
@@ -821,19 +822,19 @@ def test_seeded_low_q_simon_reports(fields, a, runs, fidelity):
 
 
 @pytest.mark.parametrize("fields,a,restarts,fidelity", [
-    (dict(n=8, seed=108), 47, 0, 0.9996143176818343),
-    (dict(n=16, seed=116), 37700, 1, 0.9996143176818343),
-    (dict(n=60, seed=160), 14234013176458300, 1, 0.9996143176818343),
-    (dict(n=4, a=0, seed=3), 0, 3, 0.9996143176818343),
-    (dict(n=12, seed=7, total_time=5.0, steps=500), 670, 1, 0.8389771197853403),
+    (dict(n=8, seed=108), 47, 0, 0.9996143176818358),
+    (dict(n=16, seed=116), 37700, 1, 0.9996143176818358),
+    (dict(n=60, seed=160), 14234013176458300, 1, 0.9996143176818358),
+    (dict(n=4, a=0, seed=3), 0, 3, 0.9996143176818358),
+    (dict(n=12, seed=7, total_time=5.0, steps=500), 670, 1, 0.8389771197853413),
     (dict(n=5, seed=105, total_time=5.0, steps=500, path="full"), 5, 0, 0.8389771197853415),
-    (dict(n=10, seed=4, total_time=0.5, steps=50), 325, 18, 0.5051892560903584),
+    (dict(n=10, seed=4, total_time=0.5, steps=50), 325, 18, 0.5051892560903587),
 ], ids=["n8", "n16", "n60", "a0", "T5", "full", "short-anneal"])
 def test_seeded_bv_reports(fields, a, restarts, fidelity):
     # fidelity recorded under schema 4 (two fidelity formulas), the factored
-    # ones re-recorded under schemas 7 and 10; restarts recorded under schema
-    # 5, where a shot is one row-bit draw, and re-recorded under schema 11,
-    # where every shot is on stream 1; short-anneal's default budget (2,801
+    # ones re-recorded under schemas 7, 10 and 12; restarts recorded under
+    # schema 5, where a shot is one row-bit draw, and re-recorded under schema
+    # 11, where every shot is on stream 1; short-anneal's default budget (2,801
     # shots) outlasts the 16 that bv-short-anneal below exhausts
     report = run_bv(RunConfig(problem="bv", **fields))
     assert report.success and report.recovered_a == a
@@ -843,19 +844,20 @@ def test_seeded_bv_reports(fields, a, restarts, fidelity):
 
 @pytest.mark.parametrize("run,fields,runs,restarts,rows,fidelity", [
     (run_bv, dict(problem="bv", n=10, total_time=0.5, steps=50, seed=4, max_repeats=16),
-     16, 16, 0, 0.5051892560903584),
+     16, 16, 0, 0.5051892560903587),
     (run_bv, dict(problem="bv", n=4, a=9, path="full", total_time=5.0, steps=200, seed=1,
                   max_repeats=1), 1, 1, 0, 0.838982211240202),
-    (run_simon, dict(problem="simon", n=8, seed=3, max_repeats=3), 3, 0, 3, 0.9973033455335059),
+    (run_simon, dict(problem="simon", n=8, seed=3, max_repeats=3), 3, 0, 3, 0.9973033455335166),
     (run_simon, dict(problem="simon", n=8, seed=3, max_repeats=3, scramble_seed=5),
-     3, 0, 3, 0.9973033455335059),
+     3, 0, 3, 0.9973033455335166),
     (run_simon, dict(problem="simon", n=4, seed=2, max_repeats=2, path="full", total_time=5.0,
                      steps=200), 2, 0, 2, 0.5905521541517191),
 ], ids=["bv-short-anneal", "bv-full-one-shot", "simon", "simon-scrambled", "simon-full"])
 def test_seeded_budget_exhausted_reports(run, fields, runs, restarts, rows, fidelity):
-    # recorded under schema 5 (factored fidelities under schemas 7 and 10; under
-    # schema 11 bv-short-anneal's seed finds the mask at shot 19, so its budget
-    # went from 64 to 16): every shot of the budget is spent and no mask is named
+    # recorded under schema 5 (factored fidelities under schemas 7, 10 and 12;
+    # under schema 11 bv-short-anneal's seed finds the mask at shot 19, so its
+    # budget went from 64 to 16): every shot of the budget is spent and no mask
+    # is named
     report = run(RunConfig(**fields))
     assert not report.success and report.recovered_a is None
     assert report.quantum_runs == runs
