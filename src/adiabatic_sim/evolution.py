@@ -241,6 +241,17 @@ def _su2_steps(block: TwoLevelBlock, sched: Schedule, start: int, stop: int) -> 
     return m
 
 
+def _su2_mid_step(block: TwoLevelBlock, sched: Schedule) -> tuple[complex, complex]:
+    """(a, b) of the s = 1/2 step of an odd step count: the operations of
+    ``_su2_steps`` at vx = -1/4, vz = -/+1/4, in scalar ``math``, so the same
+    step to the bit wherever numpy's and math's sqrt, sin and cos agree."""
+    vx, vz = -0.25, (-0.25 if block.f_bit == 0 else 0.25)
+    r = math.sqrt(vx * vx + vz * vz)
+    theta = r * sched.dt
+    minus_sn = math.sin(theta) / -r
+    return complex(math.cos(theta), minus_sn * vz), complex(0.0, minus_sn * vx)
+
+
 def _mirror(q: tuple[complex, complex], f_bit: int) -> tuple[complex, complex]:
     """(a, b) of R Q^T R, the last h of N steps' product, from Q = (a, b) of the first h.
 
@@ -265,8 +276,8 @@ def evolve_two_level(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
     the SU(2) parts of the first h = N // 2 steps are built, TWO_LEVEL_CHUNK
     at a time as arrays, each chunk multiplied by a product tree
     (``_su2_product``); their product Q gives the whole one as
-    _mirror(Q) V_mid Q, V_mid the s = 1/2 step of an odd N ((h + 0.5) / N is
-    exactly 0.5).  No state is built per step: each step is
+    _mirror(Q) V_mid Q, V_mid the s = 1/2 step of an odd N (``_su2_mid_step``).
+    No state is built per step: each step is
     sqrt(|a|^2 + |b|^2) times a unitary, so the norm-drift check reads the
     squared norm after each of the first h steps off the running product C
     of those factors.  The mirrored steps repeat them in reverse, so with E
@@ -289,8 +300,8 @@ def evolve_two_level(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
         c, lo, hi = norms[-1], np.minimum(lo, norms.min()), np.maximum(hi, norms.max())
         parts.append(_su2_product(m))
     q = [_su2_product(np.array(parts).T)] if parts else []
-    mid = list(_su2_steps(block, sched, half, half + 1).T) if sched.steps % 2 else []
-    e = c * np.prod([np.vdot(v, v).real for v in mid])
+    mid = [_su2_mid_step(block, sched)] if sched.steps % 2 else []
+    e = c * math.prod(abs(a) ** 2 + abs(b) ** 2 for a, b in mid)
     a, b = _su2_product(np.array(q + mid + [_mirror(p, block.f_bit) for p in q]).T)
     u = math.sqrt(0.5) * np.array([a + b, a.conjugate() - b.conjugate()])  # the product on |+>
     ends = np.array([lo, hi, e * c / hi, e * c / lo, np.vdot(u, u).real])  # lo <= c <= hi

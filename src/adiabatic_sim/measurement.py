@@ -11,36 +11,38 @@ state is built.  x outcomes are labeled with bit 0 <-> |+> and bit 1 <-> |->.
 Randomness flows through ``RandomSource``, a counter-based (Philox) generator:
 identical (seed, stream) plus an identical sequence of draw calls reproduces
 identical outcomes.  Samplers draw in a fixed documented order so whole runs
-replay bit-for-bit.  A run keys one source to stream 0 of its seed, which
-draws the mask, then re-keys it once with ``restart`` to stream 1, which
-serves every shot in order: Philox output is a pure function of key and
-counter, so one key with a running counter gives shots as independent as a
-key per shot.  A sweep re-keys the source to each trial's seed with
-``reseed``.  A re-key draws exactly what a new source would: it writes the
-(seed, stream) key words, held as Python ints, with a zero counter and an
-empty buffer; a new source seeds its Philox with zero words instead of a
-``SeedSequence``.
+replay bit-for-bit.  A run re-keys a source with ``reseed`` to stream 0 of
+its seed, which draws the mask, then once with ``restart`` to stream 1,
+which serves every shot in order: Philox output is a pure function of key
+and counter, so one key with a running counter gives shots as independent
+as a key per shot.  A sweep re-keys its source to each trial's seed.  A
+re-key draws exactly what a new source would: it writes the whole Philox
+state, the (seed, stream) key words, held as Python ints, a zero counter,
+an empty buffer and no cached 32-bit word; a new source seeds its Philox
+with zero words instead of a ``SeedSequence``.  So ``protocols`` keeps its
+sources on a free list and builds none per run.
 
 The factored readouts sample the exact outcome law of the assembled state
 from the two branch vectors alone.  Every output qubit ends in phi_{f_k(w)}
 with phi_1 = sigma_x phi_0, so measuring the output register in the x basis
 gives iid row bits z_k ~ Bernoulli(q), q = ||phi_0 - phi_1||^2 / 4, and
 leaves the input register proportional to sum_w (-1)^(z . f(w)) |w>.  q
-depends on the anneal alone, and ``_read_factored(oracle, q, rng, shots)``
-reads the next ``shots`` shots with one ``fill`` of a (shots, width) block.
-A shot draws z first, one uniform per output bit, ascending (z_k = 1 iff
-the uniform is below q), so the block holds the values one-shot reads in
-order would draw; its z are read off 64 bits per integer matrix product, of
-any width:
+depends on the anneal alone.  A shot draws z first, one uniform per output
+bit, ascending (z_k = 1 iff the uniform is below q):
 
-* BV, one uniform per shot.  z = 0 restarts; z = 1 leaves the input
-  register on the Walsh point a, which is returned.
-* Simon, the row x = L^T z for an unscrambled (linear) oracle, O(n) per
-  shot; for a scrambled one, one more uniform for the row and a bit-by-bit
-  descent through the Walsh spectrum of 2^(n-1) labels, O(2^(n-1)) per row,
-  skipped at z = 0, whose spectrum is the single label 0.  The descent
-  counts uint8 label parities for its top bit and then takes one dot
-  product per bit; every mass it compares is an exact integer.
+* BV, one ``uniform()`` per shot, compared with q as a float by ``_bv_shot``,
+  with no array.  z = 0 restarts; z = 1 leaves the input register on the
+  Walsh point a, which is returned.
+* Simon, ``_read_factored(oracle, q, rng, shots)`` reads the next ``shots``
+  rows with one ``fill`` of a (shots, width) block, which holds the values
+  one-shot reads in order would draw; its z are read off 64 bits per
+  integer matrix product, of any width.  The row is x = L^T z for an
+  unscrambled (linear) oracle, O(n) per shot; for a scrambled one, one more
+  uniform for the row and a bit-by-bit descent through the Walsh spectrum
+  of 2^(n-1) labels, O(2^(n-1)) per row, skipped at z = 0, whose spectrum
+  is the single label 0.  The descent counts uint8 label parities for its
+  top bit and then takes one dot product per bit; every mass it compares is
+  an exact integer.
 """
 
 from __future__ import annotations
@@ -160,9 +162,6 @@ class BvReadout:
     a_candidate: Optional[int] = None
 
 
-_RESTART = BvReadout(restart=True)
-
-
 def bv_readout(final: StateVector, rng: RandomSource) -> BvReadout:
     """BV readout: x-measure the output qubit, then the input register.
 
@@ -268,14 +267,16 @@ def simon_sample_factored(
     return _read_factored(oracle, q, rng, 1)[0]
 
 
-def _read_factored(oracle: BvMask | SimonOracle, q: float, rng: RandomSource, shots: int) -> list:
-    """The next ``shots`` shots from ``rng`` at row-bit probability q, read from one block fill."""
-    bv = isinstance(oracle, BvMask)
-    u = np.empty((shots, 1 if bv else oracle.n - (oracle.scramble is None)))
+def _bv_shot(mask: BvMask, q: float, rng: RandomSource) -> Optional[int]:
+    """The next BV shot from ``rng`` at row-bit probability q: the mask a if its
+    one uniform is below q, else None, a restart."""
+    return mask.a if rng.uniform() < q else None
+
+
+def _read_factored(oracle: SimonOracle, q: float, rng: RandomSource, shots: int) -> list:
+    """The next ``shots`` Simon rows from ``rng`` at row-bit probability q, read from one block fill."""
+    u = np.empty((shots, oracle.n - (oracle.scramble is None)))
     rng.fill(u)
-    if bv:
-        found = BvReadout(False, oracle.a)
-        return [found if x < q else _RESTART for (x,) in u.tolist()]
     m = oracle.n - 1
     zs = _row_bits(q, u[:, :m])
     if oracle.scramble is None:

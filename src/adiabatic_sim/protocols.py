@@ -6,26 +6,34 @@ H(s) without a matrix; path "factored" integrates the two branch qubits and
 samples the product state's readout from them), measure, repeat until the
 outcomes pin the mask, then solve.  Shots are read in blocks of those that
 cannot end the run: n - 1 - rank for Simon (a row raises the rank by at most
-one) and 1 for BV, which stops at its first informative shot.  A factored
-block reads its output-register x outcomes together, at the row-bit
-probability q computed once per schedule: a BV shot is one draw, a linear
-Simon row O(n), and a scrambled Simon row adds a Walsh descent, O(2^(n-1));
-see ``measurement``.  The factored fidelity is |phi_0[0]^m|^2.  Masks and
-rows are Python ints of any width; ``qstate.check_capacity`` bounds n.
+one) and 1 for BV, which stops at its first informative shot.  Factored
+shots read the row-bit probability q computed once per schedule: a BV shot
+is one ``uniform()`` compared with q, a Simon block reads its
+output-register x outcomes together, a linear Simon row costs O(n), and a
+scrambled one adds a Walsh descent, O(2^(n-1)); see ``measurement``.  The
+factored fidelity is |phi_0[0]^m|^2.  Masks and rows are Python ints of any
+width; ``qstate.check_capacity`` bounds n.
 
 A run builds no resolved RunConfig: its config fixes ``_schedule`` (steps,
 shot budget), its seed the one RandomSource that draws the mask and shots.
 
 Randomness discipline (everything derives from RunConfig.seed):
+  the run's source  comes from a free list, built only when the list is
+                    empty, and is ``reseed``-ed to stream 0 of the seed,
+                    which draws what a new source would; the run returns it
+                    to the list when it ends, by return or raise, and a run
+                    alive beside another (nested, or on another thread)
+                    takes its own,
   stream 0          draws the mask when ``a`` is None (``randrange``: one
                     integer draw up to n = 64, 64-bit words above),
   stream 1          serves every quantum shot (readout or row sample) in
-                    order; the run's source, keyed on stream 0, is re-keyed
-                    to it once, whether or not a mask was drawn, so a config
-                    with the drawn mask filled in reads the same shots,
+                    order; the run's source is re-keyed to it once, whether
+                    or not a mask was drawn, so a config with the drawn mask
+                    filled in reads the same shots,
   sweep trials      get their own seed, a bijective mix of the master seed
-                    and (value index, trial index), on one source
-                    ``reseed``-ed per trial, one schedule per value.
+                    and (value index, trial index), on one source, taken
+                    from the free list and ``reseed``-ed per trial, one
+                    schedule per value.
 Identical configs therefore reproduce identical reports, wall time aside.
 
 Branch evolutions depend only on (kind, T, steps), so they are memoized
@@ -60,6 +68,7 @@ from .gf2 import Gf2Matrix, recover_mask
 from .hamiltonians import TwoLevelBlock, bv_interpolated, simon_interpolated
 from .measurement import (
     RandomSource,
+    _bv_shot,
     _read_factored,
     bv_readout,
     simon_row_bit_prob,
@@ -178,6 +187,23 @@ def _schedule(cfg: RunConfig) -> tuple[int, int]:
     return steps, budget
 
 
+# Sources not in use.  A run pops one and appends it back when it ends, so
+# the list never holds more than the most runs alive at once; list.pop and
+# list.append are atomic, so threads never share a source.
+_FREE_SOURCES: list[RandomSource] = []
+
+
+def _take_source(seed: int) -> RandomSource:
+    """A source keyed to stream 0 of seed: a free one re-keyed, else a new one.
+    The caller appends it to ``_FREE_SOURCES`` when done with it."""
+    try:
+        rng = _FREE_SOURCES.pop()
+    except IndexError:
+        return RandomSource(seed)
+    rng.reseed(seed)
+    return rng
+
+
 def _draw_mask(cfg: RunConfig, rng: RandomSource) -> int:
     """cfg.a, or a mask drawn from rng, keyed to stream 0 of cfg.seed."""
     if cfg.a is not None:
@@ -191,7 +217,11 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
     """The config a run of cfg resolves to, for the CLI to echo: the drawn mask,
     the steps and the shot budget filled in; idempotent."""
     steps, budget = _schedule(cfg)
-    return replace(cfg, a=_draw_mask(cfg, RandomSource(cfg.seed)), steps=steps, max_repeats=budget)
+    rng = _take_source(cfg.seed)
+    try:
+        return replace(cfg, a=_draw_mask(cfg, rng), steps=steps, max_repeats=budget)
+    finally:
+        _FREE_SOURCES.append(rng)
 
 
 @dataclass(frozen=True)
@@ -236,14 +266,14 @@ def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
     bv = cfg.problem == "bv"
     if bv:
         oracle, m = BvMask(cfg.n, a), 1
-        assemble, interpolated, full_shot = assemble_bv, bv_interpolated, bv_readout
+        assemble, interpolated = assemble_bv, bv_interpolated
     else:
         oracle, m = simon_build(cfg.n, a, cfg.scramble_seed), cfg.n - 1
-        assemble, interpolated, full_shot = assemble_simon, simon_interpolated, simon_sample
+        assemble, interpolated = assemble_simon, simon_interpolated
         system = Gf2Matrix(cfg.n)
     if cfg.path == "factored":
         q, phi00 = _branch_pair_cached(cfg.problem, cfg.total_time, steps)[2:]
-        read = partial(_read_factored, oracle, q, rng)
+        read = partial(_bv_shot if bv else _read_factored, oracle, q, rng)
         # the factored fidelity |<target|psi>|^2: each output qubit overlaps its
         # ideal vector e_f(w) by phi_f(w)[f(w)], which is phi_0[0] on either
         # branch, as phi_1[1] = phi_0[0]; so the overlap is phi_0[0]^m
@@ -254,18 +284,22 @@ def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
         result = evolve_full(interpolated(oracle), plus_state(cfg.n, m), sched, target)
         if on_final_state is not None:
             on_final_state(result.final_state)
-        read = lambda shots: [full_shot(result.final_state, rng) for _ in range(shots)]  # noqa: E731
+        final = result.final_state
+        if bv:
+            read = lambda: bv_readout(final, rng).a_candidate  # noqa: E731
+        else:
+            read = lambda shots: [simon_sample(final, rng) for _ in range(shots)]  # noqa: E731
         fidelity = result.fidelity_to_target
     shots, found = 0, None
     while found is None and shots < budget:
-        block = min(1 if bv else m - system.rank, budget - shots)
-        outcomes = read(block)
-        shots += block
         if bv:
-            found = outcomes[0].a_candidate
+            found = read()
+            shots += 1
         else:
-            for row in outcomes:
+            block = min(m - system.rank, budget - shots)
+            for row in read(block):
                 system.add_row(row)
+            shots += block
             found = recover_mask(system)
     return RunReport(
         success=found == a,
@@ -278,11 +312,22 @@ def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
     )
 
 
+def _run_scheduled(cfg: RunConfig,
+                   on_final_state: Optional[Callable[[StateVector], None]] = None) -> RunReport:
+    """A run of cfg on its ``_schedule``, from a free source keyed to cfg.seed."""
+    steps, budget = _schedule(cfg)
+    rng = _take_source(cfg.seed)
+    try:
+        return _run_seeded(cfg, steps, budget, rng, on_final_state)
+    finally:
+        _FREE_SOURCES.append(rng)
+
+
 def run_bv(cfg: RunConfig) -> RunReport:
     """Repeat prepare/evolve/readout until the informative branch is seen."""
     if cfg.problem != "bv":
         raise DomainError("run_bv needs a bv config")
-    return _run_seeded(cfg, *_schedule(cfg), RandomSource(cfg.seed))
+    return _run_scheduled(cfg)
 
 
 def run_simon(
@@ -295,7 +340,7 @@ def run_simon(
     """
     if cfg.problem != "simon":
         raise DomainError("run_simon needs a simon config")
-    return _run_seeded(cfg, *_schedule(cfg), RandomSource(cfg.seed), on_final_state)
+    return _run_scheduled(cfg, on_final_state)
 
 
 def run(cfg: RunConfig) -> RunReport:
@@ -369,24 +414,26 @@ def sweep(axis: str, values: list, base: dict, trials: int) -> list[SweepRow]:
     if trials < 1:
         raise DomainError("trials must be at least 1")
     configs = [RunConfig(**{**base, field: value}) for value in values]
-    rng = RandomSource(0)  # re-keyed to each trial's seed
+    rng = _take_source(0)  # re-keyed to each trial's seed
     rows = []
-    for value_index, (value, cfg_value) in enumerate(zip(values, configs)):
-        t0 = time.perf_counter()
-        steps, budget = _schedule(cfg_value)
-        seeds = (_trial_seed(cfg_value.seed, value_index, trial) for trial in range(trials))
-        reports = [_run_seeded(cfg_value, steps, budget, rng) for _ in map(rng.reseed, seeds)]
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        rows.append(
-            SweepRow(
-                axis_value=float(value),
-                trials=trials,
-                success_rate=sum(r.success for r in reports) / trials,
-                mean_fidelity=sum(r.per_run_fidelity for r in reports) / trials,
-                mean_rows=sum(r.rows_collected for r in reports) / trials,
-                mean_restarts=sum(r.restarts for r in reports) / trials,
-                wall_ms=wall_ms,
+    try:
+        for value_index, (value, cfg_value) in enumerate(zip(values, configs)):
+            t0 = time.perf_counter()
+            steps, budget = _schedule(cfg_value)
+            seeds = (_trial_seed(cfg_value.seed, value_index, trial) for trial in range(trials))
+            reports = [_run_seeded(cfg_value, steps, budget, rng) for _ in map(rng.reseed, seeds)]
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            rows.append(
+                SweepRow(
+                    axis_value=float(value),
+                    trials=trials,
+                    success_rate=sum(r.success for r in reports) / trials,
+                    mean_fidelity=sum(r.per_run_fidelity for r in reports) / trials,
+                    mean_rows=sum(r.rows_collected for r in reports) / trials,
+                    mean_restarts=sum(r.restarts for r in reports) / trials,
+                    wall_ms=wall_ms,
+                )
             )
-        )
+    finally:
+        _FREE_SOURCES.append(rng)
     return rows
-

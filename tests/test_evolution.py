@@ -242,14 +242,19 @@ def test_chunks_carry_the_state(monkeypatch):
     sched = Schedule(5.0, 101)
     whole = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
     spans = []
-    su2_steps = evolution._su2_steps
+    su2_steps, su2_mid_step = evolution._su2_steps, evolution._su2_mid_step
 
     def spy(block, sched, start, stop):
         spans.append((start, stop))
         return su2_steps(block, sched, start, stop)
 
+    def spy_mid(block, sched):
+        spans.append((sched.steps // 2, sched.steps // 2 + 1))
+        return su2_mid_step(block, sched)
+
     monkeypatch.setattr(evolution, "TWO_LEVEL_CHUNK", 7)
     monkeypatch.setattr(evolution, "_su2_steps", spy)
+    monkeypatch.setattr(evolution, "_su2_mid_step", spy_mid)
     chunked = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
     # the first half in chunks, then the middle step of the odd step count
     assert spans == [(start, min(start + 7, 50)) for start in range(0, 50, 7)] + [(50, 51)]
@@ -282,15 +287,34 @@ def test_mirror_is_the_second_half_built_directly(f_bit, steps):
 @pytest.mark.parametrize("steps", [1, 2, 3, 1001, 5000, 2 * CHUNK + 3])
 def test_only_half_the_steps_are_built(monkeypatch, steps):
     built = []
-    su2_steps = evolution._su2_steps
+    su2_steps, su2_mid_step = evolution._su2_steps, evolution._su2_mid_step
 
     def spy(block, sched, start, stop):
         built.append(stop - start)
         return su2_steps(block, sched, start, stop)
 
+    def spy_mid(block, sched):
+        built.append(1)
+        return su2_mid_step(block, sched)
+
     monkeypatch.setattr(evolution, "_su2_steps", spy)
+    monkeypatch.setattr(evolution, "_su2_mid_step", spy_mid)
     evolve_two_level(TwoLevelBlock(0, "simon"), Schedule(37.3, steps))
     assert sum(built) == math.ceil(steps / 2)
+
+
+def test_scalar_middle_step_is_the_array_step():
+    # the s = 1/2 step of an odd N is built in scalar math with the array
+    # step's operations; it differs from it by at most the ulp that numpy's
+    # and math's sin and cos may disagree by (none where they agree)
+    picks = np.random.default_rng(64)
+    for total_time, steps in zip(picks.uniform(0.01, 5000, 400), picks.integers(0, 10**6, 400)):
+        sched = Schedule(float(total_time), 2 * int(steps) + 1)
+        for f_bit in (0, 1):
+            block = TwoLevelBlock(f_bit, "bv")
+            array = evolution._su2_steps(block, sched, sched.steps // 2, sched.steps // 2 + 1)[:, 0]
+            scalar = evolution._su2_mid_step(block, sched)
+            assert np.max(np.abs(np.subtract(scalar, array))) <= 2.3e-16
 
 
 def test_two_level_memory_is_bounded_by_the_chunk():
@@ -312,8 +336,9 @@ def test_two_level_drift_check_fails_on_nan(monkeypatch):
 
 
 def poison_step(monkeypatch, bad, value):
-    """Make _su2_steps set step ``bad``'s (a, b) to value(a, b)."""
-    su2_steps = evolution._su2_steps
+    """Make _su2_steps, or _su2_mid_step for the middle one, set step ``bad``'s
+    (a, b) to value(a, b)."""
+    su2_steps, su2_mid_step = evolution._su2_steps, evolution._su2_mid_step
 
     def poisoned(block, sched, start, stop):
         m = su2_steps(block, sched, start, stop)
@@ -321,7 +346,12 @@ def poison_step(monkeypatch, bad, value):
             m[:, bad - start] = value(m[:, bad - start])
         return m
 
+    def poisoned_mid(block, sched):
+        ab = su2_mid_step(block, sched)
+        return tuple(value(np.array(ab)).tolist()) if bad == sched.steps // 2 else ab
+
     monkeypatch.setattr(evolution, "_su2_steps", poisoned)
+    monkeypatch.setattr(evolution, "_su2_mid_step", poisoned_mid)
 
 
 @pytest.mark.parametrize("steps,bad", [(40, 17), (40, 19), (2003, 1000), (1001, 0), (1001, 500)],

@@ -15,6 +15,7 @@ from adiabatic_sim.hamiltonians import TwoLevelBlock
 from adiabatic_sim.measurement import (
     BvReadout,
     RandomSource,
+    _bv_shot,
     _read_factored,
     _scrambled_row,
     bv_readout,
@@ -159,23 +160,22 @@ def test_row_bits_block_draw_equals_scalar_loop():
         assert rows == [simon_orthogonal_row(oracle, scalar_row_bits(q, bits, scalar)) for _ in rows]
         assert block.draws == scalar.draws == bits * 3
         assert block.uniform() == scalar.uniform()
-    # a BV shot is the one bit z: a restart iff the uniform is not below q
+    # a BV shot is the one bit z: a restart (None) iff the uniform is not below q
     for q in (0.0, 0.3, 1.0):
-        block, scalar = RandomSource(5, 1), RandomSource(5, 1)
-        readouts = _read_factored(BvMask(4, 9), q, block, 39)
-        assert block.draws == 39
-        for readout in readouts:
+        shot, scalar = RandomSource(5, 1), RandomSource(5, 1)
+        for _ in range(39):
             z = scalar_row_bits(q, 1, scalar)
-            assert readout == BvReadout(restart=not z, a_candidate=9 if z else None)
-        assert block.uniform() == scalar.uniform()
+            assert _bv_shot(BvMask(4, 9), q, shot) == (9 if z else None)
+        assert shot.draws == 39
+        assert shot.uniform() == scalar.uniform()
 
 
 @pytest.mark.parametrize("kind", ["bv", "linear", "scrambled"])
 def test_factored_shots_do_not_depend_on_the_block_size(kind):
     # one block of k shots, k blocks of one shot and k calls of the public
-    # one-shot sampler (BV: the documented draw, informative iff the uniform
-    # is below q) give the same outcomes and draws, and leave the stream at
-    # the same place
+    # one-shot sampler (BV: k scalar shots, one block fill of k uniforms and
+    # the documented draw, informative iff the uniform is below q) give the
+    # same outcomes and draws, and leave the stream at the same place
     branch_sets = [(E0, E1), evolved_branches("simon", 0.5), evolved_branches("simon", 5.0)]
     for n, (phi0, phi1), seed in zip((2, 5, 9, 12), branch_sets * 2, range(4)):
         a = (1 << (n - 1)) | seed
@@ -186,12 +186,15 @@ def test_factored_shots_do_not_depend_on_the_block_size(kind):
         q = simon_row_bit_prob(phi0, phi1)
         for k in (1, 2, 7, 30):
             sources = [RandomSource(seed, 1) for _ in range(3)]
-            blocks = _read_factored(oracle, q, sources[0], k)
-            singles = [_read_factored(oracle, q, sources[1], 1)[0] for _ in range(k)]
             if kind == "bv":
-                public = [BvReadout(False, a) if sources[2].uniform() < q else BvReadout(True)
-                          for _ in range(k)]
+                u = np.empty(k)
+                sources[0].fill(u)
+                blocks = [a if x < q else None for x in u.tolist()]
+                singles = [_bv_shot(oracle, q, sources[1]) for _ in range(k)]
+                public = [a if sources[2].uniform() < q else None for _ in range(k)]
             else:
+                blocks = _read_factored(oracle, q, sources[0], k)
+                singles = [_read_factored(oracle, q, sources[1], 1)[0] for _ in range(k)]
                 public = [simon_sample_factored(oracle, phi0, phi1, sources[2]) for _ in range(k)]
             assert blocks == singles == public
             assert len({s.draws for s in sources}) == 1
@@ -497,9 +500,9 @@ def test_bv_factored_readout_law_equals_dense_law():
                 assert np.max(np.abs(informative - np.eye(1 << n)[a])) <= 1e-12
                 for seed in range(200):
                     rng = RandomSource(seed)
-                    [readout] = _read_factored(mask, q, rng, 1)
+                    found = _bv_shot(mask, q, rng)
                     assert rng.draws == 1
-                    assert readout.restart or readout.a_candidate == a
+                    assert found is None or found == a
 
 
 def test_factored_samplers_keep_input_checks():
@@ -719,20 +722,21 @@ def test_scrambled_row_equals_the_float64_descent():
 
 
 def test_seeded_scrambled_run_at_n20_equals_the_float64_descent(monkeypatch):
-    sources = []
+    sources = []  # the run's source, new or taken from the free list, is the one reseed keys
+    reseed = RandomSource.reseed
 
-    class RecordedSource(RandomSource):
-        def __init__(self, *args):
-            super().__init__(*args)
-            sources.append(self)
+    def recording_reseed(self, *args):
+        sources.append(self)
+        reseed(self, *args)
 
-    monkeypatch.setattr(protocols, "RandomSource", RecordedSource)
+    monkeypatch.setattr(RandomSource, "reseed", recording_reseed)
     cfg = RunConfig(problem="simon", n=20, a=0b1011_0000_1110_0101_0011, seed=20, scramble_seed=5)
     runs = []
     for kernel in (_scrambled_row, float64_descent_row):
         monkeypatch.setattr(measurement, "_scrambled_row", kernel)
         report = run_simon(cfg)
         runs.append((replace(report, wall_time=0.0), sources[-1].draws))
+    assert len(sources) == 2  # one per run
     assert runs[0] == runs[1]
     assert runs[0][0].success and runs[0][1] == 20 * runs[0][0].quantum_runs
 

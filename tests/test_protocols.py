@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -460,32 +462,39 @@ def test_trial_seeds_are_pinned_and_distinct():
 
 def test_runs_and_sweeps_build_no_config_per_run_and_one_source(monkeypatch):
     # a run resolves without a RunConfig; a sweep builds one per value and
-    # one RandomSource, re-keyed per trial
-    cfgs = [RunConfig("bv", 6, total_time=2.0, seed=1), RunConfig("simon", 5, a=3, seed=2),
-            RunConfig("simon", 6, scramble_seed=4, max_repeats=7), RunConfig("bv", 3, path="full", steps=40)]
-    built = Counter()
-    post_init, init = RunConfig.__post_init__, RandomSource.__init__
+    # uses one RandomSource, re-keyed per trial.  Every source in use, new or
+    # taken from the free list, is keyed by reseed (a new one in its
+    # constructor), so the sources a call uses are those reseed sees
+    built, keyed = Counter(), []
+    post_init, reseed = RunConfig.__post_init__, RandomSource.reseed
 
     def counting_post_init(self):
         built["configs"] += 1
         post_init(self)
 
-    def counting_init(self, *args):
-        built["sources"] += 1
-        init(self, *args)
+    def recording_reseed(self, seed, stream=0):
+        keyed.append(self)
+        reseed(self, seed, stream)
 
     monkeypatch.setattr(RunConfig, "__post_init__", counting_post_init)
-    monkeypatch.setattr(RandomSource, "__init__", counting_init)
+    monkeypatch.setattr(RandomSource, "reseed", recording_reseed)
+    cfgs = [RunConfig("bv", 6, total_time=2.0, seed=1), RunConfig("simon", 5, a=3, seed=2),
+            RunConfig("simon", 6, scramble_seed=4, max_repeats=7), RunConfig("bv", 3, path="full", steps=40)]
     for cfg in cfgs:
         built.clear()
+        keyed.clear()
         run(cfg)
-        assert built == {"sources": 1}, cfg
+        assert built == {} and len(keyed) == 1, cfg
     for axis, values, base in (("T", [1.0, 2.0, 3.0], dict(problem="bv", n=4)),
                                ("n", [3, 4], dict(problem="simon", seed=9, scramble_seed=1))):
         for trials in (1, 3, 8):
             built.clear()
+            keyed.clear()
             sweep(axis, values, base, trials)
-            assert built == {"configs": len(values), "sources": 1}, (axis, trials)
+            assert built == {"configs": len(values)}, (axis, trials)
+            # one key when taken, then one per trial, all on one source
+            assert len(keyed) == 1 + len(values) * trials, (axis, trials)
+            assert len(set(map(id, keyed))) == 1, (axis, trials)
 
 
 def test_sweep_deterministic():
@@ -576,15 +585,16 @@ def test_factored_runs_compute_q_once_per_anneal(monkeypatch):
 
 def test_run_draws_only_the_shots_it_takes(monkeypatch):
     # shots x (1 | n - 1 | n) draws for BV, linear and scrambled Simon: no
-    # block reads a shot past the one that ends the run or past the budget
+    # block reads a shot past the one that ends the run or past the budget.
+    # The run's source, new or taken from the free list, is the one reseed keys
     sources = []
+    reseed = RandomSource.reseed
 
-    class Recorded(RandomSource):
-        def __init__(self, seed, stream=0):
-            super().__init__(seed, stream)
-            sources.append(self)
+    def recording_reseed(self, seed, stream=0):
+        sources.append(self)
+        reseed(self, seed, stream)
 
-    monkeypatch.setattr(protocols, "RandomSource", Recorded)
+    monkeypatch.setattr(RandomSource, "reseed", recording_reseed)
     for fields, width in [
         (dict(problem="bv", n=10, a=0b1011001101, total_time=1.0, steps=100), 1),
         (dict(problem="simon", n=12, a=0b101101), 11),
@@ -629,20 +639,22 @@ def test_factored_runs_equal_the_scalar_reference_loop():
 
 def test_one_run_builds_one_shot_random_source(monkeypatch):
     # one source serves a run: a drawn mask comes from its stream 0, and one
-    # re-key to stream 1 serves every shot.  Counting in __init__ catches a
-    # source built by any module, per shot too
-    built, restarts = [], []
-    init, restart = RandomSource.__init__, RandomSource.restart
+    # re-key to stream 1 serves every shot.  A source in use, new (its
+    # constructor reseeds) or taken from the free list, is keyed by reseed,
+    # so counting reseeds catches a source built or re-keyed by any module,
+    # per shot too
+    reseeds, restarts = [], []
+    reseed, restart = RandomSource.reseed, RandomSource.restart
 
-    def counting(self, seed, stream=0):
-        built.append(stream)
-        init(self, seed, stream)
+    def counting_reseed(self, seed, stream=0):
+        reseeds.append((self, seed, stream))
+        reseed(self, seed, stream)
 
     def counting_restart(self, stream):
-        restarts.append(stream)
+        restarts.append((self, stream))
         restart(self, stream)
 
-    monkeypatch.setattr(RandomSource, "__init__", counting)
+    monkeypatch.setattr(RandomSource, "reseed", counting_reseed)
     monkeypatch.setattr(RandomSource, "restart", counting_restart)
     for run, fields in [
         (run_bv, dict(problem="bv", n=10, a=0b1011001101, total_time=1.0, steps=100, seed=0)),
@@ -651,12 +663,152 @@ def test_one_run_builds_one_shot_random_source(monkeypatch):
         (run_simon, dict(problem="simon", n=3, a=0b101, path="full", total_time=5.0, steps=200)),
     ]:
         for a in (fields["a"], None):
-            built.clear()
+            reseeds.clear()
             restarts.clear()
-            report = run(RunConfig(**{**fields, "a": a}))
+            cfg = RunConfig(**{**fields, "a": a})
+            report = run(cfg)
             assert report.quantum_runs >= 2
-            assert built == [0]
-            assert restarts == [0, 1]  # the constructor's, then the shots'
+            [(source, seed, stream)] = reseeds
+            assert (seed, stream) == (cfg.seed, 0)
+            assert restarts == [(source, 0), (source, 1)]  # the reseed's, then the shots'
+
+
+def test_a_factored_bv_shot_is_one_scalar_uniform(monkeypatch):
+    # a BV shot reads one uniform() and compares it with q: no block fill,
+    # no _read_factored.  Short anneals (q = 0.0155) make runs of many shots
+    calls = Counter()
+    uniform = RandomSource.uniform
+
+    def counting_uniform(self):
+        calls["uniform"] += 1
+        return uniform(self)
+
+    def refused(*args):
+        raise AssertionError("a BV shot read a block")
+
+    monkeypatch.setattr(RandomSource, "uniform", counting_uniform)
+    monkeypatch.setattr(RandomSource, "fill", refused)
+    monkeypatch.setattr(measurement, "_read_factored", refused)
+    monkeypatch.setattr(protocols, "_read_factored", refused)
+    shots = 0
+    for seed in range(20):
+        for a, max_repeats in ((None, None), (0b101100110011, 1), (None, 5)):
+            calls.clear()
+            report = run_bv(RunConfig("bv", 12, a=a, total_time=0.5, steps=50, seed=seed,
+                                      max_repeats=max_repeats))
+            assert calls == {"uniform": report.quantum_runs}
+            shots += report.quantum_runs
+    assert shots >= 500
+
+
+def strip_wall_time(report):
+    return replace(report, wall_time=0.0)
+
+
+def test_a_run_nested_in_a_full_path_callback_takes_its_own_source():
+    # the nested run pops a second source, so neither run reads the other's
+    # draws: both reports equal the same runs made one after the other.  The
+    # outer run draws its mask before the callback and its shots after
+    outer = RunConfig("simon", 3, total_time=2.0, steps=40, path="full", seed=5)
+    inners = [RunConfig("bv", 9, total_time=0.5, steps=50, seed=11),
+              RunConfig("simon", 7, total_time=1.0, steps=100, seed=12),
+              RunConfig("simon", 2, total_time=2.0, steps=40, path="full", seed=13)]
+    for inner in inners:
+        nested = []
+        report = run_simon(outer, lambda state: nested.append(run(inner)))
+        assert report.quantum_runs >= 2 and run(inner).quantum_runs >= 2
+        assert [strip_wall_time(report), strip_wall_time(nested[0])] == [
+            strip_wall_time(run(outer)), strip_wall_time(run(inner))], inner
+
+
+def test_a_run_that_raises_returns_its_source_and_the_next_run_is_unchanged(monkeypatch):
+    free = []
+    monkeypatch.setattr(protocols, "_FREE_SOURCES", free)
+    cfg = RunConfig("simon", 3, total_time=2.0, steps=40, path="full", seed=3)
+
+    def fail(state):
+        raise RuntimeError("callback failed")
+
+    later = [RunConfig("bv", 9, total_time=0.5, steps=50, seed=4), RunConfig("simon", 7, seed=8),
+             RunConfig("simon", 6, total_time=1.0, steps=100, seed=-9, scramble_seed=2)]
+    for after in later:
+        with pytest.raises(RuntimeError):
+            run_simon(cfg, fail)
+        assert len(free) == 1
+        report = asdict(run(after))
+        del report["wall_time"]
+        assert report == reference_run(after), after
+        assert len(free) == 1
+
+
+def test_threads_running_interleaved_configs_reproduce_a_sequential_pass(monkeypatch):
+    # two threads take configs in turn; each run pops its own source, so the
+    # reports equal a sequential pass, and the free list ends with no more
+    # sources than the most runs alive at once
+    picks = random.Random(31)
+    configs = []
+    for _ in range(200):
+        problem = picks.choice(["bv", "simon"])
+        scramble = problem == "simon" and picks.random() < 0.25
+        configs.append(RunConfig(problem, picks.randint(2, 10 if scramble else 40),
+                                 total_time=picks.choice([0.5, 1.0, 5.0]), seed=picks.getrandbits(63),
+                                 scramble_seed=picks.getrandbits(31) if scramble else None))
+    sequential = [strip_wall_time(run(cfg)) for cfg in configs]  # warms the branch cache too
+    free = []
+    monkeypatch.setattr(protocols, "_FREE_SOURCES", free)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over within runs
+    threaded, alive, peak = [None] * len(configs), [0], [0]
+    lock, start = threading.Lock(), threading.Barrier(2)
+
+    def worker(first):
+        start.wait(timeout=60)
+        for i in range(first, len(configs), 2):
+            with lock:
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+            threaded[i] = strip_wall_time(run(configs[i]))
+            with lock:
+                alive[0] -= 1
+
+    try:
+        threads = [threading.Thread(target=worker, args=(first,)) for first in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert threaded == sequential
+    assert 1 <= len(free) <= peak[0] <= 2
+
+
+def test_the_free_list_holds_no_more_sources_than_runs_alive_at_once(monkeypatch):
+    free, built = [], []
+    init = RandomSource.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(protocols, "_FREE_SOURCES", free)
+    monkeypatch.setattr(RandomSource, "__init__", counting_init)
+    cfgs = [RunConfig("bv", 6, seed=1), RunConfig("simon", 5, seed=2),
+            RunConfig("simon", 6, scramble_seed=4), RunConfig("bv", 3, path="full", steps=40)]
+    for cfg in cfgs:
+        run(cfg)
+        resolve_config(cfg)
+    sweep("T", [1.0, 2.0], dict(problem="bv", n=4), 3)
+    assert len(built) == 1 and free == built  # one at a time: one source, built once
+    # three runs alive at once, each nested in the last one's callback
+    outer = RunConfig("simon", 3, total_time=2.0, steps=40, path="full", seed=5)
+    middle = replace(outer, n=2, seed=6)
+    run_simon(outer, lambda state: run_simon(middle, lambda state: run(cfgs[0])))
+    assert len(built) == len(free) == 3
+    for cfg in cfgs:
+        run(cfg)
+    assert len(built) == len(free) == 3
 
 
 @pytest.mark.parametrize("problem", ["bv", "simon"])
