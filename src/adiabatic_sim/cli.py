@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import SimulatorError
 from .evolution import assemble_simon
-from .hamiltonians import TwoLevelBlock, bv_interpolated, gap, gap_table, simon_interpolated
+from .hamiltonians import bv_interpolated, gap, gap_table, simon_interpolated
 from .measurement import RandomSource
 from .oracles import BvMask, simon_build
 from .protocols import (
@@ -41,7 +41,7 @@ from .protocols import (
     sweep,
 )
 
-SCHEMA_VERSION = "12"
+SCHEMA_VERSION = "13"
 
 SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
 
@@ -176,7 +176,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
     if not 3 <= args.grid <= MAX_STEPS:
         raise UsageError(f"--grid must be between 3 and {MAX_STEPS}")
     if args.two_level:
-        table = [(s, gap(TwoLevelBlock(0), s)) for s in np.linspace(0.0, 1.0, args.grid).tolist()]
+        table = [(s, gap(s)) for s in np.linspace(0.0, 1.0, args.grid).tolist()]
     else:
         if args.n is None:
             raise UsageError("--n is required unless --two-level is given")

@@ -16,8 +16,9 @@ Two integration paths solve i d|psi>/dt = H(t/T) |psi>:
   Lubich & Wanner, Geometric Numerical Integration (2006), ch. V).  Only
   those, and the s = 1/2 step of an odd N, are computed, as arrays, and
   multiplied by a pairwise product tree, whose last at most SCAN_TAIL
-  factors are taken in a scalar loop; the phases, whose product has a closed
-  form, are applied once at the end.  Because the full Hamiltonian is block
+  factors are taken in a scalar loop; the phases multiply to exactly 1.  It
+  integrates BV's branch; Simon's differs by s*1, the phase exp(-iT/2) that
+  ``protocols.branch_pair`` applies.  Because the full Hamiltonian is block
   diagonal in the input register and the output qubits are uncoupled, a full
   run is exactly the assembly of these branch evolutions;
   ``assemble_bv``/``assemble_simon`` build that product state.
@@ -33,7 +34,6 @@ exact under sigma_x conjugation), so one evolution serves both branches.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -265,28 +265,24 @@ def _mirror(q: tuple[complex, complex], f_bit: int) -> tuple[complex, complex]:
 
 
 def evolve_two_level(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
-    """Evolve one branch qubit from |+> and return its final 2-vector.
+    """Evolve one BV branch qubit from |+> and return its final 2-vector.
 
     The step unitary exp(-i dt (c*1 + vx*sigma_x + vz*sigma_z)) is
     e^(-i c dt) V with V = cos(r dt) - i sin(r dt) vhat.sigma in SU(2),
-    r = |v|.  The scalar c(s)*1 commutes with every step, so the phases
-    multiply to exp(-i dt sum_j c(s_j)), which over the symmetric midpoints
-    is exact in closed form: 1 for "bv" (c = (1 - 2s)/2 sums to 0) and
-    exp(-i T/2) for "simon" (c = 1/2); it is applied once at the end.  Only
-    the SU(2) parts of the first h = N // 2 steps are built, TWO_LEVEL_CHUNK
-    at a time as arrays, each chunk multiplied by a product tree
-    (``_su2_product``); their product Q gives the whole one as
+    r = |v|.  The scalar c(s) = (1 - 2s)/2 commutes with every step and sums
+    to exactly 0 over the symmetric midpoints, so the phases multiply to 1.
+    Only the SU(2) parts of the first h = N // 2 steps are built,
+    TWO_LEVEL_CHUNK at a time as arrays, each chunk multiplied by a product
+    tree (``_su2_product``); their product Q gives the whole one as
     _mirror(Q) V_mid Q, V_mid the s = 1/2 step of an odd N (``_su2_mid_step``).
-    No state is built per step: each step is
-    sqrt(|a|^2 + |b|^2) times a unitary, so the norm-drift check reads the
-    squared norm after each of the first h steps off the running product C
-    of those factors.  The mirrored steps repeat them in reverse, so with E
-    the squared norm after the middle step, the state after k of them has
-    E C_(h-1) / C_(h-1-k), whose extremes follow from those of C; the final
-    state's own norm is checked too.
+    No state is built per step: each step is sqrt(n_j) times a unitary,
+    n_j = |a|^2 + |b|^2, and the mirrored steps repeat the built n_j, so
+    every state's squared norm is a product of n_j within
+    expm1(sum_j |n_j - 1|) of 1, the sum over all N steps; the norm-drift
+    check takes that bound and the final state's own norm.
     """
     half = sched.steps // 2
-    lo = hi = c = 1.0
+    spread = 0.0
     parts = []
     for start in range(0, half, TWO_LEVEL_CHUNK):
         m = _su2_steps(block, sched, start, min(start + TWO_LEVEL_CHUNK, half))
@@ -294,23 +290,21 @@ def evolve_two_level(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
         term = np.empty_like(norms)
         for part in (m[0].imag, m[1].real, m[1].imag):
             norms += np.square(part, out=term)
-        np.cumprod(norms, out=norms)
-        norms *= c
-        # np.minimum and np.maximum keep a NaN, where min and max would drop it
-        c, lo, hi = norms[-1], np.minimum(lo, norms.min()), np.maximum(hi, norms.max())
+        norms -= 1.0
+        spread += 2.0 * float(np.abs(norms, out=norms).sum())  # each built step, and its mirror
         parts.append(_su2_product(m))
     q = [_su2_product(np.array(parts).T)] if parts else []
     mid = [_su2_mid_step(block, sched)] if sched.steps % 2 else []
-    e = c * math.prod(abs(a) ** 2 + abs(b) ** 2 for a, b in mid)
+    spread += sum(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) for a, b in mid)
     a, b = _su2_product(np.array(q + mid + [_mirror(p, block.f_bit) for p in q]).T)
     u = math.sqrt(0.5) * np.array([a + b, a.conjugate() - b.conjugate()])  # the product on |+>
-    ends = np.array([lo, hi, e * c / hi, e * c / lo, np.vdot(u, u).real])  # lo <= c <= hi
-    drift = float(np.max(np.abs(ends - 1.0)))  # NaN if any norm is NaN
+    # math.expm1 overflows past 709, so the bound is inf there; a NaN spread
+    # stays NaN, and np.maximum keeps it, where max would drop it
+    bound = math.inf if spread > 709.0 else math.expm1(spread)
+    drift = float(np.maximum(bound, abs(np.vdot(u, u).real - 1.0)))
     if not drift <= NORM_DRIFT_LIMIT:
         raise IntegrationError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
-    if block.kind == "bv":
-        return u
-    return u * cmath.exp(-0.5j * sched.total_time)
+    return u
 
 
 def check_branch_vector(phi: np.ndarray) -> np.ndarray:

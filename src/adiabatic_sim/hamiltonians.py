@@ -20,9 +20,10 @@ symmetric subspace of the n_b output qubits (2 dimensions for BV, n for Simon).
 
 Because H(s) is block diagonal in w and the B qubits are uncoupled, every
 branch reduces to independent two-level systems; ``TwoLevelBlock`` names
-one and ``gap`` gives its level splitting.  The two energy conventions above
-are kept exactly as stated (not shifted to a common zero) so final states
-can be compared directly against their target encodings.
+one and ``gap`` gives its level splitting.  A Simon output qubit's block is
+BV's plus s*1, a phase that ``protocols.branch_pair`` applies.  The two
+energy conventions above are kept exactly as stated (not shifted to a common
+zero) so final states can be compared directly against their target encodings.
 """
 
 from __future__ import annotations
@@ -56,21 +57,15 @@ class InterpolatedHamiltonian:
 
 @dataclass(frozen=True)
 class TwoLevelBlock:
-    """One decoupled qubit branch; f_bit selects the sigma_z sign.
-
-    kind "bv": H_w(s) = 1/2 [(1-s)(1 - sigma_x) - s(1 + (-1)^f sigma_z)]
-    kind "simon" (per output qubit, with its +1/2 offset):
-                 H_w(s) = 1/2 [(1-s)(1 - sigma_x) + s(1 - (-1)^f sigma_z)]
-    """
+    """One decoupled qubit branch; f_bit selects the sigma_z sign:
+    H_w(s) = 1/2 [(1-s)(1 - sigma_x) - s(1 + (-1)^f sigma_z)].
+    A Simon output qubit's block is this plus s*1."""
 
     f_bit: int
-    kind: str = "bv"
 
     def __post_init__(self) -> None:
         if self.f_bit not in (0, 1):
             raise DomainError("f_bit must be 0 or 1")
-        if self.kind not in ("bv", "simon"):
-            raise DomainError(f"unknown block kind {self.kind!r}")
 
 
 def _hamming_diag(outputs: np.ndarray, m: int) -> np.ndarray:
@@ -106,8 +101,8 @@ def _apply_h(diag_s, half_drive: float, n_b: int, psi: np.ndarray, out: np.ndarr
             view -= scaled.reshape(-1, 2, 1 << k)[:, ::-1]
 
 
-def gap(block: TwoLevelBlock, s: float) -> float:
-    """Energy difference of the two branch levels, sqrt((1-s)^2 + s^2) for either block."""
+def gap(s: float) -> float:
+    """Energy difference of the two levels of any branch block, sqrt((1-s)^2 + s^2)."""
     return math.hypot(1.0 - s, s)
 
 

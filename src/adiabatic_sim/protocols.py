@@ -36,15 +36,16 @@ Randomness discipline (everything derives from RunConfig.seed):
                     schedule per value.
 Identical configs therefore reproduce identical reports, wall time aside.
 
-Branch evolutions depend only on (kind, T, steps), so they are memoized
-with the values a factored run reads off them; re-running an evolution for
-a restart is physically a fresh anneal but numerically the identical
-deterministic vector.  A cache miss costs one vectorized two-level
-evolution: phi_1 is sigma_x phi_0.
+A factored run reads q and phi_0[0] off the BV branch, memoized per
+(T, steps) in ``_branch_law``: a Simon branch is BV's times a phase, which
+neither value keeps, so BV and Simon runs on one schedule share one
+evolution, and a restart re-reads the identical deterministic vector.  A
+cache miss costs one vectorized two-level evolution: phi_1 is sigma_x phi_0.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import sys
@@ -179,7 +180,7 @@ def _schedule(cfg: RunConfig) -> tuple[int, int]:
     read off the branch cache's q, is refused above MAX_STEPS."""
     steps, budget = _steps_for(cfg), cfg.max_repeats
     if budget is None:
-        q = _branch_pair_cached(cfg.problem, cfg.total_time, steps)[2]
+        q = _branch_law(cfg.total_time, steps)[0]
         budget = _shot_budget(1, q) if cfg.problem == "bv" else _shot_budget(cfg.n - 1, min(q, 1 - q))
         if not budget <= MAX_STEPS:
             raise DomainError(f"at q = {q:.3g} the default shot budget is {budget} shots, over "
@@ -236,19 +237,23 @@ class RunReport:
 
 
 @lru_cache(maxsize=256)
-def _branch_pair_cached(kind: str, total_time: float, steps: int):
-    """phi_0 and phi_1 as read-only arrays, then what factored runs read: q and phi_0[0]."""
+def _branch_law(total_time: float, steps: int) -> tuple[float, complex]:
+    """What factored runs of either problem read off the BV branch: q and phi_0[0]."""
     # phi_1 = sigma_x phi_0, exact to the bit; so <phi_0|phi_1> = 2 Re(conj(a) b)
     # is real and a scrambled row needs no overlap check
-    phi0 = evolve_two_level(TwoLevelBlock(0, kind), Schedule(total_time, steps))
-    phi0.flags.writeable = False
-    phi1 = phi0[::-1]  # a view, read-only with phi0
-    return phi0, phi1, simon_row_bit_prob(phi0, phi1), phi0[0]
+    phi0, phi1 = branch_pair("bv", total_time, steps)
+    return simon_row_bit_prob(phi0, phi1), phi0[0]
 
 
-def branch_pair(kind: str, total_time: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Memoized (phi_0, phi_1) branch vectors for the given schedule, read-only."""
-    return _branch_pair_cached(kind, total_time, steps)[:2]
+def branch_pair(problem: str, total_time: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """A new (phi_0, phi_1) of the problem and schedule: a Simon block is BV's plus
+    s*1, which sums to T/2 over the midpoints, so its branch is BV's times exp(-iT/2)."""
+    if problem not in ("bv", "simon"):
+        raise DomainError(f"unknown problem {problem!r}")
+    phi0 = evolve_two_level(TwoLevelBlock(0), Schedule(total_time, steps))
+    if problem == "simon":
+        phi0 *= cmath.exp(-0.5j * total_time)
+    return phi0, phi0[::-1].copy()
 
 
 def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
@@ -272,7 +277,7 @@ def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
         assemble, interpolated = assemble_simon, simon_interpolated
         system = Gf2Matrix(cfg.n)
     if cfg.path == "factored":
-        q, phi00 = _branch_pair_cached(cfg.problem, cfg.total_time, steps)[2:]
+        q, phi00 = _branch_law(cfg.total_time, steps)
         read = partial(_bv_shot if bv else _read_factored, oracle, q, rng)
         # the factored fidelity |<target|psi>|^2: each output qubit overlaps its
         # ideal vector e_f(w) by phi_f(w)[f(w)], which is phi_0[0] on either
@@ -360,18 +365,13 @@ def classical_simon(oracle: SimonOracle, rng: RandomSource) -> ClassicalResult:
     Birthday statistics put the query count near 2^(n/2); a collision is
     forced after at most 2^(n-1) + 1 distinct queries.
     """
-    seen: dict[int, int] = {}
-    queried: set[int] = set()
+    seen: dict[int, int] = {}  # output -> the one input queried for it so far
     space = 1 << oracle.n
     while True:
         w = rng.randrange(space)
-        if w in queried:
-            continue
-        queried.add(w)
-        out = simon_eval(oracle, w)
-        if out in seen:
-            return ClassicalResult(queries=len(queried), a=seen[out] ^ w)
-        seen[out] = w
+        first = seen.setdefault(simon_eval(oracle, w), w)
+        if first != w:  # w is new, so the queries are the inputs in seen and w
+            return ClassicalResult(queries=len(seen) + 1, a=first ^ w)
 
 
 @dataclass(frozen=True)

@@ -58,13 +58,21 @@ def level_gap(dense_h: np.ndarray, tol: float = 1e-8) -> float:
     return float(above[0] - evals[0]) if above.size else 0.0
 
 
-def two_level(block: TwoLevelBlock, s: float) -> np.ndarray:
-    """The 2x2 branch Hamiltonian at parameter s, as ``TwoLevelBlock`` states it."""
-    sign = -1.0 if block.f_bit else 1.0
+def two_level(kind: str, f_bit: int, s: float) -> np.ndarray:
+    """The 2x2 branch Hamiltonian of a "bv" or "simon" output qubit at parameter s:
+    ``TwoLevelBlock``'s for "bv", and Simon's Hamming-encoded one, written out
+    independently, for "simon"."""
+    sign = -1.0 if f_bit else 1.0
     driver = 0.5 * (1.0 - s) * (IDENTITY_2 - SIGMA_X)
-    if block.kind == "bv":
+    if kind == "bv":
         return driver - 0.5 * s * (IDENTITY_2 + sign * SIGMA_Z)
     return driver + 0.5 * s * (IDENTITY_2 - sign * SIGMA_Z)
+
+
+def problem_phase(kind: str, total_time: float) -> complex:
+    """The factor a "bv" or "simon" branch carries over BV's evolution: Simon's
+    s*1 offset integrates to T/2."""
+    return 1.0 if kind == "bv" else cmath.exp(-0.5j * total_time)
 
 
 def exact_branch(kind: str, total_time: float) -> np.ndarray:
@@ -76,8 +84,7 @@ def exact_branch(kind: str, total_time: float) -> np.ndarray:
     is summed over segments of length at most 0.25 until the terms fall
     below 1e-17 of the state.
     """
-    block = TwoLevelBlock(0, kind)
-    start, end = two_level(block, 0.0), two_level(block, 1.0)
+    start, end = two_level(kind, 0, 0.0), two_level(kind, 0, 1.0)
     slope = (end - start) / total_time
     segments = math.ceil(total_time / 0.25)
     h = total_time / segments
@@ -94,15 +101,16 @@ def exact_branch(kind: str, total_time: float) -> np.ndarray:
     return c
 
 
-def unmirrored_branch(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
-    """``evolve_two_level`` without the mirror: all N steps built by
-    ``_su2_steps`` and multiplied one by one in Python complex arithmetic."""
+def unmirrored_branch(kind: str, f_bit: int, sched: Schedule) -> np.ndarray:
+    """``branch_pair(kind, ...)[f_bit]`` without the mirror: all N steps built
+    by ``_su2_steps`` and multiplied one by one in Python complex arithmetic,
+    then times ``problem_phase``."""
     a, b = 1 + 0j, 0j
-    for a2, b2 in zip(*_su2_steps(block, sched, 0, sched.steps).tolist()):
+    for a2, b2 in zip(*_su2_steps(TwoLevelBlock(f_bit), sched, 0, sched.steps).tolist()):
         a, b = a2 * a - b2 * b.conjugate(), a2 * b + b2 * a.conjugate()
     x = y = math.sqrt(0.5)
     u = np.array([a * x + b * y, a.conjugate() * y - b.conjugate() * x])
-    return u if block.kind == "bv" else u * cmath.exp(-0.5j * sched.total_time)
+    return u * problem_phase(kind, sched.total_time)
 
 
 def random_state(num_qubits_a: int, num_qubits_b: int, seed: int) -> StateVector:
@@ -144,7 +152,9 @@ def reference_run(cfg) -> dict:
     public one-shot sampler.
     """
     cfg = resolve_config(cfg)
-    phi0, phi1 = branch_pair(cfg.problem, cfg.total_time, cfg.steps)
+    # a Simon branch is this pair times a global phase, which q and the
+    # fidelity drop, so a run of either problem reads the BV pair
+    phi0, phi1 = branch_pair("bv", cfg.total_time, cfg.steps)
     if cfg.problem == "bv":
         q, m = simon_row_bit_prob(phi0, phi1), 1
     else:

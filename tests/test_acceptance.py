@@ -40,6 +40,7 @@ from adiabatic_sim.protocols import (
     run_simon,
 )
 from adiabatic_sim.qstate import SIGMA_X, fwht_subsystem, plus_state
+from helpers import problem_phase
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -85,12 +86,9 @@ def test_criterion_1_decoupling():
 
 @criterion(2, "minimum gap: closed form to 1e-12 and dense scan at 1/sqrt(2)")
 def test_criterion_2_minimum_gap():
-    for kind in ("bv", "simon"):
-        for f_bit in (0, 1):
-            block = TwoLevelBlock(f_bit, kind)
-            for s in np.linspace(0.0, 1.0, 1000):
-                s = float(s)
-                assert abs(gap(block, s) - math.hypot(1.0 - s, s)) <= 1e-12
+    for s in np.linspace(0.0, 1.0, 1000):
+        s = float(s)
+        assert abs(gap(s) - math.hypot(1.0 - s, s)) <= 1e-12
     target = 1.0 / math.sqrt(2.0)
     for h in (bv_interpolated(BvMask(2, 2)), simon_interpolated(simon_build(2, 3))):
         scan = min_gap_scan(h, grid=201)
@@ -224,13 +222,13 @@ def test_criterion_7_integrator_contract():
         )
         assert full_simon.norm_drift <= 1e-9
         for kind in ("bv", "simon"):
-            phi = evolve_two_level(TwoLevelBlock(0, kind), sched)
+            phi = branch_pair(kind, total_time, sched.steps)[0]
             assert abs(float(np.vdot(phi, phi).real) - 1.0) <= 1e-9
 
-    reference = evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(50.0, 1 << 18))
+    reference = evolve_two_level(TwoLevelBlock(0), Schedule(50.0, 1 << 18))
     errors = []
     for steps in (512, 1024, 2048, 4096):
-        phi = evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(50.0, steps))
+        phi = evolve_two_level(TwoLevelBlock(0), Schedule(50.0, steps))
         errors.append(float(np.max(np.abs(phi - reference))))
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.0 <= coarse / fine <= 5.0, errors
@@ -241,6 +239,6 @@ def test_criterion_8_phase_coherence():
     for kind in ("bv", "simon"):
         for total_time in (1.0, 5.0, 50.0):
             sched = Schedule(total_time, int(100 * total_time))
-            phi0 = evolve_two_level(TwoLevelBlock(0, kind), sched)
-            phi1 = evolve_two_level(TwoLevelBlock(1, kind), sched)
+            phi0 = branch_pair(kind, total_time, sched.steps)[0]
+            phi1 = evolve_two_level(TwoLevelBlock(1), sched) * problem_phase(kind, total_time)
             assert np.max(np.abs(phi1 - SIGMA_X @ phi0)) <= 1e-12

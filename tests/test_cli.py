@@ -28,7 +28,7 @@ def test_bv_happy_path(capsys):
     )
     assert code == 0
     record = json.loads(out)
-    assert record["schema_version"] == "12"
+    assert record["schema_version"] == "13"
     assert record["results"]["recovered_a"] == 0xB3
     assert record["config"]["a"] == 0xB3
     assert record["provenance"]["seed"] == 1
@@ -305,7 +305,7 @@ def test_gap_draws_its_mask_without_an_anneal(capsys, monkeypatch):
     def no_evolution(*args):
         raise AssertionError("gap evolved a branch")
 
-    protocols._branch_pair_cached.cache_clear()
+    protocols._branch_law.cache_clear()
     monkeypatch.setattr(protocols, "evolve_two_level", no_evolution)
     code, out, _ = run_cli(capsys, "gap", "--problem", "simon", "--n", "3", "--seed", "5")
     assert code == 0

@@ -27,7 +27,14 @@ from adiabatic_sim.measurement import simon_row_bit_prob
 from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
 from adiabatic_sim.protocols import branch_pair
 from adiabatic_sim.qstate import SIGMA_X, StateVector, inner, plus_state
-from helpers import bv_eval, exact_branch, interpolate, random_state, unmirrored_branch
+from helpers import (
+    bv_eval,
+    exact_branch,
+    interpolate,
+    problem_phase,
+    random_state,
+    unmirrored_branch,
+)
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -93,7 +100,7 @@ def test_diabatic_quench_matches_sudden_approximation():
 
 
 def test_two_level_adiabatic_limit():
-    phi0 = evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(50.0, 5000))
+    phi0 = evolve_two_level(TwoLevelBlock(0), Schedule(50.0, 5000))
     assert abs(phi0[0]) ** 2 >= 0.999
     assert abs(float(np.vdot(phi0, phi0).real) - 1.0) <= 1e-9
 
@@ -104,9 +111,8 @@ def test_branch_conjugation_identity(kind, T):
     # 65 and 1001 steps leave an unpaired step at the first tree level, 129 one
     # level higher; 8193 and 16387 cross a chunk boundary (TWO_LEVEL_CHUNK = 8192)
     for steps in (int(100 * T), 65, 129, 1001, 8193, 16387):
-        sched = Schedule(T, steps)
-        phi0 = evolve_two_level(TwoLevelBlock(0, kind), sched)
-        phi1 = evolve_two_level(TwoLevelBlock(1, kind), sched)
+        phi0 = branch_pair(kind, T, steps)[0]
+        phi1 = evolve_two_level(TwoLevelBlock(1), Schedule(T, steps)) * problem_phase(kind, T)
         # exact by construction: sigma_x conjugation maps every step's (a, b) to
         # (conj(a), -conj(b)), under which the product tree's sums keep their terms
         assert np.array_equal(phi1, SIGMA_X @ phi0), steps
@@ -114,16 +120,17 @@ def test_branch_conjugation_identity(kind, T):
 
 @pytest.mark.parametrize("T", [0.5, 5.77, 50.0])
 def test_kinds_differ_by_a_global_phase_only(T):
-    # c(s) = (1 - 2s)/2 for "bv" and 1/2 for "simon": the midpoint phases sum to
-    # 0 and T/2, as the continuous ones do (the integral of (1 - 2t/T)/2 is 0)
-    sched = Schedule(T, round(100 * T))
-    bv = evolve_two_level(TwoLevelBlock(0, "bv"), sched)
-    simon = evolve_two_level(TwoLevelBlock(0, "simon"), sched)
-    assert np.max(np.abs(simon - cmath.exp(-0.5j * T) * bv)) <= 1e-15
+    # Simon's block is BV's plus s*1, whose midpoint sum dt * sum_j s_j is T/2
+    # exactly, as the integral of t/T is: one evolution, and Simon's pair is
+    # BV's times exp(-iT/2) to the bit
+    steps = round(100 * T)
+    bv, simon = branch_pair("bv", T, steps), branch_pair("simon", T, steps)
+    for phi_bv, phi_simon in zip(bv, simon):
+        assert np.array_equal(phi_simon, phi_bv * cmath.exp(-0.5j * T))
     # q is phase-free; only the rounding of the phase product reaches it, a few
     # ulps (2 at T = 50, where q is 0.4978 and an ulp is 5.6e-17)
-    q_bv = simon_row_bit_prob(*branch_pair("bv", T, sched.steps))
-    q_simon = simon_row_bit_prob(*branch_pair("simon", T, sched.steps))
+    q_bv = simon_row_bit_prob(*bv)
+    q_simon = simon_row_bit_prob(*simon)
     assert abs(q_simon - q_bv) <= 4 * np.spacing(q_bv)
     witness = cmath.exp(-0.5j * T) * exact_branch("bv", T)
     assert np.max(np.abs(exact_branch("simon", T) - witness)) <= 1e-14
@@ -159,9 +166,9 @@ def test_branch_pair_q_is_near_the_exact_q(kind, steps_of, tol):
 
 
 def branch_error(kind: str, T: float, steps: int) -> float:
-    """|evolve_two_level - exact branch|, in the 2-norm."""
-    phi = evolve_two_level(TwoLevelBlock(0, kind), Schedule(T, steps))
-    return float(np.linalg.norm(phi - exact_branch(kind, T)))
+    """|branch_pair's phi_0 - exact branch|, in the 2-norm: for "simon", the
+    exact branch integrates its own +s term, so the error covers the phase."""
+    return float(np.linalg.norm(branch_pair(kind, T, steps)[0] - exact_branch(kind, T)))
 
 
 @pytest.mark.parametrize("kind", ["bv", "simon"])
@@ -200,16 +207,17 @@ def test_full_path_is_within_its_dt_squared_bound_of_the_exact_assembly(problem,
     assert 3.6 <= errors[0] / errors[1] <= 4.4  # halving dt quarters the error
 
 
-def seed_two_level_loop(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
-    """The original step-by-step scalar integrator, kept as the reference."""
-    sign = -1.0 if block.f_bit else 1.0
+def seed_two_level_loop(kind: str, f_bit: int, sched: Schedule) -> np.ndarray:
+    """The original step-by-step scalar integrator, kept as the reference; it
+    steps Simon's s*1 offset as the phase c = 1/2 of every step."""
+    sign = -1.0 if f_bit else 1.0
     u0 = u1 = complex(math.sqrt(0.5))
     dt = sched.dt
     for j in range(sched.steps):
         s = (j + 0.5) / sched.steps
         vx = -0.5 * (1.0 - s)
         vz = -0.5 * s * sign
-        c = 0.5 * (1.0 - 2.0 * s) if block.kind == "bv" else 0.5
+        c = 0.5 * (1.0 - 2.0 * s) if kind == "bv" else 0.5
         r = math.hypot(vx, vz)
         cos_t = math.cos(r * dt)
         sn = math.sin(r * dt) / r
@@ -232,15 +240,13 @@ def test_prefix_integrator_matches_scalar_loop(kind, steps):
     # tree's stays below 1e-14)
     for total_time in (0.01, 1.0, 50.0, 1e4):
         sched = Schedule(total_time, steps)
-        for f_bit in (0, 1):
-            block = TwoLevelBlock(f_bit, kind)
-            phi = evolve_two_level(block, sched)
-            assert np.max(np.abs(phi - seed_two_level_loop(block, sched))) <= 1e-12
+        for f_bit, phi in enumerate(branch_pair(kind, total_time, steps)):
+            assert np.max(np.abs(phi - seed_two_level_loop(kind, f_bit, sched))) <= 1e-12
 
 
 def test_chunks_carry_the_state(monkeypatch):
     sched = Schedule(5.0, 101)
-    whole = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
+    whole = evolve_two_level(TwoLevelBlock(1), sched)
     spans = []
     su2_steps, su2_mid_step = evolution._su2_steps, evolution._su2_mid_step
 
@@ -255,7 +261,7 @@ def test_chunks_carry_the_state(monkeypatch):
     monkeypatch.setattr(evolution, "TWO_LEVEL_CHUNK", 7)
     monkeypatch.setattr(evolution, "_su2_steps", spy)
     monkeypatch.setattr(evolution, "_su2_mid_step", spy_mid)
-    chunked = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
+    chunked = evolve_two_level(TwoLevelBlock(1), sched)
     # the first half in chunks, then the middle step of the odd step count
     assert spans == [(start, min(start + 7, 50)) for start in range(0, 50, 7)] + [(50, 51)]
     assert np.max(np.abs(chunked - whole)) <= 1e-14
@@ -269,16 +275,14 @@ def test_mirrored_half_matches_every_step_built(kind, steps):
     # most over these cases)
     for total_time in (1.0, 37.3, 1000.0):
         sched = Schedule(total_time, steps)
-        for f_bit in (0, 1):
-            block = TwoLevelBlock(f_bit, kind)
-            phi = evolve_two_level(block, sched)
-            assert np.max(np.abs(phi - unmirrored_branch(block, sched))) <= 1e-13
+        for f_bit, phi in enumerate(branch_pair(kind, total_time, steps)):
+            assert np.max(np.abs(phi - unmirrored_branch(kind, f_bit, sched))) <= 1e-13
 
 
 @pytest.mark.parametrize("f_bit", [0, 1])
 @pytest.mark.parametrize("steps", [2, 3, 65, 1001, 5000])
 def test_mirror_is_the_second_half_built_directly(f_bit, steps):
-    block, sched, half = TwoLevelBlock(f_bit, "bv"), Schedule(37.3, steps), steps // 2
+    block, sched, half = TwoLevelBlock(f_bit), Schedule(37.3, steps), steps // 2
     first = evolution._su2_product(evolution._su2_steps(block, sched, 0, half))
     second = evolution._su2_product(evolution._su2_steps(block, sched, steps - half, steps))
     assert np.max(np.abs(np.subtract(evolution._mirror(first, f_bit), second))) <= 1e-14
@@ -299,7 +303,7 @@ def test_only_half_the_steps_are_built(monkeypatch, steps):
 
     monkeypatch.setattr(evolution, "_su2_steps", spy)
     monkeypatch.setattr(evolution, "_su2_mid_step", spy_mid)
-    evolve_two_level(TwoLevelBlock(0, "simon"), Schedule(37.3, steps))
+    evolve_two_level(TwoLevelBlock(0), Schedule(37.3, steps))
     assert sum(built) == math.ceil(steps / 2)
 
 
@@ -311,7 +315,7 @@ def test_scalar_middle_step_is_the_array_step():
     for total_time, steps in zip(picks.uniform(0.01, 5000, 400), picks.integers(0, 10**6, 400)):
         sched = Schedule(float(total_time), 2 * int(steps) + 1)
         for f_bit in (0, 1):
-            block = TwoLevelBlock(f_bit, "bv")
+            block = TwoLevelBlock(f_bit)
             array = evolution._su2_steps(block, sched, sched.steps // 2, sched.steps // 2 + 1)[:, 0]
             scalar = evolution._su2_mid_step(block, sched)
             assert np.max(np.abs(np.subtract(scalar, array))) <= 2.3e-16
@@ -321,7 +325,7 @@ def test_two_level_memory_is_bounded_by_the_chunk():
     # 2^20 step matrices alone would take 64 MiB
     tracemalloc.start()
     try:
-        phi = evolve_two_level(TwoLevelBlock(0, "simon"), Schedule(50.0, 1 << 20))
+        phi = evolve_two_level(TwoLevelBlock(0), Schedule(50.0, 1 << 20))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -332,7 +336,7 @@ def test_two_level_memory_is_bounded_by_the_chunk():
 def test_two_level_drift_check_fails_on_nan(monkeypatch):
     monkeypatch.setattr(evolution, "_su2_product", lambda m: (complex("nan"), 0j))
     with pytest.raises(IntegrationError):
-        evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(1.0, 10))
+        evolve_two_level(TwoLevelBlock(0), Schedule(1.0, 10))
 
 
 def poison_step(monkeypatch, bad, value):
@@ -365,7 +369,7 @@ def test_nan_step_fails_the_drift_check_through_the_scan(monkeypatch, steps, bad
     assert (steps // 2 <= evolution.SCAN_TAIL) == (steps == 40)
     poison_step(monkeypatch, bad, lambda ab: ab * np.nan)
     with pytest.raises(IntegrationError):
-        evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(1.0, steps))
+        evolve_two_level(TwoLevelBlock(0), Schedule(1.0, steps))
 
 
 @pytest.mark.parametrize("steps,scales", [
@@ -378,8 +382,10 @@ def test_nan_step_fails_the_drift_check_through_the_scan(monkeypatch, steps, bad
     (2 * (CHUNK + 1808), {100: math.sqrt(1 + 4.5e-7), CHUNK + 800: math.sqrt(1 + 7e-7),
                           CHUNK + 1300: 1 / math.sqrt(1 + 7e-7)}),
     (1000, {0: math.sqrt(1 + 4e-7), 1: 1 / (1 + 4e-7)}),
+    (40, {0: 10.0, 1: 10.0, 2: 10.0, 3: 10.0}),
 ], ids=["tail", "array-level", "array-level-last", "middle", "undone-in-tail",
-        "undone-in-array-level", "carried-into-next-chunk", "seen-only-in-the-mirrored-half"])
+        "undone-in-array-level", "carried-into-next-chunk", "seen-only-in-the-mirrored-half",
+        "bound-past-expm1-overflow"])
 def test_scaled_step_fails_the_drift_check(monkeypatch, steps, scales):
     # a step that is (1 + 1e-5) times a unitary leaves every later state 2e-5
     # off in squared norm, 20 times the limit, wherever the tree multiplies it
@@ -391,21 +397,23 @@ def test_scaled_step_fails_the_drift_check(monkeypatch, steps, scales):
     # CHUNK + 800 and CHUNK + 1300 1.15e-6 off: the final state (9e-7 off) and
     # the mirrored states (within 9e-7) do not show it; in the last case the
     # first half and the final state stay within 4e-7 and 8e-7, and only the
-    # state after the mirror of step 1, (1 + 4e-7)^-3, is 1.2e-6 off
+    # state after the mirror of step 1, (1 + 4e-7)^-3, is 1.2e-6 off; in the
+    # last case the drift bound's exponent, 2 * 4 * 99, is past math.expm1's
+    # overflow, which must raise IntegrationError, not OverflowError
     for bad, scale in scales.items():
         poison_step(monkeypatch, bad, lambda ab, scale=scale: ab * scale)
     with pytest.raises(IntegrationError):
-        evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(1.0, steps))
+        evolve_two_level(TwoLevelBlock(0), Schedule(1.0, steps))
 
 
 def test_two_level_peak_memory():
     # the product tree keeps no state per step, and only the first half of the
     # steps is built: 5000 steps peak at 208 KiB (413 KiB with all of them
     # built, 718 KiB when every intermediate state was written)
-    evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(50.0, 5000))
+    evolve_two_level(TwoLevelBlock(0), Schedule(50.0, 5000))
     tracemalloc.start()
     try:
-        evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(50.0, 5000))
+        evolve_two_level(TwoLevelBlock(0), Schedule(50.0, 5000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -413,10 +421,10 @@ def test_two_level_peak_memory():
 
 
 def test_step_doubling_quarters_the_error():
-    reference = evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(5.0, 1 << 16))
+    reference = evolve_two_level(TwoLevelBlock(0), Schedule(5.0, 1 << 16))
     errors = []
     for steps in (250, 500, 1000):
-        phi = evolve_two_level(TwoLevelBlock(0, "bv"), Schedule(5.0, steps))
+        phi = evolve_two_level(TwoLevelBlock(0), Schedule(5.0, steps))
         errors.append(np.max(np.abs(phi - reference)))
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.0 <= coarse / fine <= 5.0
@@ -439,8 +447,8 @@ def test_assemble_bv_matches_full_evolution():
     mask = BvMask(3, 5)
     sched = Schedule(50.0, 5000)
     full = evolve_full(bv_interpolated(mask), plus_state(3, 1), sched)
-    phi0 = evolve_two_level(TwoLevelBlock(0, "bv"), sched)
-    phi1 = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
+    phi0 = evolve_two_level(TwoLevelBlock(0), sched)
+    phi1 = evolve_two_level(TwoLevelBlock(1), sched)
     factored = assemble_bv(mask, phi0, phi1)
     assert np.max(np.abs(full.final_state.amps - factored.amps)) <= 1e-8
 
@@ -458,9 +466,7 @@ def test_assemble_simon_ideal_branches():
 def test_assemble_simon_coset_grouping(T):
     # amplitudes are constant on cosets {w, w xor a} for ideal and evolved branches
     oracle = simon_build(3, 5)
-    sched = Schedule(T, int(100 * T))
-    phi0 = evolve_two_level(TwoLevelBlock(0, "simon"), sched)
-    phi1 = evolve_two_level(TwoLevelBlock(1, "simon"), sched)
+    phi0, phi1 = branch_pair("simon", T, int(100 * T))
     mat = assemble_simon(oracle, phi0, phi1).as_matrix()
     for w in range(8):
         np.testing.assert_allclose(mat[w], mat[w ^ 5], atol=1e-15)
@@ -470,8 +476,7 @@ def test_assemble_simon_matches_full_evolution():
     oracle = simon_build(3, 5)
     sched = Schedule(50.0, 5000)
     full = evolve_full(simon_interpolated(oracle), plus_state(3, 2), sched)
-    phi0 = evolve_two_level(TwoLevelBlock(0, "simon"), sched)
-    phi1 = evolve_two_level(TwoLevelBlock(1, "simon"), sched)
+    phi0, phi1 = branch_pair("simon", sched.total_time, sched.steps)
     factored = assemble_simon(oracle, phi0, phi1)
     assert np.max(np.abs(full.final_state.amps - factored.amps)) <= 1e-8
 
@@ -521,8 +526,7 @@ def test_assemble_rejects_unnormalized_branches():
 
 def test_evolution_is_bit_identical_within_a_build():
     sched = Schedule(5.0, 500)
-    first = evolve_two_level(TwoLevelBlock(0, "simon"), sched)
-    second = evolve_two_level(TwoLevelBlock(0, "simon"), sched)
+    first, second = (branch_pair("simon", 5.0, 500)[0] for _ in range(2))
     assert np.array_equal(first, second)
     mask = BvMask(2, 2)
     h = bv_interpolated(mask)
@@ -594,13 +598,12 @@ def test_full_path_agrees_with_factored_above_the_dense_cap():
     sched = Schedule(1.0, 100)
     mask = BvMask(16, 0b1011_0011_1000_1101)
     full = evolve_full(bv_interpolated(mask), plus_state(16, 1), sched)
-    phi0 = evolve_two_level(TwoLevelBlock(0, "bv"), sched)
-    phi1 = evolve_two_level(TwoLevelBlock(1, "bv"), sched)
+    phi0 = evolve_two_level(TwoLevelBlock(0), sched)
+    phi1 = evolve_two_level(TwoLevelBlock(1), sched)
     assert np.max(np.abs(full.final_state.amps - assemble_bv(mask, phi0, phi1).amps)) <= 1e-8
 
     oracle = simon_build(8, 0b1011_0110)
     full = evolve_full(simon_interpolated(oracle), plus_state(8, 7), sched)
-    phi0 = evolve_two_level(TwoLevelBlock(0, "simon"), sched)
-    phi1 = evolve_two_level(TwoLevelBlock(1, "simon"), sched)
+    phi0, phi1 = branch_pair("simon", sched.total_time, sched.steps)
     factored = assemble_simon(oracle, phi0, phi1)
     assert np.max(np.abs(full.final_state.amps - factored.amps)) <= 1e-8

@@ -9,7 +9,6 @@ import pytest
 from adiabatic_sim.errors import DomainError
 from adiabatic_sim.hamiltonians import (
     InterpolatedHamiltonian,
-    TwoLevelBlock,
     _apply_h,
     _closure,
     bv_interpolated,
@@ -190,10 +189,10 @@ def test_problem_only_product_builds_no_scaled_copy():
 
 def test_two_level_bv_endpoints():
     np.testing.assert_allclose(
-        two_level(TwoLevelBlock(0, "bv"), 1.0), np.diag([-1.0, 0.0]), atol=1e-15
+        two_level("bv", 0, 1.0), np.diag([-1.0, 0.0]), atol=1e-15
     )
     for f_bit in (0, 1):
-        h0 = two_level(TwoLevelBlock(f_bit, "bv"), 0.0)
+        h0 = two_level("bv", f_bit, 0.0)
         np.testing.assert_allclose(h0, 0.5 * (IDENTITY_2 - SIGMA_X), atol=1e-15)
         plus = np.array([S2, S2])
         assert np.max(np.abs(h0 @ plus)) <= 1e-15
@@ -202,31 +201,33 @@ def test_two_level_bv_endpoints():
 @pytest.mark.parametrize("kind", ["bv", "simon"])
 def test_two_level_conjugation_identity(kind):
     for s in np.linspace(0.0, 1.0, 11):
-        h0 = two_level(TwoLevelBlock(0, kind), s)
-        h1 = two_level(TwoLevelBlock(1, kind), s)
+        h0 = two_level(kind, 0, s)
+        h1 = two_level(kind, 1, s)
         np.testing.assert_allclose(h1, SIGMA_X @ h0 @ SIGMA_X, atol=1e-15)
 
 
 def test_two_level_simon_offset():
     # simon blocks sit s above the bv blocks: same gap, shifted zero point
     for s in (0.0, 0.25, 0.8, 1.0):
-        h_bv = two_level(TwoLevelBlock(0, "bv"), s)
-        h_simon = two_level(TwoLevelBlock(0, "simon"), s)
+        h_bv = two_level("bv", 0, s)
+        h_simon = two_level("simon", 0, s)
         np.testing.assert_allclose(h_simon, h_bv + s * IDENTITY_2, atol=1e-15)
 
 
 def test_gap_frozen_values():
-    block = TwoLevelBlock(0, "bv")
-    assert gap(block, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert gap(block, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert gap(block, 0.5) == pytest.approx(0.7071067811865476, abs=1e-12)
+    assert gap(0.0) == pytest.approx(1.0, abs=1e-12)
+    assert gap(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert gap(0.5) == pytest.approx(0.7071067811865476, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind,f_bit", [("bv", 0), ("bv", 1), ("simon", 0), ("simon", 1)])
 def test_gap_closed_form_on_grid(kind, f_bit):
-    block = TwoLevelBlock(f_bit, kind)
+    # gap(s) is every block's level splitting, Simon's offset one included
     for s in np.linspace(0.0, 1.0, 1000):
-        assert abs(gap(block, float(s)) - math.hypot(1.0 - s, s)) <= 1e-12
+        s = float(s)
+        assert abs(gap(s) - math.hypot(1.0 - s, s)) <= 1e-12
+        low, high = np.linalg.eigvalsh(two_level(kind, f_bit, s))
+        assert abs(gap(s) - (high - low)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,a", [(2, 2), (3, 5), (4, 9)])
@@ -239,7 +240,7 @@ def test_bv_block_diagonal_identity(n, a):
         for w in range(1 << n):
             proj = np.zeros((1 << n, 1 << n))
             proj[w, w] = 1.0
-            expected += np.kron(proj, two_level(TwoLevelBlock(bv_eval(mask, w), "bv"), s))
+            expected += np.kron(proj, two_level("bv", bv_eval(mask, w), s))
         np.testing.assert_allclose(applied(h, s), expected, atol=1e-12)
 
 
@@ -256,7 +257,7 @@ def test_simon_block_diagonal_identity():
             g = simon_eval(oracle, w)
             h_w = np.zeros((1 << m, 1 << m), dtype=complex)
             for k in range(m):
-                block = two_level(TwoLevelBlock((g >> k) & 1, "simon"), s)
+                block = two_level("simon", (g >> k) & 1, s)
                 h_w += kron_chain(
                     [block if q == k else IDENTITY_2 for q in reversed(range(m))]
                 )

@@ -9,9 +9,8 @@ import pytest
 
 from adiabatic_sim import measurement, protocols
 from adiabatic_sim.errors import DomainError, ResampleError
-from adiabatic_sim.evolution import Schedule, assemble_bv, assemble_simon, evolve_two_level
+from adiabatic_sim.evolution import assemble_bv, assemble_simon
 from adiabatic_sim.gf2 import dot2
-from adiabatic_sim.hamiltonians import TwoLevelBlock
 from adiabatic_sim.measurement import (
     BvReadout,
     RandomSource,
@@ -39,11 +38,7 @@ S2 = 1.0 / math.sqrt(2.0)
 
 
 def evolved_branches(kind: str, T: float):
-    sched = Schedule(T, int(100 * T))
-    return (
-        evolve_two_level(TwoLevelBlock(0, kind), sched),
-        evolve_two_level(TwoLevelBlock(1, kind), sched),
-    )
+    return protocols.branch_pair(kind, T, int(100 * T))
 
 
 def dense_x_probs_given_y(state: StateVector, y: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from adiabatic_sim.evolution import Schedule, evolve_full, evolve_two_level
 from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
 from adiabatic_sim.hamiltonians import TwoLevelBlock, simon_interpolated
 from adiabatic_sim.measurement import RandomSource, bv_readout, simon_sample
-from adiabatic_sim.oracles import BvMask, simon_build
+from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
 from adiabatic_sim.protocols import (
     RunConfig,
     branch_pair,
@@ -30,7 +30,7 @@ from adiabatic_sim.protocols import (
     sweep,
 )
 from adiabatic_sim.qstate import plus_state
-from helpers import reference_run
+from helpers import problem_phase, reference_run
 
 
 def test_run_bv_end_to_end():
@@ -214,7 +214,7 @@ def test_resolve_config_draws_mask_deterministically():
     second = resolve_config(cfg)
     assert first.a == second.a
     assert 0 < first.a < 32
-    q = protocols._branch_pair_cached("simon", 50.0, 5000)[2]
+    q = protocols._branch_law(50.0, 5000)[0]
     assert first.max_repeats == protocols._shot_budget(4, min(q, 1 - q)) == 99
     assert resolve_config(first) == first  # idempotent
 
@@ -235,7 +235,7 @@ def test_shot_budget_edges_and_tail():
                            for j in range(stages))
                 assert tail <= protocols.BUDGET_FAILURE_PROB
     # the default budget at T = 50: both problems, both paths read the same q
-    q = protocols._branch_pair_cached("bv", 50.0, 5000)[2]
+    q = protocols._branch_law(50.0, 5000)[0]
     for problem, n, want in (("bv", 3, budget(1, q)), ("simon", 3, budget(2, min(q, 1 - q)))):
         for path in ("factored", "full"):
             assert resolve_config(RunConfig(problem, n, path=path)).max_repeats == want
@@ -263,6 +263,34 @@ def test_classical_simon_always_recovers_mask():
     oracle = simon_build(6, 0b100101, scramble_seed=2)
     for seed in range(100):
         assert classical_simon(oracle, RandomSource(seed)).a == 0b100101
+
+
+def test_classical_simon_matches_the_distinct_query_loop():
+    # the one-dict search against a loop that keeps the queried inputs in a
+    # set of their own and skips a repeat before querying it: same result,
+    # same queries, same draws
+    def distinct_query_loop(oracle, rng):
+        seen, queried = {}, set()
+        while True:
+            w = rng.randrange(1 << oracle.n)
+            if w in queried:
+                continue
+            queried.add(w)
+            out = simon_eval(oracle, w)
+            if out in seen:
+                return len(queried), seen[out] ^ w
+            seen[out] = w
+
+    picks = random.Random(30)
+    for _ in range(300):
+        n = picks.randint(2, 14)
+        oracle = simon_build(n, picks.randrange(1, 1 << n),
+                             scramble_seed=picks.choice([None, picks.getrandbits(31)]))
+        seed = picks.getrandbits(63)
+        ours, theirs = RandomSource(seed), RandomSource(seed)
+        result = classical_simon(oracle, ours)
+        assert (result.queries, result.a) == distinct_query_loop(oracle, theirs)
+        assert ours.draws == theirs.draws
 
 
 def test_classical_simon_birthday_scaling():
@@ -381,7 +409,7 @@ def test_sweep_validates_every_value_before_running(monkeypatch):
 def test_a_default_budget_past_the_cap_is_refused(problem, n, total_time):
     # the 1e-9 failure bound is kept or the config refused, never cut at the cap
     cfg = RunConfig(problem, n, total_time=total_time, seed=2)
-    q = protocols._branch_pair_cached(problem, total_time, protocols._steps_for(cfg))[2]
+    q = protocols._branch_law(total_time, protocols._steps_for(cfg))[0]
     s = q if problem == "bv" else min(q, 1 - q)
     need = protocols._shot_budget(1 if problem == "bv" else n - 1, s)
     assert need > protocols.MAX_STEPS
@@ -396,7 +424,7 @@ def test_a_default_budget_past_the_cap_is_refused(problem, n, total_time):
 
 
 def test_a_nan_row_bit_probability_is_refused(monkeypatch):
-    monkeypatch.setattr(protocols, "_branch_pair_cached", lambda *key: (None, None, math.nan, 1.0))
+    monkeypatch.setattr(protocols, "_branch_law", lambda *key: (math.nan, 1.0))
     for problem in ("bv", "simon"):
         with pytest.raises(DomainError, match="q = nan .* inf shots"):
             resolve_config(RunConfig(problem, 4))
@@ -517,35 +545,31 @@ def test_branch_pair_phi1_is_the_evolved_second_branch(kind):
     for total_time, steps in ((0.3, 7), (2.5, 64), (2.5, 65), (5.0, 500), (37.5, 4000),
                               (50.0, 20001)):
         _, phi1 = branch_pair(kind, total_time, steps)
-        evolved = evolve_two_level(TwoLevelBlock(1, kind), Schedule(total_time, steps))
-        assert np.array_equal(phi1, evolved)
+        evolved = evolve_two_level(TwoLevelBlock(1), Schedule(total_time, steps))
+        assert np.array_equal(phi1, evolved * problem_phase(kind, total_time))
 
 
-def test_branch_pair_miss_evolves_once(monkeypatch):
+def test_branch_pair_refuses_an_unknown_problem():
+    # only Simon's name applies the phase, so another name must not read as BV
+    with pytest.raises(DomainError, match="unknown problem 'Simon'"):
+        branch_pair("Simon", 1.0, 10)
+
+
+def test_bv_and_simon_runs_share_one_branch_evolution(monkeypatch):
+    # the memoized law is keyed by (T, steps) alone: a factored BV run and then
+    # a Simon run, linear or scrambled, on one schedule integrate the branch once
     calls = []
 
     def counting(block, sched):
-        calls.append(block)
+        calls.append((block, sched))
         return evolve_two_level(block, sched)
 
     monkeypatch.setattr(protocols, "evolve_two_level", counting)
-    protocols._branch_pair_cached.cache_clear()
-    branch_pair("simon", 12.5, 1250)
-    branch_pair("simon", 12.5, 1250)
-    assert calls == [TwoLevelBlock(0, "simon")]
-
-
-def test_branch_pair_is_read_only():
-    # branch_pair hands out the cached arrays themselves, so a write must fail
-    # rather than corrupt every later run of the schedule
-    phi0, phi1 = branch_pair("bv", 3.0, 300)
-    assert branch_pair("bv", 3.0, 300)[0] is phi0
-    for phi in (phi0, phi1):
-        with pytest.raises(ValueError):
-            phi[0] = 0.0
-        with pytest.raises(ValueError):
-            phi *= 2.0
-    assert np.array_equal(phi1, phi0[::-1])
+    protocols._branch_law.cache_clear()
+    for fields in (dict(problem="bv", n=6), dict(problem="simon", n=6),
+                   dict(problem="simon", n=6, scramble_seed=4)):
+        assert run(RunConfig(**fields, total_time=12.5, seed=3)).success
+    assert calls == [(TwoLevelBlock(0), Schedule(12.5, 1250))]
 
 
 def test_cached_branch_overlap_is_real():
@@ -554,7 +578,7 @@ def test_cached_branch_overlap_is_real():
     for kind in ("bv", "simon"):
         for total_time in np.geomspace(0.01, 1e4, 10):
             for steps in (1, 7, 100, 5000, 40000):
-                phi0, phi1 = protocols._branch_pair_cached.__wrapped__(kind, total_time, steps)[:2]
+                phi0, phi1 = branch_pair(kind, total_time, steps)
                 assert abs(np.vdot(phi0, phi1).imag) <= 1e-12
 
 
@@ -570,7 +594,7 @@ def test_factored_runs_compute_q_once_per_anneal(monkeypatch):
 
     monkeypatch.setattr(measurement, "simon_row_bit_prob", counting)
     monkeypatch.setattr(protocols, "simon_row_bit_prob", counting)
-    protocols._branch_pair_cached.cache_clear()
+    protocols._branch_law.cache_clear()
     for run, fields in [
         (run_bv, dict(problem="bv", n=10, total_time=1.0, steps=100, seed=0)),
         (run_simon, dict(problem="simon", n=12, seed=1)),
@@ -934,18 +958,19 @@ def test_steps_ceiling():
 
 
 @pytest.mark.parametrize("n,scramble_seed,a,runs,fidelity", [
-    (12, None, 218, 11, 0.9957656663381276),
-    (12, 7, 218, 12, 0.9957656663381276),
-    (13, None, 1865, 14, 0.9953816171275862),
-    (13, 7, 1865, 13, 0.9953816171275862),
-    (14, None, 7783, 15, 0.9949977160380344),
-    (14, 7, 7783, 16, 0.9949977160380344),
+    (12, None, 218, 11, 0.9957656663381282),
+    (12, 7, 218, 12, 0.9957656663381282),
+    (13, None, 1865, 14, 0.9953816171275867),
+    (13, 7, 1865, 13, 0.9953816171275867),
+    (14, None, 7783, 15, 0.9949977160380347),
+    (14, 7, 7783, 16, 0.9949977160380347),
 ], ids=["n12", "n12-scrambled", "n13", "n13-scrambled", "n14", "n14-scrambled"])
 def test_seeded_simon_reports_unchanged(n, scramble_seed, a, runs, fidelity):
     # a recorded when run_simon still built the oracle's lookup table; runs
     # re-recorded under schema 11 (every shot on stream 1); fidelity under
-    # schemas 7 (the scan's scalar tail), 10 (the product tree) and 12 (the
-    # mirrored half ramp)
+    # schemas 7 (the scan's scalar tail), 10 (the product tree), 12 (the
+    # mirrored half ramp) and 13 (phi_0[0] read off the BV branch, without
+    # Simon's phase)
     report = run_simon(RunConfig(problem="simon", n=n, seed=100 + n, scramble_seed=scramble_seed))
     assert report.success and report.recovered_a == a
     assert report.quantum_runs == report.rows_collected == runs
@@ -953,20 +978,20 @@ def test_seeded_simon_reports_unchanged(n, scramble_seed, a, runs, fidelity):
 
 
 @pytest.mark.parametrize("fields,a,runs,fidelity", [
-    (dict(n=24, total_time=0.5, steps=50, seed=324), 1381533, 340, 1.5116262790449054e-07),
+    (dict(n=24, total_time=0.5, steps=50, seed=324), 1381533, 340, 1.5116262790449088e-07),
     (dict(n=60, total_time=0.5, steps=50, seed=360), 178413162238573480, 212,
-     3.190011451444411e-18),
-    (dict(n=24, total_time=1.0, steps=100, seed=324), 1381533, 50, 2.99973574361328e-07),
+     3.1900114514444297e-18),
+    (dict(n=24, total_time=1.0, steps=100, seed=324), 1381533, 50, 2.999735743613278e-07),
     (dict(n=60, total_time=1.0, steps=100, seed=360), 178413162238573480, 62,
-     1.8505459121952957e-17),
+     1.850545912195292e-17),
     (dict(n=12, total_time=0.5, steps=50, seed=312, scramble_seed=3), 3238, 114,
-     0.0005470098714606655),
+     0.0005470098714606661),
 ], ids=["T0.5-n24", "T0.5-n60", "T1-n24", "T1-n60", "T0.5-n12-scrambled"])
 def test_seeded_low_q_simon_reports(fields, a, runs, fidelity):
     # recorded under schema 5 with one scalar uniform per row bit; at low q a
     # run draws hundreds of row-bit blocks, so these pin the draw order; runs
     # re-recorded under schema 11 (every shot on stream 1), the fidelities
-    # under schemas 7, 10 and 12
+    # under schemas 7, 10, 12 and 13
     report = run_simon(RunConfig(problem="simon", max_repeats=20 * fields["n"], **fields))
     assert report.success and report.recovered_a == a
     assert report.quantum_runs == report.rows_collected == runs
