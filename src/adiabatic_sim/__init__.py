@@ -22,8 +22,7 @@ from .errors import (
 from .evolution import (
     EvolutionResult,
     Schedule,
-    assemble_bv,
-    assemble_simon,
+    assemble,
     evolve_full,
     evolve_two_level,
 )
@@ -31,10 +30,9 @@ from .gf2 import Gf2Matrix, dot2, recover_mask
 from .hamiltonians import (
     InterpolatedHamiltonian,
     TwoLevelBlock,
-    bv_interpolated,
     gap,
+    interpolated,
     min_gap_scan,
-    simon_interpolated,
 )
 from .measurement import (
     BvReadout,

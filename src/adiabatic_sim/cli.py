@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import SimulatorError
-from .evolution import assemble_simon
-from .hamiltonians import bv_interpolated, gap, gap_table, simon_interpolated
+from .evolution import assemble
+from .hamiltonians import gap, gap_table, interpolated
 from .measurement import RandomSource
 from .oracles import BvMask, simon_build
 from .protocols import (
@@ -41,7 +41,7 @@ from .protocols import (
     sweep,
 )
 
-SCHEMA_VERSION = "13"
+SCHEMA_VERSION = "14"
 
 SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
 
@@ -152,8 +152,8 @@ def cmd_simon(args: argparse.Namespace) -> int:
     report = run_simon(cfg, finals.append if args.compare_factored else None)
     results = asdict(report)
     if args.compare_factored:
-        phi0, phi1 = branch_pair("simon", cfg.total_time, cfg.steps)
-        factored = assemble_simon(simon_build(cfg.n, cfg.a, cfg.scramble_seed), phi0, phi1)
+        phi0, phi1 = branch_pair(cfg.total_time, cfg.steps)
+        factored = assemble(simon_build(cfg.n, cfg.a, cfg.scramble_seed), phi0, phi1)
         deviation = float(np.max(np.abs(finals[0].amps - factored.amps)))
         results["max_factored_deviation"] = deviation
     _emit(json.dumps(_record(cfg, results), indent=2) + "\n", args.out)
@@ -181,11 +181,8 @@ def cmd_gap(args: argparse.Namespace) -> int:
         if args.n is None:
             raise UsageError("--n is required unless --two-level is given")
         a = _draw_mask(RunConfig(args.problem, args.n, args.a, path="full", seed=seed), RandomSource(seed))
-        if args.problem == "bv":
-            h = bv_interpolated(BvMask(args.n, a))
-        else:
-            h = simon_interpolated(simon_build(args.n, a))
-        table = gap_table(h, args.grid)
+        oracle = BvMask(args.n, a) if args.problem == "bv" else simon_build(args.n, a)
+        table = gap_table(interpolated(oracle), args.grid)
     _emit_csv(["s", "gap"], ([f"{s:.10g}", f"{value:.15g}"] for s, value in table), args.out)
     s_min, gap_min = min(table, key=lambda pair: pair[1])
     print(f"min gap {gap_min:.6g} at s = {s_min:.6g}", file=sys.stderr)

@@ -17,11 +17,11 @@ Two integration paths solve i d|psi>/dt = H(t/T) |psi>:
   those, and the s = 1/2 step of an odd N, are computed, as arrays, and
   multiplied by a pairwise product tree, whose last at most SCAN_TAIL
   factors are taken in a scalar loop; the phases multiply to exactly 1.  It
-  integrates BV's branch; Simon's differs by s*1, the phase exp(-iT/2) that
-  ``protocols.branch_pair`` applies.  Because the full Hamiltonian is block
-  diagonal in the input register and the output qubits are uncoupled, a full
-  run is exactly the assembly of these branch evolutions;
-  ``assemble_bv``/``assemble_simon`` build that product state.
+  integrates ``TwoLevelBlock``; an output qubit's block differs by s*1, the
+  phase exp(-iT/2) that ``protocols.branch_pair`` applies.  Because the full
+  Hamiltonian is block diagonal in the input register and the output qubits
+  are uncoupled, a full run is exactly the assembly of these branch
+  evolutions; ``assemble`` builds that product state.
 
 Phases are propagated exactly and never gauged away.  The two branch
 evolutions are related by phi_1 = sigma_x phi_0 at every time (conjugating
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, ShapeError
 from .hamiltonians import InterpolatedHamiltonian, TwoLevelBlock, _apply_h
-from .oracles import BvMask, SimonOracle, bv_eval_all, simon_eval_all
+from .oracles import BvMask, SimonOracle
 from .qstate import StateVector, check_capacity, fidelity
 
 # A run whose norm drifts past this is reported as an integration failure.
@@ -265,7 +265,7 @@ def _mirror(q: tuple[complex, complex], f_bit: int) -> tuple[complex, complex]:
 
 
 def evolve_two_level(block: TwoLevelBlock, sched: Schedule) -> np.ndarray:
-    """Evolve one BV branch qubit from |+> and return its final 2-vector.
+    """Evolve one ``TwoLevelBlock`` qubit from |+> and return its final 2-vector.
 
     The step unitary exp(-i dt (c*1 + vx*sigma_x + vz*sigma_z)) is
     e^(-i c dt) V with V = cos(r dt) - i sin(r dt) vhat.sigma in SU(2),
@@ -317,30 +317,15 @@ def check_branch_vector(phi: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _assemble(
-    n: int, m: int, outputs: np.ndarray, phi0: np.ndarray, phi1: np.ndarray
-) -> StateVector:
-    """2^(-n/2) sum_w |w> (x) phi_f_1(w) ... phi_f_m(w), given the m-bit outputs f(w)."""
+def assemble(oracle: BvMask | SimonOracle, phi0: np.ndarray, phi1: np.ndarray) -> StateVector:
+    """Product-form final state 2^(-n/2) sum_w |w> (x) phi_f_1(w) ... phi_f_m(w)
+    of an oracle with n inputs and m outputs f(w); materializes all 2^(n+m) amplitudes."""
+    check_capacity(oracle.n + oracle.m)
     phi0 = check_branch_vector(phi0)
     phi1 = check_branch_vector(phi1)
     # branch_states[f, y] = prod_k phi_{f_k}[y_k]: a Kronecker power of the
     # 2x2 table P[b, i] = phi_b[i].
     pair = np.vstack([phi0, phi1])
-    branch_states = reduce(np.kron, [pair] * m)
-    amps = branch_states[outputs, :] / math.sqrt(1 << n)
-    return StateVector(n, m, amps.reshape(-1))
-
-
-def assemble_bv(mask: BvMask, phi0: np.ndarray, phi1: np.ndarray) -> StateVector:
-    """Product-form final state 2^(-n/2) sum_w |w> (x) phi_f(w)."""
-    check_capacity(mask.n + 1)
-    return _assemble(mask.n, 1, bv_eval_all(mask), phi0, phi1)
-
-
-def assemble_simon(oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray) -> StateVector:
-    """Product-form final state 2^(-n/2) sum_w |w> (x) (phi_g_0(w) ... phi_g_m(w)).
-
-    Materializes all 2^(2n-1) amplitudes.
-    """
-    check_capacity(2 * oracle.n - 1)
-    return _assemble(oracle.n, oracle.n - 1, simon_eval_all(oracle), phi0, phi1)
+    branch_states = reduce(np.kron, [pair] * oracle.m)
+    amps = branch_states[oracle.outputs(), :] / math.sqrt(1 << oracle.n)
+    return StateVector(oracle.n, oracle.m, amps.reshape(-1))

@@ -1,14 +1,10 @@
 """Problem and driver Hamiltonians, their interpolation, and spectral gaps.
 
 Both algorithms anneal H(s) = s*H_problem + (1-s)*H_driver on an (A, B)
-register pair where A holds the oracle input w and B the output register.
-
-  BV:    H_p is diagonal with entry -1 at |w>|f(w)> and 0 elsewhere
-         (ground energy -1, 2^n-fold degenerate);
-         H_d = 1/2 (1 - sigma_x) on the single B qubit.
-  Simon: H_p is diagonal with entry hamming(y, g(w)) at |w>|y>
-         (ground energy 0, 2^n-fold degenerate);
-         H_d = 1/2 sum_k (1 - sigma_x^k) over the n-1 B qubits.
+register pair where A holds the n oracle inputs w and B the m output qubits:
+H_p is diagonal with entry hamming(y, f(w)) at |w>|y> (ground energy 0,
+2^n-fold degenerate), and H_d = 1/2 sum_k (1 - sigma_x^k) over the B qubits.
+BV is this encoding with m = 1, Simon with m = n - 1.
 
 ``InterpolatedHamiltonian`` keeps only the problem diagonal and the register
 sizes; ``_apply_h`` applies H(s) without a matrix.  Building one, or scanning
@@ -16,14 +12,12 @@ its gap, is refused above ``qstate.DENSE_QUBIT_CAP`` total qubits.  The gap
 scan reads H(s) on K, the smallest subspace holding |+>|+> that H_p and H_d
 map into itself, which the anneal never leaves.  A Krylov closure finds K
 without the factorization below, so the scan is a witness of it: K is the
-symmetric subspace of the n_b output qubits (2 dimensions for BV, n for Simon).
+symmetric subspace of the m output qubits (m + 1 dimensions).
 
 Because H(s) is block diagonal in w and the B qubits are uncoupled, every
 branch reduces to independent two-level systems; ``TwoLevelBlock`` names
-one and ``gap`` gives its level splitting.  A Simon output qubit's block is
-BV's plus s*1, a phase that ``protocols.branch_pair`` applies.  The two
-energy conventions above are kept exactly as stated (not shifted to a common
-zero) so final states can be compared directly against their target encodings.
+one and ``gap`` gives its level splitting.  An output qubit's block is
+``TwoLevelBlock``'s plus s*1, a phase that ``protocols.branch_pair`` applies.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
-from .oracles import BvMask, SimonOracle, bv_eval_all, simon_eval_all
+from .oracles import BvMask, SimonOracle
 from .qstate import check_capacity
 
 # A closure residual at most this times the operators' scale is round-off
@@ -59,7 +53,7 @@ class InterpolatedHamiltonian:
 class TwoLevelBlock:
     """One decoupled qubit branch; f_bit selects the sigma_z sign:
     H_w(s) = 1/2 [(1-s)(1 - sigma_x) - s(1 + (-1)^f sigma_z)].
-    A Simon output qubit's block is this plus s*1."""
+    An output qubit's Hamming-encoded block is this plus s*1."""
 
     f_bit: int
 
@@ -68,23 +62,13 @@ class TwoLevelBlock:
             raise DomainError("f_bit must be 0 or 1")
 
 
-def _hamming_diag(outputs: np.ndarray, m: int) -> np.ndarray:
-    """hamming(y, f(w)) at index w * 2^m + y, given the m-bit outputs f(w)."""
-    dist = np.bitwise_count(np.bitwise_xor(outputs[:, None], np.arange(1 << m)))
-    return dist.reshape(-1).astype(np.float64)
-
-
-def bv_interpolated(mask: BvMask) -> InterpolatedHamiltonian:
-    """BV H(s): problem diagonal -1 at |w>|f(w)>, 0 elsewhere, on n+1 qubits."""
-    check_capacity(mask.n + 1)
-    return InterpolatedHamiltonian(_hamming_diag(bv_eval_all(mask), 1) - 1.0, (mask.n, 1))
-
-
-def simon_interpolated(oracle: SimonOracle) -> InterpolatedHamiltonian:
-    """Simon H(s): problem diagonal hamming(y, g(w)) at |w>|y>, on 2n-1 qubits."""
-    m = oracle.n - 1
-    check_capacity(oracle.n + m)
-    return InterpolatedHamiltonian(_hamming_diag(simon_eval_all(oracle), m), (oracle.n, m))
+def interpolated(oracle: BvMask | SimonOracle) -> InterpolatedHamiltonian:
+    """H(s) of an oracle with n inputs and m outputs f(w): problem diagonal
+    hamming(y, f(w)) at index w * 2^m + y, on n + m qubits."""
+    n, m = oracle.n, oracle.m
+    check_capacity(n + m)
+    dist = np.bitwise_count(np.bitwise_xor(oracle.outputs()[:, None], np.arange(1 << m)))
+    return InterpolatedHamiltonian(dist.reshape(-1).astype(np.float64), (n, m))
 
 
 def _apply_h(diag_s, half_drive: float, n_b: int, psi: np.ndarray, out: np.ndarray) -> None:

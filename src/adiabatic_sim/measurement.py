@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import DomainError, ResampleError
 from .evolution import check_branch_vector
-from .oracles import BvMask, SimonOracle, simon_eval_all, simon_orthogonal_row
+from .oracles import BvMask, SimonOracle, simon_orthogonal_row
 from .qstate import StateVector, _fwht_inplace
 
 
@@ -209,11 +209,11 @@ def simon_factored_x_probs(
     The unnormalized branch amplitudes are prod_k phi_{g_k(w)}[y_k]; grouping
     the factors by the four (g_k, y_k) bit combinations leaves popcounts.
     """
-    g = np.asarray(simon_eval_all(oracle))
+    g = oracle.outputs()
     c11 = np.bitwise_count(g & y)
     c10 = int(y).bit_count() - c11           # g_k=0, y_k=1
     c01 = np.bitwise_count(g) - c11          # g_k=1, y_k=0
-    c00 = oracle.n - 1 - c11 - c10 - c01
+    c00 = oracle.m - c11 - c10 - c01
     phi0 = np.asarray(phi0, dtype=np.complex128)
     phi1 = np.asarray(phi1, dtype=np.complex128)
     alpha = phi0[0] ** c00 * phi1[0] ** c01 * phi0[1] ** c10 * phi1[1] ** c11

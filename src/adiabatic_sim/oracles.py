@@ -1,8 +1,10 @@
 """Black-box oracles: the Bernstein-Vazirani parity function and Simon's 2-to-1 function.
 
-The BV oracle is f(w) = w . a mod 2 (bitwise dot product with a hidden mask).
-The Simon oracle g maps n-bit inputs onto (n-1)-bit outputs and is constant
-exactly on the cosets {w, w xor a} of a hidden nonzero mask a.
+Each oracle maps n input bits to m output bits, and ``outputs()`` lists them
+for every input; below the readout and the decoder, that is all a problem is.
+The BV oracle is f(w) = w . a mod 2 (bitwise dot product with a hidden mask),
+m = 1.  The Simon oracle g maps n-bit inputs onto m = n-1 output bits and is
+constant exactly on the cosets {w, w xor a} of a hidden nonzero mask a.
 
 Construction of g: let j be the lowest set bit of a.  Every coset contains
 exactly one representative whose bit j is clear; deleting bit j from that
@@ -29,6 +31,7 @@ class BvMask:
 
     n: int
     a: int
+    m = 1  # output bits
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -36,11 +39,10 @@ class BvMask:
         if not 0 <= self.a < (1 << self.n):
             raise DomainError(f"mask {self.a} out of range for {self.n} bits")
 
-
-def bv_eval_all(mask: BvMask) -> np.ndarray:
-    """Vector of f(w) for all w < 2**n (refused above the dense-array cap)."""
-    check_capacity(mask.n)
-    return np.bitwise_count(np.arange(1 << mask.n) & mask.a) & 1
+    def outputs(self) -> np.ndarray:
+        """Vector of f(w) for all w < 2**n (refused above the dense-array cap)."""
+        check_capacity(self.n)
+        return np.bitwise_count(np.arange(1 << self.n) & self.a) & 1
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,17 @@ class SimonOracle:
     a: int
     pivot_bit: int
     scramble: Optional[np.ndarray] = None
+
+    @property
+    def m(self) -> int:
+        """Output bits: n - 1."""
+        return self.n - 1
+
+    def outputs(self) -> np.ndarray:
+        """Vector of g(w) for all w < 2**n (refused above the dense-array cap)."""
+        check_capacity(self.n)
+        g = _canonical_g(self.n, self.a, self.pivot_bit, np.arange(1 << self.n, dtype=np.int64))
+        return g if self.scramble is None else self.scramble[g]
 
 
 def _canonical_g(n: int, a: int, pivot: int, w):
@@ -118,14 +131,4 @@ def simon_orthogonal_row(oracle: SimonOracle, t: int) -> int:
     a_dropped = ((oracle.a >> (j + 1)) << j) | (oracle.a & low_mask)
     x_j = (t & a_dropped).bit_count() & 1
     return ((t >> j) << (j + 1)) | (x_j << j) | (t & low_mask)
-
-
-def simon_eval_all(oracle: SimonOracle) -> np.ndarray:
-    """Vector of g(w) for all w < 2**n (refused above the dense-array cap)."""
-    check_capacity(oracle.n)
-    w_all = np.arange(1 << oracle.n, dtype=np.int64)
-    g = _canonical_g(oracle.n, oracle.a, oracle.pivot_bit, w_all)
-    if oracle.scramble is not None:
-        g = oracle.scramble[g]
-    return g
 

@@ -36,11 +36,12 @@ Randomness discipline (everything derives from RunConfig.seed):
                     schedule per value.
 Identical configs therefore reproduce identical reports, wall time aside.
 
-A factored run reads q and phi_0[0] off the BV branch, memoized per
-(T, steps) in ``_branch_law``: a Simon branch is BV's times a phase, which
-neither value keeps, so BV and Simon runs on one schedule share one
-evolution, and a restart re-reads the identical deterministic vector.  A
-cache miss costs one vectorized two-level evolution: phi_1 is sigma_x phi_0.
+A factored run reads q and phi_0[0] off ``evolve_two_level``, memoized per
+(T, steps) in ``_branch_law``: an output qubit's branch is that times the
+phase exp(-iT/2), which neither value keeps, so BV and Simon runs on one
+schedule share one evolution, and a restart re-reads the identical
+deterministic vector.  A cache miss costs one vectorized two-level
+evolution: phi_1 is sigma_x phi_0.
 """
 
 from __future__ import annotations
@@ -58,15 +59,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .evolution import (
-    Schedule,
-    assemble_bv,
-    assemble_simon,
-    evolve_full,
-    evolve_two_level,
-)
+from .evolution import Schedule, assemble, evolve_full, evolve_two_level
 from .gf2 import Gf2Matrix, recover_mask
-from .hamiltonians import TwoLevelBlock, bv_interpolated, simon_interpolated
+from .hamiltonians import TwoLevelBlock, interpolated
 from .measurement import (
     RandomSource,
     _bv_shot,
@@ -114,13 +109,16 @@ class RunConfig:
                 raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if self.problem not in ("bv", "simon"):
             raise DomainError(f"unknown problem {self.problem!r}")
-        min_n = 1 if self.problem == "bv" else 2
+        bv = self.problem == "bv"
+        min_n = 1 if bv else 2
         if self.n < min_n:
             raise DomainError(f"{self.problem} needs n >= {min_n}")
+        if bv and self.scramble_seed is not None:
+            raise DomainError("scramble_seed needs a simon config: a BV oracle has no labels to scramble")
         if self.path == "full":
-            check_capacity(self.n + 1 if self.problem == "bv" else 2 * self.n - 1)
+            check_capacity(self.n + (1 if bv else self.n - 1))  # n + m qubits
         elif self.path == "factored":
-            if self.problem == "simon" and self.scramble_seed is not None:
+            if self.scramble_seed is not None:
                 check_capacity(self.n)  # 2^(n-1) labels
             else:  # BV holds less, but shares the bound
                 check_capacity((self.n * (self.n - 1)).bit_length(),
@@ -238,21 +236,20 @@ class RunReport:
 
 @lru_cache(maxsize=256)
 def _branch_law(total_time: float, steps: int) -> tuple[float, complex]:
-    """What factored runs of either problem read off the BV branch: q and phi_0[0]."""
+    """What factored runs of either problem read off the branch, q and phi_0[0],
+    which the phase ``branch_pair`` applies leaves as ``evolve_two_level`` gives them."""
     # phi_1 = sigma_x phi_0, exact to the bit; so <phi_0|phi_1> = 2 Re(conj(a) b)
     # is real and a scrambled row needs no overlap check
-    phi0, phi1 = branch_pair("bv", total_time, steps)
-    return simon_row_bit_prob(phi0, phi1), phi0[0]
-
-
-def branch_pair(problem: str, total_time: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """A new (phi_0, phi_1) of the problem and schedule: a Simon block is BV's plus
-    s*1, which sums to T/2 over the midpoints, so its branch is BV's times exp(-iT/2)."""
-    if problem not in ("bv", "simon"):
-        raise DomainError(f"unknown problem {problem!r}")
     phi0 = evolve_two_level(TwoLevelBlock(0), Schedule(total_time, steps))
-    if problem == "simon":
-        phi0 *= cmath.exp(-0.5j * total_time)
+    return simon_row_bit_prob(phi0, phi0[::-1]), phi0[0]
+
+
+def branch_pair(total_time: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """A new (phi_0, phi_1) of the schedule: an output qubit's block is ``TwoLevelBlock``'s
+    plus s*1, which sums to T/2 over the midpoints, so its branch is evolve_two_level's
+    times exp(-iT/2)."""
+    phi0 = evolve_two_level(TwoLevelBlock(0), Schedule(total_time, steps))
+    phi0 *= cmath.exp(-0.5j * total_time)
     return phi0, phi0[::-1].copy()
 
 
@@ -269,13 +266,8 @@ def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
     rng.restart(1)
     t0 = time.perf_counter()
     bv = cfg.problem == "bv"
-    if bv:
-        oracle, m = BvMask(cfg.n, a), 1
-        assemble, interpolated = assemble_bv, bv_interpolated
-    else:
-        oracle, m = simon_build(cfg.n, a, cfg.scramble_seed), cfg.n - 1
-        assemble, interpolated = assemble_simon, simon_interpolated
-        system = Gf2Matrix(cfg.n)
+    oracle = BvMask(cfg.n, a) if bv else simon_build(cfg.n, a, cfg.scramble_seed)
+    m, system = oracle.m, (None if bv else Gf2Matrix(cfg.n))
     if cfg.path == "factored":
         q, phi00 = _branch_law(cfg.total_time, steps)
         read = partial(_bv_shot if bv else _read_factored, oracle, q, rng)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from adiabatic_sim.errors import DomainError
-from adiabatic_sim.evolution import Schedule, _su2_steps
+from adiabatic_sim.evolution import Schedule, _su2_steps, evolve_two_level
 from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
 from adiabatic_sim.hamiltonians import InterpolatedHamiltonian, TwoLevelBlock
 from adiabatic_sim.measurement import RandomSource, simon_row_bit_prob, simon_sample_factored
@@ -58,9 +58,17 @@ def level_gap(dense_h: np.ndarray, tol: float = 1e-8) -> float:
     return float(above[0] - evals[0]) if above.size else 0.0
 
 
+# A branch "kind" names one of the two 2x2 blocks that the tests integrate:
+#   "bv"     ``TwoLevelBlock``'s, -1 on the target (BV's problem diagonal before
+#            schema 14), which ``evolve_two_level`` integrates with no phase and
+#            ``protocols._branch_law`` reads;
+#   "simon"  the Hamming block, that plus s*1, of every output qubit of either
+#            problem, whose pair ``branch_pair`` returns.
+
+
 def two_level(kind: str, f_bit: int, s: float) -> np.ndarray:
-    """The 2x2 branch Hamiltonian of a "bv" or "simon" output qubit at parameter s:
-    ``TwoLevelBlock``'s for "bv", and Simon's Hamming-encoded one, written out
+    """The 2x2 branch Hamiltonian of a "bv" or "simon" kind at parameter s:
+    ``TwoLevelBlock``'s for "bv", and the Hamming-encoded one, written out
     independently, for "simon"."""
     sign = -1.0 if f_bit else 1.0
     driver = 0.5 * (1.0 - s) * (IDENTITY_2 - SIGMA_X)
@@ -70,9 +78,17 @@ def two_level(kind: str, f_bit: int, s: float) -> np.ndarray:
 
 
 def problem_phase(kind: str, total_time: float) -> complex:
-    """The factor a "bv" or "simon" branch carries over BV's evolution: Simon's
-    s*1 offset integrates to T/2."""
+    """The factor a "bv" or "simon" kind's branch carries over ``evolve_two_level``'s:
+    the Hamming block's s*1 offset integrates to T/2."""
     return 1.0 if kind == "bv" else cmath.exp(-0.5j * total_time)
+
+
+def kind_pair(kind: str, total_time: float, steps: int) -> tuple:
+    """(phi_0, phi_1) of a "bv" or "simon" kind: ``evolve_two_level``'s pair, or ``branch_pair``'s."""
+    if kind == "simon":
+        return branch_pair(total_time, steps)
+    phi0 = evolve_two_level(TwoLevelBlock(0), Schedule(total_time, steps))
+    return phi0, phi0[::-1].copy()
 
 
 def exact_branch(kind: str, total_time: float) -> np.ndarray:
@@ -102,7 +118,7 @@ def exact_branch(kind: str, total_time: float) -> np.ndarray:
 
 
 def unmirrored_branch(kind: str, f_bit: int, sched: Schedule) -> np.ndarray:
-    """``branch_pair(kind, ...)[f_bit]`` without the mirror: all N steps built
+    """``kind_pair(kind, ...)[f_bit]`` without the mirror: all N steps built
     by ``_su2_steps`` and multiplied one by one in Python complex arithmetic,
     then times ``problem_phase``."""
     a, b = 1 + 0j, 0j
@@ -152,9 +168,9 @@ def reference_run(cfg) -> dict:
     public one-shot sampler.
     """
     cfg = resolve_config(cfg)
-    # a Simon branch is this pair times a global phase, which q and the
-    # fidelity drop, so a run of either problem reads the BV pair
-    phi0, phi1 = branch_pair("bv", cfg.total_time, cfg.steps)
+    # branch_pair's pair is this one times a global phase, which q and the
+    # fidelity drop, so a run of either problem reads the unphased pair
+    phi0, phi1 = kind_pair("bv", cfg.total_time, cfg.steps)
     if cfg.problem == "bv":
         q, m = simon_row_bit_prob(phi0, phi1), 1
     else:

@@ -4,26 +4,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.
 """
 
+import cmath
 import functools
 import math
 
 import numpy as np
 
-from adiabatic_sim.evolution import (
-    Schedule,
-    assemble_bv,
-    assemble_simon,
-    evolve_full,
-    evolve_two_level,
-)
+from adiabatic_sim.evolution import Schedule, assemble, evolve_full, evolve_two_level
 from adiabatic_sim.gf2 import dot2
-from adiabatic_sim.hamiltonians import (
-    TwoLevelBlock,
-    bv_interpolated,
-    gap,
-    min_gap_scan,
-    simon_interpolated,
-)
+from adiabatic_sim.hamiltonians import TwoLevelBlock, gap, interpolated, min_gap_scan
 from adiabatic_sim.measurement import (
     RandomSource,
     bv_readout,
@@ -40,7 +29,6 @@ from adiabatic_sim.protocols import (
     run_simon,
 )
 from adiabatic_sim.qstate import SIGMA_X, fwht_subsystem, plus_state
-from helpers import problem_phase
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -66,20 +54,17 @@ def criterion(num: int, title: str):
 def test_criterion_1_decoupling():
     for total_time in (1.0, 5.0, 50.0):
         sched = Schedule(total_time, int(100 * total_time))
-        phi0, phi1 = branch_pair("bv", total_time, sched.steps)
+        phi0, phi1 = branch_pair(total_time, sched.steps)
         for n in (2, 3, 4):
             mask = BvMask(n, ((1 << n) - 1) & 0b1011)
-            full = evolve_full(bv_interpolated(mask), plus_state(n, 1), sched)
-            factored = assemble_bv(mask, phi0, phi1)
+            full = evolve_full(interpolated(mask), plus_state(n, 1), sched)
+            factored = assemble(mask, phi0, phi1)
             deviation = np.max(np.abs(full.final_state.amps - factored.amps))
             assert deviation <= 1e-8, (n, total_time, deviation)
-        phi0s, phi1s = branch_pair("simon", total_time, sched.steps)
         for n in (2, 3):
             oracle = simon_build(n, (1 << n) - 1)
-            full = evolve_full(
-                simon_interpolated(oracle), plus_state(n, n - 1), sched
-            )
-            factored = assemble_simon(oracle, phi0s, phi1s)
+            full = evolve_full(interpolated(oracle), plus_state(n, n - 1), sched)
+            factored = assemble(oracle, phi0, phi1)
             deviation = np.max(np.abs(full.final_state.amps - factored.amps))
             assert deviation <= 1e-8, (n, total_time, deviation)
 
@@ -90,7 +75,7 @@ def test_criterion_2_minimum_gap():
         s = float(s)
         assert abs(gap(s) - math.hypot(1.0 - s, s)) <= 1e-12
     target = 1.0 / math.sqrt(2.0)
-    for h in (bv_interpolated(BvMask(2, 2)), simon_interpolated(simon_build(2, 3))):
+    for h in (interpolated(BvMask(2, 2)), interpolated(simon_build(2, 3))):
         scan = min_gap_scan(h, grid=201)
         assert abs(scan.gap_min - target) <= 1e-3, scan
         assert abs(scan.s_min - 0.5) <= 5e-3, scan
@@ -98,7 +83,7 @@ def test_criterion_2_minimum_gap():
 
 @criterion(3, "adiabatic quality at T=50 is register-size independent")
 def test_criterion_3_n_independence():
-    phi0, _ = branch_pair("bv", 50.0, 5000)
+    phi0, _ = branch_pair(50.0, 5000)
     branch_fidelity = abs(phi0[0]) ** 2
     assert branch_fidelity >= 0.999
     factored_fidelities = []
@@ -116,13 +101,13 @@ def test_criterion_3_n_independence():
 def test_criterion_4_bv_readout():
     # exact restart probability from the ideal final state
     for n, a in ((3, 5), (4, 0), (6, 0b101101)):
-        state = assemble_bv(BvMask(n, a), E0, E1)
+        state = assemble(BvMask(n, a), E0, E1)
         rotated = fwht_subsystem(state, "B")
         p_restart = float(np.sum(np.abs(rotated.as_matrix()[:, 0]) ** 2))
         assert abs(p_restart - 0.5) <= 1e-12
 
     # empirical restart fraction over 10^4 seeded shots
-    state = assemble_bv(BvMask(4, 9), E0, E1)
+    state = assemble(BvMask(4, 9), E0, E1)
     restarts = sum(
         bv_readout(state, RandomSource(seed)).restart for seed in range(10_000)
     )
@@ -148,11 +133,11 @@ def test_criterion_4_bv_readout():
 @criterion(5, "Simon rows orthogonal; rank n-1 within n+20 runs in 95% of trials")
 def test_criterion_5_simon_protocol():
     # exact conditional distributions put zero mass on non-orthogonal rows
-    phi0, phi1 = branch_pair("simon", 50.0, 5000)
+    phi0, phi1 = branch_pair(50.0, 5000)
     for n in (2, 3, 4):
         oracle = simon_build(n, (1 << n) - 1, scramble_seed=n)
         for branches in ((E0, E1), (phi0, phi1)):
-            state = assemble_simon(oracle, branches[0], branches[1])
+            state = assemble(oracle, branches[0], branches[1])
             marginal = np.sum(np.abs(state.as_matrix()) ** 2, axis=0)
             violation = 0.0
             for y in range(1 << (n - 1)):
@@ -215,15 +200,14 @@ def test_criterion_6_query_separation():
 def test_criterion_7_integrator_contract():
     for total_time in (1.0, 5.0, 50.0):
         sched = Schedule(total_time, int(100 * total_time))
-        full_bv = evolve_full(bv_interpolated(BvMask(2, 2)), plus_state(2, 1), sched)
+        full_bv = evolve_full(interpolated(BvMask(2, 2)), plus_state(2, 1), sched)
         assert full_bv.norm_drift <= 1e-9
         full_simon = evolve_full(
-            simon_interpolated(simon_build(2, 3)), plus_state(2, 1), sched
+            interpolated(simon_build(2, 3)), plus_state(2, 1), sched
         )
         assert full_simon.norm_drift <= 1e-9
-        for kind in ("bv", "simon"):
-            phi = branch_pair(kind, total_time, sched.steps)[0]
-            assert abs(float(np.vdot(phi, phi).real) - 1.0) <= 1e-9
+        phi = branch_pair(total_time, sched.steps)[0]
+        assert abs(float(np.vdot(phi, phi).real) - 1.0) <= 1e-9
 
     reference = evolve_two_level(TwoLevelBlock(0), Schedule(50.0, 1 << 18))
     errors = []
@@ -236,9 +220,8 @@ def test_criterion_7_integrator_contract():
 
 @criterion(8, "no relative phases: phi_1 = sigma_x phi_0 to 1e-12")
 def test_criterion_8_phase_coherence():
-    for kind in ("bv", "simon"):
-        for total_time in (1.0, 5.0, 50.0):
-            sched = Schedule(total_time, int(100 * total_time))
-            phi0 = branch_pair(kind, total_time, sched.steps)[0]
-            phi1 = evolve_two_level(TwoLevelBlock(1), sched) * problem_phase(kind, total_time)
-            assert np.max(np.abs(phi1 - SIGMA_X @ phi0)) <= 1e-12
+    for total_time in (1.0, 5.0, 50.0):
+        sched = Schedule(total_time, int(100 * total_time))
+        phi0 = branch_pair(total_time, sched.steps)[0]
+        phi1 = evolve_two_level(TwoLevelBlock(1), sched) * cmath.exp(-0.5j * total_time)
+        assert np.max(np.abs(phi1 - SIGMA_X @ phi0)) <= 1e-12

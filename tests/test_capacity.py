@@ -12,14 +12,9 @@ import numpy as np
 import pytest
 
 from adiabatic_sim.errors import CapacityError, DomainError
-from adiabatic_sim.evolution import assemble_bv, assemble_simon
-from adiabatic_sim.hamiltonians import (
-    InterpolatedHamiltonian,
-    bv_interpolated,
-    min_gap_scan,
-    simon_interpolated,
-)
-from adiabatic_sim.oracles import BvMask, bv_eval_all, simon_build, simon_eval_all
+from adiabatic_sim.evolution import assemble
+from adiabatic_sim.hamiltonians import InterpolatedHamiltonian, interpolated, min_gap_scan
+from adiabatic_sim.oracles import BvMask, simon_build
 from adiabatic_sim.qstate import DENSE_QUBIT_CAP, check_capacity, plus_state
 
 E0 = np.array([1.0, 0.0])
@@ -30,12 +25,12 @@ OVER = DENSE_QUBIT_CAP + 1
 BUILDERS = {
     "check_capacity": lambda: check_capacity(OVER),
     "plus_state": lambda: plus_state(OVER - 1, 1),
-    "bv_interpolated": lambda: bv_interpolated(BvMask(OVER - 1, 1)),
-    "simon_interpolated": lambda: simon_interpolated(simon_build((OVER + 1) // 2, 1)),
-    "assemble_bv": lambda: assemble_bv(BvMask(OVER - 1, 1), E0, E1),
-    "assemble_simon": lambda: assemble_simon(simon_build((OVER + 1) // 2, 1), E0, E1),
-    "simon_eval_all": lambda: simon_eval_all(simon_build(OVER, 1)),
-    "bv_eval_all": lambda: bv_eval_all(BvMask(OVER, 1)),
+    "bv_interpolated": lambda: interpolated(BvMask(OVER - 1, 1)),
+    "simon_interpolated": lambda: interpolated(simon_build((OVER + 1) // 2, 1)),
+    "assemble_bv": lambda: assemble(BvMask(OVER - 1, 1), E0, E1),
+    "assemble_simon": lambda: assemble(simon_build((OVER + 1) // 2, 1), E0, E1),
+    "simon_outputs": lambda: simon_build(OVER, 1).outputs(),
+    "bv_outputs": lambda: BvMask(OVER, 1).outputs(),
     "scramble": lambda: simon_build(OVER, 1, scramble_seed=0),
     # a hand-built Hamiltonian on OVER qubits reaches the scan's own refusal
     "min_gap_scan": lambda: min_gap_scan(InterpolatedHamiltonian(np.zeros(1), (OVER - 1, 1)), 5),

@@ -10,7 +10,7 @@ import pytest
 
 from adiabatic_sim import protocols
 from adiabatic_sim.cli import build_parser, main
-from adiabatic_sim.hamiltonians import gap_table, simon_interpolated
+from adiabatic_sim.hamiltonians import gap_table, interpolated
 from adiabatic_sim.oracles import simon_build
 from adiabatic_sim.protocols import RunConfig
 
@@ -28,7 +28,7 @@ def test_bv_happy_path(capsys):
     )
     assert code == 0
     record = json.loads(out)
-    assert record["schema_version"] == "13"
+    assert record["schema_version"] == "14"
     assert record["results"]["recovered_a"] == 0xB3
     assert record["config"]["a"] == 0xB3
     assert record["provenance"]["seed"] == 1
@@ -310,7 +310,7 @@ def test_gap_draws_its_mask_without_an_anneal(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "gap", "--problem", "simon", "--n", "3", "--seed", "5")
     assert code == 0
     assert protocols.resolve_config(protocols.RunConfig("simon", 3, seed=5, max_repeats=1)).a == 2
-    table = gap_table(simon_interpolated(simon_build(3, 2)), 201)
+    table = gap_table(interpolated(simon_build(3, 2)), 201)
     assert out.splitlines() == ["s,gap"] + [f"{s:.10g},{value:.15g}" for s, value in table]
 
 
@@ -411,6 +411,9 @@ def test_missing_subcommand_is_usage_error(capsys):
     ("simon", "--n", "1025"),
     ("bv", "--n", "1000000"),
     ("simon", "--n", "1000000"),
+    # a BV oracle has no output labels to scramble
+    ("sweep", "--axis", "T", "--values", "1,2", "--problem", "bv", "--scramble-seed", "5",
+     "--trials", "1"),
 ])
 def test_bad_inputs_are_one_line_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -10,19 +10,8 @@ import pytest
 
 from adiabatic_sim import evolution
 from adiabatic_sim.errors import DomainError, IntegrationError, ShapeError
-from adiabatic_sim.evolution import (
-    Schedule,
-    assemble_bv,
-    assemble_simon,
-    evolve_full,
-    evolve_two_level,
-)
-from adiabatic_sim.hamiltonians import (
-    InterpolatedHamiltonian,
-    TwoLevelBlock,
-    bv_interpolated,
-    simon_interpolated,
-)
+from adiabatic_sim.evolution import Schedule, assemble, evolve_full, evolve_two_level
+from adiabatic_sim.hamiltonians import InterpolatedHamiltonian, TwoLevelBlock, interpolated
 from adiabatic_sim.measurement import simon_row_bit_prob
 from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
 from adiabatic_sim.protocols import branch_pair
@@ -31,6 +20,7 @@ from helpers import (
     bv_eval,
     exact_branch,
     interpolate,
+    kind_pair,
     problem_phase,
     random_state,
     unmirrored_branch,
@@ -83,7 +73,7 @@ def test_frozen_driver_leaves_ground_state_fixed():
 def test_full_evolution_reaches_bv_target():
     mask = BvMask(2, 2)
     target = bv_target(mask)
-    result = evolve_full(bv_interpolated(mask), plus_state(2, 1), Schedule(50.0, 5000), target)
+    result = evolve_full(interpolated(mask), plus_state(2, 1), Schedule(50.0, 5000), target)
     assert result.fidelity_to_target >= 0.999
     assert result.norm_drift <= 1e-9
 
@@ -94,7 +84,7 @@ def test_diabatic_quench_matches_sudden_approximation():
     psi0 = plus_state(2, 1)
     sudden = abs(inner(target, psi0)) ** 2
     assert sudden == pytest.approx(0.5, abs=1e-12)
-    result = evolve_full(bv_interpolated(mask), psi0, Schedule(0.01, 10), target)
+    result = evolve_full(interpolated(mask), psi0, Schedule(0.01, 10), target)
     assert result.fidelity_to_target == pytest.approx(sudden, abs=0.02)
     assert result.fidelity_to_target < 0.6
 
@@ -111,7 +101,7 @@ def test_branch_conjugation_identity(kind, T):
     # 65 and 1001 steps leave an unpaired step at the first tree level, 129 one
     # level higher; 8193 and 16387 cross a chunk boundary (TWO_LEVEL_CHUNK = 8192)
     for steps in (int(100 * T), 65, 129, 1001, 8193, 16387):
-        phi0 = branch_pair(kind, T, steps)[0]
+        phi0 = kind_pair(kind, T, steps)[0]
         phi1 = evolve_two_level(TwoLevelBlock(1), Schedule(T, steps)) * problem_phase(kind, T)
         # exact by construction: sigma_x conjugation maps every step's (a, b) to
         # (conj(a), -conj(b)), under which the product tree's sums keep their terms
@@ -120,11 +110,11 @@ def test_branch_conjugation_identity(kind, T):
 
 @pytest.mark.parametrize("T", [0.5, 5.77, 50.0])
 def test_kinds_differ_by_a_global_phase_only(T):
-    # Simon's block is BV's plus s*1, whose midpoint sum dt * sum_j s_j is T/2
-    # exactly, as the integral of t/T is: one evolution, and Simon's pair is
-    # BV's times exp(-iT/2) to the bit
+    # the Hamming block is TwoLevelBlock's plus s*1, whose midpoint sum
+    # dt * sum_j s_j is T/2 exactly, as the integral of t/T is: one evolution,
+    # and branch_pair's pair is evolve_two_level's times exp(-iT/2) to the bit
     steps = round(100 * T)
-    bv, simon = branch_pair("bv", T, steps), branch_pair("simon", T, steps)
+    bv, simon = kind_pair("bv", T, steps), branch_pair(T, steps)
     for phi_bv, phi_simon in zip(bv, simon):
         assert np.array_equal(phi_simon, phi_bv * cmath.exp(-0.5j * T))
     # q is phase-free; only the rounding of the phase product reaches it, a few
@@ -161,14 +151,14 @@ def test_exact_branch_gives_the_known_q(kind):
 def test_branch_pair_q_is_near_the_exact_q(kind, steps_of, tol):
     # the midpoint rule's O(dt^2) error against a reference with no step error
     for T in EXACT_Q:
-        q = simon_row_bit_prob(*branch_pair(kind, T, steps_of(T)))
+        q = simon_row_bit_prob(*kind_pair(kind, T, steps_of(T)))
         assert abs(q - exact_q(kind, T)) <= tol
 
 
 def branch_error(kind: str, T: float, steps: int) -> float:
-    """|branch_pair's phi_0 - exact branch|, in the 2-norm: for "simon", the
+    """|kind_pair's phi_0 - exact branch|, in the 2-norm: for "simon", the
     exact branch integrates its own +s term, so the error covers the phase."""
-    return float(np.linalg.norm(branch_pair(kind, T, steps)[0] - exact_branch(kind, T)))
+    return float(np.linalg.norm(kind_pair(kind, T, steps)[0] - exact_branch(kind, T)))
 
 
 @pytest.mark.parametrize("kind", ["bv", "simon"])
@@ -188,16 +178,17 @@ def test_branch_error_over_dt_squared_is_constant(kind, T):
 def test_full_path_is_within_its_dt_squared_bound_of_the_exact_assembly(problem, n, T):
     # the full path freezes H at the same midpoints, so each of its m output
     # qubits carries the branch's error C dt^2, and the product state's error
-    # is at most m C dt^2; C is the branch's constant at the finer step
-    ideal = exact_branch(problem, T)
+    # is at most m C dt^2; C is the branch's constant at the finer step; both
+    # problems' output qubits have the Hamming block
+    ideal = exact_branch("simon", T)
     if problem == "bv":
         mask, m = BvMask(n, (1 << n) - 1), 1
-        h, exact = bv_interpolated(mask), assemble_bv(mask, ideal, SIGMA_X @ ideal)
+        h, exact = interpolated(mask), assemble(mask, ideal, SIGMA_X @ ideal)
     else:
         oracle, m = simon_build(n, (1 << n) - 1), n - 1
-        h, exact = simon_interpolated(oracle), assemble_simon(oracle, ideal, SIGMA_X @ ideal)
+        h, exact = interpolated(oracle), assemble(oracle, ideal, SIGMA_X @ ideal)
     fine = round(200 * T)
-    constant = branch_error(problem, T, fine) / (T / fine) ** 2
+    constant = branch_error("simon", T, fine) / (T / fine) ** 2
     errors = []
     for steps in (round(100 * T), fine):
         full = evolve_full(h, plus_state(n, m), Schedule(T, steps)).final_state
@@ -209,7 +200,7 @@ def test_full_path_is_within_its_dt_squared_bound_of_the_exact_assembly(problem,
 
 def seed_two_level_loop(kind: str, f_bit: int, sched: Schedule) -> np.ndarray:
     """The original step-by-step scalar integrator, kept as the reference; it
-    steps Simon's s*1 offset as the phase c = 1/2 of every step."""
+    steps the Hamming block's s*1 offset as the phase c = 1/2 of every step."""
     sign = -1.0 if f_bit else 1.0
     u0 = u1 = complex(math.sqrt(0.5))
     dt = sched.dt
@@ -240,7 +231,7 @@ def test_prefix_integrator_matches_scalar_loop(kind, steps):
     # tree's stays below 1e-14)
     for total_time in (0.01, 1.0, 50.0, 1e4):
         sched = Schedule(total_time, steps)
-        for f_bit, phi in enumerate(branch_pair(kind, total_time, steps)):
+        for f_bit, phi in enumerate(kind_pair(kind, total_time, steps)):
             assert np.max(np.abs(phi - seed_two_level_loop(kind, f_bit, sched))) <= 1e-12
 
 
@@ -275,7 +266,7 @@ def test_mirrored_half_matches_every_step_built(kind, steps):
     # most over these cases)
     for total_time in (1.0, 37.3, 1000.0):
         sched = Schedule(total_time, steps)
-        for f_bit, phi in enumerate(branch_pair(kind, total_time, steps)):
+        for f_bit, phi in enumerate(kind_pair(kind, total_time, steps)):
             assert np.max(np.abs(phi - unmirrored_branch(kind, f_bit, sched))) <= 1e-13
 
 
@@ -431,7 +422,7 @@ def test_step_doubling_quarters_the_error():
 
 
 def test_assemble_bv_ideal_branches():
-    psi = assemble_bv(BvMask(2, 2), E0, E1)
+    psi = assemble(BvMask(2, 2), E0, E1)
     expected = np.zeros(8, dtype=complex)
     for w, f in [(0, 0), (1, 0), (2, 1), (3, 1)]:
         expected[2 * w + f] = 0.5
@@ -439,23 +430,21 @@ def test_assemble_bv_ideal_branches():
 
 
 def test_assemble_bv_plus_branches_give_initial_state():
-    psi = assemble_bv(BvMask(3, 5), PLUS, PLUS)
+    psi = assemble(BvMask(3, 5), PLUS, PLUS)
     np.testing.assert_allclose(psi.amps, plus_state(3, 1).amps, atol=1e-15)
 
 
 def test_assemble_bv_matches_full_evolution():
     mask = BvMask(3, 5)
     sched = Schedule(50.0, 5000)
-    full = evolve_full(bv_interpolated(mask), plus_state(3, 1), sched)
-    phi0 = evolve_two_level(TwoLevelBlock(0), sched)
-    phi1 = evolve_two_level(TwoLevelBlock(1), sched)
-    factored = assemble_bv(mask, phi0, phi1)
+    full = evolve_full(interpolated(mask), plus_state(3, 1), sched)
+    factored = assemble(mask, *branch_pair(sched.total_time, sched.steps))
     assert np.max(np.abs(full.final_state.amps - factored.amps)) <= 1e-8
 
 
 def test_assemble_simon_ideal_branches():
     oracle = simon_build(2, 3)
-    psi = assemble_simon(oracle, E0, E1)
+    psi = assemble(oracle, E0, E1)
     expected = np.zeros(8, dtype=complex)
     for w in range(4):
         expected[(w << 1) + simon_eval(oracle, w)] = 0.5
@@ -466,8 +455,8 @@ def test_assemble_simon_ideal_branches():
 def test_assemble_simon_coset_grouping(T):
     # amplitudes are constant on cosets {w, w xor a} for ideal and evolved branches
     oracle = simon_build(3, 5)
-    phi0, phi1 = branch_pair("simon", T, int(100 * T))
-    mat = assemble_simon(oracle, phi0, phi1).as_matrix()
+    phi0, phi1 = branch_pair(T, int(100 * T))
+    mat = assemble(oracle, phi0, phi1).as_matrix()
     for w in range(8):
         np.testing.assert_allclose(mat[w], mat[w ^ 5], atol=1e-15)
 
@@ -475,9 +464,9 @@ def test_assemble_simon_coset_grouping(T):
 def test_assemble_simon_matches_full_evolution():
     oracle = simon_build(3, 5)
     sched = Schedule(50.0, 5000)
-    full = evolve_full(simon_interpolated(oracle), plus_state(3, 2), sched)
-    phi0, phi1 = branch_pair("simon", sched.total_time, sched.steps)
-    factored = assemble_simon(oracle, phi0, phi1)
+    full = evolve_full(interpolated(oracle), plus_state(3, 2), sched)
+    phi0, phi1 = branch_pair(sched.total_time, sched.steps)
+    factored = assemble(oracle, phi0, phi1)
     assert np.max(np.abs(full.final_state.amps - factored.amps)) <= 1e-8
 
 
@@ -487,7 +476,7 @@ def test_full_state_fidelity_is_register_size_independent():
     for n in (2, 3, 4):
         mask = BvMask(n, (1 << n) - 1)
         result = evolve_full(
-            bv_interpolated(mask), plus_state(n, 1), sched, bv_target(mask)
+            interpolated(mask), plus_state(n, 1), sched, bv_target(mask)
         )
         fidelities.append(result.fidelity_to_target)
     assert max(fidelities) - min(fidelities) <= 1e-8
@@ -495,7 +484,7 @@ def test_full_state_fidelity_is_register_size_independent():
 
 def test_evolve_full_validation():
     mask = BvMask(2, 1)
-    h = bv_interpolated(mask)
+    h = interpolated(mask)
     with pytest.raises(ShapeError):
         evolve_full(h, plus_state(3, 1), Schedule(1.0, 10))
     bad = StateVector(2, 1, np.full(8, 0.1, dtype=complex))
@@ -516,20 +505,20 @@ def test_full_drift_check_fails_on_nan(monkeypatch):
 
     monkeypatch.setattr(evolution, "_krylov_step", last_step_nan)
     with pytest.raises(IntegrationError):
-        evolve_full(bv_interpolated(BvMask(2, 1)), plus_state(2, 1), sched)
+        evolve_full(interpolated(BvMask(2, 1)), plus_state(2, 1), sched)
 
 
 def test_assemble_rejects_unnormalized_branches():
     with pytest.raises(DomainError):
-        assemble_bv(BvMask(2, 1), 2.0 * E0, E1)
+        assemble(BvMask(2, 1), 2.0 * E0, E1)
 
 
 def test_evolution_is_bit_identical_within_a_build():
     sched = Schedule(5.0, 500)
-    first, second = (branch_pair("simon", 5.0, 500)[0] for _ in range(2))
+    first, second = (branch_pair(5.0, 500)[0] for _ in range(2))
     assert np.array_equal(first, second)
     mask = BvMask(2, 2)
-    h = bv_interpolated(mask)
+    h = interpolated(mask)
     a = evolve_full(h, plus_state(2, 1), sched).final_state.amps
     b = evolve_full(h, plus_state(2, 1), sched).final_state.amps
     assert np.array_equal(a, b)
@@ -549,9 +538,9 @@ def dense_reference(h, psi0: StateVector, sched: Schedule) -> np.ndarray:
 def test_full_evolution_from_random_state_matches_dense_reference(problem, sched):
     # a random start state excites every level of every block, not only |+>|+>
     if problem == "bv":
-        h, dims = bv_interpolated(BvMask(3, 5)), (3, 1)
+        h, dims = interpolated(BvMask(3, 5)), (3, 1)
     else:
-        h, dims = simon_interpolated(simon_build(3, 5, scramble_seed=2)), (3, 2)
+        h, dims = interpolated(simon_build(3, 5, scramble_seed=2)), (3, 2)
     psi0 = random_state(*dims, seed=11)
     result = evolve_full(h, psi0, sched)
     reference = dense_reference(h, psi0, sched)
@@ -597,13 +586,8 @@ def test_full_path_agrees_with_factored_above_the_dense_cap():
     # also shows that evolve_full builds none
     sched = Schedule(1.0, 100)
     mask = BvMask(16, 0b1011_0011_1000_1101)
-    full = evolve_full(bv_interpolated(mask), plus_state(16, 1), sched)
-    phi0 = evolve_two_level(TwoLevelBlock(0), sched)
-    phi1 = evolve_two_level(TwoLevelBlock(1), sched)
-    assert np.max(np.abs(full.final_state.amps - assemble_bv(mask, phi0, phi1).amps)) <= 1e-8
-
-    oracle = simon_build(8, 0b1011_0110)
-    full = evolve_full(simon_interpolated(oracle), plus_state(8, 7), sched)
-    phi0, phi1 = branch_pair("simon", sched.total_time, sched.steps)
-    factored = assemble_simon(oracle, phi0, phi1)
-    assert np.max(np.abs(full.final_state.amps - factored.amps)) <= 1e-8
+    phi0, phi1 = branch_pair(sched.total_time, sched.steps)
+    for oracle in (BvMask(16, 0b1011_0011_1000_1101), simon_build(8, 0b1011_0110)):
+        full = evolve_full(interpolated(oracle), plus_state(oracle.n, oracle.m), sched)
+        factored = assemble(oracle, phi0, phi1)
+        assert np.max(np.abs(full.final_state.amps - factored.amps)) <= 1e-8

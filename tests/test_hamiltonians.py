@@ -11,11 +11,10 @@ from adiabatic_sim.hamiltonians import (
     InterpolatedHamiltonian,
     _apply_h,
     _closure,
-    bv_interpolated,
     gap,
     gap_table,
+    interpolated,
     min_gap_scan,
-    simon_interpolated,
 )
 from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
 from adiabatic_sim.qstate import SIGMA_X, plus_state
@@ -46,38 +45,38 @@ def applied(h, s):
 
 def test_bv_problem_n1_by_hand():
     # f(0)=0, f(1)=1 for a=1: ground entries sit at |0,0> and |1,1>
-    h = applied(bv_interpolated(BvMask(1, 1)), 1.0)
-    np.testing.assert_allclose(np.diag(h), [-1, 0, 0, -1], atol=1e-15)
+    h = applied(interpolated(BvMask(1, 1)), 1.0)
+    np.testing.assert_allclose(np.diag(h), [0, 1, 1, 0], atol=1e-15)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
 
 @pytest.mark.parametrize("n,a", [(1, 1), (2, 2), (3, 5), (4, 11)])
 def test_bv_problem_trace_and_spectrum(n, a):
-    h = applied(bv_interpolated(BvMask(n, a)), 1.0)
-    assert np.trace(h).real == pytest.approx(-(1 << n))
+    h = applied(interpolated(BvMask(n, a)), 1.0)
+    assert np.trace(h).real == pytest.approx(1 << n)
     evals = np.linalg.eigvalsh(h)
-    assert set(np.round(evals, 12)) == {-1.0, 0.0}
-    assert int(np.sum(np.isclose(evals, -1.0))) == 1 << n  # 2^n-fold ground degeneracy
+    assert set(np.round(evals, 12)) == {0.0, 1.0}
+    assert int(np.sum(np.isclose(evals, 0.0))) == 1 << n  # 2^n-fold ground degeneracy
     np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
 
 
 def test_bv_driver_annihilates_plus():
     n = 3
-    h = applied(bv_interpolated(BvMask(n, 0)), 0.0)
+    h = applied(interpolated(BvMask(n, 0)), 0.0)
     psi = np.kron(random_state(n, 0, 1).amps, plus_state(1, 0).amps)
     assert np.max(np.abs(h @ psi)) <= 1e-12
 
 
 def test_bv_driver_minus_eigenstate():
     n = 2
-    h = applied(bv_interpolated(BvMask(n, 0)), 0.0)
+    h = applied(interpolated(BvMask(n, 0)), 0.0)
     psi = np.kron(random_state(n, 0, 2).amps, [S2, -S2])
     np.testing.assert_allclose(h @ psi, psi, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bv_driver_spectrum(n):
-    h = applied(bv_interpolated(BvMask(n, 0)), 0.0)
+    h = applied(interpolated(BvMask(n, 0)), 0.0)
     np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
     evals = np.linalg.eigvalsh(h)
     assert int(np.sum(np.isclose(evals, 0.0))) == 1 << n
@@ -86,7 +85,7 @@ def test_bv_driver_spectrum(n):
 
 def test_simon_problem_entry_from_oracle_table():
     oracle = simon_build(2, 3)
-    h = applied(simon_interpolated(oracle), 1.0)
+    h = applied(interpolated(oracle), 1.0)
     # |w=01> (x) |y=0> sits at index 1*2 + 0 = 2 with value h(0, g(01)) = 1
     assert h[2, 2].real == pytest.approx(1.0)
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
@@ -94,7 +93,7 @@ def test_simon_problem_entry_from_oracle_table():
 
 @pytest.mark.parametrize("n,a,seed", [(2, 3, None), (3, 5, 2), (3, 1, None), (4, 6, 7)])
 def test_simon_problem_ground_degeneracy(n, a, seed):
-    h = applied(simon_interpolated(simon_build(n, a, scramble_seed=seed)), 1.0)
+    h = applied(interpolated(simon_build(n, a, scramble_seed=seed)), 1.0)
     diag = np.diag(h).real
     assert diag.min() == pytest.approx(0.0)
     assert int(np.sum(np.isclose(diag, 0.0))) == 1 << n
@@ -122,19 +121,19 @@ def test_simon_problem_hamming_equals_pauli_form(a, seed):
         proj = np.zeros((1 << n, 1 << n))
         proj[w, w] = 1.0
         expected += np.kron(proj, h_w)
-    np.testing.assert_allclose(applied(simon_interpolated(oracle), 1.0), expected, atol=1e-12)
+    np.testing.assert_allclose(applied(interpolated(oracle), 1.0), expected, atol=1e-12)
 
 
 def test_simon_driver_annihilates_all_plus():
     n = 3
-    h = applied(simon_interpolated(simon_build(n, 1)), 0.0)
+    h = applied(interpolated(simon_build(n, 1)), 0.0)
     assert np.max(np.abs(h @ plus_state(n, n - 1).amps)) <= 1e-12
 
 
 def test_simon_driver_b_factor_spectrum():
     # two-qubit transverse field: per-branch eigenvalues {0, 1, 1, 2}
     n = 3
-    h = applied(simon_interpolated(simon_build(n, 1)), 0.0)
+    h = applied(interpolated(simon_build(n, 1)), 0.0)
     evals = np.round(np.linalg.eigvalsh(h), 10)
     values, counts = np.unique(evals, return_counts=True)
     np.testing.assert_allclose(values, [0.0, 1.0, 2.0], atol=1e-12)
@@ -142,15 +141,15 @@ def test_simon_driver_b_factor_spectrum():
 
 
 def test_simon_driver_hermitian():
-    h = applied(simon_interpolated(simon_build(3, 1)), 0.0)
+    h = applied(interpolated(simon_build(3, 1)), 0.0)
     np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
 
 
 def test_interpolate_endpoints_and_midpoint():
     mask = BvMask(2, 2)
-    h = bv_interpolated(mask)
+    h = interpolated(mask)
     # independent constructions of H_p and H_d = 1/2 (1 - sigma_x) on the B qubit
-    problem = -np.diag([float(y == bv_eval(mask, w)) for w in range(4) for y in (0, 1)])
+    problem = np.diag([float(y != bv_eval(mask, w)) for w in range(4) for y in (0, 1)])
     driver = np.kron(np.eye(4), 0.5 * (IDENTITY_2 - SIGMA_X))
     np.testing.assert_allclose(applied(h, 0.0), driver, atol=1e-15)
     np.testing.assert_allclose(applied(h, 1.0), problem, atol=1e-15)
@@ -161,7 +160,7 @@ def test_interpolate_endpoints_and_midpoint():
 
 @pytest.mark.parametrize(
     "h",
-    [bv_interpolated(BvMask(3, 5)), simon_interpolated(simon_build(3, 5, scramble_seed=2))],
+    [interpolated(BvMask(3, 5)), interpolated(simon_build(3, 5, scramble_seed=2))],
     ids=["bv", "simon"],
 )
 def test_matrix_free_product_matches_dense_kron_driver(h):
@@ -207,7 +206,7 @@ def test_two_level_conjugation_identity(kind):
 
 
 def test_two_level_simon_offset():
-    # simon blocks sit s above the bv blocks: same gap, shifted zero point
+    # the Hamming block sits s above TwoLevelBlock's: same gap, shifted zero point
     for s in (0.0, 0.25, 0.8, 1.0):
         h_bv = two_level("bv", 0, s)
         h_simon = two_level("simon", 0, s)
@@ -222,7 +221,7 @@ def test_gap_frozen_values():
 
 @pytest.mark.parametrize("kind,f_bit", [("bv", 0), ("bv", 1), ("simon", 0), ("simon", 1)])
 def test_gap_closed_form_on_grid(kind, f_bit):
-    # gap(s) is every block's level splitting, Simon's offset one included
+    # gap(s) is every block's level splitting, the Hamming offset one included
     for s in np.linspace(0.0, 1.0, 1000):
         s = float(s)
         assert abs(gap(s) - math.hypot(1.0 - s, s)) <= 1e-12
@@ -232,15 +231,15 @@ def test_gap_closed_form_on_grid(kind, f_bit):
 
 @pytest.mark.parametrize("n,a", [(2, 2), (3, 5), (4, 9)])
 def test_bv_block_diagonal_identity(n, a):
-    # dense H(s) equals the direct sum over w of the two-level branch blocks
+    # dense H(s) equals the direct sum over w of the Hamming branch blocks
     mask = BvMask(n, a)
-    h = bv_interpolated(mask)
+    h = interpolated(mask)
     for s in (0.0, 0.3, 0.7, 1.0):
         expected = np.zeros((1 << (n + 1), 1 << (n + 1)), dtype=complex)
         for w in range(1 << n):
             proj = np.zeros((1 << n, 1 << n))
             proj[w, w] = 1.0
-            expected += np.kron(proj, two_level("bv", bv_eval(mask, w), s))
+            expected += np.kron(proj, two_level("simon", bv_eval(mask, w), s))
         np.testing.assert_allclose(applied(h, s), expected, atol=1e-12)
 
 
@@ -250,7 +249,7 @@ def test_simon_block_diagonal_identity():
     n = 3
     m = n - 1
     oracle = simon_build(n, 5)
-    h = simon_interpolated(oracle)
+    h = interpolated(oracle)
     for s in (0.0, 0.4, 1.0):
         expected = np.zeros((1 << (n + m), 1 << (n + m)), dtype=complex)
         for w in range(1 << n):
@@ -272,24 +271,24 @@ def _projector(w, n):
 
 
 def test_min_gap_scan_bv():
-    scan = min_gap_scan(bv_interpolated(BvMask(2, 2)), grid=201)
+    scan = min_gap_scan(interpolated(BvMask(2, 2)), grid=201)
     assert scan.gap_min == pytest.approx(S2, abs=1e-3)
     assert scan.s_min == pytest.approx(0.5, abs=5e-3)
 
 
 def test_min_gap_scan_simon():
-    scan = min_gap_scan(simon_interpolated(simon_build(2, 3)), grid=201)
+    scan = min_gap_scan(interpolated(simon_build(2, 3)), grid=201)
     assert scan.gap_min == pytest.approx(S2, abs=1e-3)
     assert scan.s_min == pytest.approx(0.5, abs=5e-3)
 
 
 WITNESS_CASES = {
     **{
-        f"bv-{n}": (bv_interpolated(BvMask(n, a)), 2)
+        f"bv-{n}": (interpolated(BvMask(n, a)), 2)
         for n, a in [(1, 1), (2, 2), (3, 5), (4, 11), (5, 22)]
     },
     **{
-        f"simon-{n}-{seed}": (simon_interpolated(simon_build(n, a, scramble_seed=seed)), n)
+        f"simon-{n}-{seed}": (interpolated(simon_build(n, a, scramble_seed=seed)), n)
         for n, a in [(2, 3), (3, 5), (4, 6)]
         for seed in (None, 7)
     },
@@ -329,4 +328,4 @@ def test_gap_scan_refuses_a_one_level_subspace():
 
 def test_min_gap_scan_grid_too_small():
     with pytest.raises(DomainError):
-        min_gap_scan(bv_interpolated(BvMask(2, 2)), grid=2)
+        min_gap_scan(interpolated(BvMask(2, 2)), grid=2)

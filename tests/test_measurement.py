@@ -9,7 +9,7 @@ import pytest
 
 from adiabatic_sim import measurement, protocols
 from adiabatic_sim.errors import DomainError, ResampleError
-from adiabatic_sim.evolution import assemble_bv, assemble_simon
+from adiabatic_sim.evolution import assemble
 from adiabatic_sim.gf2 import dot2
 from adiabatic_sim.measurement import (
     BvReadout,
@@ -37,8 +37,8 @@ E1 = np.array([0.0, 1.0], dtype=complex)
 S2 = 1.0 / math.sqrt(2.0)
 
 
-def evolved_branches(kind: str, T: float):
-    return protocols.branch_pair(kind, T, int(100 * T))
+def evolved_branches(T: float):
+    return protocols.branch_pair(T, int(100 * T))
 
 
 def dense_x_probs_given_y(state: StateVector, y: int) -> np.ndarray:
@@ -171,7 +171,7 @@ def test_factored_shots_do_not_depend_on_the_block_size(kind):
     # one-shot sampler (BV: k scalar shots, one block fill of k uniforms and
     # the documented draw, informative iff the uniform is below q) give the
     # same outcomes and draws, and leave the stream at the same place
-    branch_sets = [(E0, E1), evolved_branches("simon", 0.5), evolved_branches("simon", 5.0)]
+    branch_sets = [(E0, E1), evolved_branches(0.5), evolved_branches(5.0)]
     for n, (phi0, phi1), seed in zip((2, 5, 9, 12), branch_sets * 2, range(4)):
         a = (1 << (n - 1)) | seed
         if kind == "bv":
@@ -246,17 +246,17 @@ def test_dense_readouts_match_the_collapse_chain(problem, n):
     # may differ from the chain's in the last bit, which sums |v / sqrt(2)|^2
     # over both output columns, so outcomes are compared, not weights
     a = 0b1011_0101 & ((1 << n) - 1)
-    anneals = [evolved_branches(problem, T) for T in (0.5, 5.0, 50.0)]
+    anneals = [evolved_branches(T) for T in (0.5, 5.0, 50.0)]
     if problem == "bv":
         readout, reference = bv_readout, reference_bv_readout
         states = [random_state(n, 1, n)]
-        states += [assemble_bv(BvMask(n, a), *branches) for branches in anneals]
+        states += [assemble(BvMask(n, a), *branches) for branches in anneals]
     else:
         readout, reference = simon_sample, reference_simon_sample
         states = [random_state(n, n - 1, n)]
         for scramble in (None, n):
             oracle = simon_build(n, a, scramble_seed=scramble)
-            states += [assemble_simon(oracle, *branches) for branches in anneals]
+            states += [assemble(oracle, *branches) for branches in anneals]
     for state in states:
         for seed in range(200):
             rng, reference_rng = RandomSource(seed, 1), RandomSource(seed, 1)
@@ -279,28 +279,28 @@ def test_dense_readout_shot_memory():
     # no post-measurement state is built: BV copies the state once for the
     # output qubit's Walsh transform, Simon transforms the one selected column
     mask = BvMask(16, 0b1011_0000_1110_0101)
-    state = assemble_bv(mask, E0, E1)
+    state = assemble(mask, E0, E1)
     for seed in range(64):
         readout, peak = traced_peak(lambda: bv_readout(state, RandomSource(seed, 1)))
         if not readout.restart:
             break
     assert readout.a_candidate == mask.a
     assert peak < 3.0 * state.amps.nbytes
-    state = assemble_simon(simon_build(8, 0b1011_0101), E0, E1)
+    state = assemble(simon_build(8, 0b1011_0101), E0, E1)
     x, peak = traced_peak(lambda: simon_sample(state, RandomSource(3, 1)))
     assert dot2(x, 0b1011_0101) == 0
     assert peak < 1.5 * state.amps.nbytes
 
 
 def test_bv_ideal_output_qubit_is_unbiased():
-    state = assemble_bv(BvMask(3, 5), E0, E1)
+    state = assemble(BvMask(3, 5), E0, E1)
     rotated = fwht_subsystem(state, "B")
     marginal = np.sum(np.abs(rotated.as_matrix()) ** 2, axis=0)
     np.testing.assert_allclose(marginal, [0.5, 0.5], atol=1e-12)
 
 
 def test_bv_readout_recovers_mask_when_informative():
-    state = assemble_bv(BvMask(3, 5), E0, E1)
+    state = assemble(BvMask(3, 5), E0, E1)
     informative = 0
     for seed in range(60):
         result = bv_readout(state, RandomSource(seed))
@@ -319,7 +319,7 @@ def test_bv_readout_initial_state_always_restarts():
 
 def test_simon_sample_ideal_orthogonal_and_uniform():
     oracle = simon_build(3, 5)
-    state = assemble_simon(oracle, E0, E1)
+    state = assemble(oracle, E0, E1)
     counts = {}
     shots = 4000
     for seed in range(shots):
@@ -337,8 +337,8 @@ def test_simon_sample_exact_violation_mass_is_negligible():
     # coset symmetry keeps the non-orthogonal mass at zero even far from the
     # adiabatic limit; bound it well inside the 1% tolerance
     oracle = simon_build(3, 5)
-    phi0, phi1 = evolved_branches("simon", 50.0)
-    state = assemble_simon(oracle, phi0, phi1)
+    phi0, phi1 = evolved_branches(50.0)
+    state = assemble(oracle, phi0, phi1)
     marginal = np.sum(np.abs(state.as_matrix()) ** 2, axis=0)
     violation = 0.0
     for y in range(4):
@@ -353,8 +353,8 @@ def test_simon_sample_exact_violation_mass_is_negligible():
 @pytest.mark.parametrize("scramble", [None, 21])
 def test_factored_probs_equal_dense_conditionals(scramble):
     oracle = simon_build(3, 5, scramble_seed=scramble)
-    for phi0, phi1 in [(E0, E1), evolved_branches("simon", 5.0)]:
-        state = assemble_simon(oracle, phi0, phi1)
+    for phi0, phi1 in [(E0, E1), evolved_branches(5.0)]:
+        state = assemble(oracle, phi0, phi1)
         for y in range(4):
             dense = dense_x_probs_given_y(state, y)
             factored = simon_factored_x_probs(oracle, phi0, phi1, y)
@@ -376,8 +376,8 @@ def test_factored_sampler_ideal_distribution_exact():
 def test_factored_sampler_empirical_matches_dense_distribution():
     # dense-path joint (y, x) distribution is the oracle; TV <= 0.01 at 1e5 shots
     oracle = simon_build(3, 5)
-    phi0, phi1 = evolved_branches("simon", 5.0)
-    state = assemble_simon(oracle, phi0, phi1)
+    phi0, phi1 = evolved_branches(5.0)
+    state = assemble(oracle, phi0, phi1)
     marginal = np.sum(np.abs(state.as_matrix()) ** 2, axis=0)
     exact = np.zeros(8)
     for y in range(4):
@@ -398,7 +398,7 @@ def test_factored_sampler_uninformative_branches_give_zero_rows():
     plus = np.array([S2, S2], dtype=complex)
     probs = simon_factored_x_probs(oracle, plus, plus, y=2)
     np.testing.assert_allclose(probs, np.eye(8)[0], atol=1e-12)
-    state = assemble_simon(oracle, plus, plus)
+    state = assemble(oracle, plus, plus)
     for seed in range(10):
         assert simon_sample(state, RandomSource(seed)) == 0
         assert simon_sample_factored(oracle, plus, plus, RandomSource(seed + 50)) == 0
@@ -481,13 +481,13 @@ def test_row_bits_match_a_per_bit_reference(width):
 def test_bv_factored_readout_law_equals_dense_law():
     # on the assembled state, P(restart) = 1 - q and an informative shot
     # leaves the input register on the point a; a factored shot is one draw
-    branch_sets = [(E0, E1), evolved_branches("bv", 1.0)]
+    branch_sets = [(E0, E1), evolved_branches(1.0)]
     masks = np.random.default_rng(8)
     for n in range(2, 11):
         for a in (0, int(masks.integers(1, 1 << n))):
             mask = BvMask(n, a)
             for phi0, phi1 in branch_sets:
-                state = assemble_bv(mask, phi0, phi1)
+                state = assemble(mask, phi0, phi1)
                 joint = np.abs(fwht_subsystem(fwht_subsystem(state, "B"), "A").as_matrix()) ** 2
                 q = simon_row_bit_prob(phi0, phi1)
                 assert abs(joint[:, 0].sum() - (1.0 - q)) <= 1e-12
@@ -515,8 +515,8 @@ def test_linear_simon_row_law_equals_dense_average(n, a):
     # average of the dense conditionals; pivots on the top bit for 0b1000, 0b100000
     oracle = simon_build(n, a)
     m = n - 1
-    for phi0, phi1 in [(E0, E1), evolved_branches("simon", 1.0), evolved_branches("simon", 5.0)]:
-        state = assemble_simon(oracle, phi0, phi1)
+    for phi0, phi1 in [(E0, E1), evolved_branches(1.0), evolved_branches(5.0)]:
+        state = assemble(oracle, phi0, phi1)
         marginal = np.sum(np.abs(state.as_matrix()) ** 2, axis=0)
         dense = sum(
             marginal[y] * simon_factored_x_probs(oracle, phi0, phi1, y)
@@ -531,7 +531,7 @@ def test_linear_simon_row_law_equals_dense_average(n, a):
 
 
 def test_linear_simon_sampler_draws_one_uniform_per_output_bit():
-    phi0, phi1 = evolved_branches("simon", 1.0)
+    phi0, phi1 = evolved_branches(1.0)
     for n, a in [(2, 3), (9, 0b100000000), (60, (1 << 59) | 1)]:
         oracle = simon_build(n, a)
         rng = RandomSource(n)
@@ -577,8 +577,8 @@ def test_scrambled_simon_row_law_equals_dense_average(n):
     m = n - 1
     for a in ((1 << n) - 1, 1 << m):
         oracle = simon_build(n, a, scramble_seed=n + a)
-        for phi0, phi1 in [(E0, E1), evolved_branches("simon", 1.0), evolved_branches("simon", 5.0)]:
-            state = assemble_simon(oracle, phi0, phi1)
+        for phi0, phi1 in [(E0, E1), evolved_branches(1.0), evolved_branches(5.0)]:
+            state = assemble(oracle, phi0, phi1)
             marginal = np.sum(np.abs(state.as_matrix()) ** 2, axis=0)
             dense = sum(
                 marginal[y] * simon_factored_x_probs(oracle, phi0, phi1, y)
@@ -604,8 +604,8 @@ def test_a_row_stays_in_a_hyperplane_with_probability_at_most_max_q(n, scrambled
     for a in (1, 1 << (n - 1), (1 << n) - 1, 0b110 ^ n):
         oracle = simon_build(n, a, scramble_seed=n * a if scrambled else None)
         for T in (0.5, 1.0, 5.77, 50.0):
-            phi0, phi1 = protocols.branch_pair("simon", T, round(100 * T))
-            marginal = np.sum(np.abs(assemble_simon(oracle, phi0, phi1).as_matrix()) ** 2, axis=0)
+            phi0, phi1 = protocols.branch_pair(T, round(100 * T))
+            marginal = np.sum(np.abs(assemble(oracle, phi0, phi1).as_matrix()) ** 2, axis=0)
             law = sum(
                 marginal[y] * simon_factored_x_probs(oracle, phi0, phi1, y)
                 for y in range(1 << (n - 1))
@@ -642,7 +642,7 @@ def test_scrambled_simon_row_is_the_inverse_cdf_of_the_walsh_masses(n):
 
 def test_scrambled_simon_shot_memory_at_n20():
     # the sign vector and its temporaries, halved in place by the descent
-    phi0, phi1 = evolved_branches("simon", 1.0)
+    phi0, phi1 = evolved_branches(1.0)
     oracle = simon_build(20, 0b1011_0000_1110_0101_0011, scramble_seed=5)
     tracemalloc.start()
     try:
@@ -737,7 +737,7 @@ def test_seeded_scrambled_run_at_n20_equals_the_float64_descent(monkeypatch):
 
 
 def test_scrambled_simon_sampler_draws_and_orthogonality_at_n20():
-    phi0, phi1 = evolved_branches("simon", 1.0)
+    phi0, phi1 = evolved_branches(1.0)
     a = 0b1011_0000_1110_0101_0011
     oracle = simon_build(20, a, scramble_seed=5)
     for shot in range(8):

@@ -9,10 +9,8 @@ from adiabatic_sim.errors import DomainError, PromiseError
 from adiabatic_sim.oracles import (
     BvMask,
     SimonOracle,
-    bv_eval_all,
     simon_build,
     simon_eval,
-    simon_eval_all,
     simon_orthogonal_row,
 )
 from helpers import bv_eval
@@ -24,7 +22,7 @@ def assert_promise(oracle: SimonOracle) -> None:
     g is constant on every coset {w, w ^ a}, and takes 2^(n-1) distinct
     values, so no two inputs outside one coset share a label.
     """
-    g = simon_eval_all(oracle)
+    g = oracle.outputs()
     w = np.arange(1 << oracle.n)
     assert (g[w ^ oracle.a] == g).all()
     assert np.unique(g).size == 1 << (oracle.n - 1)
@@ -40,7 +38,7 @@ def test_bv_eval_direct_cases():
 def test_bv_eval_all_matches_bv_eval(n):
     for a in {0, 1, (1 << n) - 1, 0b10110101 & ((1 << n) - 1)}:
         mask = BvMask(n, a)
-        assert bv_eval_all(mask).tolist() == [bv_eval(mask, w) for w in range(1 << n)]
+        assert mask.outputs().tolist() == [bv_eval(mask, w) for w in range(1 << n)]
 
 
 def test_bv_eval_out_of_range():
@@ -131,7 +129,7 @@ def test_promise_holds_for_all_masks(n):
 @pytest.mark.parametrize("n,a,seed", [(5, 9, None), (8, 0b10110001, 3), (12, 0b100000000001, None)])
 def test_simon_image_is_all_outputs(n, a, seed):
     oracle = simon_build(n, a, scramble_seed=seed)
-    outputs = np.unique(np.asarray(simon_eval_all(oracle)))
+    outputs = np.unique(oracle.outputs())
     assert outputs.size == 1 << (n - 1)
 
 
@@ -162,8 +160,8 @@ def test_scramble_is_the_seeded_permutation_as_uint32(n):
 def test_scrambled_oracle_evaluates_as_with_an_int64_table(n, a, seed):
     oracle = simon_build(n, a, scramble_seed=seed)
     wide = replace(oracle, scramble=oracle.scramble.astype(np.int64))
-    table = simon_eval_all(oracle).tolist()
-    assert table == simon_eval_all(wide).tolist()
+    table = oracle.outputs().tolist()
+    assert table == wide.outputs().tolist()
     assert table == [simon_eval(oracle, w) for w in range(1 << n)]
     assert table == [simon_eval(wide, w) for w in range(1 << n)]
     assert_promise(oracle)

@@ -16,7 +16,7 @@ from adiabatic_sim import measurement, protocols
 from adiabatic_sim.errors import DomainError
 from adiabatic_sim.evolution import Schedule, evolve_full, evolve_two_level
 from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
-from adiabatic_sim.hamiltonians import TwoLevelBlock, simon_interpolated
+from adiabatic_sim.hamiltonians import TwoLevelBlock, interpolated
 from adiabatic_sim.measurement import RandomSource, bv_readout, simon_sample
 from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
 from adiabatic_sim.protocols import (
@@ -30,7 +30,7 @@ from adiabatic_sim.protocols import (
     sweep,
 )
 from adiabatic_sim.qstate import plus_state
-from helpers import problem_phase, reference_run
+from helpers import kind_pair, problem_phase, reference_run
 
 
 def test_run_bv_end_to_end():
@@ -121,16 +121,16 @@ def test_run_simon_within_footnote_budget():
 def test_reported_fidelity_matches_dense_inner_product():
     # the factored path's closed-form fidelity equals <target|psi> computed
     # on materialized states
-    from adiabatic_sim.evolution import assemble_bv, assemble_simon
+    from adiabatic_sim.evolution import assemble
     from adiabatic_sim.qstate import fidelity
 
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
-    phi0, phi1 = branch_pair("simon", 5.0, 500)
+    phi0, phi1 = branch_pair(5.0, 500)
     oracle_seeded = simon_build(3, 5, scramble_seed=9)
     dense = fidelity(
-        assemble_simon(oracle_seeded, e0, e1),
-        assemble_simon(oracle_seeded, phi0, phi1),
+        assemble(oracle_seeded, e0, e1),
+        assemble(oracle_seeded, phi0, phi1),
     )
     report = run_simon(
         RunConfig(problem="simon", n=3, a=5, total_time=5.0, steps=500, seed=1,
@@ -138,9 +138,8 @@ def test_reported_fidelity_matches_dense_inner_product():
     )
     assert report.per_run_fidelity == pytest.approx(dense, abs=1e-12)
 
-    phi0b, phi1b = branch_pair("bv", 5.0, 500)
     mask = BvMask(3, 5)
-    dense_bv = fidelity(assemble_bv(mask, e0, e1), assemble_bv(mask, phi0b, phi1b))
+    dense_bv = fidelity(assemble(mask, e0, e1), assemble(mask, phi0, phi1))
     report_bv = run_bv(RunConfig(problem="bv", n=3, a=5, total_time=5.0, steps=500, seed=1))
     assert report_bv.per_run_fidelity == pytest.approx(dense_bv, abs=1e-12)
 
@@ -160,14 +159,16 @@ def test_config_validation_errors():
                    dict(problem="bv", n=3, max_repeats=2.5), dict(problem="bv", n=3, seed=1.5),
                    dict(problem="simon", n=3, scramble_seed=2.5), dict(problem="bv", n=None),
                    dict(problem="bv", n=3, total_time="50"),
-                   dict(problem="bv", n=3, total_time=None)):
+                   dict(problem="bv", n=3, total_time=None),
+                   dict(problem="bv", n=3, scramble_seed=5)):  # BV has no labels to scramble
         with pytest.raises(DomainError):
             RunConfig(**fields)
 
 
 def test_replace_checks_the_new_config():
     cfg = RunConfig(problem="bv", n=4, a=9)
-    for fields in (dict(n=-1), dict(n=2), dict(steps=0), dict(total_time=math.nan)):
+    for fields in (dict(n=-1), dict(n=2), dict(steps=0), dict(total_time=math.nan),
+                   dict(scramble_seed=5)):
         with pytest.raises(DomainError):
             replace(cfg, **fields)
 
@@ -337,7 +338,7 @@ def test_sweep_steps_error_shrinks_quadratically():
     # mean_fidelity converges to the reference value at O(steps^-2)
     base = dict(problem="bv", n=4, a=9, seed=2)
     rows = sweep("steps", [500, 1000, 2000, 4000], base, trials=1)
-    phi_ref, _ = branch_pair("bv", 50.0, 1 << 16)
+    phi_ref, _ = branch_pair(50.0, 1 << 16)
     fid_ref = abs(phi_ref[0]) ** 2
     errors = [abs(row.mean_fidelity - fid_ref) for row in rows]
     for coarse, fine in zip(errors, errors[1:]):
@@ -373,7 +374,7 @@ def test_on_final_state_receives_the_full_paths_anneal_once():
     finals = []
     assert run_simon(cfg, finals.append).success
     oracle = simon_build(cfg.n, cfg.a, cfg.scramble_seed)
-    want = evolve_full(simon_interpolated(oracle), plus_state(cfg.n, cfg.n - 1),
+    want = evolve_full(interpolated(oracle), plus_state(cfg.n, cfg.n - 1),
                        Schedule(cfg.total_time, cfg.steps))
     assert len(finals) == 1 and np.array_equal(finals[0].amps, want.final_state.amps)
     called = []
@@ -544,15 +545,9 @@ def test_branch_pair_phi1_is_the_evolved_second_branch(kind):
     # 64 and 65 steps: the scan's scalar tail alone, and one array level above it
     for total_time, steps in ((0.3, 7), (2.5, 64), (2.5, 65), (5.0, 500), (37.5, 4000),
                               (50.0, 20001)):
-        _, phi1 = branch_pair(kind, total_time, steps)
+        _, phi1 = kind_pair(kind, total_time, steps)
         evolved = evolve_two_level(TwoLevelBlock(1), Schedule(total_time, steps))
         assert np.array_equal(phi1, evolved * problem_phase(kind, total_time))
-
-
-def test_branch_pair_refuses_an_unknown_problem():
-    # only Simon's name applies the phase, so another name must not read as BV
-    with pytest.raises(DomainError, match="unknown problem 'Simon'"):
-        branch_pair("Simon", 1.0, 10)
 
 
 def test_bv_and_simon_runs_share_one_branch_evolution(monkeypatch):
@@ -578,7 +573,7 @@ def test_cached_branch_overlap_is_real():
     for kind in ("bv", "simon"):
         for total_time in np.geomspace(0.01, 1e4, 10):
             for steps in (1, 7, 100, 5000, 40000):
-                phi0, phi1 = branch_pair(kind, total_time, steps)
+                phi0, phi1 = kind_pair(kind, total_time, steps)
                 assert abs(np.vdot(phi0, phi1).imag) <= 1e-12
 
 
@@ -1004,12 +999,13 @@ def test_seeded_low_q_simon_reports(fields, a, runs, fidelity):
     (dict(n=60, seed=160), 14234013176458300, 1, 0.9996143176818358),
     (dict(n=4, a=0, seed=3), 0, 3, 0.9996143176818358),
     (dict(n=12, seed=7, total_time=5.0, steps=500), 670, 1, 0.8389771197853413),
-    (dict(n=5, seed=105, total_time=5.0, steps=500, path="full"), 5, 0, 0.8389771197853415),
+    (dict(n=5, seed=105, total_time=5.0, steps=500, path="full"), 5, 0, 0.8389771197853436),
     (dict(n=10, seed=4, total_time=0.5, steps=50), 325, 18, 0.5051892560903587),
 ], ids=["n8", "n16", "n60", "a0", "T5", "full", "short-anneal"])
 def test_seeded_bv_reports(fields, a, restarts, fidelity):
     # fidelity recorded under schema 4 (two fidelity formulas), the factored
-    # ones re-recorded under schemas 7, 10 and 12; restarts recorded under
+    # ones re-recorded under schemas 7, 10 and 12, the full one under schema 14
+    # (BV's Hamming diagonal); restarts recorded under
     # schema 5, where a shot is one row-bit draw, and re-recorded under schema
     # 11, where every shot is on stream 1; short-anneal's default budget (2,801
     # shots) outlasts the 16 that bv-short-anneal below exhausts
@@ -1023,7 +1019,7 @@ def test_seeded_bv_reports(fields, a, restarts, fidelity):
     (run_bv, dict(problem="bv", n=10, total_time=0.5, steps=50, seed=4, max_repeats=16),
      16, 16, 0, 0.5051892560903587),
     (run_bv, dict(problem="bv", n=4, a=9, path="full", total_time=5.0, steps=200, seed=1,
-                  max_repeats=1), 1, 1, 0, 0.838982211240202),
+                  max_repeats=1), 1, 1, 0, 0.8389822112402034),
     (run_simon, dict(problem="simon", n=8, seed=3, max_repeats=3), 3, 0, 3, 0.9973033455335166),
     (run_simon, dict(problem="simon", n=8, seed=3, max_repeats=3, scramble_seed=5),
      3, 0, 3, 0.9973033455335166),
@@ -1031,7 +1027,8 @@ def test_seeded_bv_reports(fields, a, restarts, fidelity):
                      steps=200), 2, 0, 2, 0.5905521541517191),
 ], ids=["bv-short-anneal", "bv-full-one-shot", "simon", "simon-scrambled", "simon-full"])
 def test_seeded_budget_exhausted_reports(run, fields, runs, restarts, rows, fidelity):
-    # recorded under schema 5 (factored fidelities under schemas 7, 10 and 12;
+    # recorded under schema 5 (factored fidelities under schemas 7, 10 and 12,
+    # bv-full-one-shot's under schema 14, BV's Hamming diagonal;
     # under schema 11 bv-short-anneal's seed finds the mask at shot 19, so its
     # budget went from 64 to 16): every shot of the budget is spent and no mask
     # is named

@@ -89,3 +89,23 @@ def unreferenced_names() -> list:
 def test_every_public_name_has_a_caller():
     missing = unreferenced_names()
     assert not missing, f"public names with no caller in src/: {', '.join(missing)}"
+
+
+def test_no_problem_fork_below_the_readout():
+    # below the readout a problem is an oracle with n inputs and m outputs:
+    # the Hamiltonian and evolution layers name neither problem, and the
+    # branch pair depends on the schedule alone
+    forks = []
+    for stem in ("hamiltonians", "evolution"):
+        for node in ast.walk(ast.parse((PACKAGE / f"{stem}.py").read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(("bv_", "simon_")):
+                forks.append(f"{stem}.{node.name}")
+            elif isinstance(node, ast.Constant) and node.value in ("bv", "simon"):
+                forks.append(f"{stem}.py:{node.lineno} {node.value!r}")
+    assert not forks, f"problem forks below the readout: {', '.join(forks)}"
+    protocols = ast.parse((PACKAGE / "protocols.py").read_text())
+    (branch_pair,) = (node for node in protocols.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "branch_pair")
+    args = branch_pair.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["total_time", "steps"]
+    assert args.vararg is None and args.kwarg is None
