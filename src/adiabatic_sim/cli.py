@@ -14,9 +14,10 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from functools import cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -167,7 +168,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"bad --values entry: {exc}")
     rows = sweep(args.axis, values, _fields(args, args.problem), args.trials)
-    _emit_csv(SWEEP_COLUMNS, map(astuple, rows), args.out)
+    _emit_csv(SWEEP_COLUMNS, map(attrgetter(*SWEEP_COLUMNS), rows), args.out)
     return 0
 
 

@@ -34,10 +34,12 @@ bit, ascending (z_k = 1 iff the uniform is below q):
   with no array.  z = 0 restarts; z = 1 leaves the input register on the
   Walsh point a, which is returned.
 * Simon, ``_read_factored(oracle, q, rng, shots)`` reads the next ``shots``
-  rows with one ``fill`` of a (shots, width) block, which holds the values
-  one-shot reads in order would draw; its z are read off 64 bits per
-  integer matrix product, of any width.  The row is x = L^T z for an
-  unscrambled (linear) oracle, O(n) per shot; for a scrambled one, one more
+  rows with one ``fill`` of shots * width uniforms, the values one-shot
+  reads in order would draw.  A block of at most ``SHORT_BLOCK`` uniforms
+  is read as one list of floats and its z bits set by Python comparisons;
+  a longer one reads its z off 64 bits per integer matrix product, of any
+  width.  The row is x = L^T z for an unscrambled (linear) oracle, O(n) per
+  shot, its pivot masks built once a block; for a scrambled one, one more
   uniform for the row and a bit-by-bit descent through the Walsh spectrum
   of 2^(n-1) labels, O(2^(n-1)) per row, skipped at z = 0, whose spectrum
   is the single label 0.  The descent counts uint8 label parities for its
@@ -73,6 +75,12 @@ class _ZeroSeedSequence(np.random.bit_generator.ISeedSequence):
 _ZERO_SEED_SEQUENCE = _ZeroSeedSequence()
 _ZERO_WORDS = (0, 0, 0, 0)
 _POWERS_OF_TWO = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+# _read_factored reads a block of at most this many uniforms as one list and
+# compares each with q in Python, about 0.1 us a uniform, where _row_bits'
+# boolean matrix, uint64 product and list cost about 3.5 us at any short
+# width.  On a 2-core x86-64 VM the two tie at 42 to 44 uniforms (5.9 us),
+# the list is 0.2 to 0.4 us faster at 36 to 40 and slower by as much at 48.
+SHORT_BLOCK = 44
 
 
 class RandomSource:
@@ -242,6 +250,19 @@ def simon_row_bit_prob(phi0: np.ndarray, phi1: np.ndarray) -> float:
     return minus / total
 
 
+def _list_row_bits(q: float, u: list, width: int, m: int) -> list:
+    """``_row_bits`` of the rows of ``width`` values that the flat list u holds,
+    read off their first m values, by one Python comparison with q each."""
+    zs = []
+    for start in range(0, len(u), width):
+        z = 0
+        for k in range(m):
+            if u[start + k] < q:
+                z |= 1 << k
+        zs.append(z)
+    return zs
+
+
 def _row_bits(q: float, u: np.ndarray) -> list:
     """Each shot's output register x outcome z, bit k 1 iff u[shot, k] < q, of any
     width: one exact uint64 product per 64 columns, the words joined as ints."""
@@ -274,14 +295,30 @@ def _bv_shot(mask: BvMask, q: float, rng: RandomSource) -> Optional[int]:
 
 
 def _read_factored(oracle: SimonOracle, q: float, rng: RandomSource, shots: int) -> list:
-    """The next ``shots`` Simon rows from ``rng`` at row-bit probability q, read from one block fill."""
-    u = np.empty((shots, oracle.n - (oracle.scramble is None)))
-    rng.fill(u)
+    """The next ``shots`` Simon rows from ``rng`` at row-bit probability q, read from one
+    fill: m = n - 1 row-bit uniforms a shot, then a scrambled shot's descent uniform."""
     m = oracle.n - 1
-    zs = _row_bits(q, u[:, :m])
+    width = m + (oracle.scramble is not None)
+    u = np.empty(shots * width)
+    rng.fill(u)
+    if u.size <= SHORT_BLOCK:
+        u = u.tolist()
+        zs = _list_row_bits(q, u, width, m)
+    else:
+        zs = _row_bits(q, u.reshape(shots, width)[:, :m])
     if oracle.scramble is None:
-        return [simon_orthogonal_row(oracle, z) for z in zs]
-    return [_scrambled_row(oracle, z, w) for z, w in zip(zs, u[:, m].tolist())]
+        return _linear_rows(oracle, zs)
+    return [_scrambled_row(oracle, z, float(w)) for z, w in zip(zs, u[m::width])]
+
+
+def _linear_rows(oracle: SimonOracle, zs: list) -> list:
+    """The rows L^T z of an unscrambled oracle, each ``simon_orthogonal_row(oracle, z)``,
+    with the pivot bit j and a with bit j dropped computed once."""
+    j = oracle.pivot_bit
+    low_mask = (1 << j) - 1
+    a_dropped = ((oracle.a >> (j + 1)) << j) | (oracle.a & low_mask)
+    return [((z >> j) << (j + 1)) | (((z & a_dropped).bit_count() & 1) << j) | (z & low_mask)
+            for z in zs]
 
 
 def _scrambled_row(oracle: SimonOracle, z: int, u: float) -> int:

@@ -25,7 +25,7 @@ from .errors import DomainError, PromiseError
 from .qstate import check_capacity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BvMask:
     """Hidden n-bit mask a of the Bernstein-Vazirani function (a = 0 allowed)."""
 
@@ -45,7 +45,7 @@ class BvMask:
         return np.bitwise_count(np.arange(1 << self.n) & self.a) & 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimonOracle:
     """Black box g with g(w) == g(y) iff w == y or w xor y == a.
 

@@ -223,7 +223,7 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
         _FREE_SOURCES.append(rng)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunReport:
     success: bool
     recovered_a: Optional[int]

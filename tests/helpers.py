@@ -9,8 +9,14 @@ from adiabatic_sim.errors import DomainError
 from adiabatic_sim.evolution import Schedule, _su2_steps, evolve_two_level
 from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
 from adiabatic_sim.hamiltonians import InterpolatedHamiltonian, TwoLevelBlock
-from adiabatic_sim.measurement import RandomSource, simon_row_bit_prob, simon_sample_factored
-from adiabatic_sim.oracles import BvMask, simon_build
+from adiabatic_sim.measurement import (
+    RandomSource,
+    _row_bits,
+    _scrambled_row,
+    simon_row_bit_prob,
+    simon_sample_factored,
+)
+from adiabatic_sim.oracles import BvMask, simon_build, simon_orthogonal_row
 from adiabatic_sim.protocols import branch_pair, resolve_config
 from adiabatic_sim.qstate import SIGMA_X, StateVector
 
@@ -157,6 +163,20 @@ def gf2_rank(rows, n: int) -> int:
 def gf2_nullspace(rows, n: int) -> list:
     """Every nonzero v with row . v = 0 (mod 2) for all rows, by trying all 2^n - 1."""
     return [v for v in range(1, 1 << n) if all((row & v).bit_count() % 2 == 0 for row in rows)]
+
+
+def array_block_read(oracle, q: float, rng: RandomSource, shots: int) -> list:
+    """The next ``shots`` Simon rows read as an array at any block length: one
+    (shots, width) fill, the z bits off ``_row_bits``, and each row by
+    ``simon_orthogonal_row`` or, scrambled, by ``_scrambled_row`` with the
+    shot's last uniform."""
+    m = oracle.n - 1
+    u = np.empty((shots, m + (oracle.scramble is not None)))
+    rng.fill(u)
+    zs = _row_bits(q, u[:, :m])
+    if oracle.scramble is None:
+        return [simon_orthogonal_row(oracle, z) for z in zs]
+    return [_scrambled_row(oracle, z, w) for z, w in zip(zs, u[:, m].tolist())]
 
 
 def reference_run(cfg) -> dict:

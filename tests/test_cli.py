@@ -4,11 +4,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 
 import pytest
 
-from adiabatic_sim import protocols
+from adiabatic_sim import cli, protocols
 from adiabatic_sim.cli import build_parser, main
 from adiabatic_sim.hamiltonians import gap_table, interpolated
 from adiabatic_sim.oracles import simon_build
@@ -144,6 +144,28 @@ def test_sweep_csv_contract(capsys):
     ]
     fidelities = [float(r["mean_fidelity"]) for r in rows]
     assert fidelities[0] < fidelities[1] < fidelities[2]
+
+
+def test_sweep_csv_bytes_are_each_row_fields_in_order(capsys, monkeypatch):
+    # the CSV holds each returned row's fields in declaration order, the bytes
+    # astuple formatting gives, and the seeded columns keep their values
+    returned = []
+    monkeypatch.setattr(cli, "sweep", lambda *args: returned.extend(protocols.sweep(*args)) or returned)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "T", "--values", "0.5,2,50", "--problem", "simon",
+        "--n", "4", "--trials", "6", "--seed", "9", "--scramble-seed", "3",
+    )
+    assert code == 0
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow([f.name for f in fields(protocols.SweepRow)])
+    writer.writerows(map(astuple, returned))
+    assert out == expected.getvalue()
+    assert [line.rsplit(",", 1)[0] for line in out.splitlines()[1:]] == [
+        "0.5,6,1.0,0.1289324743741795,69.0,0.0",
+        "2.0,6,1.0,0.19272163424472646,9.5,0.0",
+        "50.0,6,1.0,0.9988433992406888,4.0,0.0",
+    ]
 
 
 def test_sweep_T_gives_each_value_its_default_steps(capsys):

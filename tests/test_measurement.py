@@ -14,7 +14,9 @@ from adiabatic_sim.gf2 import dot2
 from adiabatic_sim.measurement import (
     BvReadout,
     RandomSource,
+    SHORT_BLOCK,
     _bv_shot,
+    _linear_rows,
     _read_factored,
     _scrambled_row,
     bv_readout,
@@ -30,7 +32,7 @@ from adiabatic_sim.oracles import (
 )
 from adiabatic_sim.protocols import RunConfig, run_simon
 from adiabatic_sim.qstate import StateVector, fwht_subsystem, plus_state
-from helpers import random_state
+from helpers import array_block_read, random_state
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -194,6 +196,66 @@ def test_factored_shots_do_not_depend_on_the_block_size(kind):
             assert blocks == singles == public
             assert len({s.draws for s in sources}) == 1
             assert len({s.uniform() for s in sources}) == 1
+
+
+def short_read_cases():
+    """(oracle, k) for linear widths 1 to 70 and scrambled widths 2 to 12, with k
+    from 1 to two rows past the largest block read as a list."""
+    masks = np.random.default_rng(33).integers(1, 2**62, size=71).tolist()
+    for n in range(2, 72):
+        a = (1 << (n - 1)) | masks[n - 1] % (1 << (n - 1))
+        oracles = [simon_build(n, a)] + ([simon_build(n, a, scramble_seed=n)] if n <= 12 else [])
+        for oracle in oracles:
+            width = n - (oracle.scramble is None)
+            for k in range(1, SHORT_BLOCK // width + 3):
+                yield oracle, k
+
+
+def test_short_and_long_blocks_read_what_one_row_reads_and_an_array_read_give():
+    # a block of k rows equals k one-row reads and the array read of the same
+    # stream, on either side of SHORT_BLOCK and across 64 bits, and draws k x width
+    q = 0.4
+    for i, (oracle, k) in enumerate(short_read_cases()):
+        width = oracle.n - (oracle.scramble is None)
+        sources = [RandomSource(i, 1) for _ in range(3)]
+        block = _read_factored(oracle, q, sources[0], k)
+        singles = [_read_factored(oracle, q, sources[1], 1)[0] for _ in range(k)]
+        assert block == singles == array_block_read(oracle, q, sources[2], k)
+        assert sources[0].draws == sources[1].draws == sources[2].draws == k * width
+        assert len({s.uniform() for s in sources}) == 1
+
+
+def test_only_a_long_block_reads_its_bits_as_an_array(monkeypatch):
+    calls = []
+    row_bits = measurement._row_bits
+    monkeypatch.setattr(measurement, "_row_bits", lambda q, u: calls.append(u.shape) or row_bits(q, u))
+    for scramble_seed in (None, 4):
+        oracle = simon_build(5, 0b10011, scramble_seed)
+        width = 5 - (scramble_seed is None)
+        short, long = SHORT_BLOCK // width, SHORT_BLOCK // width + 1
+        _read_factored(oracle, 0.5, RandomSource(1, 1), short)
+        assert calls == []
+        _read_factored(oracle, 0.5, RandomSource(1, 1), long)
+        assert calls == [(long, 4)]
+        calls.clear()
+
+
+def test_linear_rows_equal_the_orthogonal_row():
+    # every z for every mask up to n = 6, and for a few masks up to n = 10
+    for n in range(2, 11):
+        masks = range(1, 1 << n) if n <= 6 else (1, 1 << (n - 1), (1 << n) - 1, 0b1011 << (n - 4))
+        for a in masks:
+            oracle = simon_build(n, a)
+            zs = range(1 << (n - 1))
+            assert _linear_rows(oracle, zs) == [simon_orthogonal_row(oracle, z) for z in zs]
+    # random z at widths past one word
+    rng = np.random.default_rng(64)
+    for n in (64, 65, 1024):
+        for _ in range(4):
+            a = int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n) or 1
+            oracle = simon_build(n, a)
+            zs = [int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << (n - 1)) for _ in range(50)]
+            assert _linear_rows(oracle, zs) == [simon_orthogonal_row(oracle, z) for z in zs]
 
 
 def test_sample_index_zero_weights():
