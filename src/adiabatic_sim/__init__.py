@@ -34,13 +34,7 @@ from .hamiltonians import (
     interpolated,
     min_gap_scan,
 )
-from .measurement import (
-    BvReadout,
-    RandomSource,
-    bv_readout,
-    simon_sample,
-    simon_sample_factored,
-)
+from .measurement import RandomSource, dense_shot, rotate_output, simon_sample_factored
 from .oracles import (
     BvMask,
     SimonOracle,
@@ -55,4 +49,4 @@ from .protocols import (
     run_simon,
     sweep,
 )
-from .qstate import StateVector, fwht_subsystem, inner, plus_state
+from .qstate import StateVector, fwht_subsystem, plus_state

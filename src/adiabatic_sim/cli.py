@@ -42,7 +42,7 @@ from .protocols import (
     sweep,
 )
 
-SCHEMA_VERSION = "14"
+SCHEMA_VERSION = "15"
 
 SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
 

@@ -7,6 +7,8 @@ Two integration paths solve i d|psi>/dt = H(t/T) |psi>:
   a short Lanczos (Krylov) iteration that applies H(s) without a matrix
   (Park & Light, J. Chem. Phys. 85, 5870 (1986); Hochbruck & Lubich, SIAM J.
   Numer. Anal. 34, 1911 (1997)).  Global error O(dt^2) from the freezing.
+  It returns the final state and its norm drift; a run reads its readout
+  and its fidelity off that state.
 
 * ``evolve_two_level`` integrates one decoupled branch qubit with the same
   midpoint rule but a closed-form 2x2 exponential.  Each step is a scalar
@@ -38,14 +40,13 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, IntegrationError, ShapeError
 from .hamiltonians import InterpolatedHamiltonian, TwoLevelBlock, _apply_h
 from .oracles import BvMask, SimonOracle
-from .qstate import StateVector, check_capacity, fidelity
+from .qstate import StateVector, check_capacity
 
 # A run whose norm drifts past this is reported as an integration failure.
 NORM_DRIFT_LIMIT = 1e-6
@@ -95,7 +96,6 @@ class Schedule:
 class EvolutionResult:
     final_state: StateVector
     norm_drift: float
-    fidelity_to_target: Optional[float] = None
 
 
 def _lanczos_expm(apply_h, psi: np.ndarray, tau: float, basis: np.ndarray):
@@ -145,12 +145,7 @@ def _krylov_step(apply_h, psi: np.ndarray, tau: float, basis: np.ndarray, depth:
     return out
 
 
-def evolve_full(
-    h: InterpolatedHamiltonian,
-    psi0: StateVector,
-    sched: Schedule,
-    target: Optional[StateVector] = None,
-) -> EvolutionResult:
+def evolve_full(h: InterpolatedHamiltonian, psi0: StateVector, sched: Schedule) -> EvolutionResult:
     """Brute-force propagation of the whole register pair, matrix-free.
 
     Each step applies exp(-i dt H(s_mid)) by a Lanczos iteration on H(s_mid)
@@ -180,9 +175,7 @@ def evolve_full(
     if not drift <= NORM_DRIFT_LIMIT:
         raise IntegrationError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
 
-    final = StateVector(psi0.num_qubits_a, psi0.num_qubits_b, psi)
-    fid = fidelity(target, final) if target is not None else None
-    return EvolutionResult(final_state=final, norm_drift=drift, fidelity_to_target=fid)
+    return EvolutionResult(StateVector(psi0.num_qubits_a, psi0.num_qubits_b, psi), drift)
 
 
 def _su2_product(m: np.ndarray) -> tuple[complex, complex]:

@@ -1,12 +1,17 @@
 """Seeded sampling of both algorithms' readouts, dense and factored.
 
-Both readouts measure the output register, then the input register in the
-x basis.  The dense readouts sample that two-stage law straight from the
-final state's (input, output) amplitude matrix: the output outcome from its
-column marginal (after a Walsh transform of the output qubit for BV, which
-measures it in x), then the input register's x outcome from the Walsh
-transform of the one column that outcome selects.  No post-measurement
-state is built.  x outcomes are labeled with bit 0 <-> |+> and bit 1 <-> |->.
+Both readouts measure the output register in the x basis, then the input
+register in the x basis.  The dense readout samples that two-stage law
+straight from the final state's (input, output) amplitude matrix, for BV and
+Simon alike: ``rotate_output`` Walsh-transforms a copy of the output register
+once per run and takes its column marginal, the law of the output outcome z;
+each ``dense_shot`` draws z from it and, only when z != 0, the input
+register's x outcome from the Walsh transform of the one column z selects.
+At z = 0 the output register is in |+...+>, which each branch phi_b
+overlaps alike (phi_1 = sigma_x phi_0), so that column is flat in w and its
+Walsh transform is the single label 0: the row is 0, and BV restarts.  No
+post-measurement state is built.  x outcomes are labeled with bit 0 <-> |+>
+and bit 1 <-> |->.
 
 Randomness flows through ``RandomSource``, a counter-based (Philox) generator:
 identical (seed, stream) plus an identical sequence of draw calls reproduces
@@ -22,13 +27,13 @@ an empty buffer and no cached 32-bit word; a new source seeds its Philox
 with zero words instead of a ``SeedSequence``.  So ``protocols`` keeps its
 sources on a free list and builds none per run.
 
-The factored readouts sample the exact outcome law of the assembled state
-from the two branch vectors alone.  Every output qubit ends in phi_{f_k(w)}
-with phi_1 = sigma_x phi_0, so measuring the output register in the x basis
-gives iid row bits z_k ~ Bernoulli(q), q = ||phi_0 - phi_1||^2 / 4, and
-leaves the input register proportional to sum_w (-1)^(z . f(w)) |w>.  q
-depends on the anneal alone.  A shot draws z first, one uniform per output
-bit, ascending (z_k = 1 iff the uniform is below q):
+The factored readouts sample the same law from the two branch vectors
+alone.  Every output qubit ends in phi_{f_k(w)} with phi_1 = sigma_x phi_0,
+so measuring the output register in the x basis gives iid row bits
+z_k ~ Bernoulli(q), q = ||phi_0 - phi_1||^2 / 4, and leaves the input
+register proportional to sum_w (-1)^(z . f(w)) |w>.  q depends on the
+anneal alone.  A shot draws z first, one uniform per output bit, ascending
+(z_k = 1 iff the uniform is below q):
 
 * BV, one ``uniform()`` per shot, compared with q as a float by ``_bv_shot``,
   with no array.  z = 0 restarts; z = 1 leaves the input register on the
@@ -50,7 +55,6 @@ bit, ascending (z_k = 1 iff the uniform is below q):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -164,46 +168,26 @@ class RandomSource:
         return idx
 
 
-@dataclass(frozen=True)
-class BvReadout:
-    restart: bool
-    a_candidate: Optional[int] = None
-
-
-def bv_readout(final: StateVector, rng: RandomSource) -> BvReadout:
-    """BV readout: x-measure the output qubit, then the input register.
-
-    Outcome |+> on the output qubit carries no mask information, so the
-    caller must restart.  Outcome |-> leaves the input register in a product
-    of x eigenstates whose orientations spell out the mask bits.
-    """
+def rotate_output(final: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """The final state's (input, output) amplitude matrix, a copy, with the output
+    register Walsh-transformed so that column z is output x outcome z, and its
+    column marginal, the law of z.  A run rotates once; every shot reads both."""
     rotated = final.as_matrix().copy()
-    _fwht_inplace(rotated)  # columns indexed by the output register's x outcome
-    marginal = (np.abs(rotated) ** 2).sum(axis=0)
-    output = rng.sample_index(marginal)
-    if output == 0:
-        return BvReadout(restart=True, a_candidate=None)
-    a_candidate = _x_outcome(rotated[:, output], marginal[output], rng)
-    return BvReadout(restart=False, a_candidate=a_candidate)
+    _fwht_inplace(rotated)
+    return rotated, (np.abs(rotated) ** 2).sum(axis=0)
 
 
-def simon_sample(final: StateVector, rng: RandomSource) -> int:
-    """Simon readout: z-measure the output register, then x-measure the input.
+def dense_shot(rotated: np.ndarray, marginal: np.ndarray, rng: RandomSource) -> Optional[int]:
+    """The next dense shot from ``rng``: the output outcome z from ``marginal``, then
+    the input register's x outcome given z, or None at z = 0, whose row is 0.
 
-    The returned x outcome is orthogonal (mod 2) to the hidden mask.
+    BV keeps the outcome as its mask at z = 1 and restarts at None; a Simon
+    row is the outcome, or 0 at None.
     """
-    mat = final.as_matrix()
-    marginal = (np.abs(mat) ** 2).sum(axis=0)
-    output = rng.sample_index(marginal)
-    return _x_outcome(mat[:, output], marginal[output], rng)
-
-
-def _x_outcome(column: np.ndarray, weight: float, rng: RandomSource) -> int:
-    """The input register's x outcome given the output outcome that selects ``column``.
-
-    ``weight`` is the column's squared norm, the output outcome's probability.
-    """
-    conditional = column / math.sqrt(weight)
+    z = rng.sample_index(marginal)
+    if not z:
+        return None
+    conditional = rotated[:, z] / math.sqrt(marginal[z])
     _fwht_inplace(conditional)
     return rng.sample_index(np.abs(conditional) ** 2)
 
@@ -278,7 +262,7 @@ def simon_sample_factored(
 ) -> int:
     """One Simon readout from the branch vectors alone, drawn from ``rng``.
 
-    It follows the law of ``simon_sample`` on the assembled state (see the
+    It follows the law of ``dense_shot`` on the assembled state (see the
     module notes); a scrambled oracle needs a real overlap <phi_0|phi_1>,
     as phi_1 = sigma_x phi_0 gives.
     """

@@ -11,8 +11,11 @@ shots read the row-bit probability q computed once per schedule: a BV shot
 is one ``uniform()`` compared with q, a Simon block reads its
 output-register x outcomes together, a linear Simon row costs O(n), and a
 scrambled one adds a Walsh descent, O(2^(n-1)); see ``measurement``.  The
-factored fidelity is |phi_0[0]^m|^2.  Masks and rows are Python ints of any
-width; ``qstate.check_capacity`` bounds n.
+factored fidelity is |phi_0[0]^m|^2.  Full-path shots of either problem are
+one ``dense_shot`` each on the final state, whose output register is rotated
+to the x basis once per run; its fidelity is |sum_w psi[w, f(w)]|^2 / 2^n.
+Masks and rows are Python ints of any width; ``qstate.check_capacity``
+bounds n.
 
 A run builds no resolved RunConfig: its config fixes ``_schedule`` (steps,
 shot budget), its seed the one RandomSource that draws the mask and shots.
@@ -59,17 +62,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .evolution import Schedule, assemble, evolve_full, evolve_two_level
+from .evolution import Schedule, evolve_full, evolve_two_level
 from .gf2 import Gf2Matrix, recover_mask
 from .hamiltonians import TwoLevelBlock, interpolated
-from .measurement import (
-    RandomSource,
-    _bv_shot,
-    _read_factored,
-    bv_readout,
-    simon_row_bit_prob,
-    simon_sample,
-)
+from .measurement import RandomSource, _bv_shot, _read_factored, dense_shot, rotate_output, simon_row_bit_prob
 from .oracles import BvMask, SimonOracle, simon_build, simon_eval
 from .qstate import StateVector, check_capacity, plus_state
 
@@ -276,17 +272,15 @@ def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
         # branch, as phi_1[1] = phi_0[0]; so the overlap is phi_0[0]^m
         fidelity = abs(phi00 ** m) ** 2
     else:
-        target = assemble(oracle, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        sched = Schedule(cfg.total_time, steps)
-        result = evolve_full(interpolated(oracle), plus_state(cfg.n, m), sched, target)
+        final = evolve_full(interpolated(oracle), plus_state(cfg.n, m),
+                            Schedule(cfg.total_time, steps)).final_state
         if on_final_state is not None:
-            on_final_state(result.final_state)
-        final = result.final_state
-        if bv:
-            read = lambda: bv_readout(final, rng).a_candidate  # noqa: E731
-        else:
-            read = lambda shots: [simon_sample(final, rng) for _ in range(shots)]  # noqa: E731
-        fidelity = result.fidelity_to_target
+            on_final_state(final)
+        shot = partial(dense_shot, *rotate_output(final), rng)
+        read = shot if bv else lambda shots: [shot() or 0 for _ in range(shots)]
+        # |<target|psi>|^2 with the ideal target 2^(-n/2) sum_w |w>|f(w)>
+        overlap = final.as_matrix()[np.arange(1 << cfg.n), oracle.outputs()].sum()
+        fidelity = abs(overlap) ** 2 / (1 << cfg.n)
     shots, found = 0, None
     while found is None and shots < budget:
         if bv:

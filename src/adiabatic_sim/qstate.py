@@ -96,32 +96,20 @@ def plus_state(num_qubits_a: int, num_qubits_b: int) -> StateVector:
     return StateVector(num_qubits_a, num_qubits_b, amps)
 
 
-def inner(u: StateVector, v: StateVector) -> complex:
-    """<u|v>, conjugate-linear in the first argument."""
-    if u.dim != v.dim:
-        raise ShapeError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    return complex(np.vdot(u.amps, v.amps))
-
-
-def fidelity(u: StateVector, v: StateVector) -> float:
-    """|<u|v>|^2."""
-    return abs(inner(u, v)) ** 2
-
-
 def _fwht_inplace(block: np.ndarray) -> None:
     """Normalized Walsh-Hadamard butterfly along the last axis (length 2**m).
 
     O(m * 2**m) amplitude operations; each level pairs indices differing in
-    one bit.
+    one bit and holds one temporary of half the block.
     """
     m_dim = block.shape[-1]
     h = 1
     while h < m_dim:
         view = block.reshape(block.shape[:-1] + (m_dim // (2 * h), 2, h))
-        top = view[..., 0, :].copy()
-        bot = view[..., 1, :].copy()
-        view[..., 0, :] = top + bot
-        view[..., 1, :] = top - bot
+        top, bot = view[..., 0, :], view[..., 1, :]
+        diff = top - bot  # the one temporary of a level
+        top += bot
+        bot[...] = diff
         h *= 2
     block *= m_dim ** -0.5
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from adiabatic_sim.errors import DomainError
+from adiabatic_sim.errors import DomainError, ShapeError
 from adiabatic_sim.evolution import Schedule, _su2_steps, evolve_two_level
 from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
 from adiabatic_sim.hamiltonians import InterpolatedHamiltonian, TwoLevelBlock
@@ -23,6 +23,18 @@ from adiabatic_sim.qstate import SIGMA_X, StateVector
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
+
+
+def inner(u: StateVector, v: StateVector) -> complex:
+    """<u|v>, conjugate-linear in the first argument."""
+    if u.dim != v.dim:
+        raise ShapeError(f"dimension mismatch: {u.dim} vs {v.dim}")
+    return complex(np.vdot(u.amps, v.amps))
+
+
+def fidelity(u: StateVector, v: StateVector) -> float:
+    """|<u|v>|^2."""
+    return abs(inner(u, v)) ** 2
 
 
 def bv_eval(mask: BvMask, w: int) -> int:

@@ -15,7 +15,8 @@ from adiabatic_sim.gf2 import dot2
 from adiabatic_sim.hamiltonians import TwoLevelBlock, gap, interpolated, min_gap_scan
 from adiabatic_sim.measurement import (
     RandomSource,
-    bv_readout,
+    dense_shot,
+    rotate_output,
     simon_factored_x_probs,
     simon_sample_factored,
 )
@@ -107,9 +108,9 @@ def test_criterion_4_bv_readout():
         assert abs(p_restart - 0.5) <= 1e-12
 
     # empirical restart fraction over 10^4 seeded shots
-    state = assemble(BvMask(4, 9), E0, E1)
+    rotated, marginal = rotate_output(assemble(BvMask(4, 9), E0, E1))
     restarts = sum(
-        bv_readout(state, RandomSource(seed)).restart for seed in range(10_000)
+        dense_shot(rotated, marginal, RandomSource(seed)) is None for seed in range(10_000)
     )
     assert 0.48 <= restarts / 10_000 <= 0.52, restarts
 

@@ -23,7 +23,9 @@ def test_quick_ladder_writes_every_row(tmp_path):
     subprocess.run([sys.executable, str(LADDER), "--quick", "--out", str(out)],
                    check=True, capture_output=True, timeout=60)
     record = json.loads(out.read_text())
-    assert {"label", "created", "quick", "git", "machine", "versions", "threads", "rows"} <= set(record)
+    assert {"label", "created", "quick", "git", "machine", "versions", "threads", "rows",
+            "reference", "missing_targets"} <= set(record)
+    assert record["missing_targets"] == [] and record["reference"]["median_us"] > 0
     assert record["quick"] is True
     assert set(record["threads"]["env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert {"python", "numpy", "adiabatic_sim"} <= set(record["versions"])
@@ -38,12 +40,20 @@ def test_quick_ladder_writes_every_row(tmp_path):
         assert f"gf2 reduce n={n} rows={n - 1}" in names
     assert {"run_simon factored n=60 T=0.5", "sweep T simon n=4 steps=5000 3x4 cold",
             "evolve_two_level steps=5000"} <= set(names)
+    for qubits, n in ((12, 11), (16, 15), (19, 18)):
+        assert f"run_bv full qubits={qubits} n={n} T=1 steps=1" in names
+    for qubits, n in ((11, 6), (15, 8), (19, 10)):
+        assert f"run_simon full qubits={qubits} n={n} T=1 steps=1" in names
+    assert {"evolve_full one step qubits=16", "rotate_output bv qubits=16", "dense_shot bv qubits=16",
+            "_bv_shot n=60", "_read_factored scrambled n=16 rows=1", "_scrambled_row n=16",
+            "_scrambled_row n=20"} <= set(names)
     assert len(set(names)) == len(names)
     assert {row["kind"] for row in record["rows"]} == {"end_to_end", "layer"}
     for row in record["rows"]:
         assert row["rounds"] == 3 and row["calls_per_round"] == 1 and row["unit"] == "us"
         assert 0 < row["q1"] <= row["median"] <= row["q3"]
         assert row["iqr"] == pytest.approx(row["q3"] - row["q1"])
+        assert len(row["samples"]) == 3 and row["raw_median"] > 0
 
 
 def test_every_target_resolves_and_a_missing_one_raises():
@@ -67,3 +77,62 @@ def test_compare_reads_each_row_against_the_old_file():
     assert lines[0].split()[:4] == ["a", "2.00", "3.00", "1.500"]
     assert "(new row)" in lines[1] and lines[1].startswith("b ")
     assert "(only in the old file)" in lines[2] and lines[2].startswith("c ")
+
+
+def test_a_library_without_a_target_leaves_out_its_rows(monkeypatch):
+    ladder = load_ladder()
+    resolve = ladder.resolve
+
+    def without_rotation(dotted):
+        if dotted == "measurement.rotate_output":
+            raise LookupError(dotted)
+        return resolve(dotted)
+
+    monkeypatch.setattr(ladder, "resolve", without_rotation)
+    with pytest.raises(LookupError):
+        ladder.build_rows()
+    missing = []
+    names = {row.name for row in ladder.build_rows(missing)}
+    assert missing == ["measurement.rotate_output"]
+    assert "rotate_output bv qubits=16" not in names and "dense_shot bv qubits=16" not in names
+    assert {"evolve_full one step qubits=16", "run_bv factored n=8"} <= names
+
+
+def fake_record(label: str, medians: dict, missing=()) -> dict:
+    return {"label": label, "reference": {"nominal_us": 750.0, "median_us": 700.0},
+            "missing_targets": list(missing),
+            "rows": [{"name": name, "kind": "layer", "targets": ["x.y"], "unit": "us",
+                      "calls_per_round": 1, "median": m, "raw_median": m, "samples": [m, m + 1, m + 2]}
+                     for name, m in medians.items()]}
+
+
+def test_pairs_alternate_fresh_runs_and_pool_their_rounds(tmp_path):
+    ladder = load_ladder()
+    calls = []
+
+    def run(src, out, quick):
+        side = "change" if src == ladder.ROOT / "src" else "parent"
+        calls.append(side)
+        base = 10.0 if side == "parent" else 8.0
+        medians = {"a": base + len(calls), "b": 5.0}
+        if side == "change":
+            medians["new"] = 1.0
+        return fake_record(side, medians, () if side == "change" else ["m.new"])
+
+    old, new = ladder.run_pairs(3, tmp_path, quick=True, scratch=tmp_path, run=run)
+    assert calls == ["change", "parent", "parent", "change", "change", "parent"]
+    assert old["runs"] == new["runs"] == 3 and old["missing_targets"] == ["m.new"]
+    a_old, a_new = old["rows"][0], new["rows"][0]
+    assert a_old["run_medians"] == [12.0, 13.0, 16.0] and a_new["run_medians"] == [9.0, 12.0, 13.0]
+    assert a_new["rounds"] == 9 and a_new["median"] == 13.0  # of 9, 10, 11, 12, 13, 14, 13, 14, 15
+    assert [row["name"] for row in new["rows"]] == ["a", "b", "new"]
+    lines = ladder.compare(new, old).splitlines()[1:]
+    assert lines[0].split()[0] == "a" and lines[0].endswith("3/3")
+    assert lines[1].endswith("0/3") and "(new row)" in lines[2]
+
+
+def test_pairs_refuse_a_change_that_misses_a_target(tmp_path):
+    ladder = load_ladder()
+    with pytest.raises(LookupError, match="m.gone"):
+        ladder.run_pairs(1, tmp_path, quick=True, scratch=tmp_path,
+                         run=lambda src, out, quick: fake_record("x", {"a": 1.0}, ["m.gone"]))

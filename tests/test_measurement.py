@@ -1,4 +1,4 @@
-"""RandomSource, the dense readouts, and the factored samplers."""
+"""RandomSource, the dense readout, and the factored samplers."""
 
 import math
 import tracemalloc
@@ -9,20 +9,20 @@ import pytest
 
 from adiabatic_sim import measurement, protocols
 from adiabatic_sim.errors import DomainError, ResampleError
-from adiabatic_sim.evolution import assemble
+from adiabatic_sim.evolution import Schedule, assemble, evolve_full
 from adiabatic_sim.gf2 import dot2
+from adiabatic_sim.hamiltonians import interpolated
 from adiabatic_sim.measurement import (
-    BvReadout,
     RandomSource,
     SHORT_BLOCK,
     _bv_shot,
     _linear_rows,
     _read_factored,
     _scrambled_row,
-    bv_readout,
+    dense_shot,
+    rotate_output,
     simon_factored_x_probs,
     simon_row_bit_prob,
-    simon_sample,
     simon_sample_factored,
 )
 from adiabatic_sim.oracles import (
@@ -32,7 +32,7 @@ from adiabatic_sim.oracles import (
 )
 from adiabatic_sim.protocols import RunConfig, run_simon
 from adiabatic_sim.qstate import StateVector, fwht_subsystem, plus_state
-from helpers import array_block_read, random_state
+from helpers import HADAMARD, array_block_read, kron_chain, random_state
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -288,42 +288,96 @@ def reference_measure_x(psi: StateVector, subsystem: str, rng: RandomSource):
     return outcome, fwht_subsystem(post, subsystem)
 
 
-def reference_bv_readout(final: StateVector, rng: RandomSource) -> BvReadout:
+def reference_dense_shot(final: StateVector, rng: RandomSource):
+    """The output register's x measurement with collapse, then, unless it gave 0,
+    the input register's."""
     output, post = reference_measure_x(final, "B", rng)
-    if output == 0:
-        return BvReadout(restart=True, a_candidate=None)
-    return BvReadout(restart=False, a_candidate=reference_measure_x(post, "A", rng)[0])
-
-
-def reference_simon_sample(final: StateVector, rng: RandomSource) -> int:
-    _, post = reference_measure_z(final, "B", rng)
-    return reference_measure_x(post, "A", rng)[0]
+    return None if output == 0 else reference_measure_x(post, "A", rng)[0]
 
 
 @pytest.mark.parametrize(
     "problem,n", [("bv", n) for n in range(1, 9)] + [("simon", n) for n in range(2, 6)]
 )
 def test_dense_readouts_match_the_collapse_chain(problem, n):
-    # the same outcome after the same draws on every shot; BV's input weights
-    # may differ from the chain's in the last bit, which sums |v / sqrt(2)|^2
-    # over both output columns, so outcomes are compared, not weights
+    # the same outcome after the same draws on every shot; input weights may
+    # differ from the chain's in the last bit, which sums |v / sqrt(2^m)|^2
+    # over the output columns, so outcomes are compared, not weights
     a = 0b1011_0101 & ((1 << n) - 1)
     anneals = [evolved_branches(T) for T in (0.5, 5.0, 50.0)]
     if problem == "bv":
-        readout, reference = bv_readout, reference_bv_readout
         states = [random_state(n, 1, n)]
         states += [assemble(BvMask(n, a), *branches) for branches in anneals]
     else:
-        readout, reference = simon_sample, reference_simon_sample
         states = [random_state(n, n - 1, n)]
         for scramble in (None, n):
             oracle = simon_build(n, a, scramble_seed=scramble)
             states += [assemble(oracle, *branches) for branches in anneals]
     for state in states:
+        rotated, marginal = rotate_output(state)
         for seed in range(200):
             rng, reference_rng = RandomSource(seed, 1), RandomSource(seed, 1)
-            assert readout(state, rng) == reference(state, reference_rng)
+            assert dense_shot(rotated, marginal, rng) == reference_dense_shot(state, reference_rng)
             assert rng.draws == reference_rng.draws
+
+
+class ForcedDraws:
+    """Stands in for a RandomSource: ``sample_index`` records the normalized
+    weights it is given and returns the next forced index."""
+
+    def __init__(self, *forced):
+        self.forced, self.laws = list(forced), []
+
+    def sample_index(self, probs):
+        self.laws.append(np.asarray(probs) / np.sum(probs))
+        return self.forced.pop(0)
+
+
+def dense_readout_law(state: StateVector) -> dict:
+    """{(z, row): probability} that ``dense_shot`` samples from the rotated
+    state, row 0 where it returns None, read off the weights it draws from."""
+    rotated, marginal = rotate_output(state)
+    law = {}
+    for z in range(marginal.size):
+        rng = ForcedDraws(z, 0)
+        dense_shot(rotated, marginal, rng)
+        p_z = rng.laws[0][z]
+        rows = rng.laws[1] if len(rng.laws) > 1 else np.eye(1)[0]
+        for row, p in enumerate(rows):
+            law[z, row] = law.get((z, row), 0.0) + p_z * p
+    return law
+
+
+def factored_readout_law(oracle, q: float) -> dict:
+    """{(z, row): q^|z| (1-q)^(m-|z|) P(row | z)}, P(row | z) the Walsh spectrum,
+    by an explicit Hadamard matrix, of the input register's
+    2^(-n/2) sum_w (-1)^(z . f(w)) |w>."""
+    n, m, f = oracle.n, oracle.m, oracle.outputs()
+    walsh = kron_chain([HADAMARD] * n)
+    law = {}
+    for z in range(1 << m):
+        p_z = q ** z.bit_count() * (1 - q) ** (m - z.bit_count())
+        signs = (-1.0) ** (np.bitwise_count(f & z) & 1) / math.sqrt(1 << n)
+        for row, amp in enumerate(walsh @ signs):
+            law[z, row] = p_z * abs(amp) ** 2
+    return law
+
+
+@pytest.mark.parametrize("total_time", [1.0, 5.0])
+@pytest.mark.parametrize("problem,n,scramble_seed", [("bv", n, None) for n in range(1, 6)]
+                         + [("simon", n, s) for n in range(2, 6) for s in (None, 3 * n)])
+def test_dense_readout_law_is_the_factored_law(problem, n, scramble_seed, total_time):
+    # the full path's final state, its output register read in x: the (z, row)
+    # law of its shots is that of iid Bernoulli(q) output bits and, given z,
+    # the Walsh spectrum of (-1)^(z . f(w)); at z = 0 the row is exactly 0
+    a = 0b10110 & ((1 << n) - 1) or 1
+    oracle = BvMask(n, a) if problem == "bv" else simon_build(n, a, scramble_seed)
+    steps = int(20 * total_time)
+    final = evolve_full(interpolated(oracle), plus_state(n, oracle.m),
+                        Schedule(total_time, steps)).final_state
+    dense = dense_readout_law(final)
+    factored = factored_readout_law(oracle, simon_row_bit_prob(*protocols.branch_pair(total_time, steps)))
+    for key in dense.keys() | factored.keys():
+        assert abs(dense.get(key, 0.0) - factored.get(key, 0.0)) <= 1e-12, key
 
 
 def traced_peak(call):
@@ -338,54 +392,61 @@ def traced_peak(call):
 
 
 def test_dense_readout_shot_memory():
-    # no post-measurement state is built: BV copies the state once for the
-    # output qubit's Walsh transform, Simon transforms the one selected column
+    # no post-measurement state is built: a run rotates one copy of the state
+    # for the output register's Walsh transform, and a shot transforms the one
+    # selected column.  BV's one butterfly level holds one temporary of half
+    # the state; at several levels numpy also copies ``bot`` before
+    # ``top += bot``, whose interleaved 2-D views its overlap check cannot
+    # tell apart
     mask = BvMask(16, 0b1011_0000_1110_0101)
     state = assemble(mask, E0, E1)
+    _, peak = traced_peak(lambda: rotate_output(state))
+    assert peak < 1.6 * state.amps.nbytes
     for seed in range(64):
-        readout, peak = traced_peak(lambda: bv_readout(state, RandomSource(seed, 1)))
-        if not readout.restart:
+        outcome, peak = traced_peak(
+            lambda: dense_shot(*rotate_output(state), RandomSource(seed, 1)))
+        if outcome is not None:
             break
-    assert readout.a_candidate == mask.a
+    assert outcome == mask.a
     assert peak < 3.0 * state.amps.nbytes
     state = assemble(simon_build(8, 0b1011_0101), E0, E1)
-    x, peak = traced_peak(lambda: simon_sample(state, RandomSource(3, 1)))
-    assert dot2(x, 0b1011_0101) == 0
+    (rotated, marginal), peak = traced_peak(lambda: rotate_output(state))
+    assert peak < 2.6 * state.amps.nbytes
+    for seed in range(64):
+        x, peak = traced_peak(lambda: dense_shot(rotated, marginal, RandomSource(seed, 1)))
+        if x is not None:
+            break
+    assert x and dot2(x, 0b1011_0101) == 0
     assert peak < 1.5 * state.amps.nbytes
 
 
 def test_bv_ideal_output_qubit_is_unbiased():
-    state = assemble(BvMask(3, 5), E0, E1)
-    rotated = fwht_subsystem(state, "B")
-    marginal = np.sum(np.abs(rotated.as_matrix()) ** 2, axis=0)
+    _, marginal = rotate_output(assemble(BvMask(3, 5), E0, E1))
     np.testing.assert_allclose(marginal, [0.5, 0.5], atol=1e-12)
 
 
 def test_bv_readout_recovers_mask_when_informative():
-    state = assemble(BvMask(3, 5), E0, E1)
-    informative = 0
-    for seed in range(60):
-        result = bv_readout(state, RandomSource(seed))
-        if not result.restart:
-            informative += 1
-            assert result.a_candidate == 5
-    assert informative > 10
+    rotated, marginal = rotate_output(assemble(BvMask(3, 5), E0, E1))
+    outcomes = [dense_shot(rotated, marginal, RandomSource(seed)) for seed in range(60)]
+    assert set(outcomes) == {None, 5}
+    assert outcomes.count(5) > 10
 
 
 def test_bv_readout_initial_state_always_restarts():
-    # the |+>|+> state is exactly the uninformative branch
-    state = plus_state(3, 1)
-    for seed in range(30):
-        assert bv_readout(state, RandomSource(seed)).restart
+    # the |+>|+> state is exactly the uninformative branch, of Simon's too
+    for n_b in (1, 2):
+        rotated, marginal = rotate_output(plus_state(3, n_b))
+        for seed in range(30):
+            assert dense_shot(rotated, marginal, RandomSource(seed)) is None
 
 
 def test_simon_sample_ideal_orthogonal_and_uniform():
     oracle = simon_build(3, 5)
-    state = assemble(oracle, E0, E1)
+    rotated, marginal = rotate_output(assemble(oracle, E0, E1))
     counts = {}
     shots = 4000
     for seed in range(shots):
-        x = simon_sample(state, RandomSource(seed))
+        x = dense_shot(rotated, marginal, RandomSource(seed)) or 0
         assert dot2(x, 5) == 0
         counts[x] = counts.get(x, 0) + 1
     assert sorted(counts) == [0b000, 0b010, 0b101, 0b111]
@@ -460,9 +521,9 @@ def test_factored_sampler_uninformative_branches_give_zero_rows():
     plus = np.array([S2, S2], dtype=complex)
     probs = simon_factored_x_probs(oracle, plus, plus, y=2)
     np.testing.assert_allclose(probs, np.eye(8)[0], atol=1e-12)
-    state = assemble(oracle, plus, plus)
+    rotated, marginal = rotate_output(assemble(oracle, plus, plus))
     for seed in range(10):
-        assert simon_sample(state, RandomSource(seed)) == 0
+        assert dense_shot(rotated, marginal, RandomSource(seed)) is None
         assert simon_sample_factored(oracle, plus, plus, RandomSource(seed + 50)) == 0
 
 

@@ -17,7 +17,7 @@ from adiabatic_sim.errors import DomainError
 from adiabatic_sim.evolution import Schedule, evolve_full, evolve_two_level
 from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
 from adiabatic_sim.hamiltonians import TwoLevelBlock, interpolated
-from adiabatic_sim.measurement import RandomSource, bv_readout, simon_sample
+from adiabatic_sim.measurement import RandomSource, dense_shot, rotate_output
 from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
 from adiabatic_sim.protocols import (
     RunConfig,
@@ -30,7 +30,7 @@ from adiabatic_sim.protocols import (
     sweep,
 )
 from adiabatic_sim.qstate import plus_state
-from helpers import kind_pair, problem_phase, reference_run
+from helpers import fidelity, kind_pair, problem_phase, reference_run
 
 
 def test_run_bv_end_to_end():
@@ -122,7 +122,6 @@ def test_reported_fidelity_matches_dense_inner_product():
     # the factored path's closed-form fidelity equals <target|psi> computed
     # on materialized states
     from adiabatic_sim.evolution import assemble
-    from adiabatic_sim.qstate import fidelity
 
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
@@ -142,6 +141,24 @@ def test_reported_fidelity_matches_dense_inner_product():
     dense_bv = fidelity(assemble(mask, e0, e1), assemble(mask, phi0, phi1))
     report_bv = run_bv(RunConfig(problem="bv", n=3, a=5, total_time=5.0, steps=500, seed=1))
     assert report_bv.per_run_fidelity == pytest.approx(dense_bv, abs=1e-12)
+
+
+@pytest.mark.parametrize("problem,n,scramble_seed", [("bv", 3, None), ("bv", 4, None),
+                                                     ("simon", 3, None), ("simon", 3, 9)])
+def test_full_path_fidelity_is_the_overlap_with_the_ideal_target(problem, n, scramble_seed):
+    # the full path reads |sum_w psi[w, f(w)]|^2 / 2^n off its final state; that
+    # is its fidelity to the assembled ideal target 2^(-n/2) sum_w |w>|f(w)>
+    from adiabatic_sim.evolution import assemble
+
+    cfg = resolve_config(RunConfig(problem, n, total_time=2.0, steps=60, path="full", seed=4,
+                                   scramble_seed=scramble_seed))
+    states = []
+    report = protocols._run_seeded(cfg, cfg.steps, cfg.max_repeats, RandomSource(cfg.seed),
+                                   states.append)
+    oracle = BvMask(n, cfg.a) if problem == "bv" else simon_build(n, cfg.a, scramble_seed)
+    target = assemble(oracle, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert report.per_run_fidelity == pytest.approx(fidelity(target, states[0]), rel=1e-13)
+    assert 0.05 < report.per_run_fidelity < 1.0
 
 
 def test_simon_zero_mask_rejected_at_validation():
@@ -833,9 +850,9 @@ def test_the_free_list_holds_no_more_sources_than_runs_alive_at_once(monkeypatch
 @pytest.mark.parametrize("problem", ["bv", "simon"])
 def test_full_path_shots_do_not_depend_on_the_block_size(problem):
     # a full-path run reads its shots in blocks that end where the run can;
-    # its report and draws equal those of the public dense sampler called
-    # once per shot, in order, from stream 1 of the seed, on the run's state
-    shot = bv_readout if problem == "bv" else simon_sample
+    # its report and draws equal those of the public dense shot called once
+    # per shot, in order, from stream 1 of the seed, on the run's state
+    # rotated once
     for seed in range(6):
         for max_repeats in (1, 2, 5, None):
             cfg = resolve_config(RunConfig(problem, 4, total_time=2.0, steps=60, path="full",
@@ -843,13 +860,14 @@ def test_full_path_shots_do_not_depend_on_the_block_size(problem):
             states, rng = [], RandomSource(cfg.seed)
             report = protocols._run_seeded(cfg, cfg.steps, cfg.max_repeats, rng, states.append)
             reference, system = RandomSource(cfg.seed, 1), Gf2Matrix(cfg.n)
+            rotated, marginal = rotate_output(states[0])
             found, shots = None, 0
             while found is None and shots < cfg.max_repeats:
-                outcome, shots = shot(states[0], reference), shots + 1
+                outcome, shots = dense_shot(rotated, marginal, reference), shots + 1
                 if problem == "bv":
-                    found = outcome.a_candidate
+                    found = outcome
                 else:
-                    system.add_row(outcome)
+                    system.add_row(outcome or 0)
                     found = recover_mask(system)
             assert (report.quantum_runs, report.recovered_a) == (shots, found), cfg
             assert rng.draws == reference.draws, cfg
@@ -999,7 +1017,7 @@ def test_seeded_low_q_simon_reports(fields, a, runs, fidelity):
     (dict(n=60, seed=160), 14234013176458300, 1, 0.9996143176818358),
     (dict(n=4, a=0, seed=3), 0, 3, 0.9996143176818358),
     (dict(n=12, seed=7, total_time=5.0, steps=500), 670, 1, 0.8389771197853413),
-    (dict(n=5, seed=105, total_time=5.0, steps=500, path="full"), 5, 0, 0.8389771197853436),
+    (dict(n=5, seed=105, total_time=5.0, steps=500, path="full"), 5, 0, 0.8389771197853435),
     (dict(n=10, seed=4, total_time=0.5, steps=50), 325, 18, 0.5051892560903587),
 ], ids=["n8", "n16", "n60", "a0", "T5", "full", "short-anneal"])
 def test_seeded_bv_reports(fields, a, restarts, fidelity):

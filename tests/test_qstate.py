@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from adiabatic_sim.errors import CapacityError, DomainError, ShapeError
-from adiabatic_sim.qstate import (
-    DENSE_QUBIT_CAP,
-    StateVector,
-    fidelity,
-    fwht_subsystem,
-    inner,
-    plus_state,
-)
-from helpers import HADAMARD, random_state
+from adiabatic_sim.qstate import DENSE_QUBIT_CAP, StateVector, _fwht_inplace, fwht_subsystem, plus_state
+from helpers import HADAMARD, fidelity, inner, random_state
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -78,6 +71,32 @@ def test_fwht_dense_agreement_larger_register():
     expected = h_sub @ psi.amps
     got = fwht_subsystem(psi, "A")
     assert np.max(np.abs(got.amps - expected)) <= 1e-10
+
+
+def two_copy_fwht(block: np.ndarray) -> None:
+    """The butterfly with both halves copied per level, as written before its
+    levels held one temporary."""
+    m_dim = block.shape[-1]
+    h = 1
+    while h < m_dim:
+        view = block.reshape(block.shape[:-1] + (m_dim // (2 * h), 2, h))
+        top = view[..., 0, :].copy()
+        bot = view[..., 1, :].copy()
+        view[..., 0, :] = top + bot
+        view[..., 1, :] = top - bot
+        h *= 2
+    block *= m_dim ** -0.5
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (64,), (1, 2), (512, 2), (8, 128), (128, 8), (3, 1024)])
+def test_fwht_is_bit_identical_to_the_two_copy_butterfly(shape):
+    rng = np.random.default_rng(sum(shape))
+    block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    block[..., ::3] *= 1e-9  # mixed magnitudes, so the sums round
+    expected = block.copy()
+    two_copy_fwht(expected)
+    _fwht_inplace(block)
+    assert np.array_equal(block, expected)
 
 
 def test_fwht_preserves_norm():
