@@ -35,11 +35,10 @@ figures are not measurements.  Standard library and numpy only.
 from __future__ import annotations
 
 import argparse
-import cmath
 import gc
 import importlib
+import importlib.util
 import json
-import math
 import os
 import platform
 import statistics
@@ -57,10 +56,14 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+# perfbench/run.py's reference kernel and its nominal time: each round is
+# scaled by REF_NOMINAL_S over the kernel's mean time just before and just after it
+_spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+_perfbench_run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_perfbench_run)
+reference, REF_NOMINAL_S = _perfbench_run.reference, _perfbench_run.REF_NOMINAL_S
+
 ROUND_S = 0.05         # calibrated length of one round
-# perfbench/run.py's nominal reference kernel time: each round is scaled by
-# it over the kernel's mean time just before and just after the round
-REF_NOMINAL_S = 0.75e-3
 ROUNDS = 21
 QUICK_ROUNDS = 3
 LADDER_N = (8, 24, 60, 256, 1024)
@@ -235,19 +238,6 @@ def calibrate(row: Row) -> int:
         if per_call * calls >= ROUND_S / 5:
             return max(1, round(ROUND_S / per_call))
         calls *= 10
-
-
-def reference() -> float:
-    """Seconds taken by ``perfbench/run.py``'s reference kernel: a fixed 1500-step
-    scalar loop of the float, complex, ``math`` and ``cmath`` operations of the
-    branch integrator's scalar steps, touching no array."""
-    t0 = perf_counter()
-    u = complex(0.7)
-    for j in range(1500):
-        s = (j + 0.5) / 1500
-        r = math.hypot(s, 0.5)
-        u = cmath.exp(-1j * s * 0.01) * (math.cos(r) * u) + 1e-3
-    return perf_counter() - t0
 
 
 def quartiles(samples: list) -> dict:

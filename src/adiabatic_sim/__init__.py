@@ -26,27 +26,21 @@ from .evolution import (
     evolve_full,
     evolve_two_level,
 )
-from .gf2 import Gf2Matrix, dot2, recover_mask
+from .gf2 import Gf2Matrix, recover_mask
 from .hamiltonians import (
     InterpolatedHamiltonian,
     TwoLevelBlock,
     gap,
+    gap_table,
     interpolated,
-    min_gap_scan,
 )
-from .measurement import RandomSource, dense_shot, rotate_output, simon_sample_factored
-from .oracles import (
-    BvMask,
-    SimonOracle,
-    simon_build,
-    simon_eval,
-)
+from .measurement import RandomSource, dense_shot, rotate_output
+from .oracles import BvMask, SimonOracle, simon_build
 from .protocols import (
     RunConfig,
     RunReport,
-    classical_simon,
     run_bv,
     run_simon,
     sweep,
 )
-from .qstate import StateVector, fwht_subsystem, plus_state
+from .qstate import StateVector, plus_state

@@ -26,7 +26,6 @@ from .errors import SimulatorError
 from .evolution import assemble
 from .hamiltonians import gap, gap_table, interpolated
 from .measurement import RandomSource
-from .oracles import BvMask, simon_build
 from .protocols import (
     BUDGET_FAILURE_PROB,
     DEFAULT_TIME,
@@ -35,6 +34,7 @@ from .protocols import (
     RunConfig,
     SweepRow,
     _draw_mask,
+    _oracle,
     branch_pair,
     resolve_config,
     run,
@@ -154,7 +154,7 @@ def cmd_simon(args: argparse.Namespace) -> int:
     results = asdict(report)
     if args.compare_factored:
         phi0, phi1 = branch_pair(cfg.total_time, cfg.steps)
-        factored = assemble(simon_build(cfg.n, cfg.a, cfg.scramble_seed), phi0, phi1)
+        factored = assemble(_oracle(cfg, cfg.a), phi0, phi1)
         deviation = float(np.max(np.abs(finals[0].amps - factored.amps)))
         results["max_factored_deviation"] = deviation
     _emit(json.dumps(_record(cfg, results), indent=2) + "\n", args.out)
@@ -181,9 +181,8 @@ def cmd_gap(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise UsageError("--n is required unless --two-level is given")
-        a = _draw_mask(RunConfig(args.problem, args.n, args.a, path="full", seed=seed), RandomSource(seed))
-        oracle = BvMask(args.n, a) if args.problem == "bv" else simon_build(args.n, a)
-        table = gap_table(interpolated(oracle), args.grid)
+        cfg = RunConfig(args.problem, args.n, args.a, path="full", seed=seed)
+        table = gap_table(interpolated(_oracle(cfg, _draw_mask(cfg, RandomSource(seed)))), args.grid)
     _emit_csv(["s", "gap"], ([f"{s:.10g}", f"{value:.15g}"] for s, value in table), args.out)
     s_min, gap_min = min(table, key=lambda pair: pair[1])
     print(f"min gap {gap_min:.6g} at s = {s_min:.6g}", file=sys.stderr)

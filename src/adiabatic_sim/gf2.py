@@ -15,11 +15,6 @@ from typing import Optional
 from .errors import ContradictionError, DomainError
 
 
-def dot2(x: int, a: int) -> int:
-    """Bitwise dot product mod 2."""
-    return (x & a).bit_count() & 1
-
-
 class Gf2Matrix:
     """Echelon basis of the measurement rows added so far, and its rank."""
 

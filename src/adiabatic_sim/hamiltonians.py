@@ -137,14 +137,3 @@ def gap_table(h: InterpolatedHamiltonian, grid: int) -> list[tuple[float, float]
     points = np.linspace(0.0, 1.0, grid)
     evals = (np.linalg.eigvalsh(s * hp + (1.0 - s) * hd) for s in points)
     return [(float(s), float(e[1] - e[0])) for s, e in zip(points, evals)]
-
-
-@dataclass(frozen=True)
-class GapScan:
-    s_min: float
-    gap_min: float
-
-
-def min_gap_scan(h: InterpolatedHamiltonian, grid: int) -> GapScan:
-    """Minimum ground-to-first-excited gap over a uniform s grid."""
-    return GapScan(*min(gap_table(h, grid), key=lambda pair: pair[1]))

@@ -49,7 +49,8 @@ anneal alone.  A shot draws z first, one uniform per output bit, ascending
   of 2^(n-1) labels, O(2^(n-1)) per row, skipped at z = 0, whose spectrum
   is the single label 0.  The descent counts uint8 label parities for its
   top bit and then takes one dot product per bit; every mass it compares is
-  an exact integer.
+  an exact integer.  A single row is a block of one: there is no other
+  factored Simon sampler.
 """
 
 from __future__ import annotations
@@ -192,31 +193,6 @@ def dense_shot(rotated: np.ndarray, marginal: np.ndarray, rng: RandomSource) -> 
     return rng.sample_index(np.abs(conditional) ** 2)
 
 
-def simon_factored_x_probs(
-    oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray, y: int
-) -> np.ndarray:
-    """Exact x-outcome distribution of the input register given output y.
-
-    The y-conditional reference that tests average to check the sampler.
-    The unnormalized branch amplitudes are prod_k phi_{g_k(w)}[y_k]; grouping
-    the factors by the four (g_k, y_k) bit combinations leaves popcounts.
-    """
-    g = oracle.outputs()
-    c11 = np.bitwise_count(g & y)
-    c10 = int(y).bit_count() - c11           # g_k=0, y_k=1
-    c01 = np.bitwise_count(g) - c11          # g_k=1, y_k=0
-    c00 = oracle.m - c11 - c10 - c01
-    phi0 = np.asarray(phi0, dtype=np.complex128)
-    phi1 = np.asarray(phi1, dtype=np.complex128)
-    alpha = phi0[0] ** c00 * phi1[0] ** c01 * phi0[1] ** c10 * phi1[1] ** c11
-    norm = np.linalg.norm(alpha)
-    if not norm > 0:
-        raise ResampleError("conditional branch weights underflowed to zero")
-    alpha = (alpha / norm).reshape(1, -1)
-    _fwht_inplace(alpha)
-    return np.abs(alpha.reshape(-1)) ** 2
-
-
 def simon_row_bit_prob(phi0: np.ndarray, phi1: np.ndarray) -> float:
     """q = ||phi_0 - phi_1||^2 / 4, the Bernoulli parameter of each row bit z_k.
 
@@ -255,21 +231,6 @@ def _row_bits(q: float, u: np.ndarray) -> list:
         words = ((u[:, k:k + 64] < q) @ _POWERS_OF_TWO[: u.shape[1] - k]).tolist()
         zs = [z | word << k for z, word in zip(zs, words)]
     return zs
-
-
-def simon_sample_factored(
-    oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray, rng: RandomSource
-) -> int:
-    """One Simon readout from the branch vectors alone, drawn from ``rng``.
-
-    It follows the law of ``dense_shot`` on the assembled state (see the
-    module notes); a scrambled oracle needs a real overlap <phi_0|phi_1>,
-    as phi_1 = sigma_x phi_0 gives.
-    """
-    q = simon_row_bit_prob(phi0, phi1)
-    if oracle.scramble is not None and abs(np.vdot(phi0, phi1).imag) > 1e-9:
-        raise DomainError("scrambled Simon sampling needs a real branch overlap <phi_0|phi_1>")
-    return _read_factored(oracle, q, rng, 1)[0]
 
 
 def _bv_shot(mask: BvMask, q: float, rng: RandomSource) -> Optional[int]:

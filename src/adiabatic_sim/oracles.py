@@ -109,16 +109,6 @@ def simon_build(n: int, a: int, scramble_seed: Optional[int] = None) -> SimonOra
     return SimonOracle(n=n, a=a, pivot_bit=pivot, scramble=scramble)
 
 
-def simon_eval(oracle: SimonOracle, w: int) -> int:
-    """g(w) as an (n-1)-bit integer."""
-    if not 0 <= w < (1 << oracle.n):
-        raise DomainError(f"input {w} out of range for {oracle.n} bits")
-    g = _canonical_g(oracle.n, oracle.a, oracle.pivot_bit, w)
-    if oracle.scramble is not None:
-        g = int(oracle.scramble[g])
-    return int(g)
-
-
 def simon_orthogonal_row(oracle: SimonOracle, t: int) -> int:
     """The x with x . a = 0 that is t with the pivot bit j re-inserted.
 

@@ -1,4 +1,4 @@
-"""End-to-end BV and Simon experiments, Simon's classical baseline, and sweeps.
+"""End-to-end BV and Simon experiments and sweeps.
 
 A run is the algorithm's one loop, in ``_run_seeded``: prepare |+>|+>,
 anneal once for time T (path "full" integrates the dense state, applying
@@ -66,7 +66,7 @@ from .evolution import Schedule, evolve_full, evolve_two_level
 from .gf2 import Gf2Matrix, recover_mask
 from .hamiltonians import TwoLevelBlock, interpolated
 from .measurement import RandomSource, _bv_shot, _read_factored, dense_shot, rotate_output, simon_row_bit_prob
-from .oracles import BvMask, SimonOracle, simon_build, simon_eval
+from .oracles import BvMask, SimonOracle, simon_build
 from .qstate import StateVector, check_capacity, plus_state
 
 DEFAULT_TIME = 50.0
@@ -117,8 +117,9 @@ class RunConfig:
             if self.scramble_seed is not None:
                 check_capacity(self.n)  # 2^(n-1) labels
             else:  # BV holds less, but shares the bound
+                rule = "factored BV takes Simon's bound: a" if bv else "a Simon"
                 check_capacity((self.n * (self.n - 1)).bit_length(),
-                               f"at n = {self.n}, a Simon shot block of n(n - 1) uniforms")
+                               f"at n = {self.n}, {rule} shot block of n(n - 1) uniforms")
         else:
             raise DomainError(f"unknown path {self.path!r}")
         if self.a is not None:
@@ -208,6 +209,11 @@ def _draw_mask(cfg: RunConfig, rng: RandomSource) -> int:
     return 1 + rng.randrange((1 << cfg.n) - 1)
 
 
+def _oracle(cfg: RunConfig, a: int) -> BvMask | SimonOracle:
+    """The oracle of cfg's problem with mask a, scrambled as cfg says."""
+    return BvMask(cfg.n, a) if cfg.problem == "bv" else simon_build(cfg.n, a, cfg.scramble_seed)
+
+
 def resolve_config(cfg: RunConfig) -> RunConfig:
     """The config a run of cfg resolves to, for the CLI to echo: the drawn mask,
     the steps and the shot budget filled in; idempotent."""
@@ -262,7 +268,7 @@ def _run_seeded(cfg: RunConfig, steps: int, budget: int, rng: RandomSource,
     rng.restart(1)
     t0 = time.perf_counter()
     bv = cfg.problem == "bv"
-    oracle = BvMask(cfg.n, a) if bv else simon_build(cfg.n, a, cfg.scramble_seed)
+    oracle = _oracle(cfg, a)
     m, system = oracle.m, (None if bv else Gf2Matrix(cfg.n))
     if cfg.path == "factored":
         q, phi00 = _branch_law(cfg.total_time, steps)
@@ -337,27 +343,6 @@ def run_simon(
 def run(cfg: RunConfig) -> RunReport:
     """Dispatch on cfg.problem."""
     return run_bv(cfg) if cfg.problem == "bv" else run_simon(cfg)
-
-
-@dataclass(frozen=True)
-class ClassicalResult:
-    queries: int
-    a: int
-
-
-def classical_simon(oracle: SimonOracle, rng: RandomSource) -> ClassicalResult:
-    """Query distinct random inputs until two collide; their xor is the mask.
-
-    Birthday statistics put the query count near 2^(n/2); a collision is
-    forced after at most 2^(n-1) + 1 distinct queries.
-    """
-    seen: dict[int, int] = {}  # output -> the one input queried for it so far
-    space = 1 << oracle.n
-    while True:
-        w = rng.randrange(space)
-        first = seen.setdefault(simon_eval(oracle, w), w)
-        if first != w:  # w is new, so the queries are the inputs in seen and w
-            return ClassicalResult(queries=len(seen) + 1, a=first ^ w)
 
 
 @dataclass(frozen=True)

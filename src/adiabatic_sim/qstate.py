@@ -10,8 +10,11 @@ where ``w`` labels the A basis state and ``y`` the B basis state; bit ``k`` of
 an integer label is the value of qubit ``k`` of that register.  |0> is the
 spin-up (+z) state, so sigma_z |0> = +|0>.
 
-Everything here is a pure function on immutable inputs; no operation writes
-to its arguments.
+``_fwht_inplace`` is the normalized Walsh-Hadamard butterfly along the last
+axis of a block, the one transform of the package; it writes the block it
+is given, so ``measurement`` hands it copies: the output register of a
+final state's amplitude matrix once per run, and one input column a shot.
+Everything else here is a pure function on immutable inputs.
 
 ``check_capacity`` is the one memory rule of the package, and DENSE_QUBIT_CAP
 its one cap.  The factored path holds no 2^n array; only three objects do:
@@ -35,8 +38,6 @@ from .errors import CapacityError, DomainError, ShapeError
 # cap the full path holds KRYLOV_MAX + 1 Krylov vectors of 2^20 amplitudes,
 # 272 MiB; a gap scan n_b + 2 real vectors (48 MiB traced at Simon n = 10).
 DENSE_QUBIT_CAP = 20
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
 def check_capacity(qubits: int, what: str = "a dense array") -> None:
@@ -112,24 +113,3 @@ def _fwht_inplace(block: np.ndarray) -> None:
         bot[...] = diff
         h *= 2
     block *= m_dim ** -0.5
-
-
-def fwht_subsystem(psi: StateVector, subsystem: str) -> StateVector:
-    """Apply the normalized Hadamard transform to every qubit of one register.
-
-    ``subsystem`` is "A" or "B".  Applying twice returns the input (the
-    transform is an involution).
-    """
-    if subsystem not in ("A", "B"):
-        raise DomainError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    n_sub = psi.num_qubits_a if subsystem == "A" else psi.num_qubits_b
-    if n_sub == 0:
-        return StateVector(psi.num_qubits_a, psi.num_qubits_b, psi.amps.copy())
-    mat = psi.as_matrix().copy()
-    if subsystem == "A":
-        mat = np.ascontiguousarray(mat.T)
-        _fwht_inplace(mat)
-        mat = mat.T
-    else:
-        _fwht_inplace(mat)
-    return StateVector(psi.num_qubits_a, psi.num_qubits_b, mat.reshape(-1))

@@ -2,25 +2,27 @@
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from adiabatic_sim.errors import DomainError, ShapeError
+from adiabatic_sim.errors import DomainError, ResampleError, ShapeError
 from adiabatic_sim.evolution import Schedule, _su2_steps, evolve_two_level
 from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
 from adiabatic_sim.hamiltonians import InterpolatedHamiltonian, TwoLevelBlock
 from adiabatic_sim.measurement import (
     RandomSource,
+    _read_factored,
     _row_bits,
     _scrambled_row,
     simon_row_bit_prob,
-    simon_sample_factored,
 )
-from adiabatic_sim.oracles import BvMask, simon_build, simon_orthogonal_row
+from adiabatic_sim.oracles import BvMask, SimonOracle, _canonical_g, simon_build, simon_orthogonal_row
 from adiabatic_sim.protocols import branch_pair, resolve_config
-from adiabatic_sim.qstate import SIGMA_X, StateVector
+from adiabatic_sim.qstate import StateVector, _fwht_inplace
 
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -42,6 +44,72 @@ def bv_eval(mask: BvMask, w: int) -> int:
     if not 0 <= w < (1 << mask.n):
         raise DomainError(f"input {w} out of range for {mask.n} bits")
     return (w & mask.a).bit_count() & 1
+
+
+def dot2(x: int, a: int) -> int:
+    """Bitwise dot product mod 2."""
+    return (x & a).bit_count() & 1
+
+
+def simon_eval(oracle: SimonOracle, w: int) -> int:
+    """g(w) as an (n-1)-bit integer."""
+    if not 0 <= w < (1 << oracle.n):
+        raise DomainError(f"input {w} out of range for {oracle.n} bits")
+    g = _canonical_g(oracle.n, oracle.a, oracle.pivot_bit, w)
+    if oracle.scramble is not None:
+        g = int(oracle.scramble[g])
+    return int(g)
+
+
+@dataclass(frozen=True)
+class ClassicalResult:
+    queries: int
+    a: int
+
+
+def classical_simon(oracle: SimonOracle, rng: RandomSource) -> ClassicalResult:
+    """Query distinct random inputs until two collide; their xor is the mask.
+
+    Birthday statistics put the query count near 2^(n/2); a collision is
+    forced after at most 2^(n-1) + 1 distinct queries.
+    """
+    seen: dict[int, int] = {}  # output -> the one input queried for it so far
+    space = 1 << oracle.n
+    while True:
+        w = rng.randrange(space)
+        first = seen.setdefault(simon_eval(oracle, w), w)
+        if first != w:  # w is new, so the queries are the inputs in seen and w
+            return ClassicalResult(queries=len(seen) + 1, a=first ^ w)
+
+
+def simon_factored_x_probs(
+    oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray, y: int
+) -> np.ndarray:
+    """Exact x-outcome distribution of the input register given output y.
+
+    The y-conditional reference that tests average to check the sampler.
+    The unnormalized branch amplitudes are prod_k phi_{g_k(w)}[y_k]; grouping
+    the factors by the four (g_k, y_k) bit combinations leaves popcounts.
+    """
+    g = oracle.outputs()
+    c11 = np.bitwise_count(g & y)
+    c10 = int(y).bit_count() - c11           # g_k=0, y_k=1
+    c01 = np.bitwise_count(g) - c11          # g_k=1, y_k=0
+    c00 = oracle.m - c11 - c10 - c01
+    phi0 = np.asarray(phi0, dtype=np.complex128)
+    phi1 = np.asarray(phi1, dtype=np.complex128)
+    alpha = phi0[0] ** c00 * phi1[0] ** c01 * phi0[1] ** c10 * phi1[1] ** c11
+    norm = np.linalg.norm(alpha)
+    if not norm > 0:
+        raise ResampleError("conditional branch weights underflowed to zero")
+    alpha = (alpha / norm).reshape(1, -1)
+    _fwht_inplace(alpha)
+    return np.abs(alpha.reshape(-1)) ** 2
+
+
+def factored_row(oracle: SimonOracle, phi0: np.ndarray, phi1: np.ndarray, rng: RandomSource) -> int:
+    """The next Simon row from ``rng`` at the branch vectors' row-bit probability: a block of one."""
+    return _read_factored(oracle, simon_row_bit_prob(phi0, phi1), rng, 1)[0]
 
 
 def kron_chain(mats) -> np.ndarray:
@@ -196,8 +264,8 @@ def reference_run(cfg) -> dict:
 
     The shots draw in order from one ``RandomSource(seed, 1)``, absorbed until
     a mask is found or the repeat budget runs out.  A BV shot is informative
-    iff its one uniform is below q, the documented draw; a Simon shot is the
-    public one-shot sampler.
+    iff its one uniform is below q, the documented draw; a Simon shot is one
+    ``factored_row``.
     """
     cfg = resolve_config(cfg)
     # branch_pair's pair is this one times a global phase, which q and the
@@ -213,7 +281,7 @@ def reference_run(cfg) -> dict:
         if cfg.problem == "bv":
             found = cfg.a if rng.uniform() < q else None
         else:
-            system.add_row(simon_sample_factored(oracle, phi0, phi1, rng))
+            system.add_row(factored_row(oracle, phi0, phi1, rng))
             found = recover_mask(system)
         if found is not None:
             shots = i + 1

@@ -11,25 +11,18 @@ import math
 import numpy as np
 
 from adiabatic_sim.evolution import Schedule, assemble, evolve_full, evolve_two_level
-from adiabatic_sim.gf2 import dot2
-from adiabatic_sim.hamiltonians import TwoLevelBlock, gap, interpolated, min_gap_scan
-from adiabatic_sim.measurement import (
-    RandomSource,
-    dense_shot,
-    rotate_output,
-    simon_factored_x_probs,
-    simon_sample_factored,
-)
+from adiabatic_sim.hamiltonians import TwoLevelBlock, gap, gap_table, interpolated
+from adiabatic_sim.measurement import RandomSource, dense_shot, rotate_output
 from adiabatic_sim.oracles import BvMask, simon_build
 from adiabatic_sim.protocols import (
     RunConfig,
     branch_pair,
-    classical_simon,
     resolve_config,
     run_bv,
     run_simon,
 )
-from adiabatic_sim.qstate import SIGMA_X, fwht_subsystem, plus_state
+from adiabatic_sim.qstate import plus_state
+from helpers import SIGMA_X, classical_simon, dot2, factored_row, simon_factored_x_probs
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -77,9 +70,9 @@ def test_criterion_2_minimum_gap():
         assert abs(gap(s) - math.hypot(1.0 - s, s)) <= 1e-12
     target = 1.0 / math.sqrt(2.0)
     for h in (interpolated(BvMask(2, 2)), interpolated(simon_build(2, 3))):
-        scan = min_gap_scan(h, grid=201)
-        assert abs(scan.gap_min - target) <= 1e-3, scan
-        assert abs(scan.s_min - 0.5) <= 5e-3, scan
+        s_min, gap_min = min(gap_table(h, 201), key=lambda pair: pair[1])
+        assert abs(gap_min - target) <= 1e-3, (s_min, gap_min)
+        assert abs(s_min - 0.5) <= 5e-3, (s_min, gap_min)
 
 
 @criterion(3, "adiabatic quality at T=50 is register-size independent")
@@ -103,8 +96,7 @@ def test_criterion_4_bv_readout():
     # exact restart probability from the ideal final state
     for n, a in ((3, 5), (4, 0), (6, 0b101101)):
         state = assemble(BvMask(n, a), E0, E1)
-        rotated = fwht_subsystem(state, "B")
-        p_restart = float(np.sum(np.abs(rotated.as_matrix()[:, 0]) ** 2))
+        p_restart = float(rotate_output(state)[1][0])
         assert abs(p_restart - 0.5) <= 1e-12
 
     # empirical restart fraction over 10^4 seeded shots
@@ -152,7 +144,7 @@ def test_criterion_5_simon_protocol():
     oracle6 = simon_build(6, 0b110101)
     rng = RandomSource(7)
     orthogonal = sum(
-        dot2(simon_sample_factored(oracle6, phi0, phi1, rng), oracle6.a) == 0
+        dot2(factored_row(oracle6, phi0, phi1, rng), oracle6.a) == 0
         for _ in range(2000)
     )
     assert orthogonal / 2000 >= 0.99

@@ -13,7 +13,7 @@ import pytest
 
 from adiabatic_sim.errors import CapacityError, DomainError
 from adiabatic_sim.evolution import assemble
-from adiabatic_sim.hamiltonians import InterpolatedHamiltonian, interpolated, min_gap_scan
+from adiabatic_sim.hamiltonians import InterpolatedHamiltonian, gap_table, interpolated
 from adiabatic_sim.oracles import BvMask, simon_build
 from adiabatic_sim.qstate import DENSE_QUBIT_CAP, check_capacity, plus_state
 
@@ -33,7 +33,7 @@ BUILDERS = {
     "bv_outputs": lambda: BvMask(OVER, 1).outputs(),
     "scramble": lambda: simon_build(OVER, 1, scramble_seed=0),
     # a hand-built Hamiltonian on OVER qubits reaches the scan's own refusal
-    "min_gap_scan": lambda: min_gap_scan(InterpolatedHamiltonian(np.zeros(1), (OVER - 1, 1)), 5),
+    "gap_table": lambda: gap_table(InterpolatedHamiltonian(np.zeros(1), (OVER - 1, 1)), 5),
 }
 
 

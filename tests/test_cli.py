@@ -446,6 +446,19 @@ def test_bad_inputs_are_one_line_usage_errors(capsys, argv):
         assert "dense" in err  # the gap scan is refused by the dense cap, not the factored one
 
 
+@pytest.mark.parametrize("problem,rule", [
+    ("bv", "factored BV takes Simon's bound: a shot block"),
+    ("simon", "a Simon shot block"),
+])
+def test_factored_capacity_error_names_the_problems_rule(capsys, problem, rule):
+    # BV shares factored Simon's bound, and its message says so rather than
+    # naming a Simon block for a bv run
+    code, out, err = run_cli(capsys, problem, "--n", "1025")
+    assert (code, out) == (1, "")
+    assert err == (f"usage error: at n = 1025, {rule} of n(n - 1) uniforms "
+                   "on 21 qubits exceeds the cap of 20\n")
+
+
 def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing" / "record.json"
     code, out, err = run_cli(

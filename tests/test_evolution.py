@@ -13,10 +13,11 @@ from adiabatic_sim.errors import DomainError, IntegrationError, ShapeError
 from adiabatic_sim.evolution import Schedule, assemble, evolve_full, evolve_two_level
 from adiabatic_sim.hamiltonians import InterpolatedHamiltonian, TwoLevelBlock, interpolated
 from adiabatic_sim.measurement import simon_row_bit_prob
-from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
+from adiabatic_sim.oracles import BvMask, simon_build
 from adiabatic_sim.protocols import branch_pair
-from adiabatic_sim.qstate import SIGMA_X, StateVector, plus_state
+from adiabatic_sim.qstate import StateVector, plus_state
 from helpers import (
+    SIGMA_X,
     bv_eval,
     exact_branch,
     fidelity,
@@ -25,6 +26,7 @@ from helpers import (
     kind_pair,
     problem_phase,
     random_state,
+    simon_eval,
     unmirrored_branch,
 )
 

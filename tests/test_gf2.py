@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from adiabatic_sim.errors import ContradictionError, DomainError
-from adiabatic_sim.gf2 import Gf2Matrix, dot2, recover_mask
+from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
 
-from helpers import gf2_nullspace, gf2_rank
+from helpers import dot2, factored_row, gf2_nullspace, gf2_rank
 
 
 def test_dot2_cases():
@@ -111,7 +111,7 @@ def test_add_row_range_check():
 
 
 def test_rows_from_ideal_sampler_recover_planted_mask():
-    from adiabatic_sim.measurement import RandomSource, simon_sample_factored
+    from adiabatic_sim.measurement import RandomSource
     from adiabatic_sim.oracles import simon_build
 
     e0 = np.array([1.0, 0.0], dtype=complex)
@@ -121,7 +121,7 @@ def test_rows_from_ideal_sampler_recover_planted_mask():
         oracle = simon_build(n, a)
         m, rng = Gf2Matrix(n), RandomSource(seed, 1)
         for _ in range(200):
-            m.add_row(simon_sample_factored(oracle, e0, e1, rng))
+            m.add_row(factored_row(oracle, e0, e1, rng))
             if m.rank == n - 1:
                 break
         assert recover_mask(m) == a

@@ -14,12 +14,12 @@ from adiabatic_sim.hamiltonians import (
     gap,
     gap_table,
     interpolated,
-    min_gap_scan,
 )
-from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
-from adiabatic_sim.qstate import SIGMA_X, plus_state
+from adiabatic_sim.oracles import BvMask, simon_build
+from adiabatic_sim.qstate import plus_state
 from helpers import (
     IDENTITY_2,
+    SIGMA_X,
     SIGMA_Z,
     bv_eval,
     dense_driver,
@@ -27,6 +27,7 @@ from helpers import (
     kron_chain,
     level_gap,
     random_state,
+    simon_eval,
     two_level,
 )
 
@@ -270,16 +271,21 @@ def _projector(w, n):
     return proj
 
 
+def min_gap(h):
+    """(s, gap) at the smallest gap of a 201-point scan, as ``cli.cmd_gap`` reads it."""
+    return min(gap_table(h, 201), key=lambda pair: pair[1])
+
+
 def test_min_gap_scan_bv():
-    scan = min_gap_scan(interpolated(BvMask(2, 2)), grid=201)
-    assert scan.gap_min == pytest.approx(S2, abs=1e-3)
-    assert scan.s_min == pytest.approx(0.5, abs=5e-3)
+    s_min, gap_min = min_gap(interpolated(BvMask(2, 2)))
+    assert gap_min == pytest.approx(S2, abs=1e-3)
+    assert s_min == pytest.approx(0.5, abs=5e-3)
 
 
 def test_min_gap_scan_simon():
-    scan = min_gap_scan(interpolated(simon_build(2, 3)), grid=201)
-    assert scan.gap_min == pytest.approx(S2, abs=1e-3)
-    assert scan.s_min == pytest.approx(0.5, abs=5e-3)
+    s_min, gap_min = min_gap(interpolated(simon_build(2, 3)))
+    assert gap_min == pytest.approx(S2, abs=1e-3)
+    assert s_min == pytest.approx(0.5, abs=5e-3)
 
 
 WITNESS_CASES = {
@@ -312,7 +318,7 @@ def test_gap_scan_refuses_a_closure_past_n_b_plus_1_vectors():
     tracemalloc.start()
     try:
         with pytest.raises(DomainError) as refused:
-            min_gap_scan(h, grid=5)
+            gap_table(h, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -323,9 +329,9 @@ def test_gap_scan_refuses_a_closure_past_n_b_plus_1_vectors():
 def test_gap_scan_refuses_a_one_level_subspace():
     # a constant problem diagonal leaves |+>|+> an eigenvector of both operators
     with pytest.raises(DomainError, match="one level"):
-        min_gap_scan(InterpolatedHamiltonian(np.zeros(4), (1, 1)), grid=5)
+        gap_table(InterpolatedHamiltonian(np.zeros(4), (1, 1)), 5)
 
 
 def test_min_gap_scan_grid_too_small():
     with pytest.raises(DomainError):
-        min_gap_scan(interpolated(BvMask(2, 2)), grid=2)
+        gap_table(interpolated(BvMask(2, 2)), 2)

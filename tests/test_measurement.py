@@ -1,5 +1,6 @@
 """RandomSource, the dense readout, and the factored samplers."""
 
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -10,7 +11,6 @@ import pytest
 from adiabatic_sim import measurement, protocols
 from adiabatic_sim.errors import DomainError, ResampleError
 from adiabatic_sim.evolution import Schedule, assemble, evolve_full
-from adiabatic_sim.gf2 import dot2
 from adiabatic_sim.hamiltonians import interpolated
 from adiabatic_sim.measurement import (
     RandomSource,
@@ -21,9 +21,7 @@ from adiabatic_sim.measurement import (
     _scrambled_row,
     dense_shot,
     rotate_output,
-    simon_factored_x_probs,
     simon_row_bit_prob,
-    simon_sample_factored,
 )
 from adiabatic_sim.oracles import (
     BvMask,
@@ -31,8 +29,16 @@ from adiabatic_sim.oracles import (
     simon_orthogonal_row,
 )
 from adiabatic_sim.protocols import RunConfig, run_simon
-from adiabatic_sim.qstate import StateVector, fwht_subsystem, plus_state
-from helpers import HADAMARD, array_block_read, kron_chain, random_state
+from adiabatic_sim.qstate import StateVector, plus_state
+from helpers import (
+    HADAMARD,
+    array_block_read,
+    dot2,
+    factored_row,
+    kron_chain,
+    random_state,
+    simon_factored_x_probs,
+)
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -43,15 +49,27 @@ def evolved_branches(T: float):
     return protocols.branch_pair(T, int(100 * T))
 
 
+@functools.cache
+def walsh_matrix(qubits: int) -> np.ndarray:
+    """The normalized Hadamard transform of ``qubits`` qubits as an explicit matrix."""
+    return kron_chain([HADAMARD] * qubits)
+
+
+def hadamard_register(psi: StateVector, subsystem: str) -> StateVector:
+    """psi with every qubit of register "A" or "B" Hadamard-transformed, by explicit matrices."""
+    mat = psi.as_matrix()
+    if subsystem == "A":
+        mat = walsh_matrix(psi.num_qubits_a) @ mat
+    else:
+        mat = mat @ walsh_matrix(psi.num_qubits_b)
+    return StateVector(psi.num_qubits_a, psi.num_qubits_b, mat.reshape(-1))
+
+
 def dense_x_probs_given_y(state: StateVector, y: int) -> np.ndarray:
     """Oracle: conditional x distribution of register A after z-measuring B=y."""
-    mat = state.as_matrix()
-    column = mat[:, y]
+    column = state.as_matrix()[:, y]
     column = column / np.linalg.norm(column)
-    full = np.zeros_like(mat)
-    full[:, y] = column
-    rotated = fwht_subsystem(StateVector(state.num_qubits_a, state.num_qubits_b, full.reshape(-1)), "A")
-    return np.abs(rotated.as_matrix()[:, y]) ** 2
+    return np.abs(walsh_matrix(state.num_qubits_a) @ column) ** 2
 
 
 def test_random_source_reproducible():
@@ -169,10 +187,10 @@ def test_row_bits_block_draw_equals_scalar_loop():
 
 @pytest.mark.parametrize("kind", ["bv", "linear", "scrambled"])
 def test_factored_shots_do_not_depend_on_the_block_size(kind):
-    # one block of k shots, k blocks of one shot and k calls of the public
-    # one-shot sampler (BV: k scalar shots, one block fill of k uniforms and
-    # the documented draw, informative iff the uniform is below q) give the
-    # same outcomes and draws, and leave the stream at the same place
+    # one block of k shots, k one-row reads from the branch vectors and the
+    # array read (BV: k scalar shots, one block fill of k uniforms and the
+    # documented draw, informative iff the uniform is below q) give the same
+    # outcomes and draws, and leave the stream at the same place
     branch_sets = [(E0, E1), evolved_branches(0.5), evolved_branches(5.0)]
     for n, (phi0, phi1), seed in zip((2, 5, 9, 12), branch_sets * 2, range(4)):
         a = (1 << (n - 1)) | seed
@@ -188,12 +206,12 @@ def test_factored_shots_do_not_depend_on_the_block_size(kind):
                 sources[0].fill(u)
                 blocks = [a if x < q else None for x in u.tolist()]
                 singles = [_bv_shot(oracle, q, sources[1]) for _ in range(k)]
-                public = [a if sources[2].uniform() < q else None for _ in range(k)]
+                reference = [a if sources[2].uniform() < q else None for _ in range(k)]
             else:
                 blocks = _read_factored(oracle, q, sources[0], k)
-                singles = [_read_factored(oracle, q, sources[1], 1)[0] for _ in range(k)]
-                public = [simon_sample_factored(oracle, phi0, phi1, sources[2]) for _ in range(k)]
-            assert blocks == singles == public
+                singles = [factored_row(oracle, phi0, phi1, sources[1]) for _ in range(k)]
+                reference = array_block_read(oracle, q, sources[2], k)
+            assert blocks == singles == reference
             assert len({s.draws for s in sources}) == 1
             assert len({s.uniform() for s in sources}) == 1
 
@@ -284,8 +302,8 @@ def reference_measure_z(psi: StateVector, subsystem: str, rng: RandomSource):
 
 def reference_measure_x(psi: StateVector, subsystem: str, rng: RandomSource):
     """The x-basis measurement with collapse: Hadamard, z-measure, Hadamard back."""
-    outcome, post = reference_measure_z(fwht_subsystem(psi, subsystem), subsystem, rng)
-    return outcome, fwht_subsystem(post, subsystem)
+    outcome, post = reference_measure_z(hadamard_register(psi, subsystem), subsystem, rng)
+    return outcome, hadamard_register(post, subsystem)
 
 
 def reference_dense_shot(final: StateVector, rng: RandomSource):
@@ -509,7 +527,7 @@ def test_factored_sampler_empirical_matches_dense_distribution():
     rng = RandomSource(2024)
     counts = np.zeros(8)
     for _ in range(shots):
-        counts[simon_sample_factored(oracle, phi0, phi1, rng)] += 1
+        counts[factored_row(oracle, phi0, phi1, rng)] += 1
     tv = 0.5 * np.sum(np.abs(counts / shots - exact))
     assert tv <= 0.01
 
@@ -524,7 +542,7 @@ def test_factored_sampler_uninformative_branches_give_zero_rows():
     rotated, marginal = rotate_output(assemble(oracle, plus, plus))
     for seed in range(10):
         assert dense_shot(rotated, marginal, RandomSource(seed)) is None
-        assert simon_sample_factored(oracle, plus, plus, RandomSource(seed + 50)) == 0
+        assert factored_row(oracle, plus, plus, RandomSource(seed + 50)) == 0
 
 
 def test_factored_sampler_multinomial_consistency():
@@ -536,7 +554,7 @@ def test_factored_sampler_multinomial_consistency():
     rng = RandomSource(99)
     counts = {}
     for _ in range(shots):
-        x = simon_sample_factored(oracle, E0, E1, rng)
+        x = factored_row(oracle, E0, E1, rng)
         counts[x] = counts.get(x, 0) + 1
     assert set(counts) <= set(orthogonal)
     p = 1.0 / len(orthogonal)
@@ -611,7 +629,7 @@ def test_bv_factored_readout_law_equals_dense_law():
             mask = BvMask(n, a)
             for phi0, phi1 in branch_sets:
                 state = assemble(mask, phi0, phi1)
-                joint = np.abs(fwht_subsystem(fwht_subsystem(state, "B"), "A").as_matrix()) ** 2
+                joint = np.abs(walsh_matrix(n) @ rotate_output(state)[0]) ** 2
                 q = simon_row_bit_prob(phi0, phi1)
                 assert abs(joint[:, 0].sum() - (1.0 - q)) <= 1e-12
                 informative = joint[:, 1] / joint[:, 1].sum()
@@ -627,9 +645,9 @@ def test_factored_samplers_keep_input_checks():
     nan = np.array([np.nan, np.nan], dtype=complex)
     for oracle in (simon_build(3, 5), simon_build(3, 5, scramble_seed=4)):
         with pytest.raises(ResampleError):
-            simon_sample_factored(oracle, nan, nan, RandomSource(0))
+            factored_row(oracle, nan, nan, RandomSource(0))
         with pytest.raises(DomainError):
-            simon_sample_factored(oracle, 2 * E0, E1, RandomSource(0))
+            factored_row(oracle, 2 * E0, E1, RandomSource(0))
 
 
 @pytest.mark.parametrize("n,a", [(3, 5), (4, 0b1000), (5, 0b10110), (6, 0b100000), (7, 0b1011011)])
@@ -658,7 +676,7 @@ def test_linear_simon_sampler_draws_one_uniform_per_output_bit():
     for n, a in [(2, 3), (9, 0b100000000), (60, (1 << 59) | 1)]:
         oracle = simon_build(n, a)
         rng = RandomSource(n)
-        x = simon_sample_factored(oracle, phi0, phi1, rng)
+        x = factored_row(oracle, phi0, phi1, rng)
         assert rng.draws == n - 1
         assert dot2(x, a) == 0
 
@@ -756,10 +774,10 @@ def test_scrambled_simon_row_is_the_inverse_cdf_of_the_walsh_masses(n):
         for t in np.flatnonzero(masses):
             for u in (cdf[t] / total, np.nextafter(cdf[t + 1] / total, 0.0)):
                 rng = ScriptedRowBits(int(z), m, float(u))
-                assert simon_sample_factored(oracle, E0, E1, rng) == simon_orthogonal_row(oracle, t)
+                assert factored_row(oracle, E0, E1, rng) == simon_orthogonal_row(oracle, t)
                 assert rng.draws == n
         for u in picks.random(20):
-            x = simon_sample_factored(oracle, E0, E1, ScriptedRowBits(int(z), m, float(u)))
+            x = factored_row(oracle, E0, E1, ScriptedRowBits(int(z), m, float(u)))
             assert x in {simon_orthogonal_row(oracle, t) for t in np.flatnonzero(masses)}
 
 
@@ -769,7 +787,7 @@ def test_scrambled_simon_shot_memory_at_n20():
     oracle = simon_build(20, 0b1011_0000_1110_0101_0011, scramble_seed=5)
     tracemalloc.start()
     try:
-        simon_sample_factored(oracle, phi0, phi1, RandomSource(3, 1))
+        factored_row(oracle, phi0, phi1, RandomSource(3, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -865,13 +883,7 @@ def test_scrambled_simon_sampler_draws_and_orthogonality_at_n20():
     oracle = simon_build(20, a, scramble_seed=5)
     for shot in range(8):
         rng = RandomSource(11, shot)
-        x = simon_sample_factored(oracle, phi0, phi1, rng)
+        x = factored_row(oracle, phi0, phi1, rng)
         assert rng.draws == 20
         assert dot2(x, a) == 0
 
-
-def test_scrambled_simon_sampler_refuses_complex_branch_overlap():
-    oracle = simon_build(4, 0b0110, scramble_seed=2)
-    phi1 = np.array([1j * S2, S2])
-    with pytest.raises(DomainError):
-        simon_sample_factored(oracle, E0, phi1, RandomSource(0))

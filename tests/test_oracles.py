@@ -10,10 +10,9 @@ from adiabatic_sim.oracles import (
     BvMask,
     SimonOracle,
     simon_build,
-    simon_eval,
     simon_orthogonal_row,
 )
-from helpers import bv_eval
+from helpers import bv_eval, simon_eval
 
 
 def assert_promise(oracle: SimonOracle) -> None:

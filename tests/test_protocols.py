@@ -18,11 +18,10 @@ from adiabatic_sim.evolution import Schedule, evolve_full, evolve_two_level
 from adiabatic_sim.gf2 import Gf2Matrix, recover_mask
 from adiabatic_sim.hamiltonians import TwoLevelBlock, interpolated
 from adiabatic_sim.measurement import RandomSource, dense_shot, rotate_output
-from adiabatic_sim.oracles import BvMask, simon_build, simon_eval
+from adiabatic_sim.oracles import BvMask, simon_build
 from adiabatic_sim.protocols import (
     RunConfig,
     branch_pair,
-    classical_simon,
     resolve_config,
     run,
     run_bv,
@@ -30,7 +29,7 @@ from adiabatic_sim.protocols import (
     sweep,
 )
 from adiabatic_sim.qstate import plus_state
-from helpers import fidelity, kind_pair, problem_phase, reference_run
+from helpers import classical_simon, fidelity, kind_pair, problem_phase, reference_run, simon_eval
 
 
 def test_run_bv_end_to_end():
@@ -585,8 +584,8 @@ def test_bv_and_simon_runs_share_one_branch_evolution(monkeypatch):
 
 
 def test_cached_branch_overlap_is_real():
-    # phi_1 = sigma_x phi_0 makes <phi_0|phi_1> real, so factored runs skip the
-    # scrambled sampler's overlap check; 100 schedules, T from 0.01 to 1e4
+    # phi_1 = sigma_x phi_0 makes <phi_0|phi_1> real, as a scrambled row's
+    # descent needs, so no run checks it; 100 schedules, T from 0.01 to 1e4
     for kind in ("bv", "simon"):
         for total_time in np.geomspace(0.01, 1e4, 10):
             for steps in (1, 7, 100, 5000, 40000):

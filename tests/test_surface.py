@@ -3,12 +3,12 @@
 A public top-level function, class or constant in ``src/adiabatic_sim``
 must be referenced by an ``ast.Name`` node, and a public method of a public
 class by an ``ast.Attribute`` node, somewhere in the package outside its own
-definition and ``__init__.py``; or the name must be imported by the
-acceptance suite.  Docstrings and comments do not count: the check matches
-syntax nodes, not text.  (An attribute such as ``args.two_level`` is no call
-of the function ``two_level``, hence the split by node kind.)  Methods of
-private classes are skipped: ``cli._Parser.error`` is an argparse override
-that argparse calls.  A name that only tests call belongs in
+definition and ``__init__.py``.  Docstrings and comments do not count: the
+check matches syntax nodes, not text.  (An attribute such as
+``args.two_level`` is no call of the function ``two_level``, hence the split
+by node kind.)  Methods of private classes are skipped: ``cli._Parser.error``
+is an argparse override that argparse calls.  A name that only tests call,
+the acceptance suite's references among them, belongs in
 ``tests/helpers.py``.
 """
 
@@ -17,7 +17,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "adiabatic_sim"
-ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
 def _public(name: str) -> bool:
@@ -50,16 +49,6 @@ def _references(tree: ast.Module):
             yield ast.Attribute, node.attr, node.lineno
 
 
-def _acceptance_imports() -> set:
-    tree = ast.parse(ACCEPTANCE.read_text())
-    return {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-
-
 def unreferenced_names() -> list:
     """Qualified public names of the package that nothing outside their definition uses."""
     modules = {
@@ -68,13 +57,10 @@ def unreferenced_names() -> list:
         if path.name != "__init__.py"
     }
     refs = {stem: list(_references(tree)) for stem, tree in modules.items()}
-    imported = _acceptance_imports()
     missing = []
     for stem, tree in modules.items():
         for qualname, node, kind in _definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
-            if kind is ast.Name and name in imported:
-                continue
             span = range(node.lineno, node.end_lineno + 1)
             used = any(
                 ref_kind is kind and ref == name and (other != stem or line not in span)
